@@ -18,16 +18,20 @@
 # fails on a >10% events/s drop — the review gate for perf PRs.
 # `make kernel-smoke` pins the array kernel to the object reference path
 # on a corpus slice (socket-free, seconds); part of `make verify`.
+# `make bench-suite-smoke` runs every workload of the end-to-end
+# benchmark (BENCHMARK.json, benchmarks/suite/) once, tiny, with its
+# correctness checks, plus the suite's own smoke test; part of
+# `make verify`. The measured run is `python3 benchmarks/suite/run.py`.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify verify-faults verify-service verify-sharding verify-procs \
-	test smoke kernel-smoke bench bench-smoke bench-compare bench-all \
-	stress stress-smoke stress-procs
+	test smoke kernel-smoke bench bench-smoke bench-suite-smoke \
+	bench-compare bench-all stress stress-smoke stress-procs
 
-verify: test smoke kernel-smoke bench-smoke stress-smoke verify-service \
-	verify-sharding verify-procs
+verify: test smoke kernel-smoke bench-smoke bench-suite-smoke stress-smoke \
+	verify-service verify-sharding verify-procs
 
 verify-faults:
 	$(PYTHON) -m pytest -q -m faults
@@ -98,6 +102,14 @@ bench-smoke:
 		benchmarks/BENCH_smoke_baseline.json $$OUT \
 		--threshold 0.5 --total-only && \
 	rm -f $$OUT
+
+# The end-to-end benchmark's schema-and-checks pass (~10 s): all eight
+# workloads through the real deployments (shard-host children included),
+# every repetition checked, no numbers gated. run.py pins its own
+# environment, so it gets plain python3 exactly like the PR driver.
+bench-suite-smoke:
+	python3 benchmarks/suite/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/suite -q
 
 # Diff two BENCH ledgers (review gate for perf PRs): non-zero exit when
 # any protocol row or the total drops >10% events/s vs BASE.

@@ -3,15 +3,19 @@
 Where ``bench_simulator_throughput`` times whole simulations, these time
 the individual operations the incremental fast path optimised — calendar
 push/pop with rank-at-push, lock grant/release driving the ceiling index,
-``Sysceil`` queries answered from the index, and dispatch-heavy
-simulation — so a regression can be attributed to the specific structure
-that caused it.
+``Sysceil`` queries answered from the index, dispatch-heavy simulation,
+and the wait-for graph's three queries at 8 / 128 / 512 parked waiters —
+so a regression can be attributed to the specific structure that caused
+it.
 
 Run via ``make bench`` (or directly:
 ``PYTHONPATH=src:. pytest benchmarks/bench_event_microbench.py --benchmark-only``).
 """
 
+import pytest
+
 from repro.engine.event_queue import EventQueue
+from repro.engine.inheritance import WaitForGraph
 from repro.engine.job import Job
 from repro.engine.lock_table import LockTable
 from repro.engine.simulator import SimConfig, Simulator
@@ -125,3 +129,86 @@ def test_priority_recompute_under_inheritance(benchmark):
 
     sim = benchmark(run)
     assert sim.events_processed > 0
+
+
+# ----------------------------------------------------------------------
+# Wait-for graph: per-call cost must be flat in the number of parked
+# waiters (the service keeps hundreds of sessions live; docs/PERFORMANCE.md
+# "Live sessions" has the measured rows).
+# ----------------------------------------------------------------------
+_PARKED = (8, 128, 512)
+
+
+def _parked_graph(parked):
+    """``parked`` waiters, each blocked on its own lock holder — the
+    ``wide`` shape, where blame is spread — plus two jobs nobody waits on.
+    Returns ``(graph, live, waiters, holders, spare_a, spare_b)`` with
+    priorities settled and the cycle check clean."""
+    spec = TransactionSpec("T", (read("x"),), priority=1)
+    waiters = [Job(spec, i, 0.0) for i in range(parked)]
+    holders = [Job(spec, parked + i, 0.0) for i in range(parked)]
+    spare_a, spare_b = Job(spec, -1, 0.0), Job(spec, -2, 0.0)
+    for rank, job in enumerate(waiters):
+        job.base_priority = job.running_priority = 2 + rank
+    graph = WaitForGraph()
+    for waiter, holder in zip(waiters, holders):
+        graph.block(waiter, (holder,))
+    live = dict.fromkeys([*waiters, *holders, spare_a, spare_b])
+    graph.recompute_priorities(live)
+    assert graph.find_new_cycle() is None
+    return graph, live, waiters, holders, spare_a, spare_b
+
+
+@pytest.mark.parametrize("parked", _PARKED)
+def test_wait_graph_exemption_of_unwaited_job(benchmark, parked):
+    """The PCP-DA waiter exemption for a requester nobody waits on — the
+    query behind almost every read decision."""
+    graph, _, _, _, spare, _ = _parked_graph(parked)
+    assert not benchmark(graph.transitive_waiters_on, spare)
+
+
+@pytest.mark.parametrize("parked", _PARKED)
+def test_wait_graph_forget_blocker_with_one_waiter(benchmark, parked):
+    """A commit: forget a lock holder one request waits on (the round
+    re-parks that waiter first, so every call forgets a live edge)."""
+    graph, _, waiters, holders, _, _ = _parked_graph(parked)
+    waiter, holder = waiters[0], holders[0]
+
+    def commit():
+        graph.block(waiter, (holder,))
+        graph.forget(holder)
+
+    benchmark(commit)
+    assert not graph.is_blocked(waiter)
+    assert len(graph.waiters()) == parked - 1
+
+
+@pytest.mark.parametrize("parked", _PARKED)
+def test_wait_graph_inheritance_pass_after_one_edge_edit(benchmark, parked):
+    """Re-point one waiter, then bring priorities up to date."""
+    graph, live, waiters, _, spare_a, spare_b = _parked_graph(parked)
+    top = waiters[-1]
+    targets = [spare_a, spare_b]
+
+    def edit_and_pass():
+        targets.reverse()
+        graph.block(top, (targets[0],))
+        return graph.recompute_priorities(live)
+
+    changed = benchmark(edit_and_pass)
+    assert targets[0].running_priority == top.base_priority
+    assert targets[0] in changed
+
+
+@pytest.mark.parametrize("parked", _PARKED)
+def test_wait_graph_cycle_check_after_one_edge_edit(benchmark, parked):
+    """Re-point one waiter, then check for a deadlock."""
+    graph, _, waiters, _, spare_a, spare_b = _parked_graph(parked)
+    targets = [spare_a, spare_b]
+
+    def edit_and_check():
+        targets.reverse()
+        graph.block(waiters[0], (targets[0],))
+        return graph.find_new_cycle()
+
+    assert benchmark(edit_and_check) is None

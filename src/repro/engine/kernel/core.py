@@ -2,26 +2,27 @@
 
 One :class:`Kernel` instance serves one run (or one live lock-manager
 shard).  It mirrors the run's :class:`~repro.engine.lock_table.LockTable`
-and :class:`~repro.engine.inheritance.WaitForGraph` into flat integer
-state —
+into flat integer state —
 
 * per-item **lock-mode words**: one int bitset of reader slots and one of
   writer slots per item id;
 * per-item **ceiling levels** plus a lazy max-heap of ``(-level, item)``,
   maintained with the same bump-on-grant / lazy-repair scheme as
-  :class:`~repro.engine.lock_table.CeilingIndex` but over interned ints;
-* **blocked bitsets**: one word of currently blocked job slots and a
-  per-slot word of its blockers, from which transitive waiter sets (the
-  PCP-DA exemption) are closed with a few machine-word operations —
+  :class:`~repro.engine.lock_table.CeilingIndex` but over interned ints —
 
 and answers every admission decision from the bound
 :class:`~repro.engine.kernel.tables.ProtocolTable` without touching
 ``Job``/``frozenset`` machinery until a ``Deny`` must name its blockers.
+Wait edges are *not* mirrored: the PCP-DA waiter exemption asks the run's
+:class:`~repro.engine.inheritance.WaitForGraph`, whose reverse adjacency
+answers "nobody waits on the requester" — the common case — in one dict
+probe, and the excluded word is built only from a non-empty answer.
 
-The mirrors are fed by the lock table's and wait graph's notification
-hooks, so object state and array state can never drift silently;
-``self_check()`` re-derives everything from the object structures and is
-wired into the differential battery via ``SimConfig.debug_invariants``.
+The lock mirror is fed by the lock table's notification hooks, so object
+state and array state can never drift silently; ``self_check()``
+re-derives everything from the object structures (and has the wait graph
+check its own incremental state) and is wired into the differential
+battery via ``SimConfig.debug_invariants``.
 
 Decisions are **byte-identical** to the object path by construction: the
 rule/reason strings come from the compiled table, ``Deny`` blocker tuples
@@ -33,7 +34,7 @@ pin the equivalence.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.engine.interfaces import Deny, Grant
 from repro.engine.kernel.interning import Interner
@@ -67,8 +68,7 @@ class Kernel:
 
     __slots__ = (
         "table_spec", "interner", "_lock_table", "_wait_graph",
-        "_reader_word", "_writer_word", "_cur_level", "_heap",
-        "_blocked_word", "_blockers_word",
+        "_reader_word", "_writer_word", "_cur_level", "_heap", "_jid",
         "_family", "_level_source", "_select_readers", "_waiter_exempt",
         "_wceil", "_aceil",
         "_grant_write", "_read_grants", "_decide_read",
@@ -83,6 +83,7 @@ class Kernel:
     ) -> None:
         self.table_spec = table_spec
         self.interner = Interner(taskset, table_spec.ceilings)
+        self._jid = self.interner.intern_job
         n = len(self.interner.items)
         self._lock_table = lock_table
         self._wait_graph = wait_graph
@@ -91,14 +92,13 @@ class Kernel:
         self._writer_word: List[int] = [0] * n
         self._cur_level: List[int] = [0] * n
         self._heap: List[Tuple[int, int]] = []
-        # ---- blocked bitsets -------------------------------------------
-        self._blocked_word = 0
-        self._blockers_word: List[int] = []
         # ---- compiled table unpacked into slots ------------------------
         self._family = table_spec.family
         self._level_source = table_spec.level_source
         self._select_readers = table_spec.select_readers
-        self._waiter_exempt = table_spec.waiter_exempt
+        self._waiter_exempt = (
+            table_spec.waiter_exempt and wait_graph is not None
+        )
         self._wceil = self.interner.wceil
         self._aceil = self.interner.aceil
         self._grant_write = Grant(table_spec.write_grant_rule)
@@ -112,11 +112,9 @@ class Kernel:
             FAMILY_IPCP: self._decide_ipcp,
         }[self._family]
         lock_table.attach_kernel_state(self)
-        if wait_graph is not None:
-            wait_graph.attach_listener(self)
 
     # ==================================================================
-    # Mirror maintenance — driven by LockTable / WaitForGraph hooks
+    # Mirror maintenance — driven by LockTable hooks
     # ==================================================================
     def rebuild(self, lock_table: "LockTable") -> None:
         """Re-derive the lock words and levels from the table's entries."""
@@ -134,25 +132,6 @@ class Kernel:
             for job in entry.writers:
                 self._writer_word[iid] |= 1 << intern.intern_job(job)
             self._refresh_level(iid)
-
-    def rebuild_waits(self, wait_graph: "WaitForGraph") -> None:
-        """Re-derive the blocked bitsets from the graph's edges."""
-        self._wait_graph = wait_graph
-        self._blocked_word = 0
-        for jid in range(len(self._blockers_word)):
-            self._blockers_word[jid] = 0
-        for waiter, blockers in wait_graph._blocked_on.items():
-            self.on_block(waiter, blockers)
-
-    def _jid(self, job: "Job") -> int:
-        jid = self.interner.job_ids.get(job)
-        if jid is not None:
-            return jid  # known job: skip the intern + grow path
-        jid = self.interner.intern_job(job)
-        blockers = self._blockers_word
-        while len(blockers) <= jid:
-            blockers.append(0)
-        return jid
 
     def on_grant(self, job: "Job", item: str, mode: LockMode) -> None:
         """Lock-table hook: set the holder bit and refresh the level."""
@@ -193,89 +172,20 @@ class Kernel:
             if new:
                 heapq.heappush(self._heap, (-new, iid))
 
-    # ---- wait-graph listener -----------------------------------------
-    def on_block(self, waiter: "Job", blockers: Iterable["Job"]) -> None:
-        """Wait-graph hook: record ``waiter``'s blockers as a bitset."""
-        jid = self._jid(waiter)
-        word = 0
-        for blocker in blockers:
-            word |= 1 << self._jid(blocker)
-        self._blockers_word[jid] = word
-        self._blocked_word |= 1 << jid
-
-    def on_unblock(self, waiter: "Job") -> None:
-        """Wait-graph hook: drop ``waiter`` from the blocked bitset."""
-        jid = self.interner.job_ids.get(waiter)
-        if jid is None:
-            return
-        bit = 1 << jid
-        if self._blocked_word & bit:
-            self._blocked_word &= ~bit
-            self._blockers_word[jid] = 0
-
-    def on_forget(self, job: "Job") -> None:
-        """Wait-graph hook: erase ``job`` as both waiter and blocker."""
-        jid = self.interner.job_ids.get(job)
-        if jid is None:
-            return
-        self.on_unblock(job)
-        bit = 1 << jid
-        blocked = self._blocked_word
-        blockers = self._blockers_word
-        word = blocked
-        while word:
-            low = word & -word
-            word ^= low
-            waiter = low.bit_length() - 1
-            if blockers[waiter] & bit:
-                remaining = blockers[waiter] & ~bit
-                blockers[waiter] = remaining
-                if not remaining:
-                    # Mirror of WaitForGraph.forget: a waiter whose last
-                    # blocker vanished leaves the graph entirely.
-                    self._blocked_word &= ~low
-
     def retire(self, job: "Job") -> None:
         """Recycle a finished job's slot (service sessions churn jobs).
 
-        Callers must have released the job's locks and forgotten its wait
-        edges first; the slot is kept (not recycled) if any holder bit is
-        still live, so a misuse degrades to the old grow-only behaviour
-        instead of corrupting another job's bitsets.
+        Callers must have released the job's locks first; the slot is
+        kept (not recycled) while the lock table still shows a holding, so
+        a misuse degrades to the old grow-only behaviour instead of
+        corrupting another job's bitsets.
         """
-        jid = self.interner.job_ids.get(job)
-        if jid is None:
-            return
-        self.on_forget(job)
-        bit = 1 << jid
-        for iid in range(len(self._reader_word)):
-            if (self._reader_word[iid] | self._writer_word[iid]) & bit:
-                return
-        self._blockers_word[jid] = 0
-        self.interner.release_job(job)
+        if not self._lock_table.iter_items_held_by(job):
+            self.interner.release_job(job)
 
     # ==================================================================
     # Ceiling queries
     # ==================================================================
-    def _transitive_waiters_word(self, jid: int) -> int:
-        """Bitset of slots transitively blocked waiting on ``jid``."""
-        blocked = self._blocked_word
-        if not blocked:
-            return 0
-        blockers = self._blockers_word
-        targets = 1 << jid
-        changed = True
-        while changed:
-            changed = False
-            word = blocked
-            while word:
-                low = word & -word
-                word ^= low
-                if not (targets & low) and blockers[low.bit_length() - 1] & targets:
-                    targets |= low
-                    changed = True
-        return targets & ~(1 << jid)
-
     def _scan(self, excluded_word: int) -> Tuple[int, int]:
         """Highest current level among items with a relevant holder outside
         ``excluded_word``, plus the bit-union of those holders over every
@@ -357,10 +267,15 @@ class Kernel:
             )
         return self._decide_read(job, iid)
 
-    def decide_batch(self, requests: Sequence, on_deny=None):
-        """Decide ``requests`` (``(job, item, mode)`` or ``(job, item,
-        mode, pre_decision)`` tuples) in order, stopping after the first
-        non-``Deny`` decision; returns the decisions made.
+    def decide_batch(self, requests: Sequence, on_deny=None, pre_decide=None):
+        """Decide ``requests`` (``(job, item, mode)`` tuples) in order,
+        stopping after the first non-``Deny`` decision; returns the
+        decisions made.
+
+        ``pre_decide(request)`` may answer a request ahead of the table
+        (the service's commit fence and order guard) or return ``None``;
+        it runs per request, in order, so it sees the blame the denials
+        before it refreshed and is never evaluated past the first grant.
 
         ``on_deny(request, decision)`` runs after each denial *before* the
         next request is decided, so callers can refresh wait-graph blame
@@ -370,12 +285,9 @@ class Kernel:
         """
         out = []
         for request in requests:
-            pre = request[3] if len(request) > 3 else None
-            decision = (
-                pre
-                if pre is not None
-                else self.decide(request[0], request[1], request[2])
-            )
+            decision = pre_decide(request) if pre_decide is not None else None
+            if decision is None:
+                decision = self.decide(request[0], request[1], request[2])
             out.append(decision)
             if not isinstance(decision, Deny):
                 break
@@ -394,8 +306,13 @@ class Kernel:
         jid = self._jid(job)
         me = 1 << jid
         excluded = me
-        if self._waiter_exempt and self._blocked_word:
-            excluded |= self._transitive_waiters_word(jid)
+        if self._waiter_exempt:
+            # A waiter the kernel never met holds no lock: nothing to exempt.
+            job_ids = intern.job_ids
+            for waiter in self._wait_graph.transitive_waiters_on(job):
+                wid = job_ids.get(waiter)
+                if wid is not None:
+                    excluded |= 1 << wid
         sysceil, tstar = self._scan(excluded)
         spec = self.table_spec
         priority = job.running_priority
@@ -481,7 +398,8 @@ class Kernel:
     # ==================================================================
     def self_check(self) -> None:
         """Assert the array mirrors equal a from-scratch re-derivation
-        of the lock table and wait graph (differential-battery hook)."""
+        of the lock table, and the wait graph its own edges
+        (differential-battery hook)."""
         intern = self.interner
         n = len(intern.items)
         readers = [0] * n
@@ -515,17 +433,4 @@ class Kernel:
                     f"kernel ceiling heap lost live item {intern.items[iid]}"
                 )
         if self._wait_graph is not None:
-            blocked = 0
-            expect_blockers = [0] * len(self._blockers_word)
-            for waiter, blockers in self._wait_graph._blocked_on.items():
-                jid = intern.job_ids[waiter]
-                blocked |= 1 << jid
-                word = 0
-                for blocker in blockers:
-                    word |= 1 << intern.job_ids[blocker]
-                expect_blockers[jid] = word
-            if blocked != self._blocked_word \
-                    or expect_blockers != self._blockers_word:
-                raise AssertionError(
-                    "kernel blocked bitsets diverged from the wait graph"
-                )
+            self._wait_graph.self_check()

@@ -14,6 +14,7 @@ the dispatcher breaks priority ties by release order, so a given
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,6 +48,7 @@ from repro.trace.recorder import (
 )
 
 _EPS = 1e-9
+_release_seq = operator.attrgetter("seq")
 
 
 @dataclass(frozen=True)
@@ -189,11 +191,6 @@ class Simulator:
         self._running: Optional[Job] = None
         self._run_start = 0.0
         self._locks_dirty = False
-        #: True when every active job is known to sit at its base priority
-        #: (no inheritance in effect).  Lets ``_recompute_priorities`` skip
-        #: the fixpoint entirely on uncontended stretches — by far the most
-        #: frequent case in the benchmark workloads.
-        self._prio_clean = True
         # ---- incremental scheduler state --------------------------------
         # Maintained on state transitions instead of recomputed by
         # filtering ``self.jobs`` per event; see docs/ENGINE.md
@@ -488,7 +485,9 @@ class Simulator:
         if index is not None:
             index.self_check()
         if self.kernel is not None:
-            self.kernel.self_check()
+            self.kernel.self_check()  # includes the wait graph's
+        else:
+            self.waits.self_check()
 
     # ------------------------------------------------------------------
     # Kernel cross-checking (debug_invariants only)
@@ -790,7 +789,7 @@ class Simulator:
         self._locks_dirty = True
 
     def _check_deadlock(self, now: float) -> None:
-        cycle = self.waits.find_cycle()
+        cycle = self.waits.find_new_cycle()
         if cycle is None:
             return
         names = tuple(j.name for j in cycle)
@@ -806,37 +805,18 @@ class Simulator:
         self._apply_aborts([victim], requester, now)
 
     def _recompute_priorities(self) -> None:
-        # ``_active`` iterates in release order, exactly like the
-        # filter over ``self.jobs`` it replaced — the order in which
-        # priority changes are recorded is part of the trace format.
-        active = self._active
-        if self._floor is None and not self.waits.has_edges:
-            # No floor and no wait edge: the fixpoint degenerates to
-            # "everyone at base".  When the previous pass already left
-            # priorities there (``_prio_clean``), there is nothing to do;
-            # otherwise reset-and-record is the whole recompute.
-            if self._prio_clean:
-                return
-            now = self.queue.now
-            for job in active:
-                base = job.base_priority
-                if job.running_priority != base:
-                    job.running_priority = base
-                    job.dkey = (-base, job.arrival, job.seq)
-                    self.trace.priority(now, job.name, base)
-                    if job.state is JobState.READY:
-                        self._push_ready(job)
-            self._prio_clean = True
+        changed = self.waits.recompute_priorities(self._active, self._floor)
+        if not changed:
             return
-        self._prio_clean = False
-        before = [(j, j.running_priority) for j in active]
-        self.waits.recompute_priorities(active, floor=self._floor)
+        # Release order, exactly like the walk over ``_active`` this
+        # replaced — the order in which priority changes are recorded is
+        # part of the trace format.
+        changed.sort(key=_release_seq)
         now = self.queue.now
-        for job, prev in before:
-            if job.running_priority != prev:
-                self.trace.priority(now, job.name, job.running_priority)
-                if job.state is JobState.READY:
-                    self._push_ready(job)
+        for job in changed:
+            self.trace.priority(now, job.name, job.running_priority)
+            if job.state is JobState.READY:
+                self._push_ready(job)
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro._compat import DATACLASS_SLOTS
 
-@dataclass
+
+@dataclass(**DATACLASS_SLOTS)
 class ReadRecord:
     """A read performed by the owning job.
 

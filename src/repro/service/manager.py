@@ -341,16 +341,20 @@ class LockManager:
 
         self._sessions: Dict[int, Session] = {}
         self._by_job: Dict[Job, Session] = {}
-        self._live: Dict[Session, None] = {}   # insertion-ordered set
+        #: Live sessions by job, oldest first (the job keys are what the
+        #: wait graph's inheritance pass tests membership against).
+        self._live: Dict[Job, Session] = {}
         self._waiters: Dict[Session, _Waiter] = {}
         #: item -> sessions parked on it (partial re-decide index).
         self._item_waiters: Dict[str, Set[Session]] = {}
         #: Lock churn since the last grant-queue drain: items whose locks
-        #: were released and the jobs that released them.  Terminal
-        #: transitions and early unlocks feed these; the drain re-decides
-        #: only the waiters they can affect.
+        #: were released, the jobs waiting directly on a releasing job, and
+        #: the jobs whose running priority moved.  Terminal transitions and
+        #: early unlocks feed these; the drain re-decides only the waiters
+        #: they can affect.
         self._churn_items: Set[str] = set()
-        self._churn_jobs: Set[Job] = set()
+        self._churn_waiters: Set[Job] = set()
+        self._churn_priorities: Set[Job] = set()
         # Serialization-order constraints among LIVE jobs (see module
         # docstring): _pred[w] = {s: s ≺ w}, _succ[s] = {w: s ≺ w}.
         self._pred: Dict[Job, Set[Job]] = {}
@@ -425,7 +429,7 @@ class LockManager:
             session.deadline = now + relative
         self._sessions[session.id] = session
         self._by_job[job] = session
-        self._live[session] = None
+        self._live[job] = session
         self.stats.sessions_started += 1
         self.trace.sched(now, SchedEventKind.ARRIVAL, job.name)
         return session
@@ -591,7 +595,7 @@ class LockManager:
         if self._closed:
             return
         self._closed = True
-        for session in list(self._live):
+        for session in list(self._live.values()):
             self._abort_session(
                 session, "shutdown",
                 exc=TransactionAborted("service shutting down"),
@@ -603,7 +607,7 @@ class LockManager:
     # ------------------------------------------------------------------
     def live_sessions(self) -> Tuple[Session, ...]:
         """Currently live (active or waiting) sessions, oldest first."""
-        return tuple(self._live)
+        return tuple(self._live.values())
 
     def system_ceiling(self) -> int:
         """The current global system ceiling (kernel-backed when active)."""
@@ -687,8 +691,13 @@ class LockManager:
             listener(kind, job, other)
 
     def _note_release_churn(self, job: Job, items) -> None:
-        """Record released locks for the next grant-queue drain."""
-        self._churn_jobs.add(job)
+        """Record released locks for the next grant-queue drain.
+
+        Must run while ``job``'s wait edges still stand (before
+        ``waits.forget``): the jobs waiting directly on it are exactly the
+        parked requests whose latest denial blames it.
+        """
+        self._churn_waiters.update(self.waits.waiters_on(job))
         self._churn_items.update(items)
 
     def _pre_op(
@@ -999,40 +1008,47 @@ class LockManager:
         moved since it was last decided (LC2 compares the requester's
         priority against the system ceiling).  Every other denial is
         invariant under the drained churn, so skipping it changes only
-        the work done, never the decisions.
+        the work done, never the decisions.  All three are index lookups
+        — the item index, the wait graph's reverse adjacency captured by
+        :meth:`_note_release_churn`, the inheritance pass's change list —
+        so the cost follows the candidates, not the queue.
         """
         churn_items = self._churn_items
-        churn_jobs = self._churn_jobs
+        churn_waiters = self._churn_waiters
+        churn_priorities = self._churn_priorities
         self._churn_items = set()
-        self._churn_jobs = set()
-        if not self._waiters:
+        self._churn_waiters = set()
+        self._churn_priorities = set()
+        waiters = self._waiters
+        if not waiters:
             return {}
         picked: Dict[Session, _Waiter] = {}
         for item in churn_items:
             for session in self._item_waiters.get(item, ()):
-                waiter = self._waiters.get(session)
+                waiter = waiters.get(session)
                 if waiter is not None:
                     picked[session] = waiter
-        for session, waiter in self._waiters.items():
-            if session in picked:
-                continue
-            if waiter.session.job.running_priority != waiter.decided_priority:
-                picked[session] = waiter
-                continue
-            if churn_jobs:
-                for blocker in waiter.blockers:
-                    if blocker in churn_jobs:
-                        picked[session] = waiter
-                        break
+        by_job = self._by_job
+        for job in churn_waiters:
+            waiter = waiters.get(by_job[job])  # None: gated, or granted since
+            if waiter is not None:
+                picked[waiter.session] = waiter
+        for job in churn_priorities:
+            waiter = waiters.get(by_job[job])
+            if (
+                waiter is not None
+                and job.running_priority != waiter.decided_priority
+            ):
+                picked[waiter.session] = waiter
         return picked
 
     def _service_grant_queue(self) -> None:
         """Re-decide the parked requests the latest lock churn can flip.
 
-        Releases accumulate in ``_churn_items`` / ``_churn_jobs`` between
-        drains; each pass re-evaluates only the candidates
-        :meth:`_drain_candidates` selects, ordered through a heap in
-        (running priority, earliest deadline, FIFO) order.  Each
+        Churn accumulates in ``_churn_items`` / ``_churn_waiters`` /
+        ``_churn_priorities`` between drains; each pass re-evaluates only
+        the candidates :meth:`_drain_candidates` selects, ordered through
+        a heap in (running priority, earliest deadline, FIFO) order.  Each
         candidate is decided *at most once per drain*: a denial removes
         it from the working set (its refreshed blame re-selects it on
         the next relevant churn), and a grant resumes the pass over the
@@ -1109,27 +1125,21 @@ class LockManager:
         decision's transitive-waiter exemption).
 
         With the kernel active this is one :meth:`Kernel.decide_batch`
-        call — the order guard rides along as a per-request pre-decision,
-        and the blame refresh plugs into the batch's ``on_deny`` hook.
+        call — fence and order guard plug into its per-request
+        ``pre_decide`` hook and the blame refresh into ``on_deny``, so
+        nothing is evaluated for the waiters behind the first grant.
         """
         if self.kernel is not None:
-            requests = []
-            for waiter in ordered:
-                job = waiter.session.job
-                deny = self._service_predecide(job, waiter.item, waiter.mode)
-                if deny is None:
-                    requests.append((job, waiter.item, waiter.mode))
-                else:
-                    requests.append((job, waiter.item, waiter.mode, deny))
             # Denials are exactly the processed prefix of ``ordered`` (the
             # batch stops at the first grant), so the callback walks the
             # same list in lock-step.
             denied = iter(ordered)
             return self.kernel.decide_batch(
-                requests,
+                [(w.session.job, w.item, w.mode) for w in ordered],
                 on_deny=lambda request, decision: self._refresh_blame(
                     next(denied), decision
                 ),
+                pre_decide=lambda request: self._service_predecide(*request),
             )
         out: List[Union[Grant, AbortAndGrant, Deny]] = []
         for waiter in ordered:
@@ -1145,13 +1155,20 @@ class LockManager:
     def _refresh_blame(self, waiter: _Waiter, decision: Deny) -> None:
         """Point a still-parked waiter's blame at the *current* holders
         (the open block interval keeps its original start — one wait is
-        one interval)."""
-        waiter.reason = decision.reason
-        waiter.blockers = decision.blockers
+        one interval).  Most re-denials repeat the previous one; only a
+        moved blame touches the interval, and only moved wait edges are
+        announced to the churn listeners."""
         job = waiter.session.job
         waiter.decided_priority = job.running_priority
-        self.waits.block(job, decision.blockers, inherit=decision.inherit)
-        self._notify_churn("wait", job)
+        if self.waits.block(job, decision.blockers, inherit=decision.inherit):
+            self._notify_churn("wait", job)
+        if (
+            decision.blockers == waiter.blockers
+            and decision.reason == waiter.reason
+        ):
+            return
+        waiter.reason = decision.reason
+        waiter.blockers = decision.blockers
         if job.block_intervals and job.block_intervals[-1].end is None:
             last = job.block_intervals[-1]
             last.blockers = tuple(
@@ -1337,6 +1354,7 @@ class LockManager:
                 )
         released = self.table.release_all(job)
         self.protocol.on_release_all(job)
+        self._note_release_churn(job, (item for item, _ in released))
         self.waits.forget(job)
         if self.kernel is not None:
             self.kernel.retire(job)
@@ -1345,9 +1363,8 @@ class LockManager:
         session.abort_reason = reason
         session.committing = False
         self._committing.pop(job, None)
-        self._live.pop(session, None)
+        self._live.pop(job, None)
         self._drop_constraints(job)
-        self._note_release_churn(job, (item for item, _ in released))
         self.history.record_abort(job.name, now)
         self.stats.record_abort(job.base_priority, forced=forced)
         self.trace.sched(now, SchedEventKind.ABORT, job.name)
@@ -1361,15 +1378,15 @@ class LockManager:
         job = session.job
         released = self.table.release_all(job)
         self.protocol.on_release_all(job)
+        self._note_release_churn(job, (item for item, _ in released))
         self.waits.forget(job)
         if self.kernel is not None:
             self.kernel.retire(job)
         session.state = state
         session.committing = False
         self._committing.pop(job, None)
-        self._live.pop(session, None)
+        self._live.pop(job, None)
         self._drop_constraints(job)
-        self._note_release_churn(job, (item for item, _ in released))
         self._recompute_priorities()
         self._sample_sysceil()
         self._wake_gates()
@@ -1397,7 +1414,7 @@ class LockManager:
         return False
 
     def _check_deadlock(self, requester: Optional[Session]) -> None:
-        cycle = self.waits.find_cycle()
+        cycle = self.waits.find_new_cycle()
         if cycle is None:
             return
         names = tuple(j.name for j in cycle)
@@ -1438,13 +1455,17 @@ class LockManager:
     # Shared helpers
     # ------------------------------------------------------------------
     def _recompute_priorities(self) -> None:
-        active_jobs = [s.job for s in self._live]
-        before = [(j, j.running_priority) for j in active_jobs]
-        self.waits.recompute_priorities(active_jobs, floor=self._floor)
+        changed = self.waits.recompute_priorities(self._live, self._floor)
+        if not changed:
+            return
+        if len(changed) > 1:
+            # Session ids order like ``_live``: oldest session first.
+            by_job = self._by_job
+            changed.sort(key=lambda job: by_job[job].id)
         now = self.now()
-        for job, prev in before:
-            if job.running_priority != prev:
-                self.trace.priority(now, job.name, job.running_priority)
+        for job in changed:
+            self.trace.priority(now, job.name, job.running_priority)
+        self._churn_priorities.update(changed)
 
     def _sample_sysceil(self) -> None:
         if self.config.record_sysceil:

@@ -7,10 +7,12 @@ the in-process client, with explicit interleavings built from bare
 """
 
 import asyncio
+import hashlib
+import random
 
 import pytest
 
-from repro.db.serializability import check_serializable
+from repro.db.serializability import check_serializable, check_serializable_fast
 from repro.exceptions import (
     AdmissionError,
     DeadlineExceeded,
@@ -23,6 +25,7 @@ from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
 from repro.service import LockManager, ServiceConfig
 from repro.service.manager import SessionState
+from repro.verify.stress import StressSpec, make_catalog
 
 
 def catalog_rw() -> TaskSet:
@@ -466,3 +469,131 @@ class TestServiceConfigValidation:
             ServiceConfig(max_sessions=0)
         with pytest.raises(SpecificationError):
             ServiceConfig(default_deadline_s=0.0)
+
+
+# The benchmark suite's two catalog shapes (benchmarks/suite/README.md).
+_WIDE = StressSpec(seed=1, txn_types=32, items=512, min_ops=3, max_ops=6,
+                   write_probability=0.1, zipf_s=0.0)
+_HOT = StressSpec(seed=1, txn_types=8, items=24, min_ops=2, max_ops=5,
+                  write_probability=0.3, zipf_s=1.1)
+
+
+class TestLiveSessionScale:
+    """Many live sessions: the wait-graph bookkeeping is incremental
+    (reverse adjacency, stale-blocker marks, edge-local cycle check), and
+    none of it may move a decision or a priority change."""
+
+    @staticmethod
+    async def _replay(spec, protocol, clients, per_client, seed=7):
+        """``clients`` interleaved closed-loop clients, yielding between
+        operations.  No clocks or deadlines are involved, so the
+        interleaving — and with it every decision — is a function of the
+        seed alone."""
+        catalog = make_catalog(spec)
+        manager = LockManager(
+            catalog, protocol, ServiceConfig(max_sessions=512)
+        )
+        decisions = []
+        manager.decision_listeners.append(lambda e: decisions.append(
+            (e.job, e.item, e.mode.value, e.outcome.value, e.rule, e.blockers)
+        ))
+        names = list(catalog.names)
+        counts = {"begun": 0, "committed": 0, "aborted": 0}
+        live_peak = 0
+
+        async def client(index):
+            nonlocal live_peak
+            rng = random.Random(f"{seed}:{index}")
+            for _ in range(per_client):
+                name = rng.choice(names)
+                session = await manager.begin(name)
+                counts["begun"] += 1
+                live_peak = max(live_peak, len(manager.live_sessions()))
+                try:
+                    for op in catalog[name].operations:
+                        await asyncio.sleep(0)
+                        if op.kind.value == "read":
+                            await manager.read(session, op.item)
+                        else:
+                            await manager.write(
+                                session, op.item, f"{session.name}@{op.item}"
+                            )
+                    await asyncio.sleep(0)
+                    await manager.commit(session)
+                    counts["committed"] += 1
+                except TransactionAborted:
+                    counts["aborted"] += 1
+
+        await asyncio.gather(*(client(i) for i in range(clients)))
+        check_serializable_fast(manager.history)
+        stats = manager.stats_document()
+        assert stats["live_sessions"] == stats["waiting_sessions"] == 0
+        assert counts["begun"] == stats["sessions_started"]
+        assert counts["begun"] == counts["committed"] + counts["aborted"]
+        assert counts["committed"] == stats["commits"]
+        assert not manager.waits.waiters()
+        manager.waits.self_check()
+        manager.kernel.self_check()
+        priorities = [
+            (job, level) for _, job, level in manager.trace.priority_changes
+        ]
+        await manager.shutdown()
+        digest = hashlib.sha256(
+            repr((decisions, priorities)).encode()
+        ).hexdigest()
+        return digest, stats, live_peak, len(priorities)
+
+    # The digests were recorded at the commit before the wait-for graph
+    # became incremental (PR 11, d6fe0a7) with this same replay; they are
+    # independent of PYTHONHASHSEED.
+    # ``ipcp`` covers the priority-floor pass and deadlock victims (319).
+    @pytest.mark.parametrize("spec, protocol, clients, per_client, digest", [
+        (_WIDE, "pcp-da", 128, 6,
+         "43fc93855792039473a4962d5936b1924f68fc1deac706f3a774c3223925518b"),
+        (_HOT, "pcp-da", 32, 40,
+         "0ff023694d4a1cebdd6884631600338b8b916af322ff47fa426b63078d2ca875"),
+        (_HOT, "ipcp", 32, 40,
+         "7eb0c3a1d9c2e60d7ede9514df2f9d1d7172700aba5376277eca748e15cf5c50"),
+    ], ids=["wide-c128", "hot-c32", "hot-c32-ipcp"])
+    def test_decisions_and_priority_changes_are_pinned(
+        self, spec, protocol, clients, per_client, digest
+    ):
+        got, stats, live_peak, priority_changes = run(
+            self._replay(spec, protocol, clients, per_client)
+        )
+        assert live_peak == clients
+        assert stats["denials"] > 0 and priority_changes > 0
+        assert got == digest
+
+    def test_unmoved_blame_is_not_announced(self):
+        """A re-denial that names the same blockers is not churn: remote
+        wait-graph mirrors and the cross-shard deadlock pass hear about a
+        waiter only when its edges move."""
+        async def body():
+            manager = LockManager(catalog_rw(), "pcp-da")
+            waits = []
+            manager.churn_listeners.append(
+                lambda kind, job, other: kind == "wait"
+                and waits.append(job.name)
+            )
+            holder = await manager.begin("T3")
+            await manager.read(holder, "x")
+            other = await manager.begin("T1")
+            await manager.read(other, "x")
+            writer = await manager.begin("T2")
+            parked = asyncio.ensure_future(manager.write(writer, "x", 1))
+            await settle()
+            assert waits == ["T2#0"]
+            waiter = manager._waiters[writer]
+            assert waiter.blockers == (holder.job, other.job)
+            # Re-decide with nothing released: same blame, no notification.
+            manager._churn_items.add("x")
+            manager._service_grant_queue()
+            assert waits == ["T2#0"]
+            await manager.commit(holder)        # blame moves to (other,)
+            assert waiter.blockers == (other.job,)
+            await manager.commit(other)
+            await parked
+            await manager.commit(writer)
+
+        run(body())

@@ -149,3 +149,79 @@ class TestWaiterExemption:
         waits.block(h, [l])  # H waits on L (synthetic)
         decision = protocol.decide(l, "x", LockMode.WRITE)
         assert isinstance(decision, Deny)
+
+
+class TestKernelAsksTheGraph:
+    """The array kernel keeps no copy of the wait edges: the exemption is
+    a query on the run's one ``WaitForGraph``."""
+
+    @staticmethod
+    def _bound(*specs):
+        from repro.core.pcp_da import PCPDA
+        from repro.engine.inheritance import WaitForGraph
+        from repro.engine.job import Job
+        from repro.engine.kernel import build_kernel
+        from repro.engine.lock_table import LockTable
+
+        ts = assign_by_order(list(specs))
+        protocol = PCPDA()
+        table = LockTable()
+        waits = WaitForGraph()
+        protocol.bind(ts, table)
+        protocol.bind_runtime(waits)
+        kernel = build_kernel(protocol, table, waits)
+        jobs = {spec.name: Job(spec, 0, 0.0) for spec in ts}
+        return protocol, table, waits, kernel, jobs
+
+    def test_exemption_follows_edge_edits_without_hooks(self):
+        from repro.engine.interfaces import Deny, Grant
+        from repro.model.spec import LockMode
+
+        protocol, table, waits, kernel, jobs = self._bound(
+            TransactionSpec("W", (write("x", 1.0), write("y", 1.0))),
+            TransactionSpec("M", (read("x", 1.0), read("z", 1.0))),
+            TransactionSpec("R", (read("y", 1.0), read("x", 1.0))),
+        )
+        m, r, w = jobs["M"], jobs["R"], jobs["W"]
+        table.grant(m, "x", LockMode.READ)   # raises the ceiling to P(W)
+        for decide in (protocol.decide, kernel.decide):
+            assert isinstance(decide(r, "y", LockMode.READ), Deny)
+        # M transitively waits on R (via W): its read lock stops counting.
+        waits.block(m, [w])
+        waits.block(w, [r])
+        for decide in (protocol.decide, kernel.decide):
+            assert isinstance(decide(r, "y", LockMode.READ), Grant)
+        waits.unblock(w)
+        for decide in (protocol.decide, kernel.decide):
+            assert isinstance(decide(r, "y", LockMode.READ), Deny)
+        kernel.self_check()
+
+    def test_retire_asks_the_lock_table(self):
+        from repro.model.spec import LockMode
+
+        _, table, _, kernel, jobs = self._bound(
+            TransactionSpec("A", (read("x", 1.0),)),
+            TransactionSpec("B", (write("x", 1.0),)),
+        )
+        a = jobs["A"]
+        table.grant(a, "x", LockMode.READ)
+        slot = kernel.interner.job_ids[a]
+        kernel.retire(a)                      # misuse: still holds x
+        assert kernel.interner.job_ids[a] == slot
+        table.release_all(a)
+        kernel.retire(a)
+        assert a not in kernel.interner.job_ids
+        kernel.self_check()
+
+    def test_self_check_covers_the_wait_state_the_kernel_reads(self):
+        import pytest
+
+        _, _, waits, kernel, jobs = self._bound(
+            TransactionSpec("A", (read("x", 1.0),)),
+            TransactionSpec("B", (write("x", 1.0),)),
+        )
+        waits.block(jobs["A"], [jobs["B"]])
+        kernel.self_check()
+        waits._waiters_of.clear()             # corrupt the reverse adjacency
+        with pytest.raises(AssertionError, match="reverse adjacency"):
+            kernel.self_check()
