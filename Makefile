@@ -21,14 +21,16 @@
 # `make bench-suite-smoke` runs every workload of the end-to-end
 # benchmark (BENCHMARK.json, benchmarks/suite/) once, tiny, with its
 # correctness checks, plus the suite's own smoke test; part of
-# `make verify`. The measured run is `python3 benchmarks/suite/run.py`.
+# `make verify`. The measured run is `python3 benchmarks/suite/run.py`;
+# `make bench-pair REF=<commit> WORKLOAD=<name> [PAIRS=10]` compares two
+# commits on one workload by alternating runs (benchmarks/bench_pair.py).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify verify-faults verify-service verify-sharding verify-procs \
 	test smoke kernel-smoke bench bench-smoke bench-suite-smoke \
-	bench-compare bench-all stress stress-smoke stress-procs
+	bench-pair bench-compare bench-all stress stress-smoke stress-procs
 
 verify: test smoke kernel-smoke bench-smoke bench-suite-smoke stress-smoke \
 	verify-service verify-sharding verify-procs
@@ -37,12 +39,14 @@ verify-faults:
 	$(PYTHON) -m pytest -q -m faults
 
 # The in-process service battery (no sockets): manager semantics, the
-# simulator differential, wire dispatch, and the loadgen driven through
-# the in-process transport. The TCP soak runs only when SOAK=1.
+# simulator differential, wire dispatch, the connection class fed raw
+# bytes over an in-memory transport (framing, garbage, stalls,
+# disconnects), and the loadgen driven through the in-process
+# transport. The TCP soak runs only when SOAK=1.
 verify-service:
 	$(PYTHON) -m pytest -q tests/test_service_manager.py \
 		tests/test_service_differential.py tests/test_service_wire.py \
-		tests/test_service_loadgen.py
+		tests/test_service_connection.py tests/test_service_loadgen.py
 	$(if $(SOAK),$(PYTHON) -m pytest -q -m service_soak --override-ini \
 		'addopts=-q',)
 
@@ -58,7 +62,7 @@ verify-sharding:
 		'addopts=-q',)
 
 # The multi-process deployment battery: wire v2 negotiation and frames,
-# the remote shard proxy over in-memory streams, the supervisor with an
+# the remote shard proxy over an in-memory transport, the supervisor with an
 # injected spawner, and the orphan-hygiene regression (the one tier-1
 # case that spawns real children, to prove none survive their parent).
 # SOAK=1 adds real shard-host subprocesses over TCP: the five-way parity
@@ -110,6 +114,16 @@ bench-smoke:
 bench-suite-smoke:
 	python3 benchmarks/suite/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/suite -q
+
+# Compare REF with the working tree on one suite workload: alternating
+# runs (the first side alternating too), every pair printed, then
+# medians, quartiles, wins and the choosing-metrics §8 verdict per
+# end-to-end metric. REF is a commit (checked out into a temporary
+# `git worktree`) or the path of an existing checkout.
+# Usage: make bench-pair REF=HEAD~1 WORKLOAD=proc2-wide-c8 [PAIRS=10]
+bench-pair:
+	python3 benchmarks/bench_pair.py --ref $(REF) --workload $(WORKLOAD) \
+		$(if $(PAIRS),--pairs $(PAIRS),)
 
 # Diff two BENCH ledgers (review gate for perf PRs): non-zero exit when
 # any protocol row or the total drops >10% events/s vs BASE.

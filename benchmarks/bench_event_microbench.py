@@ -4,13 +4,17 @@ Where ``bench_simulator_throughput`` times whole simulations, these time
 the individual operations the incremental fast path optimised — calendar
 push/pop with rank-at-push, lock grant/release driving the ceiling index,
 ``Sysceil`` queries answered from the index, dispatch-heavy simulation,
-and the wait-for graph's three queries at 8 / 128 / 512 parked waiters —
+the wait-for graph's three queries at 8 / 128 / 512 parked waiters, and
+one wire round trip through the real server and client connection ends —
 so a regression can be attributed to the specific structure that caused
 it.
 
 Run via ``make bench`` (or directly:
 ``PYTHONPATH=src:. pytest benchmarks/bench_event_microbench.py --benchmark-only``).
 """
+
+import asyncio
+import socket
 
 import pytest
 
@@ -22,6 +26,8 @@ from repro.engine.simulator import SimConfig, Simulator
 from repro.model.priorities import assign_by_order
 from repro.model.spec import LockMode, TransactionSpec, read, write
 from repro.protocols import make_protocol
+from repro.service import LockManager, LockServer
+from repro.service.connection import Connection
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
 _N_EVENTS = 2_000
@@ -42,14 +48,18 @@ def test_event_queue_push_pop_cycle(benchmark):
     assert benchmark(churn) == sum(range(_N_EVENTS))
 
 
-def _locking_fixture():
+def _locking_fixture_taskset():
     specs = [
         TransactionSpec("T1", (read("a"), write("b"))),
         TransactionSpec("T2", (write("a"), read("c"))),
         TransactionSpec("T3", (read("b"), write("c"), read("d"))),
         TransactionSpec("T4", (read("a"), read("d"))),
     ]
-    taskset = assign_by_order(specs)
+    return assign_by_order(specs)
+
+
+def _locking_fixture():
+    taskset = _locking_fixture_taskset()
     jobs = tuple(Job(spec, 0, 0.0) for spec in taskset)
     protocol = make_protocol("rw-pcp")
     table = LockTable()
@@ -212,3 +222,65 @@ def test_wait_graph_cycle_check_after_one_edge_edit(benchmark, parked):
         return graph.find_new_cycle()
 
     assert benchmark(edit_and_check) is None
+
+
+# ----------------------------------------------------------------------
+# Wire round trip: the transport's own row.  ``ping`` does no lock work,
+# so this is framing + codec + dispatch + the event loop and nothing
+# else — what every request over a socket pays before a lock is looked
+# at (docs/PERFORMANCE.md "Process scaling").
+# ----------------------------------------------------------------------
+_PINGS = 400
+
+
+class _CountingLoop(asyncio.SelectorEventLoop):
+    """Counts loop iterations: "ticks per round trip" as a number."""
+
+    iterations = 0
+
+    def _run_once(self):
+        self.iterations += 1
+        super()._run_once()
+
+
+@pytest.mark.parametrize("in_flight", (1, 8))
+def test_wire_roundtrip_ping(benchmark, in_flight):
+    """``ping`` over a ``socketpair`` through the real server end and
+    client end on one loop, ``in_flight`` requests pipelined at a time.
+    The row is per call of ``_PINGS`` requests; µs and loop iterations
+    *per request* are printed and stored as ``extra_info``."""
+    loop = _CountingLoop()
+    server = LockServer(LockManager(_locking_fixture_taskset(), "pcp-da"))
+    client = Connection()
+    near, far = socket.socketpair()
+
+    async def connect():
+        await loop.create_connection(server.new_connection, sock=far)
+        await loop.create_connection(lambda: client, sock=near)
+
+    async def pings():
+        for first in range(0, _PINGS, in_flight):
+            batch = [
+                client.request({"id": first + n, "op": "ping"})
+                for n in range(in_flight)
+            ]
+            for response in batch:
+                await response
+
+    loop.run_until_complete(connect())
+    try:
+        benchmark(lambda: loop.run_until_complete(pings()))
+        before = loop.iterations
+        loop.run_until_complete(pings())
+        ticks = (loop.iterations - before) / _PINGS
+    finally:
+        loop.run_until_complete(client.close())
+        loop.run_until_complete(server.close())
+        loop.close()
+    us = benchmark.stats.stats.min * 1e6 / _PINGS
+    benchmark.extra_info.update(us_per_request=us, ticks_per_request=ticks)
+    print(f"\nwire round trip, {in_flight} in flight: {us:.1f} us and "
+          f"{ticks:.2f} loop iterations per request")
+    # One loop serves both ends here: flush, server chunk, client chunk,
+    # task wake-up — per batch, however many requests it carries.
+    assert ticks <= 4.5 / in_flight

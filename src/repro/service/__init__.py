@@ -24,6 +24,9 @@ Layers (see docs/SERVICE.md):
   blocking breakdown, grant/deny/abort counters;
 * :mod:`repro.service.wire` — the newline-delimited JSON request/response
   schema shared by both transports;
+* :mod:`repro.service.connection` — the one NDJSON connection class
+  behind server, client and shard proxy (eager dispatch through
+  :mod:`repro.service.eager`, one write per chunk or tick);
 * :mod:`repro.service.server` — the TCP transport (``repro serve``);
 * :mod:`repro.service.client` — the async client library (in-process and
   TCP transports);

@@ -8,9 +8,12 @@ One :class:`ServiceClient` speaks the wire schema of
   serialization ambiguity: ideal for tests and for embedding the service
   in another asyncio program.
 * :func:`connect_tcp` — a real NDJSON-over-TCP connection to a
-  ``repro serve`` instance, with pipelining: requests carry correlation
-  ids, a background reader task routes responses to their futures, so many
-  sessions can be driven concurrently over one connection.
+  ``repro serve`` instance: the client end of
+  :class:`~repro.service.connection.Connection`.  Requests carry
+  correlation ids and responses are routed to their futures as they
+  arrive, so many sessions can be driven concurrently over one
+  connection; every request issued within one event-loop tick leaves in
+  one write.
 
 Wire errors are re-raised as the matching
 :class:`~repro.exceptions.ServiceError` subclass (``kind`` → class via
@@ -27,6 +30,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional
 
 from repro.exceptions import ServiceError
 from repro.service import wire
+from repro.service.connection import Connection
 from repro.service.manager import LockManager
 
 #: A transport: takes a request document, returns the response document.
@@ -103,14 +107,7 @@ class ServiceClient:
     async def request(self, op: str, **params: Any) -> Dict[str, Any]:
         """Issue one wire operation; raises the mapped service error."""
         document = {"id": next(self._ids), "op": op, **params}
-        response = await self._transport(document)
-        if response.get("ok"):
-            result = response.get("result")
-            return result if isinstance(result, dict) else {}
-        error = response.get("error") or {}
-        kind = error.get("kind", "service")
-        message = error.get("message", "unknown service error")
-        raise wire.ERROR_TYPES.get(kind, ServiceError)(message)
+        return wire.unwrap(await self._transport(document))
 
     # -- convenience wrappers ------------------------------------------
     async def ping(self) -> Dict[str, Any]:
@@ -203,69 +200,8 @@ async def connect_tcp(
     ``subscribe``).  Without it frames are dropped, which keeps plain
     clients compatible with event-capable servers.
     """
-    reader, writer = await asyncio.open_connection(
-        host, port, limit=wire.STREAM_LIMIT
+    connection = Connection(on_event=on_event)
+    await asyncio.get_running_loop().create_connection(
+        lambda: connection, host, port
     )
-    pending: Dict[Any, "asyncio.Future[Dict[str, Any]]"] = {}
-    write_lock = asyncio.Lock()
-
-    async def pump() -> None:
-        """Route response lines to their awaiting futures."""
-        error: Optional[BaseException] = None
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                response = wire.decode(line)
-                if wire.is_event(response):
-                    if on_event is not None:
-                        on_event(response)
-                    continue
-                future = pending.pop(response.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except (ConnectionError, asyncio.IncompleteReadError, ValueError) as exc:
-            error = exc
-        except asyncio.CancelledError:
-            error = ConnectionResetError("client closed")
-        finally:
-            failure = error or ConnectionResetError("server closed connection")
-            for future in pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ServiceError(f"connection lost: {failure}")
-                    )
-            pending.clear()
-
-    pump_task = asyncio.ensure_future(pump())
-
-    async def transport(request: Dict[str, Any]) -> Dict[str, Any]:
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        pending[request["id"]] = future
-        try:
-            async with write_lock:
-                writer.write(wire.encode(request))
-                await writer.drain()
-        except ConnectionError as exc:
-            pending.pop(request["id"], None)
-            raise ServiceError(f"connection lost: {exc}") from exc
-        return await future
-
-    async def closer() -> None:
-        pump_task.cancel()
-        try:
-            await pump_task
-        except asyncio.CancelledError:
-            pass
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    return ServiceClient(transport, closer)
+    return ServiceClient(connection.request, connection.close)

@@ -388,6 +388,7 @@ class LockManager:
         *,
         deadline_s: Optional[float] = None,
         instance: Optional[int] = None,
+        seq: Optional[int] = None,
     ) -> Session:
         """Open a session executing one instance of ``transaction``.
 
@@ -395,7 +396,10 @@ class LockManager:
         manager's own counter — the shard coordinator uses this so every
         leg of one global transaction carries the same name on every
         shard (the counter is bumped past the pin, so mixed use stays
-        collision-free).
+        collision-free).  ``seq`` pins the job's tie-break sequence the
+        same way: the coordinator passes the global session id, so
+        grant-queue FIFO and victim choice follow the *global* begin
+        order rather than the lazy leg-creation order.
 
         Raises:
             AdmissionError: the ``max_sessions`` backpressure cap is hit.
@@ -419,6 +423,8 @@ class LockManager:
                 self._instances.get(transaction, 0), instance + 1
             )
         job = Job(spec, instance, now)
+        if seq is not None:
+            job.seq = seq
         session = Session(self._next_session_id, job, now, None)
         self._next_session_id += 1
         relative = (
@@ -433,6 +439,12 @@ class LockManager:
         self.stats.sessions_started += 1
         self.trace.sched(now, SchedEventKind.ARRIVAL, job.name)
         return session
+
+    def add_decision_listener(
+        self, listener: Callable[[LockEvent], None]
+    ) -> None:
+        """Subscribe ``listener`` to every recorded lock decision."""
+        self.decision_listeners.append(listener)
 
     def session(self, session_id: int) -> Session:
         """Look up a session by id (for the wire layer)."""

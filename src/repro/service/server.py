@@ -1,14 +1,23 @@
-"""The TCP transport: NDJSON request/response over asyncio streams.
+"""The TCP transport: NDJSON request/response over one connection class.
 
 One :class:`LockServer` wraps one :class:`~repro.service.manager.LockManager`
-behind ``asyncio.start_server``.  Connections are cheap: each request line
-spawns a task, so a client may pipeline requests (a session blocked in the
-grant queue does not stall the connection's other sessions); responses are
-batched per event-loop tick — every response completing in one tick is
-coalesced into a single write+drain by the connection's flusher task, so a
-pipelining client costs one syscall per tick instead of one per message.
-Responses leave in completion order and are matched by ``id`` on the
-client side.
+behind ``loop.create_server``; every accepted socket gets the server end
+of a :class:`~repro.service.connection.Connection`.  Connections are
+cheap, and so are requests:
+
+* **Eager dispatch.**  Each request line is decoded and dispatched on
+  the receive callback's stack.  A request that does not park is
+  answered without a task or a loop tick of its own; only one that
+  parks (lock wait, commit gate) becomes a task, so a session blocked in
+  the grant queue does not stall the connection's other sessions and a
+  client may pipeline.
+* **One write per chunk or tick.**  Every complete line of a received
+  chunk is handled before anything is written; the responses — and any
+  event frames pushed meanwhile — leave in one write, in order.
+  Responses of parked requests leave on the tick they complete.  They
+  are matched by ``id`` on the client side.
+* **Backpressure.**  While a client does not read its responses the
+  server stops reading its requests.
 
 Crash safety for clients: sessions are owned by the connection that opened
 them.  When a connection drops, its still-live sessions are aborted and
@@ -19,10 +28,12 @@ service equivalent of the simulator's firm-deadline cleanup).
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
+from repro.exceptions import ServiceError
 from repro.service import wire
-from repro.service.manager import LockManager, SessionState
+from repro.service.connection import Connection
+from repro.service.manager import LockManager
 
 
 class LockServer:
@@ -52,12 +63,14 @@ class LockServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[asyncio.Task] = set()
+        #: Open connection -> the sessions it opened that are still
+        #: live, for disconnect cleanup.
+        self._connections: Dict[Connection, Dict[int, None]] = {}
 
     async def start(self) -> None:
         """Bind and start accepting connections; resolves ``self.port``."""
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port, limit=wire.STREAM_LIMIT
+        self._server = await asyncio.get_running_loop().create_server(
+            self.new_connection, self.host, self.port
         )
         sockets = self._server.sockets or ()
         for sock in sockets:
@@ -78,153 +91,74 @@ class LockServer:
         """Stop accepting, drop connections, shut the manager down."""
         if self._server is not None:
             self._server.close()
+        await asyncio.gather(
+            *(connection.close() for connection in list(self._connections))
+        )
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
         await self.manager.shutdown()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Server shutdown cancelled us mid-cleanup.  Ending the
-            # connection task cancelled would make asyncio's streams
-            # machinery log a spurious "exception was never retrieved";
-            # close() gathers us with return_exceptions anyway.
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
+    def new_connection(self) -> Connection:
+        """The server end of one connection, not yet on a transport.
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        # Sessions opened over this connection, for disconnect cleanup.
-        owned: Dict[int, None] = {}
-        inflight: Set[asyncio.Task] = set()
-        # Batched response path: handlers append and wake the flusher;
-        # everything queued by the time it runs goes out as one
-        # write+drain (wire.encode_batch), so pipelined responses cost
-        # one syscall per event-loop tick, not one per message.
-        pending: list = []
-        flush_wakeup = asyncio.Event()
-
-        def respond(document: dict) -> None:
-            pending.append(document)
-            flush_wakeup.set()
-
-        async def flush_loop() -> None:
-            try:
-                while True:
-                    await flush_wakeup.wait()
-                    flush_wakeup.clear()
-                    if not pending:
-                        continue
-                    batch = wire.encode_batch(pending)
-                    pending.clear()
-                    writer.write(batch)
-                    await writer.drain()
-            except (ConnectionError, RuntimeError, OSError):
-                pass  # peer vanished mid-response; cleanup happens below
-            except asyncio.CancelledError:
-                pass
-
-        flusher = asyncio.ensure_future(flush_loop())
-        self._connection_opened(respond)
-
-        async def handle(request: dict) -> None:
-            response = await self._handle_request(request, respond, owned)
-            respond(response)
-
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = wire.decode(line)
-                except ValueError as exc:
-                    respond(
-                        wire.error_response(None, "bad-request", str(exc))
-                    )
-                    continue
-                task = asyncio.ensure_future(handle(request))
-                inflight.add(task)
-                task.add_done_callback(inflight.discard)
-        except asyncio.CancelledError:
-            pass  # server shutting down
-        finally:
-            for task in list(inflight):
-                task.cancel()
-            if inflight:
-                await asyncio.gather(*inflight, return_exceptions=True)
-            flusher.cancel()
-            await asyncio.gather(flusher, return_exceptions=True)
-            if pending:
-                # Final flush: responses completed after the flusher's
-                # last pass must still reach an orderly-closing peer.
-                try:
-                    writer.write(wire.encode_batch(pending))
-                    await writer.drain()
-                except (ConnectionError, RuntimeError, OSError):
-                    pass
-                pending.clear()
-            self._connection_closed(respond)
-            await self._abort_owned(owned)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        The accept factory; tests and benchmarks hand it to a transport
+        of their own (an in-memory pair, a ``socketpair``).
+        """
+        connection = Connection(
+            handler=self._handle_request, on_lost=self._connection_lost
+        )
+        self._connections[connection] = {}
+        return connection
 
     async def _handle_request(
-        self, request: dict, respond, owned: Dict[int, None]
+        self, connection: Connection, request: dict
     ) -> dict:
         """Dispatch one request; subclasses intercept connection-scoped
-        operations here (the shard host's ``subscribe``).  ``respond``
-        is the connection's push callback — anything passed to it rides
-        the same batched write path as responses, in order.
+        operations here (the shard host's ``subscribe``).  Anything
+        passed to ``connection.send`` meanwhile joins the same output
+        queue as the response, ahead of it.
         """
         response = await wire.dispatch_request(self.manager, request)
+        owned = self._connections[connection]
+        if request.get("op") == "begin":
+            if response.get("ok"):
+                owned[response["result"]["session"]] = None
+            return response
+        # Forget a session once a response reports it finished (its
+        # commit or abort, or an operation the service aborted it
+        # under): a long-lived connection owns only what is live.
+        session_id = request.get("session")
         if (
-            response.get("ok")
-            and request.get("op") == "begin"
-            and isinstance(response.get("result"), dict)
+            isinstance(session_id, int)  # JSON may carry anything here
+            and session_id in owned
+            and not self.manager.session(session_id).state.live
         ):
-            owned[response["result"]["session"]] = None
+            del owned[session_id]
         return response
 
-    def _connection_opened(self, respond) -> None:
-        """Hook: a connection's push callback became usable."""
+    def _connection_closed(self, connection: Connection) -> None:
+        """Hook: the connection is gone; drop any push registrations."""
 
-    def _connection_closed(self, respond) -> None:
-        """Hook: the connection is going away; drop any push registrations."""
+    async def _connection_lost(self, connection: Connection) -> None:
+        self._connection_closed(connection)
+        await self._abort_owned(self._connections.pop(connection))
 
     async def _abort_owned(self, owned: Dict[int, None]) -> None:
-        """Abort live sessions whose connection disappeared."""
+        """Abort live sessions whose connection disappeared.
+
+        The connection's own parked requests were cancelled before this
+        runs, which aborted their sessions; one still waiting here was
+        parked by a request that arrived over *another* connection.
+        """
         for session_id in owned:
-            try:
-                session = self.manager.session(session_id)
-            except Exception:
+            session = self.manager.session(session_id)
+            if not session.state.live:
                 continue
-            if session.state in (SessionState.ACTIVE,):
-                try:
-                    await self.manager.abort(session, "disconnect")
-                except Exception:
-                    pass
+            try:
+                await self.manager.abort(session, "disconnect")
+            except ServiceError:
+                self.manager.force_abort(session, "disconnect")

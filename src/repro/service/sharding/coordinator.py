@@ -90,6 +90,7 @@ from repro.exceptions import (
     TransactionAborted,
 )
 from repro.model.spec import TaskSet, TransactionSpec
+from repro.service.eager import eager_start
 from repro.service.manager import (
     LockManager,
     ServiceConfig,
@@ -341,7 +342,7 @@ class ShardedLockManager:
         """
         self._decision_listeners.append(listener)
         for shard in self.shards:
-            shard.decision_listeners.append(listener)
+            shard.add_decision_listener(listener)
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -564,11 +565,10 @@ class ShardedLockManager:
         In-process the coroutine completes on the eager first step, so
         this is exactly the old ``await shard.commit(leg)``.
         """
-        try:
-            first = coro.send(None)
-        except StopIteration as stop:
-            return stop.value
-        task = asyncio.ensure_future(self._settle(coro, first))
+        done, outcome = eager_start(coro)
+        if done:
+            return outcome
+        task = outcome
         while True:
             try:
                 return await asyncio.shield(task)
@@ -588,6 +588,15 @@ class ShardedLockManager:
                 f"{session.name}: another operation is waiting for a lock"
             )
         self._abort_global(session, reason, forced=False)
+
+    def force_abort(self, session: GlobalSession, reason: str) -> None:
+        """Service-initiated abort of a global session, parked or not.
+
+        Same contract as :meth:`LockManager.force_abort`: synchronous
+        and idempotent.  The server uses it for sessions whose
+        connection disappeared while another one had them parked.
+        """
+        self._abort_global(session, reason, forced=True)
 
     async def shutdown(self) -> None:
         """Abort every live session, shut every shard down, refuse new work."""
@@ -648,7 +657,7 @@ class ShardedLockManager:
         shard._t0 = self._t0
         self._attach_shard_listeners(shard_id, shard)
         for listener in self._decision_listeners:
-            shard.decision_listeners.append(listener)
+            shard.add_decision_listener(listener)
         self._remote = any(
             getattr(s, "is_remote", False) for s in self.shards
         )
@@ -887,21 +896,14 @@ class ShardedLockManager:
                     f"{leg.state.value} ({leg.abort_reason or 'aborted'})"
                 )
             return leg
-        shard = self.shards[shard_id]
-        leg = await shard.begin(session.spec.name, instance=session.instance)
         # Tie-breakers (grant-queue FIFO, victim choice) must follow the
         # *global* begin order, not the lazy leg-creation order, or two
         # equal-priority sessions could be served in a different order
-        # than the unsharded manager would serve them.  ``seq`` is used
-        # purely as a deterministic tie-break, and this leg's job is in
-        # no queue yet, so the override is safe.
-        leg.job.seq = session.id
-        pin = getattr(shard, "pin_leg_seq", None)
-        if pin is not None:
-            # Remote shard: the override above touched only the local
-            # mirror job; the proxy forwards it to the host (same-stream
-            # FIFO lands it before the leg's first lock request).
-            pin(leg, session.id)
+        # than the unsharded manager would serve them: the leg's job
+        # takes the global session id as its ``seq``.
+        leg = await self.shards[shard_id].begin(
+            session.spec.name, instance=session.instance, seq=session.id
+        )
         session.legs[shard_id] = leg
         self._job_sessions[leg.job] = session
         return leg
@@ -1034,11 +1036,10 @@ class ShardedLockManager:
         """
         task: Optional["asyncio.Future"] = None
         try:
-            try:
-                first = coro.send(None)
-            except StopIteration as stop:
-                return stop.value
-            task = asyncio.ensure_future(self._settle(coro, first))
+            done, outcome = eager_start(coro)
+            if done:
+                return outcome
+            task = outcome
             if session.deadline is None:
                 return await asyncio.shield(task)
             while True:
@@ -1066,49 +1067,6 @@ class ShardedLockManager:
         except ServiceError as exc:
             self._on_leg_failure(session, exc)
             raise
-
-    @staticmethod
-    async def _settle(coro, yielded) -> Any:
-        """Finish a leg coroutine whose eager first step suspended.
-
-        Mirrors the task step/wakeup protocol: wait for the future the
-        coroutine yielded, then resume it with ``send`` (or ``throw`` on
-        failure) until it returns.  Cancellation cancels the inner
-        future and is thrown into the coroutine so its cleanup handlers
-        (waiter un-parking, gate teardown) run exactly as they would
-        under a cancelled task.
-        """
-        while True:
-            exc: Optional[BaseException] = None
-            if yielded is None:
-                await asyncio.sleep(0)
-            else:
-                yielded._asyncio_future_blocking = False
-                waiter = asyncio.get_running_loop().create_future()
-
-                def _wake(_f, waiter=waiter):
-                    if not waiter.done():
-                        waiter.set_result(None)
-
-                yielded.add_done_callback(_wake)
-                try:
-                    await waiter
-                except asyncio.CancelledError as cancel:
-                    yielded.remove_done_callback(_wake)
-                    yielded.cancel()
-                    exc = cancel
-                else:
-                    try:
-                        yielded.result()
-                    except BaseException as inner:  # noqa: BLE001
-                        exc = inner
-            try:
-                if exc is not None:
-                    yielded = coro.throw(exc)
-                else:
-                    yielded = coro.send(None)
-            except StopIteration as stop:
-                return stop.value
 
     @staticmethod
     async def _reap(task: "asyncio.Future") -> None:

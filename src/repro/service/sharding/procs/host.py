@@ -2,12 +2,13 @@
 
 ``repro shard-host`` runs a single shard behind the NDJSON wire.  It is
 the plain :class:`~repro.service.server.LockServer` plus the v2 push
-stream: a connection that sends ``subscribe`` receives every churn and
-decision notification as an event frame, emitted *synchronously* while
-the triggering request is dispatched and queued through the same
-per-connection batch buffer as responses.  On one TCP stream this means
-every frame precedes the response of the operation that caused it — the
-delivery-order guarantee :class:`RemoteShardProxy` mirrors are built on.
+stream: a connection that sends ``subscribe`` receives the event kinds
+it named (``churn``, ``decision``; both when it names none) as event
+frames, emitted *synchronously* while the triggering request is
+dispatched and queued on the same per-connection output queue as
+responses.  On one TCP stream this means every frame precedes the
+response of the operation that caused it — the delivery-order guarantee
+:class:`RemoteShardProxy` mirrors are built on.
 
 Lifecycle: the supervisor spawns the host with ``--port 0``, the host
 prints one JSON ready line (``{"ready": true, "port": ..., "pid": ...}``)
@@ -26,10 +27,11 @@ import json
 import os
 import signal
 import sys
-from typing import Callable, Dict, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.engine.job import Job
 from repro.service import wire
+from repro.service.connection import Connection
 from repro.service.manager import LockManager, ServiceConfig
 from repro.service.server import LockServer
 from repro.trace.recorder import LockEvent
@@ -53,18 +55,22 @@ class ShardHostServer(LockServer):
         port: int = 0,
     ) -> None:
         super().__init__(manager, host, port)
-        #: Push callbacks of subscribed connections, keyed by identity.
-        self._subscribers: Dict[int, Callable[[dict], None]] = {}
+        #: Subscribed connection -> the event kinds it asked for.
+        self._subscribers: Dict[Connection, FrozenSet[str]] = {}
         manager.churn_listeners.append(self._on_churn)
-        manager.decision_listeners.append(self._on_decision)
+        manager.add_decision_listener(self._on_decision)
 
     # -- event fan-out --------------------------------------------------
-    def _push(self, frame: dict) -> None:
-        for respond in list(self._subscribers.values()):
-            respond(frame)
+    def _wanting(self, event: str) -> List[Connection]:
+        return [
+            connection
+            for connection, events in self._subscribers.items()
+            if event in events
+        ]
 
     def _on_churn(self, kind: str, job: Job, other: Optional[Job]) -> None:
-        if not self._subscribers:
+        targets = self._wanting("churn")
+        if not targets:
             return
         blockers = reason = None
         if kind == "wait":
@@ -72,28 +78,40 @@ class ShardHostServer(LockServer):
         elif kind == "abort":
             session = self.manager._by_job.get(job)
             reason = session.abort_reason if session is not None else "abort"
-        self._push(wire.churn_frame(
+        frame = wire.churn_frame(
             kind, job.name,
             other.name if other is not None else None,
             blockers=blockers, reason=reason,
-        ))
+        )
+        for connection in targets:
+            connection.send(frame)
 
     def _on_decision(self, event: LockEvent) -> None:
-        if self._subscribers:
-            self._push(wire.decision_frame(event))
+        targets = self._wanting("decision")
+        if targets:
+            frame = wire.decision_frame(event)
+            for connection in targets:
+                connection.send(frame)
 
     # -- connection hooks -----------------------------------------------
-    async def _handle_request(self, request, respond, owned):
-        if request.get("op") == "subscribe":
-            self._subscribers[id(respond)] = respond
-            return wire.ok_response(
-                request.get("id"),
-                {"subscribed": True, "events": ["churn", "decision"]},
+    async def _handle_request(self, connection, request):
+        if request.get("op") != "subscribe":
+            return await super()._handle_request(connection, request)
+        events = frozenset(request.get("events") or wire.EVENT_KINDS)
+        unknown = events.difference(wire.EVENT_KINDS)
+        if unknown:
+            return wire.error_response(
+                request.get("id"), "bad-request",
+                f"subscribe: unknown event kinds {sorted(unknown)}",
             )
-        return await super()._handle_request(request, respond, owned)
+        self._subscribers[connection] = events
+        return wire.ok_response(
+            request.get("id"),
+            {"subscribed": True, "events": sorted(events)},
+        )
 
-    def _connection_closed(self, respond) -> None:
-        self._subscribers.pop(id(respond), None)
+    def _connection_closed(self, connection) -> None:
+        self._subscribers.pop(connection, None)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -18,21 +18,27 @@ Two mechanisms make that possible:
   deadlock detector's wait graph — are answered from the mirrors with no
   round-trip.
 * **The push stream.**  After ``hello`` + ``subscribe`` the host streams
-  every churn/decision notification as a v2 event frame.  Frames are
-  emitted synchronously during dispatch and ride the same batched
-  per-connection buffer as responses, so on this one TCP stream every
-  frame precedes the response of the operation that caused it: by the
-  time an operation's response resolves, the mirrors already reflect
-  everything that operation changed.  The mirrors are therefore not
-  "eventually consistent" in any way the coordinator can observe —
-  they are exact at every response boundary.
+  every churn notification as a v2 event frame — and every lock
+  decision too, once a decision listener is registered (the parity
+  battery; nobody else pays for those frames).  Frames are emitted
+  synchronously during dispatch and join the same per-connection output
+  queue as responses, so on this one TCP stream every frame precedes
+  the response of the operation that caused it: by the time an
+  operation's response resolves, the mirrors already reflect everything
+  that operation changed.  The mirrors are therefore not "eventually
+  consistent" in any way the coordinator can observe — they are exact
+  at every response boundary.
 
 Writes travel two ways: operations whose result the coordinator needs
 (``begin``, ``read``, ``prepare``) are awaited calls; bookkeeping the
 coordinator treats as synchronous on an in-process shard
-(``set_seq``, ``unprepare``, ``force_abort``) is *posted* fire-and-forget
-— the mirror flips immediately, the frame confirming it is ignored, and
+(``unprepare``, ``force_abort``) is *posted* fire-and-forget — the
+mirror flips immediately, the frame confirming it is ignored, and
 same-stream FIFO guarantees the host applies it before any later call.
+Both are the client end of
+:class:`~repro.service.connection.Connection`: everything the
+coordinator sends one host within an event-loop tick leaves in one
+write.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from repro.engine.job import Job
 from repro.exceptions import ServiceError
 from repro.model.spec import TaskSet
 from repro.service import wire
+from repro.service.connection import Connection
 from repro.service.manager import Session, SessionState, catalog_document
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import LockEvent
@@ -97,25 +104,13 @@ class RemoteShardProxy:
     #: Flips the coordinator's introspection to the async fetch path.
     is_remote = True
 
-    def __init__(
-        self,
-        catalog: TaskSet,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        label: str = "shard",
-    ) -> None:
+    def __init__(self, catalog: TaskSet, *, label: str = "shard") -> None:
         self._catalog = catalog
-        self._reader = reader
-        self._writer = writer
         self.label = label
+        #: The client end of the host connection; :meth:`connect` puts
+        #: it on a socket, tests on an in-memory transport.
+        self.connection = Connection(on_event=self._apply_frame, label=label)
         self._ids = itertools.count(1)
-        #: Correlation id -> future of an awaited call.
-        self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
-        #: Correlation ids of posted (fire-and-forget) operations.
-        self._discard: Set[int] = set()
-        self._closed = False
-        self._pump_task: Optional[asyncio.Task] = None
 
         # -- mirrors -----------------------------------------------------
         #: instance name -> mirror job of a live leg.
@@ -153,24 +148,20 @@ class RemoteShardProxy:
         label: str = "shard",
     ) -> "RemoteShardProxy":
         """Open a TCP connection to a shard host and negotiate v2."""
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=wire.STREAM_LIMIT
+        proxy = cls(catalog, label=label)
+        await asyncio.get_running_loop().create_connection(
+            lambda: proxy.connection, host, port
         )
-        return await cls.from_streams(catalog, reader, writer, label=label)
+        try:
+            await proxy.negotiate()
+        except BaseException:
+            await proxy.shutdown()
+            raise
+        return proxy
 
-    @classmethod
-    async def from_streams(
-        cls,
-        catalog: TaskSet,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        label: str = "shard",
-    ) -> "RemoteShardProxy":
-        """Build a proxy over existing streams (tests use in-memory pairs)."""
-        proxy = cls(catalog, reader, writer, label=label)
-        proxy._pump_task = asyncio.ensure_future(proxy._pump())
-        hello = await proxy._call(
+    async def negotiate(self) -> None:
+        """``hello`` + ``subscribe`` over the attached connection."""
+        hello = await self._call(
             "hello",
             version=wire.PROTOCOL_VERSION,
             features=["events", "shard-ops"],
@@ -178,64 +169,31 @@ class RemoteShardProxy:
         granted = set(hello.get("features", ()))
         missing = {"events", "shard-ops"} - granted
         if missing:
-            await proxy.shutdown()
             raise ServiceError(
-                f"{label}: host lacks required features {sorted(missing)} "
-                "(not a shard host?)"
+                f"{self.label}: host lacks required features "
+                f"{sorted(missing)} (not a shard host?)"
             )
-        proxy.protocol = _RemoteProtocol(hello["protocol"])
-        await proxy._call("subscribe")
-        return proxy
+        self.protocol = _RemoteProtocol(hello["protocol"])
+        await self._call("subscribe", events=self._wanted_events())
 
-    async def _pump(self) -> None:
-        """Apply event frames and route responses, in stream order."""
-        try:
-            while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                document = wire.decode(line)
-                if wire.is_event(document):
-                    self._apply_frame(document)
-                    continue
-                request_id = document.get("id")
-                if request_id in self._discard:
-                    self._discard.discard(request_id)
-                    continue
-                future = self._pending.pop(request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(document)
-        except (ConnectionError, asyncio.IncompleteReadError, ValueError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._closed = True
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(
-                        ServiceError(f"{self.label}: shard connection lost")
-                    )
-            self._pending.clear()
+    def _wanted_events(self) -> List[str]:
+        """Decision frames only while somebody listens to them."""
+        return ["churn", "decision"] if self.decision_listeners else ["churn"]
+
+    def add_decision_listener(
+        self, listener: Callable[[LockEvent], None]
+    ) -> None:
+        """Subscribe ``listener`` to the host's lock decisions.
+
+        The first one widens the host subscription to decision frames
+        (posted: stream order applies it before any later operation).
+        """
+        self.decision_listeners.append(listener)
+        self._post("subscribe", events=self._wanted_events())
 
     async def shutdown(self) -> None:
         """Close the connection; pending calls fail, mirrors are kept."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await self.connection.close()
 
     def mark_lost(self, reason: str) -> None:
         """The host process died: flip every live mirror leg terminally.
@@ -255,33 +213,12 @@ class RemoteShardProxy:
     # ------------------------------------------------------------------
     async def _call(self, op: str, **params: Any) -> Dict[str, Any]:
         """One awaited request; raises the mapped service error."""
-        if self._closed:
-            raise ServiceError(f"{self.label}: shard connection lost")
-        request_id = next(self._ids)
-        document = {"id": request_id, "op": op, **params}
-        future: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[request_id] = future
-        try:
-            self._writer.write(wire.encode(document))
-            await self._writer.drain()
-        except (ConnectionError, OSError, RuntimeError) as exc:
-            self._pending.pop(request_id, None)
-            raise ServiceError(
-                f"{self.label}: shard connection lost: {exc}"
-            ) from exc
-        response = await future
-        if response.get("ok"):
-            result = response.get("result")
-            return result if isinstance(result, dict) else {}
-        error = response.get("error") or {}
-        kind = error.get("kind", "service")
-        message = error.get("message", "unknown shard error")
-        raise wire.ERROR_TYPES.get(kind, ServiceError)(message)
+        return wire.unwrap(await self.connection.request(
+            {"id": next(self._ids), "op": op, **params}
+        ))
 
     def _post(self, op: str, **params: Any) -> None:
-        """Fire-and-forget request: the response frame is discarded.
+        """Fire-and-forget request: the response is discarded on arrival.
 
         Used for operations the coordinator treats as synchronous on an
         in-process shard.  The local mirror flips before this returns;
@@ -289,16 +226,7 @@ class RemoteShardProxy:
         anything this coordinator sends later.  A dead connection is
         tolerated silently — the supervisor's crash handling owns that.
         """
-        if self._closed:
-            return
-        request_id = next(self._ids)
-        self._discard.add(request_id)
-        try:
-            self._writer.write(wire.encode({
-                "id": request_id, "op": op, **params
-            }))
-        except (ConnectionError, OSError, RuntimeError):
-            self._discard.discard(request_id)
+        self.connection.send({"id": next(self._ids), "op": op, **params})
 
     # ------------------------------------------------------------------
     # Event frames -> mirrors
@@ -390,34 +318,35 @@ class RemoteShardProxy:
         *,
         deadline_s: Optional[float] = None,
         instance: Optional[int] = None,
+        seq: Optional[int] = None,
     ) -> Session:
         """Open a leg on the host; returns its local mirror session.
 
         The mirror embeds a real engine :class:`Job` so every
         coordinator structure keyed or ordered by jobs (constraint
         graph, wait graph, ``_job_sessions``) works identically to the
-        in-process case.  The mirror's arrival time and seq are
-        placeholders — the coordinator pins ``seq`` to the global
-        session id immediately via :meth:`pin_leg_seq`.
+        in-process case.  The mirror's arrival time is a placeholder;
+        ``seq`` (the coordinator's tie-break pin) reaches the host in
+        the same message and the mirror job alike.
         """
         params: Dict[str, Any] = {"transaction": transaction}
         if deadline_s is not None:
             params["deadline_s"] = deadline_s
         if instance is not None:
             params["instance"] = instance
+        if seq is not None:
+            params["seq"] = seq
         result = await self._call("begin", **params)
         name = result["name"]
         if instance is None:
             instance = int(name.rpartition("#")[2])
         job = Job(self._catalog[transaction], instance, 0.0)
+        if seq is not None:
+            job.seq = seq
         leg = Session(result["session"], job, 0.0, None)
         self._jobs[name] = job
         self._legs[name] = leg
         return leg
-
-    def pin_leg_seq(self, leg: Session, seq: int) -> None:
-        """Forward the coordinator's tie-break seq override to the host."""
-        self._post("set_seq", session=leg.id, seq=seq)
 
     async def read(self, leg: Session, item: str) -> Any:
         """Read ``item`` through the host's protocol; may park there."""

@@ -34,11 +34,13 @@ notifications stream to a remote coordinator::
      "outcome": "granted", "rule": "LC3", "time": 0.17, "blockers": []}
 
 Frames are emitted synchronously while the triggering request is being
-dispatched and travel through the same per-connection batch buffer as
-responses, so on one connection every frame precedes the response of the
-operation that caused it — the ordering the proxy's mirrors rely on.
-Clients that never send ``subscribe`` never receive a frame; clients of
-a different protocol era get a clear ``version`` error from ``hello``.
+dispatched and join the same per-connection output queue as responses
+(:mod:`repro.service.connection`), so on one connection every frame
+precedes the response of the operation that caused it — the ordering the
+proxy's mirrors rely on.  ``subscribe`` names the event kinds wanted
+(``EVENT_KINDS``; all of them when it names none).  Clients that never
+send ``subscribe`` never receive a frame; clients of a different
+protocol era get a clear ``version`` error from ``hello``.
 
 The full operation table lives in docs/SERVICE.md.
 """
@@ -66,7 +68,7 @@ from repro.trace.recorder import LockEvent, LockOutcome
 #: ``ping`` response so clients can refuse to talk to the wrong era.
 #: v2: event frames, ``hello`` negotiation, and the shard-host operation
 #: family (``subscribe`` / ``prepare`` / ``unprepare`` / ``force_abort``
-#: / ``wait_graph`` / ``set_seq``).
+#: / ``wait_graph``).
 PROTOCOL_VERSION = "repro-service/2"
 
 #: Optional capabilities a ``hello`` may negotiate.  ``events`` is the
@@ -74,9 +76,9 @@ PROTOCOL_VERSION = "repro-service/2"
 #: operation family a shard host exposes.
 FEATURES = frozenset({"events", "shard-ops"})
 
-#: asyncio stream limit for one NDJSON line, both directions.  The default
-#: 64 KiB is far too small for ``history`` responses (one row per data
-#: event of the whole run); 64 MiB covers multi-minute soak runs.
+#: Longest NDJSON line a connection accepts, both directions; a peer that
+#: exceeds it is disconnected.  ``history`` responses carry one row per
+#: data event of the whole run; 64 MiB covers multi-minute soak runs.
 STREAM_LIMIT = 64 * 1024 * 1024
 
 #: Error ``kind`` → exception class, for client-side re-raising.
@@ -101,10 +103,9 @@ def encode(document: Dict[str, Any]) -> bytes:
 def encode_batch(documents: Iterable[Dict[str, Any]]) -> bytes:
     """Serialize many wire documents to one NDJSON byte block.
 
-    The server's per-tick response batching: every response completing
-    within one event-loop tick is coalesced into a single write+drain,
-    so pipelined clients pay one syscall per tick instead of one per
-    message.
+    A connection's whole output queue — every response, event frame
+    and request queued while one received chunk or one event-loop tick
+    was handled — leaves in a single write.
     """
     return b"".join(encode(document) for document in documents)
 
@@ -129,6 +130,17 @@ def error_response(request_id: Any, kind: str, message: str) -> Dict[str, Any]:
 def ok_response(request_id: Any, result: Dict[str, Any]) -> Dict[str, Any]:
     """A success document echoing the request's correlation id."""
     return {"id": request_id, "ok": True, "result": result}
+
+
+def unwrap(response: Dict[str, Any]) -> Dict[str, Any]:
+    """The result of a response document; its error re-raised, typed."""
+    if response.get("ok"):
+        result = response.get("result")
+        return result if isinstance(result, dict) else {}
+    error = response.get("error") or {}
+    raise ERROR_TYPES.get(error.get("kind", "service"), ServiceError)(
+        error.get("message", "unknown service error")
+    )
 
 
 def exception_to_error(request_id: Any, exc: BaseException) -> Dict[str, Any]:
@@ -210,13 +222,13 @@ async def _execute(
         }
     if op == "begin":
         kwargs: Dict[str, Any] = {"deadline_s": request.get("deadline_s")}
-        if request.get("instance") is not None:
-            kwargs["instance"] = request["instance"]
+        # Coordinator pins, accepted by a single shard only: the global
+        # instance number, and the global session id as tie-break
+        # ``seq`` (see docs/SHARDING.md).
+        for pin in ("instance", "seq"):
+            if request.get(pin) is not None:
+                kwargs[pin] = request[pin]
         session = await manager.begin(request["transaction"], **kwargs)
-        if request.get("seq") is not None:
-            # Coordinator tie-break pin: the global session id replaces
-            # the shard-local arrival sequence (see docs/SHARDING.md).
-            session.job.seq = request["seq"]
         return {
             "session": session.id,
             "name": session.name,
@@ -237,11 +249,6 @@ async def _execute(
         session = manager.session(request["session"])
         await manager.abort(session, request.get("reason", "client"))
         return {"aborted": True}
-    if op == "set_seq":
-        _shard_surface(manager, op)
-        session = manager.session(request["session"])
-        session.job.seq = request["seq"]
-        return {"seq": request["seq"]}
     if op == "prepare":
         _shard_surface(manager, op)
         session = manager.session(request["session"])
@@ -311,6 +318,9 @@ def _hello(manager: "LockManager", request: Dict[str, Any]) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Event frames (server push, v2)
 # ----------------------------------------------------------------------
+
+#: Event kinds a ``subscribe`` may name.
+EVENT_KINDS = ("churn", "decision")
 
 #: Churn kinds a shard host streams; mirrors ``LockManager`` churn
 #: notifications plus ``unwait`` (a waiter left the wait-for graph

@@ -56,6 +56,8 @@ def test_parallel_sweep_modules_are_covered():
         "repro.service.sharding",
         "repro.service.sharding.partitioner",
         "repro.service.sharding.coordinator",
+        "repro.service.connection",
+        "repro.service.eager",
     } <= names
 
 

@@ -1,25 +1,32 @@
-"""RemoteShardProxy ↔ ShardHostServer tests over in-memory streams.
+"""RemoteShardProxy ↔ ShardHostServer tests over an in-memory transport.
 
-Socket-free (``make verify-procs`` tier): the proxy talks to a real
-:class:`ShardHostServer` connection handler through paired in-memory
-streams, so every byte of the v2 protocol — hello, subscribe, event
-frames, the shard-op family — is exercised without a TCP stack or a
-child process.  The frame-before-response ordering the mirrors rely on
-is the real server's, not a simulation of it.
+Socket-free (``make verify-procs`` tier): the proxy's connection talks
+to the server end of a real :class:`ShardHostServer` connection through
+a linked in-memory transport pair (``tests/memory_transport.py``), so
+every byte of the v2 protocol — hello, subscribe, event frames, the
+shard-op family — is exercised without a TCP stack or a child process.
+The frame-before-response ordering the mirrors rely on is the real
+server's, not a simulation of it.
 """
 
 import asyncio
 
 import pytest
 
-from repro.exceptions import ServiceError, SessionStateError
+from repro.exceptions import (
+    ProtocolVersionError,
+    ServiceError,
+    SessionStateError,
+)
 from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
 from repro.service import LockManager, ShardedLockManager
 from repro.service import wire
 from repro.service.manager import SessionState
+from repro.service.server import LockServer
 from repro.service.sharding.procs.host import ShardHostServer
 from repro.service.sharding.procs.proxy import RemoteShardProxy
+from tests.memory_transport import link
 
 
 def catalog_rw() -> TaskSet:
@@ -47,45 +54,6 @@ async def settle(steps: int = 10) -> None:
         await asyncio.sleep(0)
 
 
-class MemoryWriter:
-    """StreamWriter facade feeding a peer StreamReader directly."""
-
-    def __init__(self, peer: asyncio.StreamReader):
-        self._peer = peer
-        self._closed = False
-
-    def write(self, data: bytes) -> None:
-        if self._closed:
-            raise ConnectionResetError("memory stream closed")
-        self._peer.feed_data(data)
-
-    async def drain(self) -> None:
-        if self._closed:
-            raise ConnectionResetError("memory stream closed")
-        await asyncio.sleep(0)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._peer.feed_eof()
-
-    def is_closing(self) -> bool:
-        return self._closed
-
-    async def wait_closed(self) -> None:
-        await asyncio.sleep(0)
-
-
-def duplex():
-    """Two connected (reader, writer) ends, client first."""
-    to_server = asyncio.StreamReader()
-    to_client = asyncio.StreamReader()
-    return (
-        (to_client, MemoryWriter(to_server)),   # client end
-        (to_server, MemoryWriter(to_client)),   # server end
-    )
-
-
 class Host:
     """One in-memory shard host: manager + served connection + proxy."""
 
@@ -94,28 +62,38 @@ class Host:
         self.manager = LockManager(catalog, protocol)
         self.server = ShardHostServer(self.manager)
         self.proxy = None
-        self._connection = None
+        self.server_end = None
 
     async def start(self) -> "Host":
-        (client_r, client_w), (server_r, server_w) = duplex()
-        self._connection = asyncio.ensure_future(
-            self.server._serve_connection(server_r, server_w)
+        self.proxy = RemoteShardProxy(self.catalog, label="shard-mem")
+        _, self.server_end = link(
+            self.proxy.connection, self.server.new_connection()
         )
-        self.proxy = await RemoteShardProxy.from_streams(
-            self.catalog, client_r, client_w, label="shard-mem"
-        )
+        await self.proxy.negotiate()
         return self
 
     async def stop(self) -> None:
         if self.proxy is not None:
             await self.proxy.shutdown()
-        if self._connection is not None:
-            await asyncio.wait_for(self._connection, 5)
-        await self.manager.shutdown()
+        # Waits for the served connection's cleanup, then shuts the
+        # manager down.
+        await asyncio.wait_for(self.server.close(), 5)
+
+
+async def proxy_against(server: LockServer, label: str) -> RemoteShardProxy:
+    """Negotiate a fresh proxy with ``server`` over a memory link."""
+    proxy = RemoteShardProxy(catalog_rw(), label=label)
+    link(proxy.connection, server.new_connection())
+    try:
+        await proxy.negotiate()
+    finally:
+        await proxy.shutdown()
+        await server.close()
+    return proxy
 
 
 class TestHandshake:
-    def test_from_streams_negotiates_and_subscribes(self):
+    def test_handshake_negotiates_and_subscribes(self):
         async def body():
             host = await Host(catalog_rw()).start()
             assert host.proxy.protocol.name == "pcp-da"
@@ -128,49 +106,34 @@ class TestHandshake:
         run(body())
 
     def test_missing_features_refused(self):
-        async def body():
-            (client_r, client_w), (server_r, server_w) = duplex()
-
-            async def stingy_server():
-                line = await server_r.readline()
-                request = wire.decode(line)
+        class StingyServer(LockServer):
+            async def _handle_request(self, connection, request):
                 assert request["op"] == "hello"
-                server_w.write(wire.encode(wire.ok_response(
+                return wire.ok_response(
                     request["id"],
                     {"version": wire.PROTOCOL_VERSION, "protocol": "pcp-da",
                      "features": ["events"]},  # no shard-ops
-                )))
-
-            server = asyncio.ensure_future(stingy_server())
-            with pytest.raises(ServiceError) as info:
-                await RemoteShardProxy.from_streams(
-                    catalog_rw(), client_r, client_w, label="stingy"
                 )
+
+        async def body():
+            server = StingyServer(LockManager(catalog_rw(), "pcp-da"))
+            with pytest.raises(ServiceError) as info:
+                await proxy_against(server, "stingy")
             assert "shard-ops" in str(info.value)
-            await server
 
         run(body())
 
     def test_version_mismatch_surfaces_protocol_error(self):
+        class OldEraServer(LockServer):
+            async def _handle_request(self, connection, request):
+                return await super()._handle_request(
+                    connection, {**request, "version": "repro-service/1"}
+                )
+
         async def body():
-            (client_r, client_w), (server_r, server_w) = duplex()
-
-            async def old_server():
-                request = wire.decode(await server_r.readline())
-                manager = LockManager(catalog_rw(), "pcp-da")
-                response = await wire.dispatch_request(
-                    manager, {**request, "version": "repro-service/1"}
-                )
-                server_w.write(wire.encode(response))
-                await manager.shutdown()
-
-            server = asyncio.ensure_future(old_server())
-            from repro.exceptions import ProtocolVersionError
+            server = OldEraServer(LockManager(catalog_rw(), "pcp-da"))
             with pytest.raises(ProtocolVersionError):
-                await RemoteShardProxy.from_streams(
-                    catalog_rw(), client_r, client_w, label="old"
-                )
-            await server
+                await proxy_against(server, "old")
 
         run(body())
 
@@ -197,13 +160,12 @@ class TestProxySurface:
 
         run(body())
 
-    def test_pin_leg_seq_reaches_the_host_before_later_calls(self):
+    def test_begin_seq_reaches_the_host(self):
         async def body():
             host = await Host(catalog_rw()).start()
-            leg = await host.proxy.begin("R", instance=3)
-            host.proxy.pin_leg_seq(leg, 77)
-            # same-stream FIFO: the next awaited call flushes the post
-            await host.proxy.read(leg, "x")
+            leg = await host.proxy.begin("R", instance=3, seq=77)
+            # one message pins both the mirror job and the host's
+            assert leg.job.seq == 77
             assert host.manager.session(leg.id).job.seq == 77
             await host.proxy.commit(leg)
             await host.stop()
@@ -234,9 +196,7 @@ class TestProxySurface:
             with pytest.raises(ServiceError):
                 await host.proxy.read(leg, "x")
             host.proxy._post("unprepare", session=leg.id)  # silent no-op
-            if host._connection is not None:
-                await asyncio.wait_for(host._connection, 5)
-            await host.manager.shutdown()
+            await host.stop()
 
         run(body())
 
@@ -352,13 +312,52 @@ class TestMirrors:
         async def body():
             host = await Host(catalog_rw()).start()
             events = []
-            host.proxy.decision_listeners.append(events.append)
+            host.proxy.add_decision_listener(events.append)
             leg = await host.proxy.begin("R")
             await host.proxy.read(leg, "x")
             await host.proxy.commit(leg)
             assert events, "no decision frames arrived"
             assert events[0].job == leg.name
             assert events[0].item == "x"
+            await host.stop()
+
+        run(body())
+
+    def test_decision_frames_sent_only_once_somebody_listens(self):
+        async def body():
+            host = await Host(catalog_rw()).start()
+
+            def decision_frames():
+                return [chunk for chunk in host.server_end.written
+                        if b'"event":"decision"' in chunk]
+
+            leg = await host.proxy.begin("R")
+            await host.proxy.read(leg, "x")
+            await host.proxy.commit(leg)
+            assert decision_frames() == []
+            assert host.server._subscribers == {
+                host.server_end.protocol: frozenset({"churn"})
+            }
+            # the widened subscription is posted ahead of the next call
+            host.proxy.add_decision_listener(lambda event: None)
+            leg = await host.proxy.begin("R")
+            await host.proxy.read(leg, "x")
+            assert len(decision_frames()) == 1
+            await host.proxy.commit(leg)
+            await host.stop()
+
+        run(body())
+
+    def test_subscribe_rejects_unknown_event_kinds(self):
+        async def body():
+            host = await Host(catalog_rw()).start()
+            with pytest.raises(ServiceError) as info:
+                await host.proxy._call("subscribe", events=["gossip"])
+            assert "gossip" in str(info.value)
+            # the earlier subscription stands
+            assert list(host.server._subscribers.values()) == [
+                frozenset({"churn"})
+            ]
             await host.stop()
 
         run(body())

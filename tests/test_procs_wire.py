@@ -162,16 +162,6 @@ class TestShardOps:
 
         run(body())
 
-    def test_set_seq_overrides_arrival_order(self):
-        async def body():
-            manager = LockManager(catalog_rw(), "pcp-da")
-            result = await call(manager, "begin", transaction="R")
-            await call(manager, "set_seq", session=result["session"], seq=99)
-            assert manager.session(result["session"]).job.seq == 99
-            await manager.shutdown()
-
-        run(body())
-
     def test_prepare_unprepare_toggle_the_fence(self):
         async def body():
             manager = LockManager(catalog_rw(), "pcp-da")
@@ -251,7 +241,7 @@ class TestShardOps:
         async def body():
             manager = ShardedLockManager(catalog_rw(), "pcp-da", shards=2,
                                          partitioner="hash")
-            for op in ("set_seq", "prepare", "unprepare", "force_abort"):
+            for op in ("prepare", "unprepare", "force_abort"):
                 response = await wire.dispatch_request(
                     manager, {"id": 1, "op": op, "session": 0}
                 )
