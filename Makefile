@@ -24,13 +24,15 @@
 # `make verify`. The measured run is `python3 benchmarks/suite/run.py`;
 # `make bench-pair REF=<commit> WORKLOAD=<name> [PAIRS=10]` compares two
 # commits on one workload by alternating runs (benchmarks/bench_pair.py).
+# `make loc` prints total and code-only (no blanks, comments, docstrings)
+# line counts per src/repro package — the one way a PR counts "smaller".
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify verify-faults verify-service verify-sharding verify-procs \
 	test smoke kernel-smoke bench bench-smoke bench-suite-smoke \
-	bench-pair bench-compare bench-all stress stress-smoke stress-procs
+	bench-pair bench-compare bench-all stress stress-smoke stress-procs loc
 
 verify: test smoke kernel-smoke bench-smoke bench-suite-smoke stress-smoke \
 	verify-service verify-sharding verify-procs
@@ -39,12 +41,14 @@ verify-faults:
 	$(PYTHON) -m pytest -q -m faults
 
 # The in-process service battery (no sockets): manager semantics, the
-# simulator differential, wire dispatch, the connection class fed raw
-# bytes over an in-memory transport (framing, garbage, stalls,
-# disconnects), and the loadgen driven through the in-process
-# transport. The TCP soak runs only when SOAK=1.
+# constraint graph's property battery, the simulator differential, wire
+# dispatch, the connection class fed raw bytes over an in-memory
+# transport (framing, garbage, stalls, disconnects), and the loadgen
+# driven through the in-process transport. The TCP soak runs only when
+# SOAK=1.
 verify-service:
 	$(PYTHON) -m pytest -q tests/test_service_manager.py \
+		tests/test_service_constraints.py \
 		tests/test_service_differential.py tests/test_service_wire.py \
 		tests/test_service_connection.py tests/test_service_loadgen.py
 	$(if $(SOAK),$(PYTHON) -m pytest -q -m service_soak --override-ini \
@@ -124,6 +128,11 @@ bench-suite-smoke:
 bench-pair:
 	python3 benchmarks/bench_pair.py --ref $(REF) --workload $(WORKLOAD) \
 		$(if $(PAIRS),--pairs $(PAIRS),)
+
+# Line counts per package, total and code-only (tools/loc.py, stdlib
+# tokenize). Usage: make loc [LOC_ROOT=path/to/other/checkout/src/repro]
+loc:
+	$(PYTHON) tools/loc.py $(LOC_ROOT)
 
 # Diff two BENCH ledgers (review gate for perf PRs): non-zero exit when
 # any protocol row or the total drops >10% events/s vs BASE.

@@ -2,12 +2,13 @@
 
 Where ``bench_simulator_throughput`` times whole simulations, these time
 the individual operations the incremental fast path optimised — calendar
-push/pop with rank-at-push, lock grant/release driving the ceiling index,
-``Sysceil`` queries answered from the index, dispatch-heavy simulation,
-the wait-for graph's three queries at 8 / 128 / 512 parked waiters, and
-one wire round trip through the real server and client connection ends —
-so a regression can be attributed to the specific structure that caused
-it.
+push/pop with rank-at-push, lock grant/release driving the kernel's
+ceiling index, ``Sysceil`` queries answered from it, the object path's
+from-scratch ceiling walk at 8 / 128 / 512 read locks, dispatch-heavy
+simulation, the wait-for graph's three queries at 8 / 128 / 512 parked
+waiters, and one wire round trip through the real server and client
+connection ends — so a regression can be attributed to the specific
+structure that caused it.
 
 Run via ``make bench`` (or directly:
 ``PYTHONPATH=src:. pytest benchmarks/bench_event_microbench.py --benchmark-only``).
@@ -21,6 +22,7 @@ import pytest
 from repro.engine.event_queue import EventQueue
 from repro.engine.inheritance import WaitForGraph
 from repro.engine.job import Job
+from repro.engine.kernel import build_kernel
 from repro.engine.lock_table import LockTable
 from repro.engine.simulator import SimConfig, Simulator
 from repro.model.priorities import assign_by_order
@@ -28,6 +30,7 @@ from repro.model.spec import LockMode, TransactionSpec, read, write
 from repro.protocols import make_protocol
 from repro.service import LockManager, LockServer
 from repro.service.connection import Connection
+from repro.verify.stress import StressSpec, make_catalog
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
 _N_EVENTS = 2_000
@@ -59,17 +62,20 @@ def _locking_fixture_taskset():
 
 
 def _locking_fixture():
+    """A kernel-attached lock table: the kernel is the table's one
+    grant/release listener and owns the only ceiling index."""
     taskset = _locking_fixture_taskset()
     jobs = tuple(Job(spec, 0, 0.0) for spec in taskset)
     protocol = make_protocol("rw-pcp")
     table = LockTable()
     protocol.bind(taskset, table)
-    return table, jobs, protocol
+    return table, jobs, protocol, build_kernel(protocol, table)
 
 
 def test_grant_release_with_ceiling_index(benchmark):
-    """Lock-table mutation cost including incremental index maintenance."""
-    table, jobs, _ = _locking_fixture()
+    """Lock-table mutation cost including the kernel's lock words and
+    incremental ceiling-index maintenance."""
+    table, jobs, _, kernel = _locking_fixture()
     pairs = [
         (jobs[0], "a", LockMode.READ),
         (jobs[1], "c", LockMode.READ),
@@ -86,20 +92,53 @@ def test_grant_release_with_ceiling_index(benchmark):
 
     benchmark(cycle)
     assert not table.all_entries()
+    kernel.self_check()
 
 
 def test_sysceil_query_from_index(benchmark):
-    """The ``Sysceil`` query a ceiling protocol issues per lock request."""
-    table, jobs, protocol = _locking_fixture()
+    """The ``Sysceil`` query a ceiling protocol issues per lock request,
+    answered by ``Kernel.system_ceiling`` from the index."""
+    table, jobs, protocol, kernel = _locking_fixture()
     table.grant(jobs[0], "a", LockMode.READ)
     table.grant(jobs[2], "b", LockMode.READ)
     table.grant(jobs[2], "c", LockMode.WRITE)
 
-    def query():
-        return protocol.system_ceiling(jobs[1])
+    # Excluding the holder of the two highest ceilings makes the scan
+    # skip them and go on to the third.
+    level = benchmark(kernel.system_ceiling, jobs[2])
+    assert level == protocol.system_ceiling(jobs[2]) == 3
 
-    level = benchmark(query)
-    assert level == protocol.system_ceiling(jobs[1])
+
+@pytest.mark.parametrize("read_locks", (8, 128, 512))
+def test_sysceil_reference_walk(benchmark, read_locks):
+    """One PCP-DA read decision on the object path — a single from-scratch
+    walk of the lock table for ``(Sysceil, T*)`` — with ``read_locks`` read
+    locks held by live instances of the suite's ``wide`` catalog shape.
+    This is what ``SimConfig(kernel=False)`` and the ``debug_invariants``
+    reference pay per decision; the kernel's row is ``kernel.decide``."""
+    catalog = make_catalog(StressSpec(
+        seed=1, txn_types=32, items=512, min_ops=3, max_ops=6,
+        write_probability=0.1, zipf_s=0.0,
+    ))
+    protocol = make_protocol("pcp-da")
+    table = LockTable()
+    protocol.bind(catalog, table)
+    waits = WaitForGraph()
+    protocol.bind_runtime(waits)
+    granted = instance = 0
+    while granted < read_locks:
+        instance += 1
+        for spec in catalog:
+            holder = Job(spec, instance, 0.0)
+            for item in sorted(spec.read_set)[:read_locks - granted]:
+                table.grant(holder, item, LockMode.READ)
+                granted += 1
+    requester = Job(next(iter(catalog)), 0, 0.0)
+    item = min(requester.spec.read_set)
+
+    decision = benchmark(protocol.decide, requester, item, LockMode.READ)
+    kernel = build_kernel(protocol, table, waits)
+    assert decision == kernel.decide(requester, item, LockMode.READ)
 
 
 def test_dispatch_heavy_simulation(benchmark):

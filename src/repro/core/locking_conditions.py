@@ -25,21 +25,14 @@ Quantities involved (paper, Section 5):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Optional, Set, Tuple
 
 from repro.core.ceilings import CeilingTable
-from repro.engine.lock_table import CeilingIndex
 from repro.model.spec import DUMMY_PRIORITY, LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.job import Job
-    from repro.engine.lock_table import LockEntry, LockTable
-
-#: Index kind implementing PCP-DA's ``Sysceil`` semantics (read locks
-#: raise ``Wceil``; write locks raise nothing).  ``system_ceiling`` and
-#: ``ceiling_holders`` only fast-path an attached index of this kind —
-#: other ceiling protocols attach indexes with different level semantics.
-READ_CEILING_INDEX_KIND = "pcpda-read"
+    from repro.engine.lock_table import LockTable
 
 
 @dataclass(frozen=True)
@@ -86,109 +79,50 @@ def _exclusion_set(exclude) -> "FrozenSet[Job]":
     return frozenset({exclude})
 
 
-def _read_locked_items(table: "LockTable", excluded) -> "List[str]":
-    """Items read-locked by at least one job outside ``excluded``."""
-    out = []
-    for item in table.read_locked_items():
-        if any(reader not in excluded for reader in table.readers_of(item)):
-            out.append(item)
-    return out
-
-
-def make_read_ceiling_index(ceilings: CeilingTable) -> CeilingIndex:
-    """Build the :class:`CeilingIndex` that incrementally tracks PCP-DA's
-    ``Sysceil``: an item contributes ``Wceil(x)`` while read-locked (write
-    locks never raise a ceiling — Lemma 1), and items nobody writes
-    (``Wceil = DUMMY_PRIORITY``) contribute nothing."""
-    wceil = ceilings.wceil
-
-    def level_of(item: str, entry: "LockEntry") -> Optional[int]:
-        if not entry.readers:
-            return None
-        level = wceil(item)
-        return None if level == DUMMY_PRIORITY else level
-
-    return CeilingIndex(READ_CEILING_INDEX_KIND, level_of, select="readers")
-
-
-def _read_index(table: "LockTable") -> Optional[CeilingIndex]:
-    """The table's attached index, iff it has PCP-DA read semantics."""
-    index = getattr(table, "ceiling_index", None)
-    if index is not None and index.kind == READ_CEILING_INDEX_KIND:
-        return index
-    return None
-
-
-def system_ceiling(
+def sysceil_and_tstar(
     table: "LockTable", ceilings: CeilingTable, exclude=None
-) -> int:
-    """``Sysceil`` — max ``Wceil`` over items read-locked by jobs outside
-    ``exclude`` (a job, a collection of jobs, or ``None``).
+) -> "Tuple[int, Tuple[Job, ...]]":
+    """``(Sysceil, T*)`` in one walk of the lock table.
+
+    ``Sysceil`` is the highest ``Wceil(x)`` among items read-locked by a
+    job outside ``exclude`` (a job, a collection of jobs, or ``None``);
+    ``T*`` the jobs outside ``exclude`` holding read locks at that level,
+    by release sequence.  Write locks never raise a ceiling (Lemma 1), and
+    items nobody writes (``Wceil = DUMMY_PRIORITY``) contribute nothing.
 
     The exclusion set matters beyond "not my own locks": per Lemma 8 /
     Theorem 2, jobs transitively blocked *on the requester* must not raise
     the requester's ceiling either (see ``evaluate_conditions``).
 
-    Answered from the table's incremental :class:`CeilingIndex` when one
-    with read-ceiling semantics is attached (the protocols attach it in
-    ``bind``); otherwise by :func:`system_ceiling_rescan`.
+    This from-scratch walk is the object path's only ceiling computation
+    and the reference the array kernel's incremental
+    :class:`~repro.engine.lock_table.CeilingIndex` is verified against.
     """
     excluded = _exclusion_set(exclude)
-    index = _read_index(table)
-    if index is not None:
-        level = index.max_level(excluded)
-        return DUMMY_PRIORITY if level is None else level
-    return system_ceiling_rescan(table, ceilings, excluded)
+    wceil = ceilings.wceil
+    level = DUMMY_PRIORITY
+    tstar: "Set[Job]" = set()
+    for item, entry in table.all_entries().items():
+        if not entry.readers:
+            continue
+        ceil = wceil(item)
+        if ceil < level or ceil == DUMMY_PRIORITY:
+            continue
+        readers = entry.readers - excluded
+        if not readers:
+            continue
+        if ceil > level:
+            level, tstar = ceil, readers
+        else:
+            tstar |= readers
+    return level, tuple(sorted(tstar, key=lambda j: j.seq))
 
 
-def system_ceiling_rescan(
+def system_ceiling(
     table: "LockTable", ceilings: CeilingTable, exclude=None
 ) -> int:
-    """``Sysceil`` recomputed from scratch by walking every read-locked
-    item.  The reference implementation the incremental index is verified
-    against (and the fallback for bare tables without an index)."""
-    excluded = _exclusion_set(exclude)
-    level = DUMMY_PRIORITY
-    for item in _read_locked_items(table, excluded):
-        level = max(level, ceilings.wceil(item))
-    return level
-
-
-def ceiling_holders(
-    table: "LockTable", ceilings: CeilingTable, exclude=None
-) -> "Tuple[Job, ...]":
-    """Jobs (outside ``exclude``) holding read locks at the ``Sysceil``
-    level — ``T*``.  Index-accelerated like :func:`system_ceiling`."""
-    excluded = _exclusion_set(exclude)
-    index = _read_index(table)
-    if index is not None:
-        level, items = index.scan(excluded)
-        if level is None:
-            return ()
-        holders: List["Job"] = []
-        for item in items:
-            for job in table.readers_of(item):
-                if job not in excluded and job not in holders:
-                    holders.append(job)
-        return tuple(sorted(holders, key=lambda j: j.seq))
-    return ceiling_holders_rescan(table, ceilings, excluded)
-
-
-def ceiling_holders_rescan(
-    table: "LockTable", ceilings: CeilingTable, exclude=None
-) -> "Tuple[Job, ...]":
-    """From-scratch ``T*`` computation (reference / no-index fallback)."""
-    excluded = _exclusion_set(exclude)
-    level = system_ceiling_rescan(table, ceilings, excluded)
-    if level == DUMMY_PRIORITY:
-        return ()
-    holders: List["Job"] = []
-    for item in _read_locked_items(table, excluded):
-        if ceilings.wceil(item) == level:
-            for job in table.readers_of(item):
-                if job not in excluded and job not in holders:
-                    holders.append(job)
-    return tuple(sorted(holders, key=lambda j: j.seq))
+    """``Sysceil`` alone (see :func:`sysceil_and_tstar`)."""
+    return sysceil_and_tstar(table, ceilings, exclude)[0]
 
 
 def evaluate_conditions(
@@ -250,8 +184,7 @@ def evaluate_conditions(
         )
 
     # ---- read request -------------------------------------------------
-    sysceil = system_ceiling(table, ceilings, ceiling_excluded)
-    tstar = ceiling_holders(table, ceilings, ceiling_excluded)
+    sysceil, tstar = sysceil_and_tstar(table, ceilings, ceiling_excluded)
     write_set = job.spec.write_set
 
     # Table-1 footnote against the item's current write holders.

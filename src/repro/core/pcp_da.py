@@ -27,11 +27,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.ceilings import CeilingTable
-from repro.core.locking_conditions import (
-    evaluate_conditions,
-    make_read_ceiling_index,
-    system_ceiling,
-)
+from repro.core.locking_conditions import evaluate_conditions, system_ceiling
 from repro.engine.interfaces import (
     ConcurrencyControlProtocol,
     Deny,
@@ -80,9 +76,6 @@ class PCPDA(ConcurrencyControlProtocol):
     def bind(self, taskset: TaskSet, table: "LockTable") -> None:
         super().bind(taskset, table)
         self._ceilings = CeilingTable(taskset)
-        # Incremental Sysceil: every grant/release keeps the index current,
-        # so the per-request ceiling queries stop rescanning the table.
-        table.attach_ceiling_index(make_read_ceiling_index(self._ceilings))
 
     @property
     def ceilings(self) -> CeilingTable:

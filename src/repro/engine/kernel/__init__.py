@@ -3,7 +3,7 @@
 See :mod:`repro.engine.kernel.core` for the engine,
 :mod:`repro.engine.kernel.tables` for the compiled per-protocol tables,
 :mod:`repro.engine.kernel.interning` for the id maps, and
-docs/ENGINE.md ("Array kernel") for the design and fallback matrix.
+docs/ENGINE.md ("Array kernel") for the design and the decision map.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ into flat integer state —
 
 * per-item **lock-mode words**: one int bitset of reader slots and one of
   writer slots per item id;
-* per-item **ceiling levels** plus a lazy max-heap of ``(-level, item)``,
-  maintained with the same bump-on-grant / lazy-repair scheme as
-  :class:`~repro.engine.lock_table.CeilingIndex` but over interned ints —
+* per-item **ceiling levels** in the run's one
+  :class:`~repro.engine.lock_table.CeilingIndex` (bump on grant, lazy
+  repair on release), keyed by item id —
 
 and answers every admission decision from the bound
 :class:`~repro.engine.kernel.tables.ProtocolTable` without touching
@@ -33,7 +33,6 @@ pin the equivalence.
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.engine.interfaces import Deny, Grant
@@ -43,7 +42,6 @@ from repro.engine.kernel.tables import (
     FAMILY_PCPDA,
     FAMILY_SYSCEIL,
     FAMILY_WEAK_PCPDA,
-    LEVEL_ACEIL,
     LEVEL_READ_WCEIL,
     LEVEL_RW,
     PCPDA_CEILING_REASON,
@@ -51,6 +49,7 @@ from repro.engine.kernel.tables import (
     TABLE1_REASON,
     WEAK_CEILING_REASON,
 )
+from repro.engine.lock_table import CeilingIndex
 from repro.model.spec import DUMMY_PRIORITY, LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,7 +67,7 @@ class Kernel:
 
     __slots__ = (
         "table_spec", "interner", "_lock_table", "_wait_graph",
-        "_reader_word", "_writer_word", "_cur_level", "_heap", "_jid",
+        "_reader_word", "_writer_word", "_ceilings", "_jid",
         "_family", "_level_source", "_select_readers", "_waiter_exempt",
         "_wceil", "_aceil",
         "_grant_write", "_read_grants", "_decide_read",
@@ -90,8 +89,7 @@ class Kernel:
         # ---- lock-mode words + ceiling levels ---------------------------
         self._reader_word: List[int] = [0] * n
         self._writer_word: List[int] = [0] * n
-        self._cur_level: List[int] = [0] * n
-        self._heap: List[Tuple[int, int]] = []
+        self._ceilings = CeilingIndex()
         # ---- compiled table unpacked into slots ------------------------
         self._family = table_spec.family
         self._level_source = table_spec.level_source
@@ -122,8 +120,7 @@ class Kernel:
         n = len(self.interner.items)
         self._reader_word = [0] * n
         self._writer_word = [0] * n
-        self._cur_level = [0] * n
-        self._heap = []
+        self._ceilings = CeilingIndex()
         intern = self.interner
         for item, entry in lock_table.all_entries().items():
             iid = intern.item_ids[item]
@@ -153,24 +150,22 @@ class Kernel:
             self._writer_word[iid] &= ~bit
         self._refresh_level(iid)
 
-    def _refresh_level(self, iid: int) -> None:
+    def _level_of(self, iid: int) -> int:
+        """The ceiling level the item's lock words raise under the
+        table's level source (``DUMMY_PRIORITY``: none)."""
         readers = self._reader_word[iid]
-        writers = self._writer_word[iid]
         source = self._level_source
         if source == LEVEL_READ_WCEIL:
-            new = self._wceil[iid] if readers else 0
-        elif source == LEVEL_RW:
-            new = (
-                (self._aceil[iid] if writers else self._wceil[iid])
-                if (readers or writers)
-                else 0
-            )
-        else:  # LEVEL_ACEIL
-            new = self._aceil[iid] if (readers or writers) else 0
-        if new != self._cur_level[iid]:
-            self._cur_level[iid] = new
-            if new:
-                heapq.heappush(self._heap, (-new, iid))
+            return self._wceil[iid] if readers else DUMMY_PRIORITY
+        writers = self._writer_word[iid]
+        if not (readers or writers):
+            return DUMMY_PRIORITY
+        if source == LEVEL_RW and not writers:
+            return self._wceil[iid]
+        return self._aceil[iid]  # LEVEL_ACEIL, or LEVEL_RW write-locked
+
+    def _refresh_level(self, iid: int) -> None:
+        self._ceilings.update(iid, self._level_of(iid))
 
     def retire(self, job: "Job") -> None:
         """Recycle a finished job's slot (service sessions churn jobs).
@@ -189,64 +184,34 @@ class Kernel:
     def _scan(self, excluded_word: int) -> Tuple[int, int]:
         """Highest current level among items with a relevant holder outside
         ``excluded_word``, plus the bit-union of those holders over every
-        item at that level.  ``(0, 0)`` when nothing qualifies.
-
-        The integer re-expression of :meth:`CeilingIndex.scan` plus the
-        per-item holder collection that used to follow it: stale heap
-        entries are dropped permanently, valid ones restored.
-        """
-        heap = self._heap
-        current = self._cur_level
+        item at that level.  ``(0, 0)`` when nothing qualifies."""
         readers = self._reader_word
         writers = self._writer_word
-        select_readers = self._select_readers
-        restore: List[Tuple[int, int]] = []
-        seen = set()
-        level = 0
+        keep = ~excluded_word
+        if self._select_readers:
+            def holders_of(iid: int) -> int:
+                return readers[iid] & keep
+        else:
+            def holders_of(iid: int) -> int:
+                return (readers[iid] | writers[iid]) & keep
+        level, iids = self._ceilings.scan(holders_of)
         holders = 0
-        while heap:
-            neg, iid = heap[0]
-            if current[iid] != -neg:
-                heapq.heappop(heap)  # outdated: drop for good
-                continue
-            if level and -neg < level:
-                break
-            heapq.heappop(heap)
-            if iid in seen:
-                continue
-            seen.add(iid)
-            restore.append((neg, iid))
-            word = readers[iid] if select_readers else readers[iid] | writers[iid]
-            word &= ~excluded_word
-            if word:
-                if not level:
-                    level = -neg
-                holders |= word
-        for entry in restore:
-            heapq.heappush(heap, entry)
+        for iid in iids:
+            holders |= holders_of(iid)
         return level, holders
 
     def system_ceiling(self, exclude: "Optional[Job]" = None) -> int:
         """Current system ceiling (global when ``exclude`` is ``None``).
 
-        The global query is amortised O(1): with no exclusions the first
-        *current* heap entry qualifies by construction (a non-zero level
-        implies a relevant holder), so only stale entries are popped.
+        The global query is amortised O(1): with no exclusions the top
+        live level qualifies by construction (a non-zero level implies a
+        relevant holder).
         """
-        if exclude is None:
-            heap = self._heap
-            current = self._cur_level
-            while heap:
-                neg, iid = heap[0]
-                if current[iid] == -neg:
-                    return -neg
-                heapq.heappop(heap)
-            return DUMMY_PRIORITY
-        jid = self.interner.job_ids.get(exclude)
-        if jid is None:
-            return self.system_ceiling(None)
-        level, _ = self._scan(1 << jid)
-        return level
+        if exclude is not None:
+            jid = self.interner.job_ids.get(exclude)
+            if jid is not None:
+                return self._scan(1 << jid)[0]
+        return self._ceilings.top()
 
     # ==================================================================
     # Decisions
@@ -412,25 +377,9 @@ class Kernel:
                 writers[iid] |= 1 << intern.job_ids[job]
         if readers != self._reader_word or writers != self._writer_word:
             raise AssertionError("kernel lock words diverged from the table")
-        represented = {iid for _, iid in self._heap}
-        for iid in range(n):
-            rw, ww = self._reader_word[iid], self._writer_word[iid]
-            source = self._level_source
-            if source == LEVEL_READ_WCEIL:
-                expect = self._wceil[iid] if rw else 0
-            elif source == LEVEL_RW:
-                expect = (self._aceil[iid] if ww else self._wceil[iid]) \
-                    if (rw or ww) else 0
-            else:
-                expect = self._aceil[iid] if (rw or ww) else 0
-            if expect != self._cur_level[iid]:
-                raise AssertionError(
-                    f"kernel ceiling level diverged for {intern.items[iid]}: "
-                    f"incremental={self._cur_level[iid]} rescan={expect}"
-                )
-            if expect and iid not in represented:
-                raise AssertionError(
-                    f"kernel ceiling heap lost live item {intern.items[iid]}"
-                )
+        levels = ((iid, self._level_of(iid)) for iid in range(n))
+        self._ceilings.self_check(
+            {iid: level for iid, level in levels if level != DUMMY_PRIORITY}
+        )
         if self._wait_graph is not None:
             self._wait_graph.self_check()

@@ -16,10 +16,10 @@ Unusual-but-intentional capabilities (required by PCP-DA):
 
 Stricter protocols simply never grant such combinations.
 
-For the ceiling protocols the table also hosts an optional
-:class:`CeilingIndex` — an incrementally maintained max-structure over the
-per-item ceiling levels, so ``Sysceil`` queries stop rescanning every held
-lock on every request (see the class docstring for the invariants).
+This module is also the home of :class:`CeilingIndex`, the incrementally
+maintained max-structure over per-item ceiling levels.  The table itself
+does not use it: the array kernel — the one listener a table notifies of
+every grant and release — keeps it current and answers ``Sysceil`` from it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     List,
     Optional,
@@ -40,7 +41,7 @@ from typing import (
 
 from repro._compat import DATACLASS_SLOTS
 from repro.exceptions import ProtocolError
-from repro.model.spec import LockMode
+from repro.model.spec import DUMMY_PRIORITY, LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.job import Job
@@ -63,182 +64,116 @@ class LockEntry:
 
 
 class CeilingIndex:
-    """Incremental max-ceiling index over the locked items of one table.
+    """Lazy max-heap over per-key ceiling levels: the one incremental
+    ``Sysceil`` structure.  The array kernel owns the only instance,
+    keyed by item id (:mod:`repro.engine.kernel.core`); the protocols'
+    object path walks the lock table from scratch instead and is the
+    reference this structure is checked against.
 
-    A ceiling protocol attaches one index via
-    :meth:`LockTable.attach_ceiling_index`, supplying ``level_of(item,
-    entry)`` — the protocol's current ceiling of a locked item (``None``
-    when the item contributes no ceiling) — and ``select``, which side of
-    the entry gates the *exclusion* test at query time (``"readers"`` for
-    PCP-DA's read-lock-only ceilings, ``"holders"`` otherwise).
+    Maintenance contract ("bump on grant, lazy-max-repair on release"):
 
-    Maintenance contract (the "bump on grant, lazy-max-repair on release"
-    scheme):
+    * :meth:`update` records a key's current level and **pushes** a heap
+      entry whenever the level changed, so the heap always holds an entry
+      for every key's *current* level;
+    * nothing is ever removed eagerly; outdated entries (the key's level
+      changed, or it dropped to ``DUMMY_PRIORITY``) are recognised
+      against ``_level`` and discarded when they surface at the heap top
+      during a query.
 
-    * every grant/release recomputes the affected item's level — an O(1)
-      call — and **pushes** a heap entry whenever the level changed, so the
-      heap always contains an entry for every item's *current* level;
-    * nothing is ever removed eagerly; outdated entries (the item's level
-      changed, or the item is fully unlocked) are recognised against
-      ``_current`` and discarded when they surface at the heap top during
-      a query.
-
-    Queries therefore cost O(stale + skipped + |answer|) heap operations
-    instead of a full rescan of the table; with low churn the top of the
-    heap is almost always the answer.  ``self_check()`` recomputes
-    everything from scratch and is what the differential battery calls.
+    Queries therefore cost O(stale + skipped + |answer|) heap operations;
+    with low churn the top of the heap is almost always the answer.
     """
 
-    __slots__ = ("kind", "_level_of", "_select_readers", "_table", "_heap",
-                 "_current")
+    __slots__ = ("_heap", "_level")
 
-    def __init__(
-        self,
-        kind: str,
-        level_of: "Callable[[str, LockEntry], Optional[int]]",
-        *,
-        select: str = "holders",
-    ) -> None:
-        if select not in ("readers", "holders"):
-            raise ProtocolError(f"unknown ceiling-index selector {select!r}")
-        self.kind = kind
-        self._level_of = level_of
-        self._select_readers = select == "readers"
-        self._table: "Optional[LockTable]" = None
-        self._heap: List[Tuple[int, str]] = []  # (-level, item), lazy
-        self._current: Dict[str, int] = {}      # item -> live level
+    def __init__(self) -> None:
+        self._heap: List[Tuple[int, Hashable]] = []  # (-level, key), lazy
+        self._level: Dict[Hashable, int] = {}        # key -> live level
 
-    # ------------------------------------------------------------------
-    # Maintenance (driven by LockTable)
-    # ------------------------------------------------------------------
-    def rebuild(self, table: "LockTable") -> None:
-        """Bind to ``table`` and re-derive the index from its live entries."""
-        self._table = table
-        self._heap.clear()
-        self._current.clear()
-        for item, entry in table._entries.items():
-            self.update(item, entry)
-
-    def update(self, item: str, entry: "Optional[LockEntry]") -> None:
-        """Re-evaluate one item after a grant or release on it."""
-        new = None if entry is None or entry.empty else self._level_of(item, entry)
-        old = self._current.get(item)
-        if new == old:
+    def update(self, key: Hashable, level: int) -> None:
+        """Record ``key``'s current ceiling level (``DUMMY_PRIORITY``: it
+        raises no ceiling)."""
+        if level == self._level.get(key, DUMMY_PRIORITY):
             return
-        if new is None:
-            del self._current[item]
+        if level == DUMMY_PRIORITY:
+            del self._level[key]
         else:
-            self._current[item] = new
-            heapq.heappush(self._heap, (-new, item))
+            self._level[key] = level
+            heapq.heappush(self._heap, (-level, key))
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def _qualifies(self, item: str, excluded) -> bool:
-        entry = self._table._entries.get(item)
-        if entry is None:
-            return False
-        if self._select_readers:
-            jobs: Iterable["Job"] = entry.readers
-        elif entry.readers and entry.writers:
-            jobs = entry.readers | entry.writers
-        else:
-            jobs = entry.readers or entry.writers
-        if not excluded:
-            return bool(jobs)
-        for job in jobs:
-            if job not in excluded:
-                return True
-        return False
+    def top(self) -> int:
+        """Highest live level (``DUMMY_PRIORITY`` when there is none);
+        amortised O(1), only outdated entries are popped."""
+        heap = self._heap
+        live = self._level
+        while heap:
+            neg, key = heap[0]
+            if live.get(key) == -neg:
+                return -neg
+            heapq.heappop(heap)
+        return DUMMY_PRIORITY
 
-    def scan(self, excluded=frozenset()) -> Tuple[Optional[int], List[str]]:
-        """Highest level among items locked by someone outside ``excluded``,
-        plus every item at that level; ``(None, [])`` when nothing
-        qualifies.
+    def scan(
+        self, qualifies: Callable[[Hashable], object]
+    ) -> Tuple[int, List[Hashable]]:
+        """Highest level among the keys ``qualifies`` accepts, plus every
+        accepted key at that level; ``(DUMMY_PRIORITY, [])`` when none is.
 
-        Stale heap entries met on the way down are discarded permanently;
-        valid entries that are merely skipped (all their relevant holders
-        are excluded) or consumed for the answer are pushed back.
+        Keys are visited in descending level order.  Outdated heap
+        entries met on the way down are discarded permanently; live ones,
+        whether accepted or skipped, are pushed back.
         """
         heap = self._heap
-        current = self._current
-        restore: List[Tuple[int, str]] = []
-        seen: Set[str] = set()
-        level: Optional[int] = None
-        items: List[str] = []
+        live = self._level
+        restore: List[Tuple[int, Hashable]] = []
+        level = DUMMY_PRIORITY
+        keys: List[Hashable] = []
         while heap:
-            neg, item = heap[0]
-            if current.get(item) != -neg:
+            entry = heap[0]
+            neg, key = entry
+            if live.get(key) != -neg:
                 heapq.heappop(heap)  # outdated: drop for good
                 continue
-            if level is not None and -neg < level:
+            if -neg < level:
                 break  # everything below the found level is irrelevant
             heapq.heappop(heap)
-            if item in seen:
-                continue  # duplicate of an entry already in ``restore``
-            seen.add(item)
-            restore.append((neg, item))
-            if self._qualifies(item, excluded):
-                if level is None:
-                    level = -neg
-                items.append(item)
+            if restore and restore[-1] == entry:
+                continue  # duplicate: equal entries surface back to back
+            restore.append(entry)
+            if qualifies(key):
+                level = -neg
+                keys.append(key)
         for entry in restore:
             heapq.heappush(heap, entry)
-        return level, items
+        return level, keys
 
-    def max_level(self, excluded=frozenset()) -> Optional[int]:
-        """Just the level of :meth:`scan` (``None`` when nothing qualifies)."""
-        return self.scan(excluded)[0]
-
-    # ------------------------------------------------------------------
-    # Differential verification
-    # ------------------------------------------------------------------
-    def self_check(self) -> None:
-        """Assert the incremental state equals a from-scratch re-derivation."""
-        assert self._table is not None, "index used before attach"
-        fresh: Dict[str, int] = {}
-        for item, entry in self._table._entries.items():
-            level = None if entry.empty else self._level_of(item, entry)
-            if level is not None:
-                fresh[item] = level
-        if fresh != self._current:
+    def self_check(self, expected: Dict[Hashable, int]) -> None:
+        """Assert the recorded levels equal ``expected`` (key -> level,
+        ceiling-free keys absent) and the heap still holds an entry for
+        each (differential-battery hook)."""
+        if expected != self._level:
             raise AssertionError(
-                f"ceiling index diverged: incremental={self._current} "
-                f"rescan={fresh}"
+                f"ceiling index diverged: incremental={self._level} "
+                f"rescan={expected}"
             )
-        represented = {item for _, item in self._heap}
-        missing = set(fresh) - represented
+        missing = set(expected.items()) - {
+            (key, -neg) for neg, key in self._heap
+        }
         if missing:
             raise AssertionError(
-                f"ceiling index heap lost live items: {sorted(missing)}"
+                f"ceiling index heap lost live levels: {sorted(missing)}"
             )
 
 
 class LockTable:
     """Mapping of item name to :class:`LockEntry`, plus per-job indexes."""
 
-    __slots__ = ("_entries", "_held_by_job", "_ceiling_index", "_kernel_state")
+    __slots__ = ("_entries", "_held_by_job", "_kernel_state")
 
     def __init__(self) -> None:
         self._entries: Dict[str, LockEntry] = {}
         self._held_by_job: "Dict[Job, Dict[str, Set[LockMode]]]" = {}
-        self._ceiling_index: Optional[CeilingIndex] = None
         self._kernel_state = None
-
-    # ------------------------------------------------------------------
-    # Ceiling index
-    # ------------------------------------------------------------------
-    def attach_ceiling_index(self, index: CeilingIndex) -> CeilingIndex:
-        """Install ``index`` (one per table); it is rebuilt from the live
-        entries and kept current by every subsequent grant/release."""
-        self._ceiling_index = index
-        index.rebuild(self)
-        return index
-
-    @property
-    def ceiling_index(self) -> Optional[CeilingIndex]:
-        """The attached :class:`CeilingIndex`, if any."""
-        return self._ceiling_index
 
     def attach_kernel_state(self, state) -> None:
         """Install the array kernel's lock-word mirror (one per table); it
@@ -270,8 +205,6 @@ class LockTable:
         if modes is None:
             modes = by_job[item] = set()
         modes.add(mode)
-        if self._ceiling_index is not None:
-            self._ceiling_index.update(item, entry)
         if self._kernel_state is not None:
             self._kernel_state.on_grant(job, item, mode)
 
@@ -291,8 +224,6 @@ class LockTable:
                 del self._held_by_job[job][item]
         if entry.empty:
             del self._entries[item]
-        if self._ceiling_index is not None:
-            self._ceiling_index.update(item, entry)
         if self._kernel_state is not None:
             self._kernel_state.on_release(job, item, mode)
 
@@ -371,5 +302,6 @@ class LockTable:
         return tuple(sorted(out))
 
     def all_entries(self) -> "Dict[str, LockEntry]":
-        """Live view of the table (tests and protocol tracing only)."""
+        """Live view of the table, read-only: the protocols' ceiling
+        walks, the kernel's rebuild and self-check, tests."""
         return self._entries

@@ -91,8 +91,8 @@ class SimConfig:
             and every kernel answer is cross-checked against it.
         debug_invariants: after every event batch, cross-check the
             incremental scheduler state (ready heap, blocked set, active
-            index, ceiling index, kernel mirrors) against a from-scratch
-            recomputation.  Slow; exists for the differential battery,
+            index, the kernel's lock words and ceiling index) against a
+            from-scratch recomputation.  Slow; exists for the differential battery,
             which uses it to prove the fast path is observationally
             identical to filtering ``jobs`` per event.
     """
@@ -481,9 +481,6 @@ class Simulator:
                 f"{fast.name if fast else None} != "
                 f"{slow.name if slow else None}"
             )
-        index = self.table.ceiling_index
-        if index is not None:
-            index.self_check()
         if self.kernel is not None:
             self.kernel.self_check()  # includes the wait graph's
         else:

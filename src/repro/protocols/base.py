@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple, Type
 
 from repro.core.ceilings import CeilingTable
 from repro.engine.interfaces import ConcurrencyControlProtocol
-from repro.engine.lock_table import CeilingIndex
 from repro.exceptions import ProtocolError, UnknownProtocolError
 from repro.model.spec import DUMMY_PRIORITY, LockMode, TaskSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.job import Job
-    from repro.engine.lock_table import LockTable
+    from repro.engine.lock_table import LockEntry, LockTable
 
 _REGISTRY: Dict[str, Callable[[], ConcurrencyControlProtocol]] = {}
 
@@ -46,13 +45,6 @@ def available_protocols() -> Tuple[str, ...]:
 class CeilingProtocolBase(ConcurrencyControlProtocol):
     """Shared machinery for protocols that use static ceiling tables."""
 
-    #: Kind tag of the :class:`CeilingIndex` this protocol's ``Sysceil``
-    #: queries can be answered from (``None``: no index acceleration).
-    #: The tag guards against fast-pathing an index with the *wrong*
-    #: level semantics — only the protocol family that attached an index
-    #: of its own kind will consult it.
-    _index_kind: Optional[str] = None
-
     def __init__(self) -> None:
         super().__init__()
         self._ceilings: Optional[CeilingTable] = None
@@ -60,19 +52,44 @@ class CeilingProtocolBase(ConcurrencyControlProtocol):
     def bind(self, taskset: TaskSet, table: "LockTable") -> None:
         super().bind(taskset, table)
         self._ceilings = CeilingTable(taskset)
-        index = self._make_ceiling_index()
-        if index is not None:
-            table.attach_ceiling_index(index)
 
     @property
     def ceilings(self) -> CeilingTable:
         assert self._ceilings is not None, "protocol used before bind()"
         return self._ceilings
 
-    def _make_ceiling_index(self) -> Optional[CeilingIndex]:
-        """Build this protocol's incremental ceiling index (``None`` when
-        the protocol has no ceiling queries worth accelerating)."""
-        return None
+    # ------------------------------------------------------------------
+    # Sysceil — one from-scratch walk, the array kernel's reference
+    # ------------------------------------------------------------------
+    def _item_ceiling(self, item: str, entry: "LockEntry") -> int:
+        """The runtime ceiling of a locked item — the one expression the
+        P>Sysceil protocols differ in."""
+        raise NotImplementedError
+
+    def _sysceil_and_holders(
+        self, exclude: "Optional[Job]"
+    ) -> Tuple[int, Tuple["Job", ...]]:
+        """``(Sysceil, holders)`` in one walk of the lock table: the
+        highest :meth:`_item_ceiling` among items locked by a job other
+        than ``exclude``, and the jobs other than ``exclude`` holding the
+        items at that level, by release sequence."""
+        level = DUMMY_PRIORITY
+        holders: "Set[Job]" = set()
+        for item, entry in self.table.all_entries().items():
+            ceil = self._item_ceiling(item, entry)
+            if ceil < level or ceil == DUMMY_PRIORITY:
+                continue
+            others = (entry.readers | entry.writers) - {exclude}
+            if not others:
+                continue
+            if ceil > level:
+                level, holders = ceil, others
+            else:
+                holders |= others
+        return level, tuple(sorted(holders, key=lambda j: j.seq))
+
+    def system_ceiling(self, exclude: "Optional[Job]" = None) -> int:
+        return self._sysceil_and_holders(exclude)[0]
 
     # ------------------------------------------------------------------
     # Array-kernel compilation
@@ -95,30 +112,6 @@ class CeilingProtocolBase(ConcurrencyControlProtocol):
             conflict_reason=conflict_reason,
             ceiling_reason="ceiling blocking: P <= Sysceil",
         )
-
-    def _scan_sysceil_and_holders(
-        self, exclude: "Optional[Job]"
-    ) -> Optional[Tuple[int, Tuple["Job", ...]]]:
-        """``(Sysceil, holders)`` answered from the attached index, or
-        ``None`` when no index of this protocol's kind is attached
-        (callers then fall back to their from-scratch rescan)."""
-        index = self.table.ceiling_index
-        if index is None or index.kind != self._index_kind:
-            return None
-        excluded = frozenset() if exclude is None else frozenset({exclude})
-        level, items = index.scan(excluded)
-        if level is None:
-            return DUMMY_PRIORITY, ()
-        # Membership via a set: the ``job not in holders`` list scan this
-        # replaces was quadratic in the holder count.
-        seen: "set" = set()
-        holders: "List[Job]" = []
-        for item in items:
-            for job in self.table.holders_of(item):
-                if job is not exclude and job not in seen:
-                    seen.add(job)
-                    holders.append(job)
-        return level, tuple(sorted(holders, key=lambda j: j.seq))
 
 
 # Register PCP-DA here (its module lives in repro.core and must not import

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from repro.engine.interfaces import Deny, Grant, InstallPolicy
-from repro.engine.lock_table import CeilingIndex
 from repro.model.spec import DUMMY_PRIORITY, LockMode
 from repro.protocols.base import CeilingProtocolBase, register_protocol
 
@@ -48,7 +47,6 @@ class IPCP(CeilingProtocolBase):
     #: concurrent clients (repro.service) conflicting holds do occur and
     #: can cycle, so the service resolves them by victim abort.
     deadlock_free_requires_scheduler = True
-    _index_kind = "aceil"
 
     def __init__(self) -> None:
         super().__init__()
@@ -56,14 +54,8 @@ class IPCP(CeilingProtocolBase):
         #: :meth:`priority_floor` for why this cache is exact).
         self._floor_of: "Dict[Job, int]" = {}
 
-    def _make_ceiling_index(self) -> CeilingIndex:
-        aceil = self.ceilings.aceil
-
-        def level_of(item: str, entry: "LockEntry") -> Optional[int]:
-            level = aceil(item)
-            return None if level == DUMMY_PRIORITY else level
-
-        return CeilingIndex(self._index_kind, level_of)
+    def _item_ceiling(self, item: str, entry: "LockEntry") -> int:
+        return self.ceilings.aceil(item)
 
     def priority_floor(self, job: "Job") -> int:
         """The job runs at least at the highest ceiling it holds.
@@ -97,17 +89,6 @@ class IPCP(CeilingProtocolBase):
             tuple(sorted(holders, key=lambda j: j.seq)),
             "conflict blocking: item held (unexpected under IPCP)",
         )
-
-    def system_ceiling(self, exclude: "Job" = None) -> int:
-        index = self.table.ceiling_index
-        if index is not None and index.kind == self._index_kind:
-            excluded = frozenset() if exclude is None else frozenset({exclude})
-            level = index.max_level(excluded)
-            return DUMMY_PRIORITY if level is None else level
-        level = DUMMY_PRIORITY
-        for item in self.table.locked_items(exclude=exclude):
-            level = max(level, self.ceilings.aceil(item))
-        return level
 
     def compile_table(self):
         """IPCP for the array kernel: grant iff the item is free; the

@@ -15,11 +15,10 @@ ceiling test also subsumes the direct-conflict check.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING
 
 from repro.engine.interfaces import Deny, Grant, InstallPolicy
-from repro.engine.lock_table import CeilingIndex
-from repro.model.spec import DUMMY_PRIORITY, LockMode
+from repro.model.spec import LockMode
 from repro.protocols.base import CeilingProtocolBase, register_protocol
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,43 +33,9 @@ class OriginalPCP(CeilingProtocolBase):
     name = "pcp"
     install_policy = InstallPolicy.AT_WRITE
     can_deadlock = False
-    _index_kind = "aceil"
 
-    def _make_ceiling_index(self) -> CeilingIndex:
-        aceil = self.ceilings.aceil
-
-        def level_of(item: str, entry: "LockEntry") -> Optional[int]:
-            level = aceil(item)
-            return None if level == DUMMY_PRIORITY else level
-
-        return CeilingIndex(self._index_kind, level_of)
-
-    def _sysceil_and_holders(
-        self, exclude: "Optional[Job]"
-    ) -> Tuple[int, Tuple["Job", ...]]:
-        fast = self._scan_sysceil_and_holders(exclude)
-        if fast is not None:
-            return fast
-        return self._sysceil_and_holders_rescan(exclude)
-
-    def _sysceil_and_holders_rescan(
-        self, exclude: "Optional[Job]"
-    ) -> Tuple[int, Tuple["Job", ...]]:
-        level = DUMMY_PRIORITY
-        per_item: List[Tuple[str, int]] = []
-        for item in self.table.locked_items(exclude=exclude):
-            ceil = self.ceilings.aceil(item)
-            per_item.append((item, ceil))
-            level = max(level, ceil)
-        if level == DUMMY_PRIORITY:
-            return level, ()
-        holders: List["Job"] = []
-        for item, ceil in per_item:
-            if ceil == level:
-                for job in self.table.holders_of(item):
-                    if job is not exclude and job not in holders:
-                        holders.append(job)
-        return level, tuple(sorted(holders, key=lambda j: j.seq))
+    def _item_ceiling(self, item: str, entry: "LockEntry") -> int:
+        return self.ceilings.aceil(item)
 
     def decide(self, job: "Job", item: str, mode: LockMode):
         sysceil, holders = self._sysceil_and_holders(job)
@@ -83,10 +48,6 @@ class OriginalPCP(CeilingProtocolBase):
             else "ceiling blocking: P <= Sysceil"
         )
         return Deny(holders, reason)
-
-    def system_ceiling(self, exclude: "Optional[Job]" = None) -> int:
-        level, _ = self._sysceil_and_holders(exclude)
-        return level
 
     def compile_table(self):
         """Original PCP for the array kernel: every lock is exclusive and

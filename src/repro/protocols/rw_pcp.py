@@ -26,11 +26,10 @@ Wceil ≥`` every potential writer's priority.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING
 
 from repro.engine.interfaces import Deny, Grant, InstallPolicy
-from repro.engine.lock_table import CeilingIndex
-from repro.model.spec import DUMMY_PRIORITY, LockMode
+from repro.model.spec import LockMode
 from repro.protocols.base import CeilingProtocolBase, register_protocol
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,67 +44,13 @@ class RWPCP(CeilingProtocolBase):
     name = "rw-pcp"
     install_policy = InstallPolicy.AT_WRITE
     can_deadlock = False
-    _index_kind = "rwceil"
 
-    def _make_ceiling_index(self) -> CeilingIndex:
-        aceil = self.ceilings.aceil
-        wceil = self.ceilings.wceil
-
-        def level_of(item: str, entry: "LockEntry") -> Optional[int]:
-            # The runtime r/w ceiling: Aceil while write-locked, Wceil
-            # while (only) read-locked; ceiling-free items drop out.
-            level = aceil(item) if entry.writers else wceil(item)
-            return None if level == DUMMY_PRIORITY else level
-
-        return CeilingIndex(self._index_kind, level_of)
-
-    # ------------------------------------------------------------------
-    # Runtime ceilings
-    # ------------------------------------------------------------------
-    def rwceil(self, item: str) -> Optional[int]:
-        """Current r/w ceiling of ``item``; ``None`` when unlocked."""
-        if self.table.writers_of(item):
+    def _item_ceiling(self, item: str, entry: "LockEntry") -> int:
+        """``rwceil(x)``: ``Aceil`` while write-locked — by anyone, the
+        requester included — ``Wceil`` while (only) read-locked."""
+        if entry.writers:
             return self.ceilings.aceil(item)
-        if self.table.readers_of(item):
-            return self.ceilings.wceil(item)
-        return None
-
-    def _sysceil_and_holders(
-        self, exclude: "Optional[Job]"
-    ) -> Tuple[int, Tuple["Job", ...]]:
-        """``Sysceil`` w.r.t. ``exclude`` and the jobs holding it."""
-        fast = self._scan_sysceil_and_holders(exclude)
-        if fast is not None:
-            return fast
-        return self._sysceil_and_holders_rescan(exclude)
-
-    def _sysceil_and_holders_rescan(
-        self, exclude: "Optional[Job]"
-    ) -> Tuple[int, Tuple["Job", ...]]:
-        """From-scratch reference (and no-index fallback) for
-        :meth:`_sysceil_and_holders`."""
-        level = DUMMY_PRIORITY
-        per_item: List[Tuple[str, int]] = []
-        for item in self.table.locked_items(exclude=exclude):
-            holders = self.table.holders_of(item) - ({exclude} if exclude else set())
-            if not holders:
-                continue
-            # rwceil from the perspective of "locked by others": a write
-            # lock by anyone (including exclude) dominates, but the item
-            # only counts if someone else holds a lock on it.
-            ceil = self.rwceil(item)
-            assert ceil is not None
-            per_item.append((item, ceil))
-            level = max(level, ceil)
-        if level == DUMMY_PRIORITY:
-            return level, ()
-        holders: List["Job"] = []
-        for item, ceil in per_item:
-            if ceil == level:
-                for job in self.table.holders_of(item):
-                    if job is not exclude and job not in holders:
-                        holders.append(job)
-        return level, tuple(sorted(holders, key=lambda j: j.seq))
+        return self.ceilings.wceil(item)
 
     # ------------------------------------------------------------------
     # Decisions
@@ -123,10 +68,6 @@ class RWPCP(CeilingProtocolBase):
         else:
             reason = "ceiling blocking: P <= Sysceil"
         return Deny(holders, reason)
-
-    def system_ceiling(self, exclude: "Optional[Job]" = None) -> int:
-        level, _ = self._sysceil_and_holders(exclude)
-        return level
 
     def compile_table(self):
         """RW-PCP for the array kernel: the runtime r/w ceiling (Aceil

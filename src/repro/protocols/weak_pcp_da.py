@@ -20,13 +20,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.ceilings import CeilingTable
-from repro.core.locking_conditions import (
-    ceiling_holders,
-    make_read_ceiling_index,
-    system_ceiling,
-)
+from repro.core.locking_conditions import sysceil_and_tstar, system_ceiling
 from repro.engine.interfaces import Deny, Grant, InstallPolicy
-from repro.engine.lock_table import CeilingIndex
 from repro.model.spec import LockMode, TaskSet
 from repro.protocols.base import CeilingProtocolBase, register_protocol
 
@@ -42,11 +37,6 @@ class WeakPCPDA(CeilingProtocolBase):
     install_policy = InstallPolicy.AT_COMMIT
     can_deadlock = True
 
-    def _make_ceiling_index(self) -> CeilingIndex:
-        # Same Sysceil semantics as full PCP-DA (only the admission
-        # conditions are weakened), so the same read-ceiling index applies.
-        return make_read_ceiling_index(self.ceilings)
-
     def decide(self, job: "Job", item: str, mode: LockMode):
         if mode is LockMode.WRITE:
             other_readers = tuple(
@@ -59,12 +49,11 @@ class WeakPCPDA(CeilingProtocolBase):
                 "conflict blocking: write-lock denied, item is read-locked",
             )
         # Read request: naive conditions (1) or (2).
-        sysceil = system_ceiling(self.table, self.ceilings, job)
+        sysceil, blockers = sysceil_and_tstar(self.table, self.ceilings, job)
         if job.running_priority > sysceil:
             return Grant("cond(1) P>Sysceil")
         if job.running_priority >= self.ceilings.hpw(item):
             return Grant("cond(2) P>=HPW")
-        blockers = ceiling_holders(self.table, self.ceilings, job)
         return Deny(blockers, "ceiling blocking: conditions (1) and (2) false")
 
     def system_ceiling(self, exclude: "Optional[Job]" = None) -> int:

@@ -104,6 +104,7 @@ from repro.exceptions import (
 from repro.model.spec import LockMode, TaskSet
 from repro.model.validation import validate_taskset
 from repro.protocols import make_protocol
+from repro.service.constraints import ConstraintGraph
 from repro.service.eventloop import loop_implementation
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import (
@@ -355,13 +356,10 @@ class LockManager:
         self._churn_items: Set[str] = set()
         self._churn_waiters: Set[Job] = set()
         self._churn_priorities: Set[Job] = set()
-        # Serialization-order constraints among LIVE jobs (see module
-        # docstring): _pred[w] = {s: s ≺ w}, _succ[s] = {w: s ≺ w}.
-        self._pred: Dict[Job, Set[Job]] = {}
-        self._succ: Dict[Job, Set[Job]] = {}
-        #: Memoized transitive closures over ``_pred``, dirtied wholesale
-        #: on any constraint-graph edit (see :meth:`_transitive_preds`).
-        self._preds_cache: Dict[Job, Set[Job]] = {}
+        #: Serialization-order constraints ``reader ≺ writer`` among live
+        #: jobs (see module docstring).  Public: the shard coordinator
+        #: reads a shard's closure through it.
+        self.constraints = ConstraintGraph()
         #: Sessions parked at the commit gate, with their wake-up futures.
         self._gate_futures: Dict[Session, "asyncio.Future[None]"] = {}
         #: Commit-fenced sessions (see :meth:`prepare_commit`): while a
@@ -506,7 +504,7 @@ class LockManager:
         # this commit's installs and close a serialization cycle.
         while True:
             predecessors = tuple(sorted(
-                self._pred.get(job, ()), key=lambda j: j.seq
+                self.constraints.direct_preds(job), key=lambda j: j.seq
             ))
             if not predecessors:
                 break
@@ -571,7 +569,7 @@ class LockManager:
         session.committing = True
         self._committing[session.job] = session
         return tuple(sorted(
-            p.name for p in self._pred.get(session.job, ())
+            p.name for p in self.constraints.direct_preds(session.job)
         ))
 
     def unprepare_commit(self, session: Session) -> None:
@@ -859,10 +857,10 @@ class LockManager:
         overwrite (or would close a cycle in the constraint graph).  This
         is the Table-1 footnote condition applied forward in time.
         """
-        if mode is not LockMode.READ or not self._pred:
+        if mode is not LockMode.READ or not self.constraints:
             return None
         guard = tuple(sorted(
-            (p for p in self._transitive_preds(job)
+            (p for p in self.constraints.preds(job)
              if item in p.spec.write_set),
             key=lambda j: j.seq,
         ))
@@ -921,28 +919,6 @@ class LockManager:
             return deny
         return self._decide(job, item, mode)
 
-    def _transitive_preds(self, job: Job) -> Set[Job]:
-        """All live jobs serialized before ``job`` (transitively).
-
-        Memoized per job: the cache is dirtied wholesale on every
-        constraint-graph edit (:meth:`_apply_grant` adds edges,
-        :meth:`_drop_constraints` removes them), so the order guard's
-        repeated closure walks between lock churns are O(1).  Callers
-        must not mutate the returned set.
-        """
-        cached = self._preds_cache.get(job)
-        if cached is not None:
-            return cached
-        seen: Set[Job] = set()
-        stack = [job]
-        while stack:
-            for pred in self._pred.get(stack.pop(), ()):
-                if pred not in seen:
-                    seen.add(pred)
-                    stack.append(pred)
-        self._preds_cache[job] = seen
-        return seen
-
     def _apply_grant(
         self,
         session: Session,
@@ -960,12 +936,8 @@ class LockManager:
             # Reading past a write lock (LC3/LC4) serializes this session
             # before every current write holder — record the adjusted
             # order so commit gating can enforce it (see module docstring).
-            writers = self.table.writers_of(item) - {job}
-            if writers:
-                self._preds_cache.clear()
-                for writer in writers:
-                    self._succ.setdefault(job, set()).add(writer)
-                    self._pred.setdefault(writer, set()).add(job)
+            for writer in self.table.writers_of(item) - {job}:
+                if self.constraints.add(job, writer):
                     self._notify_churn("constraint", job, writer)
         self._recompute_priorities()
         job.grant_rules.append((now, item, mode, rule))
@@ -1296,23 +1268,6 @@ class LockManager:
             if not future.done():
                 future.set_result(None)
 
-    def _drop_constraints(self, job: Job) -> None:
-        """Remove a finished job from the serialization-constraint graph."""
-        if self._preds_cache:
-            self._preds_cache.clear()
-        for succ in self._succ.pop(job, ()):
-            preds = self._pred.get(succ)
-            if preds is not None:
-                preds.discard(job)
-                if not preds:
-                    self._pred.pop(succ, None)
-        for pred in self._pred.pop(job, ()):
-            succs = self._succ.get(pred)
-            if succs is not None:
-                succs.discard(job)
-                if not succs:
-                    self._succ.pop(pred, None)
-
     # ------------------------------------------------------------------
     # Abort / deadlock machinery
     # ------------------------------------------------------------------
@@ -1376,7 +1331,7 @@ class LockManager:
         session.committing = False
         self._committing.pop(job, None)
         self._live.pop(job, None)
-        self._drop_constraints(job)
+        self.constraints.drop(job)
         self.history.record_abort(job.name, now)
         self.stats.record_abort(job.base_priority, forced=forced)
         self.trace.sched(now, SchedEventKind.ABORT, job.name)
@@ -1398,7 +1353,7 @@ class LockManager:
         session.committing = False
         self._committing.pop(job, None)
         self._live.pop(job, None)
-        self._drop_constraints(job)
+        self.constraints.drop(job)
         self._recompute_priorities()
         self._sample_sysceil()
         self._wake_gates()

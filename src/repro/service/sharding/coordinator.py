@@ -27,7 +27,7 @@ serializable service:
   publishes churn notifications (``LockManager.churn_listeners``), and
   an LC3/LC4 constraint record adds a session-level edge the moment the
   shard records it, while a global terminal removes the session's node —
-  no per-wait rebuild over the shard ``_pred`` registries.  The install
+  no per-wait rebuild over the shards' own graphs.  The install
   loop that follows contains no ``await`` until the last shard's install
   lands — per-shard local gates are empty by then (their constraints are
   a subset of the merged ones), so a multi-shard commit is atomic on the
@@ -90,6 +90,7 @@ from repro.exceptions import (
     TransactionAborted,
 )
 from repro.model.spec import TaskSet, TransactionSpec
+from repro.service.constraints import ConstraintGraph
 from repro.service.eager import eager_start
 from repro.service.manager import (
     LockManager,
@@ -276,15 +277,10 @@ class ShardedLockManager:
         #: blocker session -> waiters parked on it (terminal wake index).
         self._wake_index: Dict[GlobalSession, Set[GlobalSession]] = {}
         #: The incrementally maintained session-level constraint graph,
-        #: mirrored from shard LC3/LC4 records via churn notifications:
-        #: _gpred[w] = {s: s ≺ w}, _gsucc[s] = {w: s ≺ w}.  A session's
-        #: node is dropped wholesale at its global terminal — exactly
-        #: when its legs' shard-side edges are dropped.
-        self._gpred: Dict[GlobalSession, Set[GlobalSession]] = {}
-        self._gsucc: Dict[GlobalSession, Set[GlobalSession]] = {}
-        #: Memoized transitive closures over ``_gpred``, dirtied
-        #: wholesale on any graph edit.
-        self._gpred_cache: Dict[GlobalSession, Set[GlobalSession]] = {}
+        #: mirrored from shard LC3/LC4 records via churn notifications.
+        #: A session's node is dropped wholesale at its global terminal —
+        #: exactly when its legs' shard-side edges are dropped.
+        self.constraints = ConstraintGraph()
         #: Coalescing flag: at most one deadlock pass per loop tick.
         self._deadlock_check_scheduled = False
         #: (kind, instance name, time) terminal rows for the merged history.
@@ -934,13 +930,7 @@ class ShardedLockManager:
             writer = self._job_sessions.get(other)
             if reader is None or writer is None or reader is writer:
                 return
-            succs = self._gsucc.setdefault(reader, set())
-            if writer in succs:
-                return
-            succs.add(writer)
-            self._gpred.setdefault(writer, set()).add(reader)
-            if self._gpred_cache:
-                self._gpred_cache.clear()
+            self.constraints.add(reader, writer)
         elif kind == "abort":
             session = self._job_sessions.get(job)
             if session is not None and session.state.live:
@@ -975,33 +965,10 @@ class ShardedLockManager:
         if not self._closed:
             self._check_global_deadlock()
 
-    def _drop_session_constraints(self, session: GlobalSession) -> None:
-        """Remove a finished session's node from the constraint graph."""
-        succs = self._gsucc.pop(session, None)
-        preds = self._gpred.pop(session, None)
-        if succs:
-            for succ in succs:
-                remaining = self._gpred.get(succ)
-                if remaining is not None:
-                    remaining.discard(session)
-                    if not remaining:
-                        self._gpred.pop(succ, None)
-        if preds:
-            for pred in preds:
-                remaining = self._gsucc.get(pred)
-                if remaining is not None:
-                    remaining.discard(session)
-                    if not remaining:
-                        self._gsucc.pop(pred, None)
-        if succs or preds:
-            self._gpred_cache.clear()
-        else:
-            self._gpred_cache.pop(session, None)
-
     def _on_session_terminal(self, session: GlobalSession) -> None:
         """Shared terminal bookkeeping: drop the constraint node, wake
         exactly the gate/guard waiters whose predecessor sets shrink."""
-        self._drop_session_constraints(session)
+        self.constraints.drop(session)
         waiters = self._wake_index.pop(session, None)
         if waiters:
             for waiter in tuple(waiters):
@@ -1107,27 +1074,14 @@ class ShardedLockManager:
     def _merged_preds(self, session: GlobalSession) -> Set[GlobalSession]:
         """Live sessions serialized before this one, on the merged graph.
 
-        Transitive closure over the incrementally maintained session-
-        level graph (``_gpred``), which mirrors every shard's constraint
-        records via churn notifications — equivalent to the old rebuild
-        over the shard registries because a session-level edge exists
-        exactly while its shard-side edge does (both drop at the global
-        terminal).  Memoized; any graph edit dirties the cache
-        wholesale.  Callers must not mutate the returned set.
+        The memoised closure of the session-level graph, which mirrors
+        every shard's constraint records via churn notifications: a
+        session-level edge exists exactly while its shard-side edge does
+        (both drop at the global terminal).  Callers must not mutate the
+        returned set.
         """
         self.sharding_stats.constraint_merges += 1
-        cached = self._gpred_cache.get(session)
-        if cached is not None:
-            return cached
-        seen: Set[GlobalSession] = set()
-        stack: List[GlobalSession] = [session]
-        while stack:
-            for pred in self._gpred.get(stack.pop(), ()):
-                if pred is not session and pred not in seen:
-                    seen.add(pred)
-                    stack.append(pred)
-        self._gpred_cache[session] = seen
-        return seen
+        return self.constraints.preds(session)
 
     def _remote_guard_blockers(
         self, session: GlobalSession, shard_id: int, item: str
@@ -1147,7 +1101,7 @@ class ShardedLockManager:
         leg = session.legs.get(shard_id)
         if leg is not None and leg.state.live:
             shard = self.shards[shard_id]
-            for pred_job in shard._transitive_preds(leg.job):
+            for pred_job in shard.constraints.preds(leg.job):
                 pred = self._job_sessions.get(pred_job)
                 if pred is not None:
                     local.add(pred)

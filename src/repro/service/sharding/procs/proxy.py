@@ -4,7 +4,7 @@ A :class:`RemoteShardProxy` implements exactly the surface
 :class:`~repro.service.sharding.coordinator.ShardedLockManager` consumes
 from a shard — ``begin``/``read``/``write``/``commit``, the commit-fence
 pair ``prepare_commit``/``unprepare_commit``, ``force_abort``, the
-constraint/wait introspection (``_transitive_preds``, ``waits``) and the
+constraint/wait introspection (``constraints``, ``waits``) and the
 churn/decision listener hookup — so the coordinator code runs unchanged
 whether a shard is an in-process :class:`LockManager` or a
 ``repro shard-host`` on the far side of a socket.
@@ -12,8 +12,9 @@ whether a shard is an in-process :class:`LockManager` or a
 Two mechanisms make that possible:
 
 * **Mirrors.**  The proxy keeps a local mirror :class:`Session` (with a
-  real engine :class:`Job` inside) for every leg it opened, plus
-  name-keyed mirrors of the host's constraint edges and wait-for edges.
+  real engine :class:`Job` inside) for every leg it opened, plus mirrors
+  of the host's constraint edges (over the mirror jobs) and wait-for
+  edges (by instance name).
   Synchronous coordinator reads — the gate's predecessor closure, the
   deadlock detector's wait graph — are answered from the mirrors with no
   round-trip.
@@ -45,13 +46,14 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.job import Job
 from repro.exceptions import ServiceError
 from repro.model.spec import TaskSet
 from repro.service import wire
 from repro.service.connection import Connection
+from repro.service.constraints import ConstraintGraph
 from repro.service.manager import Session, SessionState, catalog_document
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import LockEvent
@@ -117,9 +119,9 @@ class RemoteShardProxy:
         self._jobs: Dict[str, Job] = {}
         #: instance name -> mirror session of a live leg.
         self._legs: Dict[str, Session] = {}
-        #: Constraint mirror: _pred[w] = {r: r ≺ w}, by instance name.
-        self._pred: Dict[str, Set[str]] = {}
-        self._succ: Dict[str, Set[str]] = {}
+        #: Mirror of the host's ``reader ≺ writer`` edges, over the mirror
+        #: jobs — the same public attribute a ``LockManager`` carries.
+        self.constraints = ConstraintGraph()
         #: waiter name -> blocker names (current wait-for edges).
         self._wait_edges: Dict[str, Tuple[str, ...]] = {}
 
@@ -242,12 +244,12 @@ class RemoteShardProxy:
         kind = frame.get("kind")
         name = frame.get("job")
         if kind == "constraint":
-            other = frame.get("other")
-            if other is None:
-                return
-            self._pred.setdefault(other, set()).add(name)
-            self._succ.setdefault(name, set()).add(other)
-            self._notify(kind, self._jobs.get(name), self._jobs.get(other))
+            reader = self._jobs.get(name)
+            writer = self._jobs.get(frame.get("other"))
+            if reader is None or writer is None:
+                return  # an end is already forgotten: so is the edge
+            self.constraints.add(reader, writer)
+            self._notify(kind, reader, writer)
         elif kind == "wait":
             self._wait_edges[name] = tuple(frame.get("blockers", ()))
             self._notify(kind, self._jobs.get(name), None)
@@ -289,25 +291,11 @@ class RemoteShardProxy:
 
     def _forget(self, name: str) -> None:
         """Drop a terminal leg's mirrors (constraint node, wait edge)."""
-        self._jobs.pop(name, None)
+        job = self._jobs.pop(name, None)
         self._legs.pop(name, None)
         self._wait_edges.pop(name, None)
-        succs = self._succ.pop(name, None)
-        if succs:
-            for succ in succs:
-                remaining = self._pred.get(succ)
-                if remaining is not None:
-                    remaining.discard(name)
-                    if not remaining:
-                        self._pred.pop(succ, None)
-        preds = self._pred.pop(name, None)
-        if preds:
-            for pred in preds:
-                remaining = self._succ.get(pred)
-                if remaining is not None:
-                    remaining.discard(name)
-                    if not remaining:
-                        self._succ.pop(pred, None)
+        if job is not None:
+            self.constraints.drop(job)
 
     # ------------------------------------------------------------------
     # The LockManager surface the coordinator consumes
@@ -404,20 +392,6 @@ class RemoteShardProxy:
         name = leg.name
         self._forget(name)
         self._post("force_abort", session=leg.id, reason=reason)
-
-    def _transitive_preds(self, job: Job) -> Set[Job]:
-        """Closure over the mirrored constraint graph, live jobs only."""
-        closure: Set[str] = set()
-        frontier = [job.name]
-        while frontier:
-            name = frontier.pop()
-            for pred in self._pred.get(name, ()):
-                if pred not in closure:
-                    closure.add(pred)
-                    frontier.append(pred)
-        return {
-            self._jobs[name] for name in closure if name in self._jobs
-        }
 
     @property
     def _waiters(self) -> Dict[str, Tuple[str, ...]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.core.locking_conditions import ceiling_holders, system_ceiling
+from repro.core.locking_conditions import sysceil_and_tstar
 from repro.core.pcp_da import PCPDA
 from repro.engine.interfaces import Deny, Grant
 from repro.exceptions import InvariantViolation
@@ -130,10 +130,11 @@ class LemmaCheckingPCPDA(PCPDA):
             )
 
     def _check_lemma_6(self, requester: "Job") -> None:
-        sysceil = system_ceiling(self.table, self.ceilings, requester)
+        sysceil, tstar = sysceil_and_tstar(
+            self.table, self.ceilings, requester
+        )
         if requester.running_priority > sysceil:
             return  # LC2 holds; T* is not consulted
-        tstar = ceiling_holders(self.table, self.ceilings, requester)
         lower = [t for t in tstar if t.base_priority < requester.base_priority]
         if len(lower) > 1:
             raise InvariantViolation(

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.ceilings import CeilingTable
 from repro.core.locking_conditions import (
-    ceiling_holders,
     evaluate_conditions,
+    sysceil_and_tstar,
     system_ceiling,
 )
 from repro.engine.job import Job
@@ -38,7 +38,7 @@ class TestSystemCeiling:
     def test_dummy_when_nothing_read_locked(self):
         _, jobs, table, ceilings = _setup()
         assert system_ceiling(table, ceilings) == DUMMY_PRIORITY
-        assert ceiling_holders(table, ceilings) == ()
+        assert sysceil_and_tstar(table, ceilings) == (DUMMY_PRIORITY, ())
 
     def test_write_locks_raise_no_ceiling(self):
         """Lemma 1: write operations are preemptable."""
@@ -59,7 +59,7 @@ class TestSystemCeiling:
     def test_tstar_is_ceiling_holder(self):
         _, jobs, table, ceilings = _setup()
         table.grant(jobs["T4"], "y", LockMode.READ)
-        assert ceiling_holders(table, ceilings) == (jobs["T4"],)
+        assert sysceil_and_tstar(table, ceilings) == (3, (jobs["T4"],))
 
 
 class TestLC1:

@@ -57,6 +57,7 @@ def test_parallel_sweep_modules_are_covered():
         "repro.service.sharding.partitioner",
         "repro.service.sharding.coordinator",
         "repro.service.connection",
+        "repro.service.constraints",
         "repro.service.eager",
     } <= names
 

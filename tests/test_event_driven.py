@@ -9,8 +9,8 @@ timer, the test would hang far past its ``wait_for`` deadline.
 
 The manager-side counterpart is covered the same way: the grant queue
 re-decides only the waiters the drained churn can affect (item touched,
-blamed job released, or own priority moved), and ``_transitive_preds``
-memoization is dirtied exactly on constraint-graph edits.
+blamed job released, or own priority moved), and the constraint graph's
+closure memo is dirtied exactly on constraint-graph edits.
 
 All socket-free; part of ``make verify-sharding``'s tier.
 """
@@ -279,23 +279,54 @@ class TestTransitivePredsMemo:
     def test_memo_invalidated_on_edge_add_and_drop(self):
         async def body():
             mgr = LockManager(self.catalog_rw(), "pcp-da")
+            graph = mgr.constraints
             sw = await mgr.begin("W")
             await mgr.write(sw, "x", 1)
             sr = await mgr.begin("R")
             # Prime the memo before any constraint exists.
-            assert mgr._transitive_preds(sw.job) == set()
-            assert sw.job in mgr._preds_cache
+            primed = graph.preds(sw.job)
+            assert primed == set()
+            assert graph.preds(sw.job) is primed
             # The LC3/LC4 read past W's write lock adds R ≺ W — the add
             # must dirty the whole cache …
             await mgr.read(sr, "x")
-            assert sw.job not in mgr._preds_cache
-            assert mgr._transitive_preds(sw.job) == {sr.job}
-            assert mgr._preds_cache[sw.job] == {sr.job}
+            memo = graph.preds(sw.job)
+            assert memo == {sr.job} and memo is not primed
+            assert graph.preds(sw.job) is memo
             # … and R's terminal transition drops the edge, dirtying it
             # again.
             await mgr.commit(sr)
-            assert sw.job not in mgr._preds_cache
-            assert mgr._transitive_preds(sw.job) == set()
+            assert graph.preds(sw.job) == set()
+            await mgr.commit(sw)
+            await mgr.shutdown()
+
+        run(body())
+
+    def test_repeated_read_past_same_writer_is_not_announced_twice(self):
+        """R ≺ W is recorded by R's first read past W's write locks; the
+        second such read finds the edge, so it neither dirties the memo
+        nor sends a second ``constraint`` notification (an event frame
+        per pair on a shard host)."""
+        r = TransactionSpec("R", (read("x", 1.0), read("y", 1.0)))
+        w = TransactionSpec("W", (write("x", 1.0), write("y", 1.0)))
+
+        async def body():
+            mgr = LockManager(assign_by_order([r, w]), "pcp-da")
+            announced = []
+            mgr.churn_listeners.append(
+                lambda kind, job, other: kind == "constraint"
+                and announced.append((job.name, other.name))
+            )
+            sw = await mgr.begin("W")
+            await mgr.write(sw, "x", 1)
+            await mgr.write(sw, "y", 2)
+            sr = await mgr.begin("R")
+            await mgr.read(sr, "x")
+            memo = mgr.constraints.preds(sw.job)
+            await mgr.read(sr, "y")
+            assert announced == [(sr.name, sw.name)]
+            assert mgr.constraints.preds(sw.job) is memo
+            await mgr.commit(sr)
             await mgr.commit(sw)
             await mgr.shutdown()
 

@@ -211,14 +211,15 @@ class TestMirrors:
             r = await proxy.begin("R")
             # LC3: the read passes W's write lock, recording R ≺ W.
             await proxy.read(r, "x")
-            assert proxy._pred.get(w.name) == {r.name}
-            assert proxy._succ.get(r.name) == {w.name}
-            preds = proxy._transitive_preds(w.job)
+            assert proxy.constraints.direct_preds(w.job) == {r.job}
+            assert not proxy.constraints.direct_preds(r.job)
+            preds = proxy.constraints.preds(w.job)
             assert {job.name for job in preds} == {r.name}
             await proxy.commit(r)
             await settle()
             # r is terminal: the constraint node is pruned
-            assert proxy._transitive_preds(w.job) == set()
+            assert proxy.constraints.preds(w.job) == set()
+            assert not proxy.constraints
             await proxy.commit(w)
             await host.stop()
 

@@ -1,80 +1,85 @@
-"""Property test: the incremental ceiling index equals a from-scratch
-rescan after *every* grant and release of a random lock schedule.
+"""Property test: the kernel's incremental ceiling index equals the
+protocol's from-scratch walk after *every* grant and release of a random
+lock schedule.
 
-The :class:`CeilingIndex` is the "bump on grant, lazy-max-repair on
-release" structure behind the protocols' ``Sysceil`` queries.  Its
-maintenance contract is easy to get subtly wrong (stale heap entries,
+:class:`~repro.engine.lock_table.CeilingIndex` is the "bump on grant,
+lazy-max-repair on release" structure behind the array kernel's
+``Sysceil`` queries — the only incremental ceiling structure there is.
+Its maintenance contract is easy to get subtly wrong (stale heap entries,
 exclusion sets, items whose ceiling is the dummy level), so this test
-drives a raw :class:`LockTable` through arbitrary grant/release toggles
-and re-derives the answer by brute force at each step — for each of the
-three level semantics the protocols attach (PCP-DA read ceilings, RW-PCP
-runtime r/w ceilings, original-PCP access ceilings) and under several
-exclusion sets.
+drives a kernel-attached :class:`LockTable` through arbitrary
+grant/release toggles and, at each step, compares
+``Kernel.system_ceiling(exclude)`` and the scan's holder set with the
+reference the object path decides from — for each of the three level
+sources a protocol can compile to (PCP-DA read ceilings, RW-PCP runtime
+r/w ceilings, original-PCP access ceilings) and under several exclusions.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.ceilings import CeilingTable
-from repro.core.locking_conditions import make_read_ceiling_index
+from repro.core.locking_conditions import sysceil_and_tstar
 from repro.engine.job import Job
-from repro.engine.lock_table import CeilingIndex, LockTable
+from repro.engine.kernel import build_kernel
+from repro.engine.kernel.tables import LEVEL_ACEIL, LEVEL_READ_WCEIL, LEVEL_RW
+from repro.engine.lock_table import LockTable
+from repro.engine.simulator import SimConfig, Simulator
+from repro.exceptions import SimulationError
 from repro.model.priorities import assign_by_order
 from repro.model.spec import DUMMY_PRIORITY, LockMode, read, write
 from repro.model.spec import TransactionSpec
+from repro.protocols import make_protocol
 
 _ITEMS = ("a", "b", "c", "d")
 
+#: One protocol per level source, with the source its table must carry.
+_KINDS = {
+    "pcpda-read": ("pcp-da", LEVEL_READ_WCEIL),
+    "rwceil": ("rw-pcp", LEVEL_RW),
+    "aceil": ("pcp", LEVEL_ACEIL),
+}
 
-def _fixture():
-    """Four jobs with overlapping read/write sets, plus their ceilings."""
-    specs = [
+
+def _taskset():
+    """Four transactions with overlapping read/write sets."""
+    return assign_by_order([
         TransactionSpec("T1", (read("a"), write("b"))),
         TransactionSpec("T2", (write("a"), read("c"))),
         TransactionSpec("T3", (read("b"), write("c"), read("d"))),
         TransactionSpec("T4", (read("a"), read("d"))),  # d is never written
-    ]
-    taskset = assign_by_order(specs)
-    ceilings = CeilingTable(taskset)
+    ])
+
+
+def _fixture(kind, table=None):
+    """A bound protocol of ``kind``, its kernel on ``table``, four jobs."""
+    name, level_source = _KINDS[kind]
+    taskset = _taskset()
+    protocol = make_protocol(name)
+    table = LockTable() if table is None else table
+    protocol.bind(taskset, table)
+    kernel = build_kernel(protocol, table)
+    assert kernel.table_spec.level_source == level_source
     jobs = tuple(Job(spec, 0, 0.0) for spec in taskset)
-    return ceilings, jobs
+    return protocol, kernel, table, jobs
 
 
-def _make_index(kind: str, ceilings: CeilingTable) -> CeilingIndex:
-    if kind == "pcpda-read":
-        return make_read_ceiling_index(ceilings)
-    if kind == "rwceil":
-        def level_of(item, entry):
-            level = (
-                ceilings.aceil(item) if entry.writers else ceilings.wceil(item)
-            )
-            return None if level == DUMMY_PRIORITY else level
-        return CeilingIndex(kind, level_of)
-    assert kind == "aceil"
-
-    def level_of(item, entry):
-        level = ceilings.aceil(item)
-        return None if level == DUMMY_PRIORITY else level
-    return CeilingIndex(kind, level_of)
+def _reference(protocol, excluded):
+    """``(Sysceil, holders)`` by the protocol's from-scratch walk."""
+    if protocol.name == "pcp-da":
+        return sysceil_and_tstar(protocol.table, protocol.ceilings, excluded)
+    (exclude,) = excluded or (None,)
+    return protocol._sysceil_and_holders(exclude)
 
 
-def _reference_scan(table, index, excluded):
-    """Brute-force recomputation of ``index.scan(excluded)``."""
-    best = None
-    items = []
-    for item, entry in table.all_entries().items():
-        level = index._level_of(item, entry)
-        if level is None:
-            continue
-        jobs = entry.readers if index._select_readers else entry.holders
-        if not any(j not in excluded for j in jobs):
-            continue
-        if best is None or level > best:
-            best, items = level, [item]
-        elif level == best:
-            items.append(item)
-    return best, sorted(items)
+def _kernel_scan(kernel, excluded):
+    """``(Sysceil, holders)`` from the kernel's index scan."""
+    word = 0
+    for job in excluded:
+        word |= 1 << kernel.interner.intern_job(job)
+    level, holders = kernel._scan(word)
+    jobs = kernel.interner.jobs_from_word(holders)
+    return level, tuple(sorted(jobs, key=lambda j: j.seq))
 
 
 @st.composite
@@ -100,63 +105,81 @@ def lock_schedules(draw):
 )
 @given(schedule=lock_schedules())
 def test_incremental_ceiling_equals_rescan_after_every_step(kind, schedule):
-    ceilings, jobs = _fixture()
-    table = LockTable()
-    index = table.attach_ceiling_index(_make_index(kind, ceilings))
-    exclusion_sets = [
-        frozenset(),
-        frozenset({jobs[0]}),
-        frozenset({jobs[1], jobs[2]}),
-        frozenset(jobs),
-    ]
+    protocol, kernel, table, jobs = _fixture(kind)
+    exclusions = [(), *((job,) for job in jobs)]
+    if kind == "pcpda-read":
+        # Only PCP-DA excludes more than the requester (its waiters).
+        exclusions += [(jobs[1], jobs[2]), jobs]
     for job_idx, item, mode in schedule:
         job = jobs[job_idx]
         if table.holds(job, item, mode):
             table.release(job, item, mode)
         else:
             table.grant(job, item, mode)
-        index.self_check()
-        for excluded in exclusion_sets:
-            level, items = index.scan(excluded)
-            assert (level, sorted(items)) == _reference_scan(
-                table, index, excluded
-            ), f"diverged after toggling {job.name}/{item}/{mode}"
-            assert index.max_level(excluded) == level
+        kernel.self_check()
+        for excluded in exclusions:
+            expected = _reference(protocol, excluded)
+            assert _kernel_scan(kernel, excluded) == expected, (
+                f"diverged after toggling {job.name}/{item}/{mode}"
+            )
+            if len(excluded) <= 1:
+                exclude = excluded[0] if excluded else None
+                assert kernel.system_ceiling(exclude) == expected[0]
+                assert protocol.system_ceiling(exclude) == expected[0]
         # The scan must restore every live entry it consumed: a second
         # query right away has to see the same world.
-        level0, items0 = index.scan(frozenset())
-        assert (level0, sorted(items0)) == _reference_scan(
-            table, index, frozenset()
-        )
+        assert _kernel_scan(kernel, ()) == _reference(protocol, ())
 
 
 def test_release_all_keeps_index_current():
     """``release_all`` (the commit path) goes through ``release`` and must
     leave the index consistent too."""
-    ceilings, jobs = _fixture()
-    table = LockTable()
-    index = table.attach_ceiling_index(_make_index("rwceil", ceilings))
+    protocol, kernel, table, jobs = _fixture("rwceil")
     table.grant(jobs[0], "a", LockMode.READ)
     table.grant(jobs[0], "b", LockMode.WRITE)
     table.grant(jobs[1], "a", LockMode.WRITE)
-    index.self_check()
+    kernel.self_check()
     table.release_all(jobs[0])
-    index.self_check()
-    level, items = index.scan(frozenset())
-    assert items == ["a"]
-    assert level == ceilings.aceil("a")
+    kernel.self_check()
+    assert _kernel_scan(kernel, ()) == (
+        protocol.ceilings.aceil("a"), (jobs[1],)
+    )
     table.release_all(jobs[1])
-    index.self_check()
-    assert index.scan(frozenset()) == (None, [])
+    kernel.self_check()
+    assert _kernel_scan(kernel, ()) == (DUMMY_PRIORITY, ())
+    assert kernel.system_ceiling() == DUMMY_PRIORITY
 
 
 def test_attach_rebuilds_from_live_entries():
-    """Attaching an index to a table that already has grants must pick
-    them up (the simulator attaches at bind time, but tests may not)."""
-    ceilings, jobs = _fixture()
+    """Attaching a kernel to a table that already has grants must pick
+    them up (the simulator builds it at bind time, but the service and
+    tests may not)."""
     table = LockTable()
-    table.grant(jobs[2], "c", LockMode.WRITE)
-    index = table.attach_ceiling_index(_make_index("aceil", ceilings))
-    index.self_check()
-    assert index.max_level(frozenset()) == ceilings.aceil("c")
-    assert index.max_level(frozenset({jobs[2]})) is None
+    holder = Job(_taskset()["T3"], 0, 0.0)
+    table.grant(holder, "c", LockMode.WRITE)
+    protocol, kernel, table, _ = _fixture("aceil", table)
+    kernel.self_check()
+    assert kernel.system_ceiling() == protocol.ceilings.aceil("c")
+    assert kernel.system_ceiling(holder) == DUMMY_PRIORITY
+
+
+def test_corrupt_level_trips_the_from_scratch_cross_check():
+    """Under ``debug_invariants`` every kernel answer is compared with the
+    protocol's walk of the lock table — an independent computation, not
+    the same heap again — so a wrong level in the index cannot pass."""
+    taskset = _taskset()
+    sim = Simulator(
+        taskset, make_protocol("pcp-da"), SimConfig(debug_invariants=True)
+    )
+    reader = Job(taskset["T4"], 0, 0.0)
+    requester = Job(taskset["T1"], 0, 0.0)  # P > Sysceil: LC2
+    sim.table.grant(reader, "a", LockMode.READ)
+    wceil = sim.protocol.ceilings.wceil("a")
+    assert sim._sysceil(None) == wceil
+    sim.kernel._ceilings.update(sim.kernel.interner.item_id("a"), wceil + 1)
+    with pytest.raises(SimulationError, match="system ceiling diverged"):
+        sim._sysceil(None)
+    with pytest.raises(SimulationError, match="decision diverged"):
+        sim._decide(requester, "a", LockMode.READ)  # kernel: P <= Sysceil
+    with pytest.raises(AssertionError, match="ceiling index diverged"):
+        sim.kernel.self_check()

@@ -386,10 +386,8 @@ class TestSerializationOrderEnforcement:
             sb = await manager.begin("B")
             await manager.write(sa, "x", 1)
             await manager.write(sb, "y", 2)
-            manager._pred[sa.job] = {sb.job}
-            manager._succ[sb.job] = {sa.job}
-            manager._pred[sb.job] = {sa.job}
-            manager._succ[sa.job] = {sb.job}
+            assert manager.constraints.add(sb.job, sa.job)
+            assert manager.constraints.add(sa.job, sb.job)
             commit_a = asyncio.ensure_future(manager.commit(sa))
             await settle()
             commit_b = asyncio.ensure_future(manager.commit(sb))
@@ -411,10 +409,13 @@ class TestSerializationOrderEnforcement:
             await manager.write(writer, "x", 1)
             reader = await manager.begin("T1")
             await manager.read(reader, "x")
-            assert manager._pred and manager._succ
+            assert manager.constraints
+            assert manager.constraints.direct_preds(writer.job) == {
+                reader.job
+            }
             await manager.commit(reader)
             await manager.commit(writer)
-            assert not manager._pred and not manager._succ
+            assert not manager.constraints
             assert not manager._gate_futures
 
         run(body())
