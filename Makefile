@@ -41,6 +41,8 @@ verify-faults:
 	$(PYTHON) -m pytest -q -m faults
 
 # The in-process service battery (no sockets): manager semantics, the
+# park → wait → unpark battery (every kind of wait ended every way, the
+# stale-exemption cycle, a violation that must not wedge the service), the
 # constraint graph's property battery, the simulator differential, wire
 # dispatch, the connection class fed raw bytes over an in-memory
 # transport (framing, garbage, stalls, disconnects), and the loadgen
@@ -48,7 +50,7 @@ verify-faults:
 # SOAK=1.
 verify-service:
 	$(PYTHON) -m pytest -q tests/test_service_manager.py \
-		tests/test_service_constraints.py \
+		tests/test_service_park.py tests/test_service_constraints.py \
 		tests/test_service_differential.py tests/test_service_wire.py \
 		tests/test_service_connection.py tests/test_service_loadgen.py
 	$(if $(SOAK),$(PYTHON) -m pytest -q -m service_soak --override-ini \
@@ -130,9 +132,12 @@ bench-pair:
 		$(if $(PAIRS),--pairs $(PAIRS),)
 
 # Line counts per package, total and code-only (tools/loc.py, stdlib
-# tokenize). Usage: make loc [LOC_ROOT=path/to/other/checkout/src/repro]
+# tokenize), then the two modules every open ROADMAP item edits.
+# Usage: make loc [LOC_ROOT=path/to/other/checkout/src/repro]
+LOC_ROOT ?= src/repro
 loc:
-	$(PYTHON) tools/loc.py $(LOC_ROOT)
+	$(PYTHON) tools/loc.py $(LOC_ROOT) $(LOC_ROOT)/service/manager.py \
+		$(LOC_ROOT)/service/sharding/coordinator.py
 
 # Diff two BENCH ledgers (review gate for perf PRs): non-zero exit when
 # any protocol row or the total drops >10% events/s vs BASE.

@@ -265,9 +265,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a generated catalog over TCP until interrupted."""
     import asyncio
 
-    from repro.service import LockServer, ServiceConfig, install_uvloop
+    from repro.service import LockServer, ServiceConfig
 
-    loop_impl = install_uvloop(args.uvloop)
     taskset = generate_taskset(_workload_from_args(args))
     config = ServiceConfig(
         max_sessions=args.max_sessions,
@@ -304,8 +303,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"repro-service listening on {server.host}:{server.port} "
             f"(protocol={args.protocol}, "
             f"{len(taskset.names)} transactions, "
-            f"{len(taskset.items)} items{sharding}, "
-            f"event loop {loop_impl})",
+            f"{len(taskset.items)} items{sharding})",
             flush=True,
         )
         try:
@@ -363,11 +361,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         LockServer,
         ServiceConfig,
         connect_tcp,
-        install_uvloop,
         run_loadgen,
     )
 
-    install_uvloop(args.uvloop)
     config = LoadgenConfig(
         clients=args.clients,
         transactions_per_client=args.per_client,
@@ -458,7 +454,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
     """
     import asyncio
 
-    from repro.service import install_uvloop
     from repro.verify.parity import ParityError, parity_battery
     from repro.verify.stress import (
         StressSpec,
@@ -466,10 +461,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         run_stress,
         simulator_stress_check,
     )
-
-    loop_impl = install_uvloop(args.uvloop)
-    if args.uvloop:
-        print(f"event loop: {loop_impl}")
 
     if args.smoke:
         transactions = 400
@@ -801,10 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-control cap on live sessions")
     serve.add_argument("--deadline", type=float, default=None, metavar="S",
                        help="default relative deadline for sessions")
-    serve.add_argument("--uvloop", action="store_true",
-                       help="run on uvloop when installed (falls back to "
-                            "the stock asyncio loop with a notice; the "
-                            "stats payload reports which is active)")
     serve.set_defaults(func=_cmd_serve)
 
     loadgen = sub.add_parser(
@@ -859,9 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="self-host N shards as separate shard-host "
                               "processes (ignored with --connect; "
                               "overrides --shards)")
-    loadgen.add_argument("--uvloop", action="store_true",
-                         help="run on uvloop when installed (clean "
-                              "fallback to the stock asyncio loop)")
     loadgen.set_defaults(func=_cmd_loadgen)
 
     stress = sub.add_parser(
@@ -901,9 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
     stress.add_argument("--max-sessions", type=int, default=None,
                         help="admission cap for the concurrent phase "
                              "(default: 512 for every shard count)")
-    stress.add_argument("--uvloop", action="store_true",
-                        help="run the concurrent phase on uvloop when "
-                             "installed (falls back to asyncio)")
     stress.add_argument("--parity-seeds", type=int, default=20, metavar="N",
                         help="decision-parity workload seeds 0..N-1")
     stress.add_argument("--parity-transactions", type=int, default=25,

@@ -20,6 +20,8 @@ Layers (see docs/SERVICE.md):
 
 * :mod:`repro.service.manager` — the transport-agnostic async runtime
   (sessions, grant queues, commit, observability hooks);
+* :mod:`repro.service.park` — the one record (and its kinds) for every
+  way a request waits: lock, order guard, commit fence, commit gate;
 * :mod:`repro.service.stats` — latency histograms, per-priority-band
   blocking breakdown, grant/deny/abort counters;
 * :mod:`repro.service.wire` — the newline-delimited JSON request/response
@@ -39,7 +41,6 @@ Layers (see docs/SERVICE.md):
 """
 
 from repro.service.client import ServiceClient, connect_tcp, in_process_client
-from repro.service.eventloop import install_uvloop, loop_implementation
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
 from repro.service.manager import LockManager, ServiceConfig, Session
 from repro.service.server import LockServer
@@ -71,8 +72,6 @@ __all__ = [
     "ShardingStats",
     "connect_tcp",
     "in_process_client",
-    "install_uvloop",
-    "loop_implementation",
     "make_partitioner",
     "run_loadgen",
 ]

@@ -18,13 +18,14 @@ Concurrency model (docs/SERVICE.md has the full write-up):
 * every state mutation happens synchronously between ``await`` points on
   one event loop, so decide→grant pairs are atomic and the lock table is
   never observed mid-update;
-* a denied request parks in the **grant queue** — an ordered table of
-  waiters — and its blockers inherit the requester's priority through the
-  shared wait-for graph, exactly as in the engine;
+* a denied request parks in the **grant queue** — one
+  :class:`~repro.service.park.Park` per waiting session, whatever it
+  waits for — and its blockers inherit the requester's priority through
+  the shared wait-for graph, exactly as in the engine;
 * every lock release re-services the grant queue in (running priority,
   earliest deadline, FIFO) order, re-evaluating against the protocol's
-  locking conditions exactly the waiters the release can affect (an
-  item→waiters index plus each denial's blame set select them; every
+  locking conditions exactly the parks the release can affect (an
+  item→parks index plus each denial's blame set select them; every
   other denial is invariant under the churn); "wake" and "grant" are one
   atomic step here because there is no CPU to schedule, unlike the
   simulator's wake-then-retry dance;
@@ -60,9 +61,10 @@ duly reports.  The manager therefore makes the adjusted order explicit:
   ``DataRead ∩ WriteSet = ∅`` carried forward in time: the footnote
   checks past reads at grant, the guard prevents future ones).
 
-Gate and guard waits are service-level: they join the shared wait-for
-graph (so blockers inherit priority and cycles are visible), and a cycle
-that involves one is resolved by aborting its lowest-priority member —
+Gate, guard and fence waits are service-made park kinds: they join the
+shared wait-for graph (so blockers inherit priority and cycles are
+visible), and a cycle that involves one is resolved by aborting its
+lowest-priority member —
 the one place the live service may abort under a protocol the paper
 proves abort-free, and the honest price of dropping the single-CPU
 assumption.  Pure lock cycles under a ``can_deadlock=False`` protocol
@@ -105,7 +107,7 @@ from repro.model.spec import LockMode, TaskSet
 from repro.model.validation import validate_taskset
 from repro.protocols import make_protocol
 from repro.service.constraints import ConstraintGraph
-from repro.service.eventloop import loop_implementation
+from repro.service.park import COMMIT_ITEM, Park, ParkKind, ServiceDeny
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import (
     LockEvent,
@@ -245,26 +247,6 @@ class Session:
         return self.job.base_priority
 
 
-@dataclass
-class _Waiter:
-    """Grant-queue entry for one parked lock request."""
-
-    session: Session
-    item: str
-    mode: LockMode
-    future: "asyncio.Future[str]"
-    parked_at: float
-    #: Latest denial reason; "order guard ..." marks a service-level wait.
-    reason: str = ""
-    #: Blame set of the latest denial — the jobs whose lock churn could
-    #: flip this decision.  Drives the partial re-decide in
-    #: :meth:`LockManager._service_grant_queue`.
-    blockers: Tuple[Job, ...] = ()
-    #: The requester's running priority when last decided; a later change
-    #: can flip LC2/LC3, so any delta re-queues the waiter.
-    decided_priority: int = 0
-
-
 class LockManager:
     """Serve lock requests from concurrent clients under one protocol.
 
@@ -285,6 +267,10 @@ class LockManager:
         config: Optional[ServiceConfig] = None,
     ) -> None:
         validate_taskset(catalog, require_priorities=True)
+        if COMMIT_ITEM in catalog.items:
+            raise SpecificationError(
+                f"item name {COMMIT_ITEM!r} is reserved for the commit gate"
+            )
         self.catalog = catalog
         self.config = config or ServiceConfig()
         if isinstance(protocol, str):
@@ -345,9 +331,13 @@ class LockManager:
         #: Live sessions by job, oldest first (the job keys are what the
         #: wait graph's inheritance pass tests membership against).
         self._live: Dict[Job, Session] = {}
-        self._waiters: Dict[Session, _Waiter] = {}
-        #: item -> sessions parked on it (partial re-decide index).
-        self._item_waiters: Dict[str, Set[Session]] = {}
+        #: The registry: every waiting session's :class:`Park`, whatever
+        #: it waits for (lock, order guard, commit fence, commit gate).
+        self.parks: Dict[Session, Park] = {}
+        #: item -> sessions parked on it, oldest park first: the partial
+        #: re-decide index, and under :data:`COMMIT_ITEM` the gated
+        #: commits every terminal wakes.
+        self._item_parks: Dict[str, Dict[Session, None]] = {}
         #: Lock churn since the last grant-queue drain: items whose locks
         #: were released, the jobs waiting directly on a releasing job, and
         #: the jobs whose running priority moved.  Terminal transitions and
@@ -360,8 +350,6 @@ class LockManager:
         #: jobs (see module docstring).  Public: the shard coordinator
         #: reads a shard's closure through it.
         self.constraints = ConstraintGraph()
-        #: Sessions parked at the commit gate, with their wake-up futures.
-        self._gate_futures: Dict[Session, "asyncio.Future[None]"] = {}
         #: Commit-fenced sessions (see :meth:`prepare_commit`): while a
         #: job is in here, reads may not pass its write locks.
         self._committing: Dict[Job, Session] = {}
@@ -508,7 +496,18 @@ class LockManager:
             ))
             if not predecessors:
                 break
-            await self._gate_on(session, predecessors)
+            # Any predecessor's end wakes the park; the loop re-evaluates
+            # the remaining set.
+            await self._wait(session, self._park(
+                session, COMMIT_ITEM, LockMode.WRITE,
+                ServiceDeny(
+                    predecessors,
+                    "commit gate: transactions serialized before this one "
+                    "are still running",
+                    kind=ParkKind.COMMIT_GATE,
+                ),
+                self.now(),
+            ))
         victims = self.protocol.before_commit(job)
         if victims:
             # Validation-based protocols (OCC-BC): broadcast-abort the
@@ -531,7 +530,7 @@ class LockManager:
                 self.history.record_install(job.name, item, version.seq, now)
                 installed.append(item)
         self.history.record_commit(job.name, now)
-        self._finish(session, SessionState.COMMITTED, now)
+        self._finish(session, SessionState.COMMITTED)
         job.finish_time = now
         self.trace.sched(now, SchedEventKind.COMMIT, job.name)
         latency = now - session.opened_at
@@ -627,12 +626,11 @@ class LockManager:
         """The ``stats`` command payload: counters + live-state gauges."""
         doc = self.stats.to_dict()
         doc["live_sessions"] = len(self._live)
-        doc["waiting_sessions"] = len(self._waiters)
+        doc["waiting_sessions"] = len(self.parks)
         doc["protocol"] = self.protocol.name
         doc["uptime_s"] = self.now()
         doc["system_ceiling"] = self.system_ceiling()
         doc["decision_path"] = "kernel" if self.kernel is not None else "object"
-        doc["event_loop"] = loop_implementation()
         return doc
 
     def history_events(self) -> List[Dict[str, Any]]:
@@ -787,64 +785,98 @@ class LockManager:
 
         assert isinstance(decision, Deny)
         self.stats.record_denial(job.base_priority)
-        blocker_names = tuple(sorted(b.name for b in decision.blockers))
-        job.begin_block(now, item, mode, blocker_names, decision.reason)
         self._trace_lock(
             now, job.name, item, mode, LockOutcome.DENIED, decision.reason,
-            blocker_names,
+            tuple(sorted(b.name for b in decision.blockers)),
         )
-        future: "asyncio.Future[str]" = asyncio.get_running_loop().create_future()
-        waiter = _Waiter(session, item, mode, future, now,
-                         reason=decision.reason,
-                         blockers=decision.blockers,
-                         decided_priority=job.running_priority)
-        self._waiters[session] = waiter
-        self._item_waiters.setdefault(item, set()).add(session)
+        return await self._wait(
+            session, self._park(session, item, mode, decision, now)
+        )
+
+    def _park(
+        self, session: Session, item: str, mode: LockMode, deny: Deny,
+        now: float,
+    ) -> Park:
+        """Register ``session`` as waiting on ``deny.blockers``: the one
+        way into the registry, whatever the wait is for.
+
+        The wait joins the shared wait-for graph, so the blockers inherit
+        the requester's priority and a cycle through it is visible to
+        :meth:`_check_deadlock` — which may resolve the returned park's
+        future (granted, or aborted as the victim) before anyone awaits
+        it, or reject the request, in which case the park is gone again
+        when the exception propagates.
+        """
+        job = session.job
+        park = Park(
+            session, ParkKind.of(deny), deny.blockers,
+            asyncio.get_running_loop().create_future(), now,
+            item, mode, deny.reason, job.running_priority,
+        )
+        self.parks[session] = park
+        self._item_parks.setdefault(item, {})[session] = None
         session.state = SessionState.WAITING
-        self.waits.block(job, decision.blockers, inherit=decision.inherit)
+        job.begin_block(
+            now, item, mode, tuple(sorted(b.name for b in deny.blockers)),
+            deny.reason,
+        )
+        self.waits.block(job, deny.blockers, inherit=deny.inherit)
         self._notify_churn("wait", job)
         self._recompute_priorities()
         try:
-            self._check_deadlock(session)
-        except BaseException:
-            # The request itself is rejected (deadlock_action="raise" or an
-            # invariant violation): unpark before propagating so the grant
-            # queue never holds a dead entry.
-            if self._pop_waiter(session) is not None:
-                session.state = SessionState.ACTIVE
+            self._check_deadlock()
+        except (InvariantViolation, ServiceError) as exc:
+            self._unpark(session)
+            if isinstance(exc, InvariantViolation):
+                # A cycle the paper rules out.  Left live, the requester
+                # keeps its locks and every other client stalls on them.
+                self._abort_session(session, "invariant violation")
+                self._service_grant_queue()
+            else:
+                # deadlock_action="raise": request rejected, session live.
+                self._recompute_priorities()
             raise
         self._sample_sysceil()
+        return park
 
+    async def _wait(self, session: Session, park: Park) -> Any:
+        """Await ``park``'s future under the session's firm deadline;
+        returns what the future was resolved with (the grant rule)."""
         timeout = None
         if session.deadline is not None:
             timeout = max(0.0, session.deadline - self.now())
         try:
-            if timeout is None:
-                rule = await future
-            else:
-                rule = await asyncio.wait_for(future, timeout)
-            return rule
+            result = await asyncio.wait_for(park.future, timeout)
         except asyncio.TimeoutError:
-            # Deadline expired mid-wait: leave the queue and abort firmly.
-            # (_abort_session also covers the race where the grant landed
-            # just before the timeout — deadline semantics win.)
-            self._pop_waiter(session)
+            # Deadline expired mid-wait: leave the queue and abort firmly
+            # (also when the grant landed just before the timeout —
+            # deadline semantics win).
+            self._unpark(session)
             if session.state.live:
                 self.stats.deadline_aborts += 1
                 self._abort_session(session, "deadline", forced=True)
                 self._service_grant_queue()
+            where = (
+                "at the commit gate" if park.kind is ParkKind.COMMIT_GATE
+                else f"waiting for {park.mode.value}({park.item})"
+            )
             raise DeadlineExceeded(
-                f"{session.name}: deadline passed waiting for "
-                f"{mode.value}({item})"
+                f"{session.name}: deadline passed {where}"
             ) from None
         except asyncio.CancelledError:
             # The client's task was cancelled (connection dropped) while
-            # parked: tear the session down so its queue entry and wait
-            # edges do not outlive the client.
-            if self._pop_waiter(session) is not None:
+            # parked: tear the session down so its park and wait edges do
+            # not outlive the client.
+            self._unpark(session)
+            if session.state.live:
                 self._abort_session(session, "cancelled", forced=True)
                 self._service_grant_queue()
             raise
+        if self._unpark(session) is not None:
+            # Woken, not granted (a commit gate): whoever grants a lock
+            # unparks the session itself, a wake leaves that to the waiter.
+            self._recompute_priorities()
+        return result
 
     def _order_guard(
         self, job: Job, item: str, mode: LockMode
@@ -865,10 +897,11 @@ class LockManager:
             key=lambda j: j.seq,
         ))
         if guard:
-            return Deny(
+            return ServiceDeny(
                 guard,
                 "order guard: item is writable by a transaction "
                 "serialized before the requester",
+                kind=ParkKind.ORDER_GUARD,
             )
         return None
 
@@ -893,9 +926,10 @@ class LockManager:
             key=lambda j: j.seq,
         ))
         if holders:
-            return Deny(
+            return ServiceDeny(
                 holders,
                 "commit fence: a write holder is installing across shards",
+                kind=ParkKind.COMMIT_FENCE,
             )
         return None
 
@@ -970,19 +1004,19 @@ class LockManager:
         )
         self._service_grant_queue()
 
-    def _grant_queue_order(self, waiter: _Waiter) -> Tuple[int, float, int]:
+    def _grant_queue_order(self, park: Park) -> Tuple[int, float, int]:
         """Priority-and-deadline-aware queue key: highest running priority
         first, then earliest deadline, then FIFO by job release."""
         deadline = (
-            waiter.session.deadline
-            if waiter.session.deadline is not None
+            park.session.deadline
+            if park.session.deadline is not None
             else float("inf")
         )
-        return (-waiter.session.job.running_priority, deadline,
-                waiter.session.job.seq)
+        return (-park.session.job.running_priority, deadline,
+                park.session.job.seq)
 
-    def _drain_candidates(self) -> Dict[Session, _Waiter]:
-        """Consume the churn sets and pick the waiters they can affect.
+    def _drain_candidates(self) -> Dict[Session, Park]:
+        """Consume the churn sets and pick the parks they can affect.
 
         A parked request is a re-decide candidate iff (a) a lock on *its
         item* was released, (b) a job *it blames* released any lock (the
@@ -995,7 +1029,9 @@ class LockManager:
         the work done, never the decisions.  All three are index lookups
         — the item index, the wait graph's reverse adjacency captured by
         :meth:`_note_release_churn`, the inheritance pass's change list —
-        so the cost follows the candidates, not the queue.
+        so the cost follows the candidates, not the queue.  A commit-gate
+        park is never one: no lock decision is pending behind it, and
+        :meth:`_wake_gates` is what ends it.
         """
         churn_items = self._churn_items
         churn_waiters = self._churn_waiters
@@ -1003,31 +1039,44 @@ class LockManager:
         self._churn_items = set()
         self._churn_waiters = set()
         self._churn_priorities = set()
-        waiters = self._waiters
-        if not waiters:
+        parks = self.parks
+        if not parks:
             return {}
-        picked: Dict[Session, _Waiter] = {}
+        picked: Dict[Session, Park] = {}
         for item in churn_items:
-            for session in self._item_waiters.get(item, ()):
-                waiter = waiters.get(session)
-                if waiter is not None:
-                    picked[session] = waiter
+            for session in self._item_parks.get(item, ()):
+                picked[session] = parks[session]
         by_job = self._by_job
+        gate = ParkKind.COMMIT_GATE
         for job in churn_waiters:
-            waiter = waiters.get(by_job[job])  # None: gated, or granted since
-            if waiter is not None:
-                picked[waiter.session] = waiter
+            park = parks.get(by_job[job])  # None: granted since
+            if park is not None and park.kind is not gate:
+                picked[park.session] = park
         for job in churn_priorities:
-            waiter = waiters.get(by_job[job])
+            park = parks.get(by_job[job])
             if (
-                waiter is not None
-                and job.running_priority != waiter.decided_priority
+                park is not None
+                and park.kind is not gate
+                and job.running_priority != park.decided_priority
             ):
-                picked[waiter.session] = waiter
+                picked[park.session] = park
         return picked
 
     def _service_grant_queue(self) -> None:
-        """Re-decide the parked requests the latest lock churn can flip.
+        """Re-decide the parked requests the latest lock churn can flip,
+        then sweep for a cycle.
+
+        Blame refreshes in the drain can *redirect* wait edges (a
+        denial's blame set tracks the current holders), so a cycle can
+        appear without any new request parking — sweep for it, or two
+        redirected parks could starve each other forever.
+        """
+        self._drain_grant_queue()
+        if self.parks:
+            self._check_deadlock()
+
+    def _drain_grant_queue(self) -> bool:
+        """One grant-queue drain; returns whether it granted anything.
 
         Churn accumulates in ``_churn_items`` / ``_churn_waiters`` /
         ``_churn_priorities`` between drains; each pass re-evaluates only
@@ -1043,75 +1092,65 @@ class LockManager:
         only flip through a priority ripple — which the next drain's
         priority-delta rule catches.  This is the service counterpart of
         the simulator's wake-then-retry loop, collapsed into one atomic
-        step because waiters need no CPU to proceed — minus the
+        step because parked requests need no CPU to proceed — minus the
         full-queue re-sort (and per-grant re-decide storm) the simulator
         never needed either.
         """
         candidates = self._drain_candidates()
+        granted = False
         progressed = True
         while progressed and candidates:
             progressed = False
             heap = [
-                (self._grant_queue_order(w), w.session.job.seq, w)
-                for s, w in candidates.items()
-                if self._waiters.get(s) is w and not w.future.done()
+                (self._grant_queue_order(park), park.session.job.seq, park)
+                for session, park in candidates.items()
+                if self.parks.get(session) is park and not park.future.done()
             ]
             heapq.heapify(heap)
-            ordered: List[_Waiter] = []
+            ordered: List[Park] = []
             while heap:
                 ordered.append(heapq.heappop(heap)[2])
             decisions = self._decide_queue(ordered)
-            for waiter, decision in zip(ordered, decisions):
-                session = waiter.session
-                now = self.now()
-                if isinstance(decision, Grant):
-                    self._pop_waiter(session)
-                    candidates.pop(session, None)
-                    session.state = SessionState.ACTIVE
-                    self._apply_grant(
-                        session, waiter.item, waiter.mode, decision.rule, now
-                    )
-                    waiter.future.set_result(decision.rule)
-                    progressed = True
-                    break  # table changed: resume over the suffix
-                if isinstance(decision, AbortAndGrant):
-                    self._pop_waiter(session)
-                    candidates.pop(session, None)
-                    session.state = SessionState.ACTIVE
-                    self._resolve_abort_grant(
-                        session, waiter.item, waiter.mode, decision, now
-                    )
-                    waiter.future.set_result(decision.reason)
-                    progressed = True
-                    break
-                assert isinstance(decision, Deny)
+            for park, decision in zip(ordered, decisions):
+                session = park.session
                 # Decided this drain: out of the working set until churn
                 # that can actually flip it re-selects it.
                 candidates.pop(session, None)
+                if isinstance(decision, Deny):
+                    continue
+                now = self.now()
+                self._unpark(session)
+                if isinstance(decision, Grant):
+                    self._apply_grant(
+                        session, park.item, park.mode, decision.rule, now
+                    )
+                    park.future.set_result(decision.rule)
+                else:
+                    self._resolve_abort_grant(
+                        session, park.item, park.mode, decision, now
+                    )
+                    park.future.set_result(decision.reason)
+                granted = progressed = True
+                break  # table changed: resume over the suffix
             if progressed:
                 # The grant (or its victims' teardown) is fresh churn:
-                # fold any newly affected waiters into the working set.
+                # fold any newly affected parks into the working set.
                 candidates.update(self._drain_candidates())
         self._recompute_priorities()
-        # Blocker refreshes above can *redirect* wait edges (the denial's
-        # blame set tracks the current holders), so a cycle can appear
-        # here without any new request parking — sweep for it, or two
-        # redirected waiters could starve each other forever.
-        if self._waiters:
-            self._check_deadlock(None)
+        return granted
 
-    def _decide_queue(self, ordered: List[_Waiter]) -> List[
+    def _decide_queue(self, ordered: List[Park]) -> List[
         Union[Grant, AbortAndGrant, Deny]
     ]:
         """Decisions for one grant-queue pass, stopping after the first
         non-``Deny``; every denial's blame is refreshed *before* the next
-        waiter is decided (the new inheritance edges feed the next
+        park is decided (the new inheritance edges feed the next
         decision's transitive-waiter exemption).
 
         With the kernel active this is one :meth:`Kernel.decide_batch`
         call — fence and order guard plug into its per-request
         ``pre_decide`` hook and the blame refresh into ``on_deny``, so
-        nothing is evaluated for the waiters behind the first grant.
+        nothing is evaluated for the parks behind the first grant.
         """
         if self.kernel is not None:
             # Denials are exactly the processed prefix of ``ordered`` (the
@@ -1119,152 +1158,79 @@ class LockManager:
             # same list in lock-step.
             denied = iter(ordered)
             return self.kernel.decide_batch(
-                [(w.session.job, w.item, w.mode) for w in ordered],
+                [(p.session.job, p.item, p.mode) for p in ordered],
                 on_deny=lambda request, decision: self._refresh_blame(
                     next(denied), decision
                 ),
                 pre_decide=lambda request: self._service_predecide(*request),
             )
         out: List[Union[Grant, AbortAndGrant, Deny]] = []
-        for waiter in ordered:
+        for park in ordered:
             decision = self._service_decide(
-                waiter.session.job, waiter.item, waiter.mode
+                park.session.job, park.item, park.mode
             )
             out.append(decision)
             if not isinstance(decision, Deny):
                 break
-            self._refresh_blame(waiter, decision)
+            self._refresh_blame(park, decision)
         return out
 
-    def _refresh_blame(self, waiter: _Waiter, decision: Deny) -> None:
-        """Point a still-parked waiter's blame at the *current* holders
-        (the open block interval keeps its original start — one wait is
-        one interval).  Most re-denials repeat the previous one; only a
-        moved blame touches the interval, and only moved wait edges are
-        announced to the churn listeners."""
-        job = waiter.session.job
-        waiter.decided_priority = job.running_priority
+    def _refresh_blame(self, park: Park, decision: Deny) -> None:
+        """Point a still-parked request's blame — and kind — at the
+        *current* denial (the open block interval keeps its original
+        start — one wait is one interval).  Most re-denials repeat the
+        previous one; only a moved blame touches the interval, and only
+        moved wait edges are announced to the churn listeners."""
+        job = park.session.job
+        park.decided_priority = job.running_priority
         if self.waits.block(job, decision.blockers, inherit=decision.inherit):
             self._notify_churn("wait", job)
         if (
-            decision.blockers == waiter.blockers
-            and decision.reason == waiter.reason
+            decision.blockers == park.blockers
+            and decision.reason == park.reason
         ):
             return
-        waiter.reason = decision.reason
-        waiter.blockers = decision.blockers
-        if job.block_intervals and job.block_intervals[-1].end is None:
-            last = job.block_intervals[-1]
-            last.blockers = tuple(
-                sorted(b.name for b in decision.blockers)
-            )
-            last.reason = decision.reason
+        park.kind = ParkKind.of(decision)
+        park.reason = decision.reason
+        park.blockers = decision.blockers
+        last = job.block_intervals[-1]
+        last.blockers = tuple(sorted(b.name for b in decision.blockers))
+        last.reason = decision.reason
 
-    def _pop_waiter(self, session: Session) -> Optional[_Waiter]:
-        """Remove a session's grant-queue entry and close its wait.
+    def _unpark(
+        self, session: Session, *, aborting: bool = False
+    ) -> Optional[Park]:
+        """Take ``session`` out of the registry and close its wait: index
+        entry, block interval and ``lock_wait`` sample, state, wait edges.
 
-        Idempotent: returns ``None`` when another path already cleaned up.
+        The one way out for every park and every ending (granted, woken,
+        deadline, cancelled, rejected, aborted).  Idempotent: returns
+        ``None`` when another path already cleaned up.  ``aborting``
+        marks the abort teardown, whose ``"abort"`` notification alone
+        tells mirrors that a gate-parked session left the graph.
         """
-        waiter = self._waiters.pop(session, None)
-        if waiter is None:
+        park = self.parks.pop(session, None)
+        if park is None:
             return None
-        parked = self._item_waiters.get(waiter.item)
-        if parked is not None:
-            parked.discard(session)
-            if not parked:
-                self._item_waiters.pop(waiter.item, None)
+        indexed = self._item_parks[park.item]
+        del indexed[session]
+        if not indexed:
+            del self._item_parks[park.item]
         job = session.job
-        now = self.now()
-        if job.block_intervals and job.block_intervals[-1].end is None:
-            job.end_block(now)
-            self.stats.record_wait(
-                job.base_priority, job.block_intervals[-1].duration
-            )
+        job.end_block(self.now())
+        self.stats.record_wait(
+            job.base_priority, job.block_intervals[-1].duration
+        )
+        session.state = SessionState.ACTIVE
         self.waits.unblock(job)
-        self._notify_churn("unwait", job)
-        return waiter
-
-    # ------------------------------------------------------------------
-    # The commit gate (serialization-order enforcement)
-    # ------------------------------------------------------------------
-    async def _gate_on(
-        self, session: Session, predecessors: Tuple[Job, ...]
-    ) -> None:
-        """Park ``session``'s commit until a ``≺``-predecessor finishes.
-
-        The wait joins the shared wait-for graph, so predecessors inherit
-        the committer's priority and cycles involving the gate are visible
-        to :meth:`_check_deadlock`.  Returns after *any* predecessor ends;
-        the caller's loop re-evaluates the remaining set.
-        """
-        job = session.job
-        now = self.now()
-        names = tuple(sorted(p.name for p in predecessors))
-        reason = (
-            "commit gate: transactions serialized before this one "
-            "are still running"
-        )
-        future: "asyncio.Future[None]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._gate_futures[session] = future
-        session.state = SessionState.WAITING
-        job.begin_block(now, "<commit>", LockMode.WRITE, names, reason)
-        self.waits.block(job, predecessors, inherit=True)
-        self._notify_churn("wait", job)
-        self._recompute_priorities()
-        try:
-            self._check_deadlock(session)
-        except BaseException:
-            self._close_gate(session)
-            raise
-        self._sample_sysceil()
-
-        timeout = None
-        if session.deadline is not None:
-            timeout = max(0.0, session.deadline - self.now())
-        try:
-            if timeout is None:
-                await future
-            else:
-                await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            self._close_gate(session)
-            if session.state.live:
-                self.stats.deadline_aborts += 1
-                self._abort_session(session, "deadline", forced=True)
-                self._service_grant_queue()
-            raise DeadlineExceeded(
-                f"{session.name}: deadline passed at the commit gate"
-            ) from None
-        except asyncio.CancelledError:
-            self._close_gate(session)
-            if session.state.live:
-                self._abort_session(session, "cancelled", forced=True)
-                self._service_grant_queue()
-            raise
-        else:
-            self._close_gate(session)
-
-    def _close_gate(self, session: Session) -> None:
-        """Leave the commit gate (idempotent; abort paths call it too)."""
-        self._gate_futures.pop(session, None)
-        job = session.job
-        if job.block_intervals and job.block_intervals[-1].end is None:
-            job.end_block(self.now())
-            self.stats.record_wait(
-                job.base_priority, job.block_intervals[-1].duration
-            )
-        if session.state is SessionState.WAITING:
-            session.state = SessionState.ACTIVE
-        if session.state.live:
-            self.waits.unblock(job)
+        if not (aborting and park.kind is ParkKind.COMMIT_GATE):
             self._notify_churn("unwait", job)
-            self._recompute_priorities()
+        return park
 
     def _wake_gates(self) -> None:
         """Re-check every gated commit after a session finished."""
-        for future in self._gate_futures.values():
+        for session in self._item_parks.get(COMMIT_ITEM, ()):
+            future = self.parks[session].future
             if not future.done():
                 future.set_result(None)
 
@@ -1301,47 +1267,23 @@ class LockManager:
         """Tear one session down: locks, workspace, graph, history."""
         if not session.state.live:
             return
-        waiter = self._pop_waiter(session)
-        if waiter is not None and not waiter.future.done():
-            waiter.future.set_exception(
+        park = self._unpark(session, aborting=True)
+        if park is not None and not park.future.done():
+            park.future.set_exception(
                 exc or TransactionAborted(f"{session.name}: {reason}")
             )
         now = self.now()
         job = session.job
-        gate = self._gate_futures.pop(session, None)
-        if gate is not None:
-            if job.block_intervals and job.block_intervals[-1].end is None:
-                job.end_block(now)
-                self.stats.record_wait(
-                    job.base_priority, job.block_intervals[-1].duration
-                )
-            if not gate.done():
-                gate.set_exception(
-                    exc or TransactionAborted(f"{session.name}: {reason}")
-                )
-        released = self.table.release_all(job)
-        self.protocol.on_release_all(job)
-        self._note_release_churn(job, (item for item, _ in released))
-        self.waits.forget(job)
-        if self.kernel is not None:
-            self.kernel.retire(job)
         job.workspace.discard()
-        session.state = SessionState.ABORTED
         session.abort_reason = reason
-        session.committing = False
-        self._committing.pop(job, None)
-        self._live.pop(job, None)
-        self.constraints.drop(job)
         self.history.record_abort(job.name, now)
         self.stats.record_abort(job.base_priority, forced=forced)
         self.trace.sched(now, SchedEventKind.ABORT, job.name)
-        self._recompute_priorities()
-        self._sample_sysceil()
-        self._wake_gates()
-        self._notify_churn("abort", job)
+        self._finish(session, SessionState.ABORTED)
 
-    def _finish(self, session: Session, state: SessionState, now: float) -> None:
-        """Common terminal transition for commit."""
+    def _finish(self, session: Session, state: SessionState) -> None:
+        """The terminal transition commit and abort share: release every
+        lock, leave every graph, wake the gates, tell the listeners."""
         job = session.job
         released = self.table.release_all(job)
         self.protocol.on_release_all(job)
@@ -1357,63 +1299,64 @@ class LockManager:
         self._recompute_priorities()
         self._sample_sysceil()
         self._wake_gates()
-        self._notify_churn("finish", job)
+        self._notify_churn(
+            "finish" if state is SessionState.COMMITTED else "abort", job
+        )
 
     def _is_service_cycle(self, cycle: Tuple[Job, ...]) -> bool:
-        """True when the cycle involves a service-level wait (gate/guard).
-
-        Those waits exist only because the service drops the paper's
-        single-CPU scheduling assumption; the deadlock-freedom theorem
-        does not cover them, so the cycle is resolved by victim abort
-        rather than reported as an invariant violation.
-        """
-        for job in cycle:
-            session = self._by_job.get(job)
-            if session is None:
-                continue
-            if session in self._gate_futures:
-                return True
-            waiter = self._waiters.get(session)
-            if waiter is not None and waiter.reason.startswith(
-                ("order guard", "commit fence")
-            ):
-                return True
-        return False
-
-    def _check_deadlock(self, requester: Optional[Session]) -> None:
-        cycle = self.waits.find_new_cycle()
-        if cycle is None:
-            return
-        names = tuple(j.name for j in cycle)
-        resolvable = (
-            self.protocol.can_deadlock
-            # IPCP-style guarantees hold only under the simulator's
-            # single-CPU dispatching; with concurrent clients a cycle is
-            # an expected (resolvable) event, not a broken invariant.
-            or getattr(self.protocol, "deadlock_free_requires_scheduler",
-                       False)
-            or self._is_service_cycle(cycle)
+        """True when the cycle runs through a service-made park (guard,
+        fence, gate), which Theorem 2 does not cover: see
+        :attr:`ParkKind.service_made`."""
+        return any(
+            self.parks[self._by_job[job]].kind.service_made for job in cycle
         )
-        if not resolvable:
-            # Paper guarantee (Theorem 2): this must be unreachable for
-            # PCP-DA.  Surfacing it loudly is the whole point of running
-            # the live path against the proven protocol.
-            raise InvariantViolation(
-                f"wait-for cycle under deadlock-free protocol "
-                f"{self.protocol.name}: {' -> '.join(names)}"
-            )
+
+    def _check_deadlock(self) -> None:
+        """Resolve, or report, the wait-for cycles the latest edges closed."""
+        while True:
+            cycle = self.waits.find_new_cycle()
+            if cycle is None:
+                return
+            if (
+                self.protocol.can_deadlock
+                # IPCP-style guarantees hold only under the simulator's
+                # single-CPU dispatching; with concurrent clients a cycle
+                # is an expected (resolvable) event, not a broken
+                # invariant.
+                or getattr(self.protocol,
+                           "deadlock_free_requires_scheduler", False)
+                or self._is_service_cycle(cycle)
+            ):
+                break
+            # Theorem 2 rules this cycle out — given Lemma 8: locks held
+            # by a transaction waiting on the requester never deny it.
+            # That exemption is evaluated when a request is decided, and
+            # a member parked *before* its blocker began waiting on it
+            # was denied by locks that no longer count (one CPU never
+            # produces that order; concurrent clients do).  Re-decide the
+            # members now that every one of them is waited on; only a
+            # cycle that survives is a violation.
+            self._churn_waiters.update(cycle)
+            if not self._drain_grant_queue():
+                raise InvariantViolation(
+                    "wait-for cycle under deadlock-free protocol "
+                    f"{self.protocol.name}: "
+                    f"{' -> '.join(j.name for j in cycle)} ["
+                    + "; ".join(
+                        self.parks[self._by_job[j]].describe() for j in cycle
+                    )
+                    + "]"
+                )
+        names = " -> ".join(j.name for j in cycle)
         self.stats.deadlocks += 1
         if self.config.deadlock_action == "raise":
-            raise ServiceError(
-                f"deadlock detected: {' -> '.join(names)}"
-            )
+            raise ServiceError(f"deadlock detected: {names}")
         victim_job = min(cycle, key=lambda j: (j.base_priority, -j.seq))
         victim = self._by_job[victim_job]
         self._abort_session(
             victim, "deadlock",
             exc=TransactionAborted(
-                f"{victim.name} chosen as deadlock victim "
-                f"({' -> '.join(names)})"
+                f"{victim.name} chosen as deadlock victim ({names})"
             ),
         )
         self._service_grant_queue()

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -98,6 +97,7 @@ from repro.service.manager import (
     Session,
     SessionState,
 )
+from repro.service.park import Park, ParkKind
 from repro.service.sharding.partitioner import Partitioner, make_partitioner
 from repro.service.stats import ServiceStats, ShardingStats
 
@@ -150,16 +150,6 @@ class GlobalSession:
     def scope(self) -> str:
         """``"local"`` (single-shard span, fast path) or ``"global"``."""
         return "local" if len(self.span) <= 1 else "global"
-
-
-@dataclass
-class _CoordWait:
-    """One parked coordinator-level wait (gate or guard): deadlock
-    edges, introspection, and the future a blocker's terminal fires."""
-
-    kind: str
-    blockers: Tuple[GlobalSession, ...]
-    future: "asyncio.Future[None]"
 
 
 class ShardedLockManager:
@@ -272,8 +262,9 @@ class ShardedLockManager:
         self._live: Dict[GlobalSession, None] = {}  # insertion-ordered set
         #: leg job -> owning global session (constraint/wait translation).
         self._job_sessions: Dict[Job, GlobalSession] = {}
-        #: Parked coordinator-level waits (commit gate / order guard).
-        self._coord_waits: Dict[GlobalSession, _CoordWait] = {}
+        #: The registry of coordinator-level parks (global commit gate /
+        #: global order guard); a leg's lock wait is its shard's park.
+        self.parks: Dict[GlobalSession, Park] = {}
         #: blocker session -> waiters parked on it (terminal wake index).
         self._wake_index: Dict[GlobalSession, Set[GlobalSession]] = {}
         #: The incrementally maintained session-level constraint graph,
@@ -405,7 +396,7 @@ class ShardedLockManager:
         session.in_flight = True
         try:
             await self._await_remote(
-                session, "order guard",
+                session, ParkKind.ORDER_GUARD,
                 lambda: self._remote_guard_blockers(session, shard_id, item),
             )
             leg = await self._ensure_leg(session, shard_id)
@@ -457,7 +448,7 @@ class ShardedLockManager:
 
             while True:
                 await self._await_remote(
-                    session, "commit gate",
+                    session, ParkKind.COMMIT_GATE,
                     lambda: self._gate_blockers(session),
                 )
                 if await self._prepare_legs(session, legs):
@@ -686,7 +677,7 @@ class ShardedLockManager:
             return self._stats_document_remote()
         return self._assemble_stats(
             [shard.stats for shard in self.shards],
-            shard_waiting=sum(len(shard._waiters) for shard in self.shards),
+            shard_waiting=sum(len(shard.parks) for shard in self.shards),
             ceilings=[shard.system_ceiling() for shard in self.shards],
         )
 
@@ -730,7 +721,7 @@ class ShardedLockManager:
         doc["protocol"] = self.protocol.name
         doc["uptime_s"] = self.now()
         doc["live_sessions"] = len(self._live)
-        doc["waiting_sessions"] = shard_waiting + len(self._coord_waits)
+        doc["waiting_sessions"] = shard_waiting + len(self.parks)
         known = [c for c in ceilings if c is not None]
         doc["system_ceiling"] = max(known) if known else None
         assignment = self.partitioner.assignment(self.catalog.items)
@@ -972,9 +963,9 @@ class ShardedLockManager:
         waiters = self._wake_index.pop(session, None)
         if waiters:
             for waiter in tuple(waiters):
-                wait = self._coord_waits.get(waiter)
-                if wait is not None and not wait.future.done():
-                    wait.future.set_result(None)
+                park = self.parks.get(waiter)
+                if park is not None and not park.future.done():
+                    park.future.set_result(None)
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -1126,7 +1117,7 @@ class ShardedLockManager:
     async def _await_remote(
         self,
         session: GlobalSession,
-        kind: str,
+        kind: ParkKind,
         blockers_fn: Callable[[], Tuple[GlobalSession, ...]],
     ) -> None:
         """Park until ``blockers_fn`` drains (event-driven wake-ups).
@@ -1144,7 +1135,7 @@ class ShardedLockManager:
         blockers = blockers_fn()
         if not blockers:
             return
-        if kind == "commit gate":
+        if kind is ParkKind.COMMIT_GATE:
             self.sharding_stats.gate_waits += 1
             park_hist = self.sharding_stats.gate_wait
         else:
@@ -1160,7 +1151,9 @@ class ShardedLockManager:
                 if not blockers:
                     return
                 future: "asyncio.Future[None]" = loop.create_future()
-                self._coord_waits[session] = _CoordWait(kind, blockers, future)
+                self.parks[session] = Park(
+                    session, kind, blockers, future, started
+                )
                 for blocker in blockers:
                     self._wake_index.setdefault(blocker, set()).add(session)
                 self._schedule_deadlock_check()
@@ -1185,7 +1178,7 @@ class ShardedLockManager:
                                 )
                             raise
                 finally:
-                    self._coord_waits.pop(session, None)
+                    self.parks.pop(session, None)
                     for blocker in blockers:
                         waiters = self._wake_index.get(blocker)
                         if waiters is not None:
@@ -1196,7 +1189,7 @@ class ShardedLockManager:
                     raise TransactionAborted(
                         f"{session.name}: "
                         f"{session.abort_reason or 'aborted'} "
-                        f"(while parked at the {kind})"
+                        f"(while parked at the {kind.value})"
                     )
                 if (
                     session.deadline is not None
@@ -1205,7 +1198,7 @@ class ShardedLockManager:
                     self.stats.deadline_aborts += 1
                     self._abort_global(session, "deadline", forced=True)
                     raise DeadlineExceeded(
-                        f"{session.name}: deadline passed at the {kind}"
+                        f"{session.name}: deadline passed at the {kind.value}"
                     )
         finally:
             if session.state is SessionState.WAITING:
@@ -1253,7 +1246,7 @@ class ShardedLockManager:
         self._on_session_terminal(session)
         # The victim itself may be parked at a gate/guard: fire its own
         # future so the park observes the abort without a failsafe tick.
-        own = self._coord_waits.get(session)
+        own = self.parks.get(session)
         if own is not None and not own.future.done():
             own.future.set_result(None)
 
@@ -1341,10 +1334,10 @@ class ShardedLockManager:
                     edges.setdefault(waiter, {}).setdefault(
                         blocker, set()
                     ).add(index)
-        for waiter, wait in self._coord_waits.items():
+        for waiter, park in self.parks.items():
             if not waiter.state.live:
                 continue
-            for blocker in wait.blockers:
+            for blocker in park.blockers:
                 if blocker.state.live and blocker is not waiter:
                     edges.setdefault(waiter, {}).setdefault(
                         blocker, set()

@@ -393,11 +393,6 @@ class RemoteShardProxy:
         self._forget(name)
         self._post("force_abort", session=leg.id, reason=reason)
 
-    @property
-    def _waiters(self) -> Dict[str, Tuple[str, ...]]:
-        """Parked-waiter gauge (len() only); mirrors the wait edges."""
-        return self._wait_edges
-
     def system_ceiling(self) -> Optional[int]:
         """Unknown without a round-trip; the async stats path carries it."""
         return None

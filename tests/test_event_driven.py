@@ -259,10 +259,10 @@ class TestPartialRedecide:
             wa = await mgr.begin("WA")
             blocked = asyncio.ensure_future(mgr.write(wa, "a", 1))
             await settle()
-            assert wa in mgr._item_waiters["a"]
+            assert wa in mgr._item_parks["a"]
             await mgr.commit(ra)
             await asyncio.wait_for(blocked, timeout=5.0)
-            assert "a" not in mgr._item_waiters  # unindexed on grant
+            assert "a" not in mgr._item_parks  # unindexed on grant
             await mgr.commit(wa)
             await mgr.shutdown()
 

@@ -278,7 +278,7 @@ class TestBrokenPeers:
             assert len(peer.connection._parked) == 1
             await peer.hang_up()
             assert session.state is SessionState.ABORTED
-            assert not manager._waiters
+            assert not manager.parks
             # the session it was waiting on is untouched and finishes
             assert (await reader.commit())["installed"] == []
             await client.close()

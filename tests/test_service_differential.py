@@ -24,6 +24,7 @@ from repro.exceptions import ServiceError, TransactionAborted
 from repro.model.spec import LockMode, OpKind
 from repro.service import LockManager, ServiceConfig
 from repro.service.manager import SessionState
+from repro.service.park import ParkKind
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
 PROTOCOLS = ("pcp-da", "pcp", "rw-pcp", "ipcp", "2pl", "2pl-hp", "occ-bc")
@@ -92,10 +93,8 @@ class Driver:
             observed = "pending"
         if isinstance(expected, (Grant, AbortAndGrant)):
             if observed != "granted":
-                waiter = manager._waiters.get(session)
-                if waiter is not None and waiter.reason.startswith(
-                    "order guard"
-                ):
+                park = manager.parks.get(session)
+                if park is not None and park.kind is ParkKind.ORDER_GUARD:
                     # Documented tightening: the service may defer a
                     # protocol-admissible read for serialization order.
                     self.guard_waits += 1

@@ -25,6 +25,7 @@ from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
 from repro.service import LockManager, ServiceConfig
 from repro.service.manager import SessionState
+from repro.service.park import ParkKind
 from repro.verify.stress import StressSpec, make_catalog
 
 
@@ -195,7 +196,7 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceeded):
                 await manager.read(reader, "x")
             assert reader.state is SessionState.ABORTED
-            assert not manager._waiters  # queue entry cleaned up
+            assert not manager.parks  # queue entry cleaned up
             await manager.commit(writer)
 
         run(body())
@@ -273,7 +274,7 @@ class TestGrantQueue:
             task.cancel()
             await settle()
             assert reader.state is SessionState.ABORTED
-            assert not manager._waiters
+            assert not manager.parks
             await manager.commit(writer)
 
         run(body())
@@ -357,8 +358,7 @@ class TestSerializationOrderEnforcement:
             read_task = asyncio.ensure_future(manager.read(writer, "y"))
             await settle()
             assert not read_task.done()
-            waiter = manager._waiters[writer]
-            assert waiter.reason.startswith("order guard")
+            assert manager.parks[writer].kind is ParkKind.ORDER_GUARD
             await manager.commit(reader)
             value = await read_task  # guard lifts once B finishes
             assert value == 2
@@ -416,7 +416,7 @@ class TestSerializationOrderEnforcement:
             await manager.commit(reader)
             await manager.commit(writer)
             assert not manager.constraints
-            assert not manager._gate_futures
+            assert not manager.parks
 
         run(body())
 
@@ -585,7 +585,7 @@ class TestLiveSessionScale:
             parked = asyncio.ensure_future(manager.write(writer, "x", 1))
             await settle()
             assert waits == ["T2#0"]
-            waiter = manager._waiters[writer]
+            waiter = manager.parks[writer]
             assert waiter.blockers == (holder.job, other.job)
             # Re-decide with nothing released: same blame, no notification.
             manager._churn_items.add("x")

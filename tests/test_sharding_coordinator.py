@@ -33,6 +33,7 @@ from repro.service import (
 )
 from repro.service.loadgen import history_from_events
 from repro.service.manager import SessionState
+from repro.service.park import ParkKind
 
 
 def catalog_two_shards() -> TaskSet:
@@ -164,7 +165,7 @@ class TestGateAndGuard:
             assert not commit_task.done()
             assert writer.state is SessionState.WAITING
             assert mgr.sharding_stats.gate_waits == 1
-            assert mgr._coord_waits[writer].kind == "commit gate"
+            assert mgr.parks[writer].kind is ParkKind.COMMIT_GATE
             await mgr.commit(reader)
             await commit_task
             assert writer.state is SessionState.COMMITTED
@@ -218,7 +219,7 @@ class TestGateAndGuard:
             assert not read_task.done()
             assert sa.state is SessionState.WAITING
             assert mgr.sharding_stats.guard_waits == 1
-            assert mgr._coord_waits[sa].kind == "order guard"
+            assert mgr.parks[sa].kind is ParkKind.ORDER_GUARD
             await mgr.commit(sb)
             value = await read_task          # guard lifts with B gone
             assert value == "b-val"

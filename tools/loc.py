@@ -5,7 +5,11 @@ way.  *Code-only* excludes blank lines, comments and docstrings: a line
 counts when a token other than a comment sits on it and the statement it
 belongs to is not a bare string.  Standard library only.
 
-Usage: python tools/loc.py [ROOT]        (default ROOT: src/repro)
+Usage: python tools/loc.py [PATH ...]    (default PATH: src/repro)
+
+A directory prints one row per package under it and its total; a file
+prints one row of its own (``make loc`` appends the two modules every
+open ROADMAP item edits).
 """
 
 import sys
@@ -36,8 +40,8 @@ def count(path: Path):
     return total, len(code)
 
 
-def main(root: Path) -> None:
-    """Print one row per package under ``root`` and the grand total."""
+def package_rows(root: Path):
+    """A header row, one row per package under ``root``, the grand total."""
     rows = defaultdict(lambda: [0, 0, 0])
     for path in sorted(root.rglob("*.py")):
         parts = path.relative_to(root).parts
@@ -47,10 +51,22 @@ def main(root: Path) -> None:
         row[1] += total
         row[2] += code
     rows["TOTAL"] = [sum(r[i] for r in rows.values()) for i in range(3)]
-    print(f"{str(root):<20}{'files':>6}{'lines':>8}{'code':>8}")
-    for name, (files, total, code) in rows.items():
-        print(f"{name:<20}{files:>6}{total:>8}{code:>8}")
+    return [(str(root), "files", "lines", "code"),
+            *((name, *row) for name, row in rows.items())]
+
+
+def main(paths) -> None:
+    """Print the rows of every directory and file in ``paths``."""
+    rows = []
+    for path in paths:
+        if path.is_dir():
+            rows.extend(package_rows(path))
+        else:
+            rows.append((str(path), 1, *count(path)))
+    width = max(20, 2 + max(len(row[0]) for row in rows))
+    for name, files, total, code in rows:
+        print(f"{name:<{width}}{files:>6}{total:>8}{code:>8}")
 
 
 if __name__ == "__main__":
-    main(Path(sys.argv[1] if len(sys.argv) > 1 else "src/repro"))
+    main([Path(arg) for arg in sys.argv[1:]] or [Path("src/repro")])
