@@ -1,44 +1,39 @@
-# Verification entry points. `make verify` is the PR gate: the tier-1
-# test suite, a 2-job smoke sweep through the parallel runner and a
-# throwaway result cache, and a perf-harness smoke run that validates
-# the BENCH document schema. See docs/PERFORMANCE.md. `make verify-faults`
-# runs the full fault-injection battery, including the full-ledger soak
-# cases tier-1 excludes. See docs/RELIABILITY.md. `make verify-service`
-# runs the in-process service suites plus the TCP/loadgen soak battery
-# (the only target that opens sockets). See docs/SERVICE.md.
-# `make verify-sharding` runs the sharded-deployment suites (partitioner,
-# coordinator, 1-shard decision equivalence, 4-shard replay) socket-free;
-# SOAK=1 adds the multi-shard TCP soaks. See docs/SHARDING.md.
+# `make verify` is the PR gate. Each prerequisite, and what it proves:
+#   test               tier-1 pytest suite (ROADMAP.md); every paper claim passes
+#   smoke              `repro reproduce --extended` passes; stdout at --jobs 2 == --jobs 1
+#   kernel-smoke       array kernel and object path emit byte-identical traces
+#   bench-smoke        the perf harness runs; within 50% of the checked-in baseline
+#   bench-suite-smoke  every BENCHMARK.json workload runs once, tiny, all checks pass
+#   stress-smoke       decision parity + simulator oracle; 4 shards >= 1 shard
+#   verify-service     in-process service battery, socket-free (docs/SERVICE.md)
+#   verify-sharding    sharded-deployment battery, socket-free (docs/SHARDING.md)
+#   verify-procs       shard-host processes: frames, proxy, supervisor, no orphans
 #
-# `make bench` is the standing perf-regression harness: the
-# pytest-benchmark suites (whole-run throughput + per-event
-# microbenchmarks) followed by benchmarks/perf_report.py, which writes
-# BENCH_<date>.json — the ledger perf PRs are judged against.
-# `make bench-compare BASE=old.json HEAD=new.json` diffs two ledgers and
-# fails on a >10% events/s drop — the review gate for perf PRs.
-# `make kernel-smoke` pins the array kernel to the object reference path
-# on a corpus slice (socket-free, seconds); part of `make verify`.
-# `make bench-suite-smoke` runs every workload of the end-to-end
-# benchmark (BENCHMARK.json, benchmarks/suite/) once, tiny, with its
-# correctness checks, plus the suite's own smoke test; part of
-# `make verify`. The measured run is `python3 benchmarks/suite/run.py`;
-# `make bench-pair REF=<commit> WORKLOAD=<name> [PAIRS=10]` compares two
-# commits on one workload by alternating runs (benchmarks/bench_pair.py).
-# `make loc` prints total and code-only (no blanks, comments, docstrings)
-# line counts per src/repro package — the one way a PR counts "smaller".
+# Measurement, not gating: `make bench` (pytest-benchmark suites, then
+# benchmarks/perf_report.py writes BENCH_<date>.json), `make bench-compare`
+# (diff two such ledgers), `make bench-pair` (alternating runs of two
+# commits on one end-to-end workload, benchmarks/bench_pair.py), `make
+# stress` / `make stress-procs` (100k-arrival overload runs), and `make
+# loc` (code-only line counts per src/repro package — the one way a PR
+# counts "smaller").
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify verify-faults verify-service verify-sharding verify-procs \
+.PHONY: verify verify-service verify-sharding verify-procs \
 	test smoke kernel-smoke bench bench-smoke bench-suite-smoke \
 	bench-pair bench-compare bench-all stress stress-smoke stress-procs loc
 
-verify: test smoke kernel-smoke bench-smoke bench-suite-smoke stress-smoke \
-	verify-service verify-sharding verify-procs
-
-verify-faults:
-	$(PYTHON) -m pytest -q -m faults
+verify: \
+	test \
+	smoke \
+	kernel-smoke \
+	bench-smoke \
+	bench-suite-smoke \
+	stress-smoke \
+	verify-service \
+	verify-sharding \
+	verify-procs
 
 # The in-process service battery (no sockets): manager semantics, the
 # park → wait → unpark battery (every kind of wait ended every way, the
@@ -83,11 +78,14 @@ verify-procs:
 test:
 	$(PYTHON) -m pytest -x -q
 
+# The extended ledger through two worker processes, its stdout compared
+# byte for byte with the in-process run.
 smoke:
-	CACHE_DIR=$$(mktemp -d) && \
-	$(PYTHON) -m repro reproduce --jobs 2 --cache-dir $$CACHE_DIR && \
-	$(PYTHON) -m repro reproduce --jobs 2 --cache-dir $$CACHE_DIR && \
-	rm -rf $$CACHE_DIR
+	tmp=$$(mktemp -d) && \
+	{ $(PYTHON) -m repro reproduce --extended --jobs 2 > $$tmp/jobs2 && \
+	  $(PYTHON) -m repro reproduce --extended --jobs 1 > $$tmp/jobs1 && \
+	  cmp $$tmp/jobs1 $$tmp/jobs2; }; \
+	status=$$?; cat $$tmp/jobs2; rm -rf $$tmp; exit $$status
 
 # Array-kernel equivalence smoke: representative corpus cases through
 # kernel and object paths must emit byte-identical traces.

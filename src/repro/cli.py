@@ -583,64 +583,10 @@ def _cmd_stress(args: argparse.Namespace) -> int:
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
-    from repro.exceptions import FaultSpecError, SweepResumeError
-    from repro.experiments import (
-        FaultPlan,
-        ResultCache,
-        RetryPolicy,
-        render_summary,
-        run_all,
-    )
+    from repro.experiments import render_summary, run_all
 
-    if args.retries < 0:
-        print(f"--retries must be >= 0 (got {args.retries})", file=sys.stderr)
-        return 2
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        print(f"--job-timeout must be positive seconds (got {args.job_timeout:g})",
-              file=sys.stderr)
-        return 2
-    if args.resume and args.no_cache:
-        print("--resume needs the on-disk result cache; drop --no-cache",
-              file=sys.stderr)
-        return 2
-    fault_plan = None
-    if args.inject_faults:
-        try:
-            fault_plan = FaultPlan.parse(args.inject_faults)
-        except FaultSpecError as exc:
-            print(f"invalid --inject-faults spec: {exc}", file=sys.stderr)
-            return 2
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if cache is not None:
-        try:
-            cache.ensure_writable()
-        except OSError as exc:
-            print(f"cache directory {cache.root} is unusable: {exc}; "
-                  "pass --no-cache or a writable --cache-dir", file=sys.stderr)
-            return 2
-    stats_out: list = []
-    try:
-        reports = run_all(
-            extended=args.extended,
-            jobs=args.jobs,
-            cache=cache,
-            progress=args.jobs > 1,
-            stats_out=stats_out,
-            retry=RetryPolicy(
-                max_retries=args.retries, job_timeout=args.job_timeout
-            ),
-            fault_plan=fault_plan,
-            resume=args.resume,
-        )
-    except SweepResumeError as exc:
-        print(f"cannot resume: {exc}", file=sys.stderr)
-        return 2
-    except FaultSpecError as exc:
-        print(f"invalid --inject-faults spec: {exc}", file=sys.stderr)
-        return 2
+    reports = run_all(extended=args.extended, jobs=args.jobs)
     print(render_summary(reports, verbose=args.verbose))
-    if stats_out:
-        print(stats_out[-1].render(), file=sys.stderr)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -714,37 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1, metavar="N",
         help="fan independent experiments across N worker processes "
              "(output is byte-identical for every N)",
-    )
-    reproduce.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every experiment instead of consulting the "
-             "on-disk result cache",
-    )
-    reproduce.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="result-cache root (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
-    reproduce.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="resubmissions allowed per job after a crash, hang, or "
-             "transient failure (default 2; 0 = fail fast)",
-    )
-    reproduce.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="abandon and retry any single job attempt running longer "
-             "than this (default: no timeout)",
-    )
-    reproduce.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep from the manifest journaled "
-             "next to the cache, recomputing only unfinished jobs",
-    )
-    reproduce.add_argument(
-        "--inject-faults", default=None, metavar="SPEC",
-        help="deterministically inject faults for testing, e.g. "
-             "'flaky:table1@2,crash:figure3' or 'random:7:3' "
-             "(kinds: crash, hang, flaky, corrupt; see docs/RELIABILITY.md)",
     )
     reproduce.add_argument(
         "--profile", action="store_true",

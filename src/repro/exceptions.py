@@ -90,24 +90,6 @@ class AnalysisError(ReproError):
     """Schedulability analysis was asked an ill-posed question."""
 
 
-class FaultSpecError(ReproError):
-    """A fault-injection spec is malformed or targets an unknown job.
-
-    Raised by :meth:`repro.experiments.faults.FaultPlan.parse` and
-    ``FaultPlan.resolve`` so the CLI can turn a bad ``--inject-faults``
-    string into a clean one-line error instead of a traceback.
-    """
-
-
-class SweepResumeError(ReproError):
-    """A sweep cannot be resumed from its on-disk manifest.
-
-    Raised when ``--resume`` is requested but the manifest is missing,
-    unreadable, or was written for a different job batch (stale), or when
-    resuming without the result cache that holds the completed reports.
-    """
-
-
 class ServiceError(ReproError):
     """Base class for errors raised by the live lock-manager service.
 

@@ -9,26 +9,6 @@ the prose rendering of the same content.
 """
 
 from repro.experiments.spec import Check, ExperimentReport
-from repro.experiments.cache import (
-    ResultCache,
-    SweepManifest,
-    default_cache_dir,
-    spec_key,
-)
-from repro.experiments.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    TransientFault,
-)
-from repro.experiments.retry import (
-    CircuitBreaker,
-    JobTimeout,
-    RetryPolicy,
-    RetryableError,
-    WorkerCrash,
-)
 from repro.experiments.figures import (
     run_example5,
     run_figure1,
@@ -37,12 +17,6 @@ from repro.experiments.figures import (
     run_figure4,
     run_figure5,
     run_table1,
-)
-from repro.experiments.parallel import (
-    ExperimentJob,
-    ParallelRunner,
-    RunnerStats,
-    parallel_map,
 )
 from repro.experiments.section9 import run_section9_analysis, run_section9_sweep
 from repro.experiments.runner import (
@@ -56,31 +30,13 @@ from repro.experiments.runner import (
 
 __all__ = [
     "Check",
-    "CircuitBreaker",
     "EXPERIMENT_ORDER",
     "EXTENSION_ORDER",
-    "ExperimentJob",
     "ExperimentReport",
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "JobTimeout",
-    "ParallelRunner",
-    "ResultCache",
-    "RetryPolicy",
-    "RetryableError",
-    "RunnerStats",
-    "SweepManifest",
-    "TransientFault",
-    "WorkerCrash",
     "all_experiments",
-    "default_cache_dir",
     "experiment_order",
-    "parallel_map",
     "render_summary",
     "run_all",
-    "spec_key",
     "run_example5",
     "run_figure1",
     "run_figure2",

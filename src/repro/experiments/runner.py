@@ -8,16 +8,16 @@ The ledger renders in one **explicit, documented order** —
 :data:`EXTENSION_ORDER`, the order EXPERIMENTS.md presents the artifacts
 in.  :func:`all_experiments` returns its mapping in exactly that order and
 :func:`run_all` returns reports in exactly that order, *including when the
-jobs run in parallel*: the parallel runner reorders completions back to
-submission order, so ``render_summary(run_all(jobs=N))`` is byte-identical
-for every ``N``.  Extensions that register new experiments must append to
-these tuples rather than mutate the returned dict, so completion order can
-never leak into the rendered summary.
+experiments run in worker processes*: ``ProcessPoolExecutor.map`` yields
+results in submission order, so ``render_summary(run_all(jobs=N))`` is
+byte-identical for every ``N``.  Extensions that register new experiments
+must append to these tuples rather than mutate the returned dict.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Dict, List, Tuple
 
 from repro.experiments.figures import (
     run_example5,
@@ -35,10 +35,6 @@ from repro.experiments.extensions import (
     run_reconstruction_findings,
     run_refined_analysis_extension,
 )
-from repro.experiments.cache import ResultCache
-from repro.experiments.faults import FaultPlan
-from repro.experiments.parallel import ExperimentJob, ParallelRunner, RunnerStats
-from repro.experiments.retry import RetryPolicy
 from repro.experiments.section9 import run_section9_analysis, run_section9_sweep
 from repro.experiments.spec import ExperimentReport
 
@@ -102,48 +98,24 @@ def all_experiments(*, extended: bool = False) -> Dict[str, Callable[[], Experim
     return {name: registry[name] for name in experiment_order(extended=extended)}
 
 
-def run_all(
-    *,
-    extended: bool = False,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    progress: bool = False,
-    stats_out: Optional[List[RunnerStats]] = None,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    resume: bool = False,
-) -> List[ExperimentReport]:
-    """Execute the ledger (deterministic; a few seconds, ~10s extended).
+def _call(func: Callable[[], ExperimentReport]) -> ExperimentReport:
+    """Run one experiment (module-level, so a worker process can unpickle it)."""
+    return func()
 
-    ``jobs`` fans the independent experiments across that many worker
-    processes; ``cache`` (a :class:`ResultCache`) serves already-computed
-    reports and stores fresh ones, making warm reruns near-instant.  The
-    returned list is always in :func:`experiment_order` — byte-identical
-    output for every ``jobs`` value, cache state, retry policy, and
-    injected-fault schedule.  ``progress`` prints a per-job line to
-    stderr; when ``stats_out`` is given, the run's :class:`RunnerStats`
-    is appended to it.
 
-    ``retry`` (a :class:`~repro.experiments.retry.RetryPolicy`) arms
-    per-job timeouts, bounded retry with backoff, and the circuit
-    breaker; ``fault_plan`` injects deterministic faults for testing; and
-    ``resume=True`` replays the sweep manifest journaled next to the
-    cache, recomputing only the jobs an interrupted run left unfinished
-    (raises :class:`~repro.exceptions.SweepResumeError` when the manifest
-    is missing, stale, or there is no cache).  See docs/RELIABILITY.md.
+def run_all(*, extended: bool = False, jobs: int = 1) -> List[ExperimentReport]:
+    """Execute the ledger (deterministic; well under a second).
+
+    ``jobs > 1`` runs the independent experiments in that many worker
+    processes (capped at the number of experiments).  The returned list is
+    always in :func:`experiment_order`, so the rendered summary is
+    byte-identical for every ``jobs`` value.
     """
-    batch = [
-        ExperimentJob(name=name, func=func)
-        for name, func in all_experiments(extended=extended).items()
-    ]
-    runner = ParallelRunner(
-        jobs=jobs, cache=cache, progress=progress,
-        retry=retry, fault_plan=fault_plan, resume=resume,
-    )
-    reports = runner.run(batch)
-    if stats_out is not None:
-        stats_out.append(runner.stats)
-    return reports
+    funcs = list(all_experiments(extended=extended).values())
+    if jobs <= 1:
+        return [func() for func in funcs]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(funcs))) as pool:
+        return list(pool.map(_call, funcs))
 
 
 def render_summary(reports: List[ExperimentReport], *, verbose: bool = False) -> str:

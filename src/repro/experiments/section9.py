@@ -64,13 +64,8 @@ def run_section9_analysis() -> ExperimentReport:
     return report
 
 
-def _sweep_point(point) -> tuple:
-    """One sweep point: acceptance counts at ``(utilization, sets)``.
-
-    Module-level (hence picklable) so the sweep can fan points across the
-    :func:`repro.experiments.parallel.parallel_map` process pool.
-    """
-    utilization, sets_per_point = point
+def _sweep_point(utilization: float, sets_per_point: int) -> dict:
+    """One sweep point: RM-accepted set counts per protocol."""
     accepted = {"pcp-da": 0, "rw-pcp": 0}
     for seed in range(sets_per_point):
         ts = generate_taskset(
@@ -82,33 +77,17 @@ def _sweep_point(point) -> tuple:
         )
         for protocol in accepted:
             accepted[protocol] += rm_schedulable(ts, protocol)
-    return utilization, accepted
+    return accepted
 
 
 def run_section9_sweep(
     *, utilizations=(0.3, 0.5, 0.7), sets_per_point: int = 25,
-    jobs: int = 1, retry=None,
 ) -> ExperimentReport:
-    """The schedulable-fraction comparison over random workloads.
-
-    ``jobs`` fans the utilisation points across worker processes via
-    :func:`~repro.experiments.parallel.parallel_map`; each point is seeded
-    independently, so the report is identical for every ``jobs`` value.
-    ``retry`` (a :class:`~repro.experiments.retry.RetryPolicy`) makes the
-    fan-out survive worker crashes, hangs, and transient failures —
-    results are unchanged, only wall-clock and retry counters vary.
-    """
-    from repro.experiments.parallel import parallel_map
-
+    """The schedulable-fraction comparison over random workloads."""
     report = ExperimentReport(
         "Section 9 (schedulable-fraction sweep)", "Section 9"
     )
-    rows = parallel_map(
-        _sweep_point,
-        [(u, sets_per_point) for u in utilizations],
-        jobs=jobs,
-        retry=retry,
-    )
+    rows = [(u, _sweep_point(u, sets_per_point)) for u in utilizations]
     for utilization, accepted in rows:
         report.check_true(
             f"at utilisation {utilization}: PCP-DA accepts at least as many "

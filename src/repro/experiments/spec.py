@@ -27,25 +27,6 @@ class Check:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.claim}: expected {self.expected}, measured {self.measured}"
 
-    def to_dict(self) -> dict:
-        """Plain-data form (JSON-safe) for the on-disk result cache."""
-        return {
-            "claim": self.claim,
-            "expected": self.expected,
-            "measured": self.measured,
-            "passed": self.passed,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Check":
-        """Inverse of :meth:`to_dict`."""
-        return Check(
-            claim=data["claim"],
-            expected=data["expected"],
-            measured=data["measured"],
-            passed=bool(data["passed"]),
-        )
-
 
 @dataclass
 class ExperimentReport:
@@ -89,30 +70,6 @@ class ExperimentReport:
         )
         self.checks.append(entry)
         return entry
-
-    def to_dict(self) -> dict:
-        """Plain-data form (JSON-safe) for the on-disk result cache.
-
-        Round-trips losslessly through :meth:`from_dict`: every field that
-        affects rendering (and therefore the ledger summary) is included,
-        so a cached report renders byte-identically to a fresh one.
-        """
-        return {
-            "experiment": self.experiment,
-            "source": self.source,
-            "checks": [check.to_dict() for check in self.checks],
-            "artifact": self.artifact,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ExperimentReport":
-        """Inverse of :meth:`to_dict`."""
-        return ExperimentReport(
-            experiment=data["experiment"],
-            source=data["source"],
-            checks=[Check.from_dict(c) for c in data["checks"]],
-            artifact=data.get("artifact", ""),
-        )
 
     def render(self, *, verbose: bool = False) -> str:
         """Header plus failing checks (all checks when ``verbose``)."""

@@ -79,65 +79,39 @@ def summarize_values(values: Sequence[float]) -> Summary:
     return Summary(n=n, mean=mean, stdev=stdev, ci95_half_width=half_width)
 
 
-def _batch_rows_for_workload(unit) -> List["BatchRow"]:
-    """All protocol rows of one workload: ``(workload, protocols, config)``.
-
-    Module-level (hence picklable) so :func:`run_batch` can fan workloads
-    across a process pool.  One workload is the unit of parallelism — the
-    generated task set is reused across protocols within the worker, so
-    comparisons stay paired exactly as in the serial path.
-    """
-    workload, protocols, sim_config = unit
-    taskset = generate_taskset(workload)
-    rows: List[BatchRow] = []
-    for protocol in protocols:
-        result = Simulator(
-            taskset, make_protocol(protocol), sim_config
-        ).run()
-        metrics = compute_metrics(result)
-        rows.append(
-            BatchRow(
-                protocol=protocol,
-                seed=workload.seed,
-                utilization=taskset.total_utilization(),
-                total_blocking_time=metrics.total_blocking_time,
-                max_blocking_time=metrics.max_blocking_time,
-                miss_ratio=metrics.miss_ratio,
-                restarts=metrics.total_restarts,
-                mean_response_time=metrics.mean_response_time,
-            )
-        )
-    return rows
-
-
 def run_batch(
     protocols: Sequence[str],
     workloads: Sequence[WorkloadConfig],
     *,
     config: Optional[SimConfig] = None,
-    jobs: int = 1,
-    retry=None,
 ) -> List[BatchRow]:
     """Simulate every workload under every protocol.
 
     The same generated task set is reused across protocols for each seed,
-    so comparisons are paired.  ``jobs`` fans workloads across worker
-    processes (each worker runs all protocols for its workload, keeping
-    the pairing); row order and content are identical for every ``jobs``
-    value because every simulation is deterministic.  ``retry`` (a
-    :class:`~repro.experiments.retry.RetryPolicy`) adds per-workload
-    timeouts and bounded retries for long unattended sweeps — identical
-    rows, fault-tolerant wall clock.
+    so comparisons are paired.
     """
-    # Imported lazily: repro.experiments.parallel imports this module.
-    from repro.experiments.parallel import parallel_map
-
     sim_config = config or SimConfig(deadlock_action="abort_lowest")
-    units = [(workload, tuple(protocols), sim_config) for workload in workloads]
-    per_workload = parallel_map(
-        _batch_rows_for_workload, units, jobs=jobs, retry=retry
-    )
-    return [row for rows in per_workload for row in rows]
+    rows: List[BatchRow] = []
+    for workload in workloads:
+        taskset = generate_taskset(workload)
+        for protocol in protocols:
+            result = Simulator(
+                taskset, make_protocol(protocol), sim_config
+            ).run()
+            metrics = compute_metrics(result)
+            rows.append(
+                BatchRow(
+                    protocol=protocol,
+                    seed=workload.seed,
+                    utilization=taskset.total_utilization(),
+                    total_blocking_time=metrics.total_blocking_time,
+                    max_blocking_time=metrics.max_blocking_time,
+                    miss_ratio=metrics.miss_ratio,
+                    restarts=metrics.total_restarts,
+                    mean_response_time=metrics.mean_response_time,
+                )
+            )
+    return rows
 
 
 def summarize(

@@ -59,23 +59,6 @@ class WorkloadConfig:
     hot_access_probability: float = 0.5
     seed: int = 0
 
-    def fingerprint(self) -> str:
-        """Stable identity string covering every generation parameter.
-
-        Two configs with equal fingerprints generate identical task sets
-        (generation is pure in the config), so the string is safe to use
-        as cache-key material for sweep results
-        (:func:`repro.experiments.cache.spec_key` ``params``).
-        """
-        fields = (
-            self.n_transactions, self.n_items, self.ops_per_txn,
-            self.write_probability, self.op_duration, self.period_choices,
-            self.target_utilization, self.compute_fraction,
-            self.rmw_probability, self.hot_fraction,
-            self.hot_access_probability, self.seed,
-        )
-        return "workload:" + repr(fields)
-
     def __post_init__(self) -> None:
         if self.n_transactions < 1:
             raise SpecificationError("need at least one transaction")

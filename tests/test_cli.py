@@ -98,67 +98,6 @@ class TestCLI:
         assert "critical-section refinement" in out
 
 
-class TestReproduceReliabilityFlags:
-    """Error paths of the fault-tolerance flags: exit 2, one clean line.
-
-    None of these run any experiment — each must fail during validation,
-    before the sweep starts, so they stay fast and leave no artifacts.
-    """
-
-    def _err(self, capsys, argv):
-        assert main(["reproduce"] + argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1  # one line, no traceback
-        return err
-
-    def test_negative_retries_rejected(self, capsys):
-        err = self._err(capsys, ["--retries", "-1"])
-        assert "--retries must be >= 0" in err and "-1" in err
-
-    def test_zero_job_timeout_rejected(self, capsys):
-        err = self._err(capsys, ["--job-timeout", "0"])
-        assert "--job-timeout must be positive seconds" in err
-
-    def test_resume_conflicts_with_no_cache(self, capsys):
-        err = self._err(capsys, ["--resume", "--no-cache"])
-        assert "drop --no-cache" in err
-
-    def test_resume_without_manifest(self, capsys, tmp_path):
-        err = self._err(capsys, [
-            "--resume", "--cache-dir", str(tmp_path / "fresh"),
-        ])
-        assert "cannot resume" in err and "no sweep manifest" in err
-
-    def test_resume_with_stale_manifest(self, capsys, tmp_path):
-        import json
-
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        header = json.dumps({"format": 1, "batch": "0" * 64, "total": 9})
-        (cache_dir / "sweep-manifest.jsonl").write_text(header + "\n")
-        err = self._err(capsys, ["--resume", "--cache-dir", str(cache_dir)])
-        assert "cannot resume" in err and "stale" in err
-
-    def test_invalid_fault_spec_rejected(self, capsys):
-        err = self._err(capsys, ["--inject-faults", "bogus:table1"])
-        assert "invalid --inject-faults spec" in err
-        assert "unknown fault kind" in err
-
-    def test_fault_spec_naming_unknown_job(self, capsys, tmp_path):
-        err = self._err(capsys, [
-            "--no-cache", "--inject-faults", "flaky:nosuchjob",
-        ])
-        assert "invalid --inject-faults spec" in err
-        assert "unknown job" in err
-
-    def test_unwritable_quarantine_dir(self, capsys, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / "quarantine").write_text("occupied")  # blocks mkdir
-        err = self._err(capsys, ["--cache-dir", str(cache_dir)])
-        assert "unusable" in err and "--no-cache" in err
-
-
 class TestReproduceProfileFlag:
     """``--profile`` must leave the process profiler exactly as it found
     it and still emit its report — on success *and* when the run raises
@@ -179,7 +118,7 @@ class TestReproduceProfileFlag:
         sentinel = self._sentinel()
         _sys.setprofile(sentinel)
         try:
-            code = main(["reproduce", "--profile", "--no-cache"])
+            code = main(["reproduce", "--profile"])
             restored = _sys.getprofile()
         finally:
             _sys.setprofile(None)
@@ -203,7 +142,7 @@ class TestReproduceProfileFlag:
         _sys.setprofile(sentinel)
         try:
             with pytest.raises(RuntimeError, match="run exploded"):
-                main(["reproduce", "--profile", "--no-cache"])
+                main(["reproduce", "--profile"])
             restored = _sys.getprofile()
         finally:
             _sys.setprofile(None)

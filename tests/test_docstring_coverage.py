@@ -38,21 +38,17 @@ def _doc_ok(obj) -> bool:
 
 
 def test_parallel_sweep_modules_are_covered():
-    """Guard: the sweep-engine modules must stay under the doc walker.
+    """Guard: the ledger runner and service modules stay under the doc walker.
 
     ``_iter_modules`` discovers modules dynamically, so a packaging slip
     (e.g. the module moving out of the ``repro`` namespace) would silently
-    drop its docstring enforcement.  Pin the modules the parallel-runner
-    PR added so that cannot happen unnoticed.
+    drop its docstring enforcement.  Pin these modules so that cannot
+    happen unnoticed.
     """
     names = {module.__name__ for module in MODULES}
     assert {
-        "repro.experiments.parallel",
-        "repro.experiments.cache",
         "repro.experiments.runner",
         "repro.experiments.spec",
-        "repro.experiments.faults",
-        "repro.experiments.retry",
         "repro.service.sharding",
         "repro.service.sharding.partitioner",
         "repro.service.sharding.coordinator",

@@ -86,6 +86,30 @@ class TestLedger:
         out = capsys.readouterr().out
         assert "ALL CHECKS PASS" in out
 
+    def test_cli_reproduce_reruns_changed_code(self, capsys, monkeypatch, tmp_path):
+        # Every run recomputes the ledger: a change to the code behind a
+        # claim must change the verdict on the very next run, never be
+        # answered from an earlier run's results.  HOME points at tmp_path
+        # so nothing can persist between the two runs outside the test.
+        import repro.experiments.figures as figures
+        from repro.cli import main
+
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert main(["reproduce"]) == 0
+        capsys.readouterr()
+
+        real_table = figures.compatibility_table
+
+        def flipped_read_read():
+            return [
+                (held, req, cond, not ok if (held, req) == ("read", "read") else ok)
+                for held, req, cond, ok in real_table()
+            ]
+
+        monkeypatch.setattr(figures, "compatibility_table", flipped_read_read)
+        assert main(["reproduce"]) == 1
+        assert "FAILURES PRESENT" in capsys.readouterr().out
+
     def test_extended_ledger_passes(self):
         from repro.experiments.runner import run_all
 

@@ -1,38 +1,20 @@
-"""Tests for the parallel sweep engine and the on-disk result cache.
+"""Tests for the ledger's ordering contract and its worker-process path.
 
-The two guarantees under test are the ones docs/PERFORMANCE.md documents:
-
-* **serial equivalence** — ``run_all(jobs=N)`` renders byte-identically to
-  the serial runner for every ``N`` and every cache state;
-* **sound caching** — a cached report round-trips losslessly, hits and
-  misses are counted, and bumping the ``repro`` version busts every entry.
+The guarantee under test is the one docs/PERFORMANCE.md documents:
+``run_all(jobs=N)`` returns reports in :func:`experiment_order` and renders
+byte-identically to the serial run for every ``N``.
 """
-
-import json
 
 import pytest
 
 from repro.experiments import (
     EXPERIMENT_ORDER,
     EXTENSION_ORDER,
-    ExperimentJob,
-    ParallelRunner,
-    ResultCache,
     all_experiments,
     experiment_order,
-    parallel_map,
     render_summary,
     run_all,
-    spec_key,
 )
-from repro.experiments.cache import CACHE_FORMAT, default_cache_dir
-from repro.experiments.figures import run_figure1, run_table1
-from repro.experiments.spec import Check, ExperimentReport
-
-
-def _square(x):
-    """Module-level (picklable) helper for parallel_map tests."""
-    return x * x
 
 
 class TestOrdering:
@@ -64,198 +46,19 @@ class TestOrdering:
 
 
 class TestSerialEquivalence:
-    def test_parallel_full_ledger_is_byte_identical(self):
-        serial = render_summary(run_all())
-        parallel = render_summary(run_all(jobs=4))
-        assert parallel == serial
+    @pytest.fixture(scope="class")
+    def serial(self):
+        return render_summary(run_all(extended=True))
 
-    def test_parallel_with_cache_is_byte_identical(self, tmp_path):
-        serial = render_summary(run_all())
-        cold = render_summary(run_all(jobs=4, cache=ResultCache(tmp_path)))
-        warm = render_summary(run_all(jobs=4, cache=ResultCache(tmp_path)))
-        assert cold == serial
-        assert warm == serial
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_extended_ledger_is_byte_identical(self, serial, jobs):
+        assert render_summary(run_all(extended=True, jobs=jobs)) == serial
 
-    def test_runner_preserves_submission_order(self):
-        jobs = [
-            ExperimentJob("figure1", run_figure1),
-            ExperimentJob("table1", run_table1),
-        ]
-        reports = ParallelRunner(jobs=2).run(jobs)
-        assert reports[0].experiment.startswith("Figure 1")
-        assert reports[1].experiment.startswith("Table 1")
-
-    def test_parallel_map_orders_and_degrades(self):
-        items = list(range(7))
-        assert parallel_map(_square, items, jobs=1) == [x * x for x in items]
-        assert parallel_map(_square, items, jobs=3) == [x * x for x in items]
-        assert parallel_map(_square, [], jobs=3) == []
-
-
-class TestResultCache:
-    def _report(self):
-        report = ExperimentReport("X", "nowhere", artifact="art")
-        report.check("claim", 1, 1)
-        report.check_true("truth", False, measured="meh")
-        return report
-
-    def test_report_round_trip(self):
-        report = self._report()
-        clone = ExperimentReport.from_dict(
-            json.loads(json.dumps(report.to_dict()))
-        )
-        assert clone == report
-        assert clone.render(verbose=True) == report.render(verbose=True)
-
-    def test_check_round_trip(self):
-        check = Check("c", "1", "2", False)
-        assert Check.from_dict(check.to_dict()) == check
-
-    def test_put_get_and_counters(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.key_for("x", run_table1)
-        assert cache.get(key) is None
-        assert cache.counters() == (0, 1)
-        cache.put(key, self._report())
-        assert cache.get(key) == self._report()
-        assert cache.counters() == (1, 1)
-        assert len(cache) == 1
-
-    def test_version_bump_busts_cache(self, tmp_path):
-        old = ResultCache(tmp_path, version="1.0.0")
-        old.put(old.key_for("x", run_table1), self._report())
-        new = ResultCache(tmp_path, version="2.0.0")
-        assert new.get(new.key_for("x", run_table1)) is None
-        assert new.misses == 1
-
-    def test_spec_key_sensitivity(self):
-        base = spec_key("x", run_table1, (), version="1")
-        assert spec_key("x", run_table1, (), version="1") == base
-        assert spec_key("y", run_table1, (), version="1") != base
-        assert spec_key("x", run_figure1, (), version="1") != base
-        assert spec_key("x", run_table1, ("seed=1",), version="1") != base
-        assert spec_key("x", run_table1, (), version="2") != base
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.key_for("x", run_table1)
-        cache.put(key, self._report())
-        path = cache._path(key)
-        path.write_text("{not json")
-        assert cache.get(key) is None
-
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(cache.key_for("a"), self._report())
-        cache.put(cache.key_for("b"), self._report())
-        assert cache.clear() == 2
-        assert len(cache) == 0
-
-    def test_default_dir_honours_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-        assert default_cache_dir() == tmp_path / "envcache"
-
-    def test_cache_format_in_key_material(self):
-        # The format constant participates in the digest: a format change
-        # must not read old-layout entries.
-        assert isinstance(CACHE_FORMAT, int)
-
-
-class TestRunnerStatsAndCache:
-    def test_cold_then_warm_counters(self, tmp_path):
-        stats_out = []
-        run_all(cache=ResultCache(tmp_path), stats_out=stats_out)
-        cold = stats_out[-1]
-        assert cold.cache_hits == 0
-        assert cold.cache_misses == len(EXPERIMENT_ORDER)
-        assert cold.executed == len(EXPERIMENT_ORDER)
-        assert set(cold.job_times) == set(EXPERIMENT_ORDER)
-
-        run_all(cache=ResultCache(tmp_path), stats_out=stats_out)
-        warm = stats_out[-1]
-        assert warm.cache_hits == len(EXPERIMENT_ORDER)
-        assert warm.cache_misses == 0
-        assert warm.executed == 0
-        assert warm.timing_summary() is None
-
-    def test_parallel_stats_shape(self, tmp_path):
-        stats_out = []
-        run_all(jobs=3, cache=ResultCache(tmp_path), stats_out=stats_out)
-        stats = stats_out[-1]
-        assert stats.workers == 3
-        assert stats.max_queue_depth == len(EXPERIMENT_ORDER)
-        assert stats.wall_time > 0
-        summary = stats.timing_summary()
-        assert summary is not None and summary.n == len(EXPERIMENT_ORDER)
-        line = stats.render()
-        assert "cache 0 hit" in line and "workers=3" in line
-
-    def test_progress_lines_on_stderr(self, capsys, tmp_path):
-        run_all(jobs=2, cache=ResultCache(tmp_path), progress=True)
-        err = capsys.readouterr().err
-        assert f"[{len(EXPERIMENT_ORDER)}/{len(EXPERIMENT_ORDER)}]" in err
-
-
-class TestSweepParallelism:
-    def test_section9_sweep_jobs_identical(self):
-        from repro.experiments.section9 import run_section9_sweep
-
-        serial = run_section9_sweep(sets_per_point=5)
-        fanned = run_section9_sweep(sets_per_point=5, jobs=3)
-        assert fanned.render(verbose=True) == serial.render(verbose=True)
-
-    def test_run_batch_jobs_identical(self):
-        from repro.stats import run_batch
-        from repro.workloads.generator import WorkloadConfig
-
-        workloads = [
-            WorkloadConfig(seed=s, target_utilization=0.5) for s in range(3)
-        ]
-        serial = run_batch(["pcp-da", "rw-pcp"], workloads)
-        fanned = run_batch(["pcp-da", "rw-pcp"], workloads, jobs=3)
-        assert fanned == serial
-
-    def test_workload_fingerprint_stability(self):
-        from repro.workloads.generator import WorkloadConfig
-
-        a = WorkloadConfig(seed=3)
-        assert a.fingerprint() == WorkloadConfig(seed=3).fingerprint()
-        assert a.fingerprint() != WorkloadConfig(seed=4).fingerprint()
-        assert a.fingerprint() != WorkloadConfig(
-            seed=3, write_probability=0.9
-        ).fingerprint()
-
-
-class TestCLI:
-    def test_reproduce_jobs_and_cache_dir(self, tmp_path, capsys):
+    def test_cli_jobs_stdout_is_byte_identical(self, capsys):
         from repro.cli import main
 
-        cache_dir = str(tmp_path / "cache")
-        assert main(["reproduce", "--jobs", "2", "--cache-dir", cache_dir]) == 0
-        first = capsys.readouterr()
-        assert "ALL CHECKS PASS" in first.out
-        assert "cache 0 hit" in first.err
-
-        assert main(["reproduce", "--jobs", "2", "--cache-dir", cache_dir]) == 0
-        second = capsys.readouterr()
-        assert second.out == first.out  # byte-identical warm rerun
-        assert "hit" in second.err and " 0 miss" in second.err
-
-    def test_reproduce_rejects_unusable_cache_dir(self, tmp_path, capsys):
-        from repro.cli import main
-
-        not_a_dir = tmp_path / "a_file"
-        not_a_dir.write_text("occupied")
-        assert main(["reproduce", "--cache-dir", str(not_a_dir)]) == 2
-        err = capsys.readouterr().err
-        assert "unusable" in err and "--no-cache" in err
-
-    def test_reproduce_no_cache(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cache_dir = tmp_path / "cache"
-        assert main([
-            "reproduce", "--no-cache", "--cache-dir", str(cache_dir),
-        ]) == 0
-        assert not cache_dir.exists()
-        assert "ALL CHECKS PASS" in capsys.readouterr().out
+        assert main(["reproduce", "--extended", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["reproduce", "--extended", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "ALL CHECKS PASS" in serial
