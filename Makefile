@@ -4,7 +4,8 @@
 #   kernel-smoke       array kernel and object path emit byte-identical traces
 #   bench-smoke        the perf harness runs; within 50% of the checked-in baseline
 #   bench-suite-smoke  every BENCHMARK.json workload runs once, tiny, all checks pass
-#   stress-smoke       decision parity + simulator oracle; 4 shards >= 1 shard
+#   stress-smoke       decision parity + simulator oracle; 4 shards >= 1 shard;
+#                      installs and abort bounds under pcp-da and rw-pcp
 #   verify-service     in-process service battery, socket-free (docs/SERVICE.md)
 #   verify-sharding    sharded-deployment battery, socket-free (docs/SHARDING.md)
 #   verify-procs       shard-host processes: frames, proxy, supervisor, no orphans
@@ -159,12 +160,16 @@ stress:
 # Small deterministic slice of the same harness (seconds); part of
 # `make verify`. Writes a throwaway ledger so the shard-scaling gate can
 # assert the 4-shard smoke run commits at least as much throughput as
-# the 1-shard run (tolerance via bench_compare --threshold).
+# the 1-shard run (tolerance via bench_compare --threshold). A second,
+# ledger-free run repeats the concurrent phase under rw-pcp, so the
+# install count and the served-set rules are checked on a second
+# protocol.
 stress-smoke:
 	tmp=$$(mktemp -u /tmp/stress_smoke_XXXXXX.json) && \
 	$(PYTHON) -m repro stress --smoke --ledger $$tmp && \
 	$(PYTHON) benchmarks/bench_compare.py $$tmp --shard-scaling; \
 	status=$$?; rm -f $$tmp; exit $$status
+	$(PYTHON) -m repro stress --smoke --protocol rw-pcp --skip-parity
 
 # The 100k-arrival overload workload against a real 4-process
 # deployment, with the in-process 1-shard run as the ledger baseline.

@@ -668,6 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.set_defaults(func=_cmd_reproduce)
 
+    from repro.service.manager import SERVED_PROTOCOLS
+
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--transactions", type=int, default=6,
                        help="catalog size (generated workload)")
@@ -679,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a lock-manager catalog to TCP clients (NDJSON protocol)",
     )
-    serve.add_argument("--protocol", default="pcp-da")
+    serve.add_argument("--protocol", default="pcp-da",
+                       choices=SERVED_PROTOCOLS)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 = ephemeral, printed at startup)")
@@ -714,6 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="load-generate against a service and verify serializability",
     )
     loadgen.add_argument("--protocol", default="pcp-da",
+                         choices=SERVED_PROTOCOLS,
                          help="protocol for the self-hosted server "
                               "(ignored with --connect)")
     loadgen.add_argument("--connect", default=None, metavar="HOST:PORT",
@@ -769,6 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
              "invariant checks across every execution path",
     )
     stress.add_argument("--protocol", default="pcp-da",
+                        choices=SERVED_PROTOCOLS,
                         help="protocol for the oracle and overload phases")
     stress.add_argument("--seed", type=int, default=0,
                         help="workload seed (catalog + arrival schedule)")

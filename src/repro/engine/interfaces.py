@@ -99,24 +99,11 @@ class ConcurrencyControlProtocol(abc.ABC):
             simulator *always* runs cycle detection; for protocols declaring
             ``can_deadlock = False`` a detected cycle is reported as an
             invariant violation rather than resolved.
-        deadlock_free_requires_scheduler: the deadlock-freedom guarantee
-            holds only under single-CPU priority scheduling (IPCP: while a
-            transaction holds a lock it runs boosted to the ceiling, so a
-            competitor is never *dispatched* — nothing about the locking
-            conditions themselves prevents a cycle).  The ceiling-admission
-            protocols (PCP family) keep their guarantee under true
-            concurrency, because LC2-style checks compare against ceilings
-            that cover every future competitor.  The live service
-            (:mod:`repro.service`) resolves cycles of scheduler-dependent
-            protocols by victim abort instead of raising an invariant
-            violation; the simulator ignores this flag (it *is* the
-            scheduler).
     """
 
     name: ClassVar[str] = ""
     install_policy: ClassVar[InstallPolicy] = InstallPolicy.AT_COMMIT
     can_deadlock: ClassVar[bool] = False
-    deadlock_free_requires_scheduler: ClassVar[bool] = False
 
     def __init__(self) -> None:
         self._taskset: Optional[TaskSet] = None

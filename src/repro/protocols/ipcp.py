@@ -42,11 +42,6 @@ class IPCP(CeilingProtocolBase):
     name = "ipcp"
     install_policy = InstallPolicy.AT_WRITE
     can_deadlock = False
-    #: Deadlock freedom rests on ceiling-boosted *dispatching* (see the
-    #: module docstring), not on the locking conditions — with truly
-    #: concurrent clients (repro.service) conflicting holds do occur and
-    #: can cycle, so the service resolves them by victim abort.
-    deadlock_free_requires_scheduler = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -43,13 +43,6 @@ class TwoPLHP(ConcurrencyControlProtocol):
     name = "2pl-hp"
     install_policy = InstallPolicy.AT_COMMIT
     can_deadlock = False
-    #: The no-deadlock argument (every wait is on a strictly
-    #: higher-priority holder) needs a scheduler to serialize
-    #: equal-priority instances of the same transaction; with truly
-    #: concurrent clients (repro.service) two same-priority instances can
-    #: hold-and-wait on each other, so the service resolves such cycles
-    #: by victim abort.
-    deadlock_free_requires_scheduler = True
 
     def decide(self, job: "Job", item: str, mode: LockMode):
         conflicting = classical_conflicts(self, job, item, mode)

@@ -1,13 +1,15 @@
-"""Live lock-manager service: PCP-DA (and the baseline protocols) served
-to concurrent clients over an asyncio runtime.
+"""Live lock-manager service: PCP-DA, RW-PCP and PCP served to concurrent
+clients over an asyncio runtime.
 
 The simulator answers "what would the protocol do over virtual time"; this
 package answers the paper's actual systems question — grant/deny locks
 *online* to concurrently connected clients with bounded blocking — while
 reusing the exact same building blocks:
 
-* admission decisions come from the registered protocol objects
-  (``protocols/*`` — the same ``decide()`` the simulator calls);
+* admission decisions come from the array kernel compiled from the
+  registered protocol objects (the same ``Kernel.decide`` the simulator
+  calls); the served protocols are
+  :data:`repro.service.manager.SERVED_PROTOCOLS`;
 * bookkeeping lives in :class:`repro.engine.lock_table.LockTable` and
   :class:`repro.engine.inheritance.WaitForGraph` (priority inheritance and
   deadlock detection included);

@@ -8,10 +8,14 @@ a :class:`~repro.engine.lock_table.LockTable`, a
 :class:`~repro.db.history.History`, a
 :class:`~repro.trace.recorder.TraceRecorder` — and drives them from client
 requests arriving on the event loop instead of from a virtual-time
-calendar.  Admission decisions are made by the *same* protocol objects the
-simulator uses (``protocol.decide``), so the service's grant/deny
-behaviour is the simulator's by construction; the differential battery in
-``tests/test_service_differential.py`` pins that claim.
+calendar.  Admission decisions are made by the array kernel compiled from
+the *same* protocol objects the simulator uses (``Kernel.decide``), so
+the service's grant/deny behaviour is the simulator's by construction;
+the differential battery in ``tests/test_service_differential.py`` pins
+that claim.  The service serves the ceiling protocols in
+:data:`SERVED_PROTOCOLS` only — each compiles to a kernel table and stays
+deadlock-free without the simulator's single-CPU scheduler; every other
+protocol runs in the simulator alone.
 
 Concurrency model (docs/SERVICE.md has the full write-up):
 
@@ -67,8 +71,8 @@ visible), and a cycle that involves one is resolved by aborting its
 lowest-priority member —
 the one place the live service may abort under a protocol the paper
 proves abort-free, and the honest price of dropping the single-CPU
-assumption.  Pure lock cycles under a ``can_deadlock=False`` protocol
-remain :class:`InvariantViolation`s, exactly as in the simulator.
+assumption.  A pure lock cycle is re-decided once and otherwise remains
+an :class:`InvariantViolation`, exactly as in the simulator.
 """
 
 from __future__ import annotations
@@ -83,13 +87,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.db.database import Database
 from repro.db.history import History
 from repro.engine.inheritance import WaitForGraph
-from repro.engine.interfaces import (
-    AbortAndGrant,
-    ConcurrencyControlProtocol,
-    Deny,
-    Grant,
-    InstallPolicy,
-)
+from repro.engine.interfaces import Deny, Grant
 from repro.engine.job import Job
 from repro.engine.kernel import build_kernel
 from repro.engine.lock_table import LockTable
@@ -115,6 +113,23 @@ from repro.trace.recorder import (
     SchedEventKind,
     TraceRecorder,
 )
+
+#: The protocols the live service serves: the ceiling protocols that
+#: compile to a kernel table and stay deadlock-free without the
+#: simulator's single-CPU scheduler.  ``ccp`` is left out on purpose:
+#: without its early release (unsafe under concurrency) it makes RW-PCP's
+#: decisions under another name.
+SERVED_PROTOCOLS: Tuple[str, ...] = ("pcp-da", "rw-pcp", "pcp")
+
+
+def check_served(protocol: str) -> None:
+    """Raise :class:`SpecificationError` unless the service serves
+    ``protocol`` (see :data:`SERVED_PROTOCOLS`)."""
+    if protocol not in SERVED_PROTOCOLS:
+        raise SpecificationError(
+            f"the lock service serves {', '.join(SERVED_PROTOCOLS)} only, "
+            f"not {protocol!r} (every protocol runs in the simulator)"
+        )
 
 
 def catalog_document(catalog: TaskSet) -> List[Dict[str, Any]]:
@@ -167,42 +182,12 @@ class ServiceConfig:
             unbounded).
         default_deadline_s: relative deadline applied to sessions that do
             not specify one (``None`` = no deadline).
-        deadlock_action: ``"abort_lowest"`` (default) aborts the
-            lowest-base-priority session in a detected wait cycle —
-            relevant only for protocols declaring ``can_deadlock``;
-            ``"raise"`` surfaces the cycle as an error to the requester.
-            For deadlock-free protocols (PCP-DA and family) a cycle is
-            *always* reported as an :class:`InvariantViolation`: the paper
-            proves it cannot happen, so it must not be silently resolved.
-        record_sysceil: sample the protocol's global system ceiling into
-            the trace after every lock churn (cheap with the incremental
-            ceiling index; disable for maximum throughput).
-        honor_early_release: apply the protocol's ``after_operation``
-            early-unlock hook (CCP).  Off by default: releasing read locks
-            before commit is only safe under the single-CPU scheduling
-            the simulator provides, so the service holds every lock to
-            commit unless explicitly asked to reproduce simulator
-            behaviour.
-        kernel: serve admissions from the array kernel
-            (:mod:`repro.engine.kernel`) when the protocol compiles to a
-            decision table; the object path remains the reference.  The
-            grant/deny behaviour is identical by construction (the
-            simulator's golden corpus and the service differential battery
-            both pin it), so this is purely a throughput switch.
     """
 
     max_sessions: Optional[int] = None
     default_deadline_s: Optional[float] = None
-    deadlock_action: str = "abort_lowest"
-    record_sysceil: bool = True
-    honor_early_release: bool = False
-    kernel: bool = True
 
     def __post_init__(self) -> None:
-        if self.deadlock_action not in ("abort_lowest", "raise"):
-            raise SpecificationError(
-                f"unknown deadlock_action {self.deadlock_action!r}"
-            )
         if self.max_sessions is not None and self.max_sessions < 1:
             raise SpecificationError("max_sessions must be >= 1")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
@@ -218,7 +203,7 @@ class Session:
     blocking statistics the paper's figures are built from.
     """
 
-    __slots__ = ("id", "job", "state", "deadline", "opened_at", "op_count",
+    __slots__ = ("id", "job", "state", "deadline", "opened_at",
                  "abort_reason", "committing")
 
     def __init__(self, session_id: int, job: Job, opened_at: float,
@@ -229,8 +214,6 @@ class Session:
         #: Absolute deadline on the service clock, or None.
         self.deadline = deadline
         self.opened_at = opened_at
-        #: Completed data operations (drives the CCP early-unlock hook).
-        self.op_count = 0
         self.abort_reason = ""
         #: Commit fence flag (see :meth:`LockManager.prepare_commit`).
         self.committing = False
@@ -256,16 +239,17 @@ class LockManager:
             the protocol family needs the catalog up front — a session is
             an *instance* of a catalog transaction, exactly like a job is
             an instance of a spec in the simulator.
-        protocol: a protocol name (``"pcp-da"``) or a pre-built instance.
+        protocol: a protocol name from :data:`SERVED_PROTOCOLS`.
         config: see :class:`ServiceConfig`.
     """
 
     def __init__(
         self,
         catalog: TaskSet,
-        protocol: Union[str, ConcurrencyControlProtocol] = "pcp-da",
+        protocol: str = "pcp-da",
         config: Optional[ServiceConfig] = None,
     ) -> None:
+        check_served(protocol)
         validate_taskset(catalog, require_priorities=True)
         if COMMIT_ITEM in catalog.items:
             raise SpecificationError(
@@ -273,16 +257,14 @@ class LockManager:
             )
         self.catalog = catalog
         self.config = config or ServiceConfig()
-        if isinstance(protocol, str):
-            protocol = make_protocol(protocol)
-        self.protocol = protocol
+        self.protocol = make_protocol(protocol)
         self.table = LockTable()
         self.waits = WaitForGraph()
         self.db = Database(sorted(catalog.items))
         self.history = History()
         self.trace = TraceRecorder()
         #: Callbacks fired synchronously on every recorded lock decision
-        #: (grants, denials, abort-grants) with the :class:`LockEvent`.
+        #: (grants and denials) with the :class:`LockEvent`.
         #: The parity harness (:mod:`repro.verify.parity`) uses this to
         #: capture a decision sequence in global order — including across
         #: the shards of a coordinator, where per-shard traces interleave.
@@ -304,27 +286,11 @@ class LockManager:
         self.stats = ServiceStats()
         self.protocol.bind(catalog, self.table)
         self.protocol.bind_runtime(self.waits)
-        #: Array kernel serving decide/system_ceiling when the protocol
-        #: compiles to a table; ``None`` keeps the object path.
-        self.kernel = (
-            build_kernel(self.protocol, self.table, self.waits)
-            if self.config.kernel
-            else None
-        )
-        if self.kernel is not None:
-            self._decide = self.kernel.decide
-            self._sysceil = self.kernel.system_ceiling
-        else:
-            self._decide = self.protocol.decide
-            self._sysceil = self.protocol.system_ceiling
-        # Skip priority_floor calls for protocols using the inert default
-        # (recompute_priorities then resets to base without N floor calls).
-        self._floor = (
-            None
-            if type(self.protocol).priority_floor
-            is ConcurrencyControlProtocol.priority_floor
-            else self.protocol.priority_floor
-        )
+        #: The array kernel compiled from the protocol: it answers every
+        #: admission decision and system-ceiling query.
+        self.kernel = build_kernel(self.protocol, self.table, self.waits)
+        self._decide = self.kernel.decide
+        self._sysceil = self.kernel.system_ceiling
 
         self._sessions: Dict[int, Session] = {}
         self._by_job: Dict[Job, Session] = {}
@@ -341,8 +307,8 @@ class LockManager:
         #: Lock churn since the last grant-queue drain: items whose locks
         #: were released, the jobs waiting directly on a releasing job, and
         #: the jobs whose running priority moved.  Terminal transitions and
-        #: early unlocks feed these; the drain re-decides only the waiters
-        #: they can affect.
+        #: dropped commit fences feed these; the drain re-decides only the
+        #: waiters they can affect.
         self._churn_items: Set[str] = set()
         self._churn_waiters: Set[Job] = set()
         self._churn_priorities: Set[Job] = set()
@@ -464,7 +430,6 @@ class LockManager:
         job.data_read.add(item)
         job.workspace.note_read(item, version.seq, now, value=version.value)
         self.history.record_read(job.name, item, version.seq, now)
-        self._after_data_op(session)
         return version.value
 
     async def write(self, session: Session, item: str, value: Any) -> None:
@@ -478,7 +443,6 @@ class LockManager:
         if not self.table.holds(job, item, LockMode.WRITE):
             await self._acquire(session, item, LockMode.WRITE)
         job.workspace.buffer_write(item, value)
-        self._after_data_op(session)
 
     async def commit(self, session: Session) -> Dict[str, Any]:
         """Commit: install buffered writes atomically, release all locks.
@@ -508,27 +472,14 @@ class LockManager:
                 ),
                 self.now(),
             ))
-        victims = self.protocol.before_commit(job)
-        if victims:
-            # Validation-based protocols (OCC-BC): broadcast-abort the
-            # readers this commit invalidates.  Unlike the simulator there
-            # is no restart — the client owning the session retries.
-            for victim in tuple(victims):
-                self._abort_session(
-                    self._by_job[victim], "validation",
-                    exc=TransactionAborted(
-                        f"{victim.name} aborted by {job.name}'s commit "
-                        "(validation)"
-                    ),
-                )
+        # Every served protocol holds its locks to commit, so installing
+        # the workspace here is indistinguishable from installing in place.
         now = self.now()
-        installed = []
-        if self.protocol.install_policy is InstallPolicy.AT_COMMIT:
-            for item in sorted(job.workspace.pending_writes):
-                value = job.workspace.written_value(item)
-                version = self.db.install(item, value, job.name, now)
-                self.history.record_install(job.name, item, version.seq, now)
-                installed.append(item)
+        writes = job.workspace.pending_writes
+        installed = sorted(writes)
+        for item in installed:
+            version = self.db.install(item, writes[item], job.name, now)
+            self.history.record_install(job.name, item, version.seq, now)
         self.history.record_commit(job.name, now)
         self._finish(session, SessionState.COMMITTED)
         job.finish_time = now
@@ -630,7 +581,6 @@ class LockManager:
         doc["protocol"] = self.protocol.name
         doc["uptime_s"] = self.now()
         doc["system_ceiling"] = self.system_ceiling()
-        doc["decision_path"] = "kernel" if self.kernel is not None else "object"
         return doc
 
     def history_events(self) -> List[Dict[str, Any]]:
@@ -744,25 +694,6 @@ class LockManager:
                 "item in the catalog)"
             )
 
-    def _after_data_op(self, session: Session) -> None:
-        """Post-operation hook: CCP-style early unlocks."""
-        op_index = session.op_count
-        session.op_count += 1
-        if not self.config.honor_early_release:
-            return
-        released: List[str] = []
-        for item, mode in self.protocol.after_operation(session.job, op_index):
-            # A free-form client may diverge from the declared program; an
-            # early-unlock suggestion for a lock not actually held is
-            # skipped rather than treated as corruption.
-            if self.table.holds(session.job, item, mode):
-                self.table.release(session.job, item, mode)
-                released.append(item)
-        if released:
-            self._note_release_churn(session.job, released)
-            self._recompute_priorities()
-            self._service_grant_queue()
-
     # ------------------------------------------------------------------
     # Lock acquisition and the grant queue
     # ------------------------------------------------------------------
@@ -779,11 +710,6 @@ class LockManager:
         if isinstance(decision, Grant):
             self._apply_grant(session, item, mode, decision.rule, now)
             return decision.rule
-        if isinstance(decision, AbortAndGrant):
-            self._resolve_abort_grant(session, item, mode, decision, now)
-            return decision.reason
-
-        assert isinstance(decision, Deny)
         self.stats.record_denial(job.base_priority)
         self._trace_lock(
             now, job.name, item, mode, LockOutcome.DENIED, decision.reason,
@@ -804,8 +730,9 @@ class LockManager:
         the requester's priority and a cycle through it is visible to
         :meth:`_check_deadlock` — which may resolve the returned park's
         future (granted, or aborted as the victim) before anyone awaits
-        it, or reject the request, in which case the park is gone again
-        when the exception propagates.
+        it, or report an :class:`InvariantViolation`, in which case the
+        requester is aborted and the park is gone again when the
+        exception propagates.
         """
         job = session.job
         park = Park(
@@ -825,16 +752,12 @@ class LockManager:
         self._recompute_priorities()
         try:
             self._check_deadlock()
-        except (InvariantViolation, ServiceError) as exc:
+        except InvariantViolation:
+            # A cycle the paper rules out.  Left live, the requester keeps
+            # its locks and every other client stalls on them.
             self._unpark(session)
-            if isinstance(exc, InvariantViolation):
-                # A cycle the paper rules out.  Left live, the requester
-                # keeps its locks and every other client stalls on them.
-                self._abort_session(session, "invariant violation")
-                self._service_grant_queue()
-            else:
-                # deadlock_action="raise": request rejected, session live.
-                self._recompute_priorities()
+            self._abort_session(session, "invariant violation")
+            self._service_grant_queue()
             raise
         self._sample_sysceil()
         return park
@@ -937,7 +860,7 @@ class LockManager:
         self, job: Job, item: str, mode: LockMode
     ) -> Optional[Deny]:
         """The service-level pre-decision (fence, then order guard), or
-        ``None`` to fall through to the protocol."""
+        ``None`` to fall through to the kernel."""
         fence = self._commit_fence(job, item, mode)
         if fence is not None:
             return fence
@@ -945,9 +868,9 @@ class LockManager:
 
     def _service_decide(
         self, job: Job, item: str, mode: LockMode
-    ) -> Union[Grant, AbortAndGrant, Deny]:
-        """The protocol's decision (kernel or object path), tightened by
-        the commit fence and the order guard."""
+    ) -> Union[Grant, Deny]:
+        """The kernel's decision, tightened by the commit fence and the
+        order guard."""
         deny = self._service_predecide(job, item, mode)
         if deny is not None:
             return deny
@@ -960,12 +883,9 @@ class LockManager:
         mode: LockMode,
         rule: str,
         now: float,
-        outcome: LockOutcome = LockOutcome.GRANTED,
-        blockers: Tuple[str, ...] = (),
     ) -> None:
         job = session.job
         self.table.grant(job, item, mode)
-        self.protocol.on_granted(job, item, mode)
         if mode is LockMode.READ:
             # Reading past a write lock (LC3/LC4) serializes this session
             # before every current write holder — record the adjusted
@@ -976,33 +896,8 @@ class LockManager:
         self._recompute_priorities()
         job.grant_rules.append((now, item, mode, rule))
         self.stats.record_grant(job.base_priority)
-        self._trace_lock(now, job.name, item, mode, outcome, rule, blockers)
+        self._trace_lock(now, job.name, item, mode, LockOutcome.GRANTED, rule)
         self._sample_sysceil()
-
-    def _resolve_abort_grant(
-        self,
-        session: Session,
-        item: str,
-        mode: LockMode,
-        decision: AbortAndGrant,
-        now: float,
-    ) -> None:
-        """2PL-HP-style decision: abort the victims, then take the lock."""
-        victim_names = tuple(v.name for v in decision.victims)
-        for victim in decision.victims:
-            self._abort_session(
-                self._by_job[victim], "victim",
-                exc=TransactionAborted(
-                    f"{victim.name} aborted by higher-priority "
-                    f"{session.name} ({decision.reason or 'conflict'})"
-                ),
-            )
-        self.stats.abort_grants += 1
-        self._apply_grant(
-            session, item, mode, decision.reason, now,
-            outcome=LockOutcome.ABORT_GRANTED, blockers=victim_names,
-        )
-        self._service_grant_queue()
 
     def _grant_queue_order(self, park: Park) -> Tuple[int, float, int]:
         """Priority-and-deadline-aware queue key: highest running priority
@@ -1085,12 +980,11 @@ class LockManager:
         candidate is decided *at most once per drain*: a denial removes
         it from the working set (its refreshed blame re-selects it on
         the next relevant churn), and a grant resumes the pass over the
-        still-undecided suffix plus whatever fresh churn the grant's
-        teardown produced (an ``AbortAndGrant`` feeds its victims'
-        releases back through the churn sets).  A pure grant never frees
-        a lock, so re-deciding the already-denied prefix after one could
-        only flip through a priority ripple — which the next drain's
-        priority-delta rule catches.  This is the service counterpart of
+        still-undecided suffix plus whatever fresh churn the grant
+        produced.  A grant never frees a lock, so re-deciding the
+        already-denied prefix after one could only flip through a
+        priority ripple — which the next drain's priority-delta rule
+        catches.  This is the service counterpart of
         the simulator's wake-then-retry loop, collapsed into one atomic
         step because parked requests need no CPU to proceed — minus the
         full-queue re-sort (and per-grant re-decide storm) the simulator
@@ -1120,60 +1014,41 @@ class LockManager:
                     continue
                 now = self.now()
                 self._unpark(session)
-                if isinstance(decision, Grant):
-                    self._apply_grant(
-                        session, park.item, park.mode, decision.rule, now
-                    )
-                    park.future.set_result(decision.rule)
-                else:
-                    self._resolve_abort_grant(
-                        session, park.item, park.mode, decision, now
-                    )
-                    park.future.set_result(decision.reason)
+                self._apply_grant(
+                    session, park.item, park.mode, decision.rule, now
+                )
+                park.future.set_result(decision.rule)
                 granted = progressed = True
                 break  # table changed: resume over the suffix
             if progressed:
-                # The grant (or its victims' teardown) is fresh churn:
-                # fold any newly affected parks into the working set.
+                # The grant is fresh churn: fold any newly affected parks
+                # into the working set.
                 candidates.update(self._drain_candidates())
         self._recompute_priorities()
         return granted
 
-    def _decide_queue(self, ordered: List[Park]) -> List[
-        Union[Grant, AbortAndGrant, Deny]
-    ]:
+    def _decide_queue(self, ordered: List[Park]) -> List[Union[Grant, Deny]]:
         """Decisions for one grant-queue pass, stopping after the first
-        non-``Deny``; every denial's blame is refreshed *before* the next
-        park is decided (the new inheritance edges feed the next
-        decision's transitive-waiter exemption).
+        grant; every denial's blame is refreshed *before* the next park is
+        decided (the new inheritance edges feed the next decision's
+        transitive-waiter exemption).
 
-        With the kernel active this is one :meth:`Kernel.decide_batch`
-        call — fence and order guard plug into its per-request
-        ``pre_decide`` hook and the blame refresh into ``on_deny``, so
-        nothing is evaluated for the parks behind the first grant.
+        This is one :meth:`Kernel.decide_batch` call — fence and order
+        guard plug into its per-request ``pre_decide`` hook and the blame
+        refresh into ``on_deny``, so nothing is evaluated for the parks
+        behind the first grant.
         """
-        if self.kernel is not None:
-            # Denials are exactly the processed prefix of ``ordered`` (the
-            # batch stops at the first grant), so the callback walks the
-            # same list in lock-step.
-            denied = iter(ordered)
-            return self.kernel.decide_batch(
-                [(p.session.job, p.item, p.mode) for p in ordered],
-                on_deny=lambda request, decision: self._refresh_blame(
-                    next(denied), decision
-                ),
-                pre_decide=lambda request: self._service_predecide(*request),
-            )
-        out: List[Union[Grant, AbortAndGrant, Deny]] = []
-        for park in ordered:
-            decision = self._service_decide(
-                park.session.job, park.item, park.mode
-            )
-            out.append(decision)
-            if not isinstance(decision, Deny):
-                break
-            self._refresh_blame(park, decision)
-        return out
+        # Denials are exactly the processed prefix of ``ordered`` (the
+        # batch stops at the first grant), so the callback walks the same
+        # list in lock-step.
+        denied = iter(ordered)
+        return self.kernel.decide_batch(
+            [(p.session.job, p.item, p.mode) for p in ordered],
+            on_deny=lambda request, decision: self._refresh_blame(
+                next(denied), decision
+            ),
+            pre_decide=lambda request: self._service_predecide(*request),
+        )
 
     def _refresh_blame(self, park: Park, decision: Deny) -> None:
         """Point a still-parked request's blame — and kind — at the
@@ -1286,11 +1161,9 @@ class LockManager:
         lock, leave every graph, wake the gates, tell the listeners."""
         job = session.job
         released = self.table.release_all(job)
-        self.protocol.on_release_all(job)
         self._note_release_churn(job, (item for item, _ in released))
         self.waits.forget(job)
-        if self.kernel is not None:
-            self.kernel.retire(job)
+        self.kernel.retire(job)
         session.state = state
         session.committing = False
         self._committing.pop(job, None)
@@ -1312,21 +1185,17 @@ class LockManager:
         )
 
     def _check_deadlock(self) -> None:
-        """Resolve, or report, the wait-for cycles the latest edges closed."""
+        """Resolve, or report, the wait-for cycles the latest edges closed.
+
+        A cycle through a service-made park costs its lowest-priority
+        member; a pure lock cycle is re-decided and, if it survives,
+        raised as an :class:`InvariantViolation`.
+        """
         while True:
             cycle = self.waits.find_new_cycle()
             if cycle is None:
                 return
-            if (
-                self.protocol.can_deadlock
-                # IPCP-style guarantees hold only under the simulator's
-                # single-CPU dispatching; with concurrent clients a cycle
-                # is an expected (resolvable) event, not a broken
-                # invariant.
-                or getattr(self.protocol,
-                           "deadlock_free_requires_scheduler", False)
-                or self._is_service_cycle(cycle)
-            ):
+            if self._is_service_cycle(cycle):
                 break
             # Theorem 2 rules this cycle out — given Lemma 8: locks held
             # by a transaction waiting on the requester never deny it.
@@ -1349,8 +1218,6 @@ class LockManager:
                 )
         names = " -> ".join(j.name for j in cycle)
         self.stats.deadlocks += 1
-        if self.config.deadlock_action == "raise":
-            raise ServiceError(f"deadlock detected: {names}")
         victim_job = min(cycle, key=lambda j: (j.base_priority, -j.seq))
         victim = self._by_job[victim_job]
         self._abort_session(
@@ -1365,7 +1232,7 @@ class LockManager:
     # Shared helpers
     # ------------------------------------------------------------------
     def _recompute_priorities(self) -> None:
-        changed = self.waits.recompute_priorities(self._live, self._floor)
+        changed = self.waits.recompute_priorities(self._live)
         if not changed:
             return
         if len(changed) > 1:
@@ -1378,5 +1245,4 @@ class LockManager:
         self._churn_priorities.update(changed)
 
     def _sample_sysceil(self) -> None:
-        if self.config.record_sysceil:
-            self.trace.sysceil(self.now(), self._sysceil(None))
+        self.trace.sysceil(self.now(), self._sysceil(None))

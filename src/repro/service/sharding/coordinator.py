@@ -96,6 +96,7 @@ from repro.service.manager import (
     ServiceConfig,
     Session,
     SessionState,
+    check_served,
 )
 from repro.service.park import Park, ParkKind
 from repro.service.sharding.partitioner import Partitioner, make_partitioner
@@ -164,13 +165,13 @@ class ShardedLockManager:
         catalog: the registered transaction types (shared by all shards —
             ceilings are static information, and a shard computes its
             ceilings only from the locks it actually sees).
-        protocol: a protocol *name*; each shard builds its own instance
-            (protocol objects hold per-shard lock-table bindings, so a
-            shared instance cannot be correct).
+        protocol: a protocol name from
+            :data:`~repro.service.manager.SERVED_PROTOCOLS`; each shard
+            builds its own instance (protocol objects hold per-shard
+            lock-table bindings, so a shared instance cannot be correct).
         config: coordinator-level :class:`ServiceConfig`; admission
-            control and default deadlines apply globally, while
-            ``record_sysceil`` / ``honor_early_release`` /
-            ``deadlock_action`` are forwarded to every shard.
+            control and default deadlines apply globally, never per
+            shard.
         shards: number of partitions (>= 1).
         partitioner: scheme name (``"hash"`` / ``"range"``) or a prebuilt
             :class:`Partitioner`.
@@ -192,12 +193,7 @@ class ShardedLockManager:
         sweep_interval_s: float = 0.05,
         shard_managers: Optional[Sequence[Any]] = None,
     ) -> None:
-        if not isinstance(protocol, str):
-            raise SpecificationError(
-                "ShardedLockManager needs a protocol *name*: every shard "
-                "builds its own instance (protocol objects bind one lock "
-                "table)"
-            )
+        check_served(protocol)
         if sweep_interval_s <= 0:
             raise SpecificationError("sweep_interval_s must be positive")
         self.catalog = catalog
@@ -219,11 +215,6 @@ class ShardedLockManager:
         #: transaction name -> shard span; static by the same argument
         #: that makes the ceilings static (declared access sets).
         self._span_cache: Dict[str, FrozenSet[int]] = {}
-        shard_config = ServiceConfig(
-            deadlock_action=self.config.deadlock_action,
-            record_sysceil=self.config.record_sysceil,
-            honor_early_release=self.config.honor_early_release,
-        )
         if shard_managers is not None:
             # Injected shard surfaces — RemoteShardProxy instances for a
             # multi-process deployment, or pre-built managers in tests.
@@ -235,8 +226,7 @@ class ShardedLockManager:
             self.shards = tuple(shard_managers)
         else:
             self.shards = tuple(
-                LockManager(catalog, protocol, shard_config)
-                for _ in range(shards)
+                LockManager(catalog, protocol) for _ in range(shards)
             )
         #: True when any shard lives behind a process boundary: flips
         #: ``stats_document`` / ``history_events`` to the async fetch
@@ -488,10 +478,6 @@ class ShardedLockManager:
                 # The client went away mid-install; the commit point had
                 # passed, so the installs ran to completion first.
                 raise deferred_cancel[0]
-            # OCC-style installs may have broadcast-aborted other
-            # sessions' legs; those cascaded synchronously from the
-            # shards' "abort" notifications inside the install loop, so
-            # the atomic section stayed atomic with no extra scan here.
             return {
                 "installed": sorted(installed),
                 "latency_s": now - session.opened_at,
@@ -907,8 +893,8 @@ class ShardedLockManager:
           LC3/LC4 read passed a write lock): mirror the edge on the
           session-level graph, the incremental replacement for rebuilding
           the merged registries at every gate/guard evaluation.
-        * ``"abort"`` — a leg died shard-side (deadlock victim, 2PL-HP
-          displacement, OCC broadcast): cascade to its global session
+        * ``"abort"`` — a leg died shard-side (a service-made cycle's
+          victim, an invariant violation): cascade to its global session
           *now*, synchronously, exactly as the unsharded manager flips
           such sessions' states inside the operation.  This replaces the
           polling cascade sweep.
@@ -1038,9 +1024,9 @@ class ShardedLockManager:
     def _on_leg_failure(self, session: GlobalSession, exc: ServiceError) -> None:
         """Map a shard-side failure onto the global session.
 
-        A leg abort (deadlock victim, OCC validation victim, shard
-        shutdown) kills the whole transaction: the sibling legs are torn
-        down so no shard keeps locks for a dead session.  Client-level
+        A leg abort (deadlock victim, shard shutdown) kills the whole
+        transaction: the sibling legs are torn down so no shard keeps
+        locks for a dead session.  Client-level
         errors (session-state, bad item) leave the session alive, same
         as on the unsharded manager.
         """
@@ -1281,11 +1267,10 @@ class ShardedLockManager:
         """Cascade every live session that lost a leg shard-side.
 
         A shard may abort a leg with no coordinator frame on the stack —
-        a 2PL-HP victim displaced by a higher-priority writer, an OCC
-        broadcast abort at a neighbour's commit, a shard deadlock
-        victim.  The global session must follow, so sibling legs release
-        their locks and subsequent client operations see the abort
-        rather than a half-dead transaction.
+        the victim of a shard-side gate or guard cycle.  The global
+        session must follow, so sibling legs release their locks and
+        subsequent client operations see the abort rather than a
+        half-dead transaction.
         """
         for session in list(self._live):
             self._cascade_session(session)

@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, List, Optional
 from repro.engine.job import Job
 from repro.service import wire
 from repro.service.connection import Connection
-from repro.service.manager import LockManager, ServiceConfig
+from repro.service.manager import SERVED_PROTOCOLS, LockManager
 from repro.service.server import LockServer
 from repro.trace.recorder import LockEvent
 from repro.workloads.io import load_taskset
@@ -128,7 +128,8 @@ def add_host_args(parser: argparse.ArgumentParser) -> None:
     """Install the shard-host arguments (shared with the repro CLI)."""
     parser.add_argument("--catalog", required=True,
                         help="taskset JSON file (the shared catalog)")
-    parser.add_argument("--protocol", default="pcp-da")
+    parser.add_argument("--protocol", default="pcp-da",
+                        choices=SERVED_PROTOCOLS)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 binds an ephemeral port (reported on stdout)")
@@ -137,11 +138,6 @@ def add_host_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t0", type=float, default=None,
                         help="shared CLOCK_MONOTONIC epoch (supervisor's "
                              "time.monotonic() at deployment start)")
-    parser.add_argument("--deadlock-action", default="abort_lowest",
-                        choices=["abort_lowest", "raise"])
-    parser.add_argument("--no-kernel", action="store_true")
-    parser.add_argument("--no-record-sysceil", action="store_true")
-    parser.add_argument("--honor-early-release", action="store_true")
     parser.add_argument("--no-stdin-watch", action="store_true",
                         help="do not exit on stdin EOF (manual runs)")
 
@@ -171,13 +167,7 @@ async def _watch_stdin(stop: asyncio.Event) -> None:
 async def run_shard_host(args: argparse.Namespace) -> int:
     """Serve one shard until told to stop; returns the exit code."""
     taskset = load_taskset(args.catalog)
-    config = ServiceConfig(
-        deadlock_action=args.deadlock_action,
-        record_sysceil=not args.no_record_sysceil,
-        honor_early_release=args.honor_early_release,
-        kernel=not args.no_kernel,
-    )
-    manager = LockManager(taskset, args.protocol, config)
+    manager = LockManager(taskset, args.protocol)
     if args.t0 is not None:
         # All hosts and the coordinator share one service clock:
         # CLOCK_MONOTONIC is system-wide on Linux, so timestamps in

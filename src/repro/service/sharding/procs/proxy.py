@@ -339,13 +339,11 @@ class RemoteShardProxy:
     async def read(self, leg: Session, item: str) -> Any:
         """Read ``item`` through the host's protocol; may park there."""
         result = await self._call("read", session=leg.id, item=item)
-        leg.op_count += 1
         return result["value"]
 
     async def write(self, leg: Session, item: str, value: Any) -> None:
         """Acquire the write lock host-side and buffer the value."""
         await self._call("write", session=leg.id, item=item, value=value)
-        leg.op_count += 1
 
     async def commit(self, leg: Session) -> Dict[str, Any]:
         """Install the leg host-side; the finish frame precedes the ack."""

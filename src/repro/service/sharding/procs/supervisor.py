@@ -47,7 +47,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ServiceError
 from repro.model.spec import TaskSet
-from repro.service.manager import ServiceConfig
+from repro.service.manager import ServiceConfig, check_served
 from repro.service.sharding.coordinator import ShardedLockManager
 from repro.service.sharding.procs.proxy import RemoteShardProxy
 from repro.workloads.io import dump_taskset
@@ -87,7 +87,6 @@ class ShardSupervisor:
         *,
         shards: int = 2,
         host: str = "127.0.0.1",
-        config: Optional[ServiceConfig] = None,
         on_crash: str = "fail",
         spawn: Optional[Spawner] = None,
     ) -> None:
@@ -95,11 +94,11 @@ class ShardSupervisor:
             raise ValueError(
                 f"on_crash must be 'fail' or 'restart', not {on_crash!r}"
             )
+        check_served(protocol)
         self.catalog = catalog
         self.protocol = protocol
         self.shard_count = shards
         self.host = host
-        self.config = config or ServiceConfig()
         self.on_crash = on_crash
         self._spawn = spawn or self._spawn_subprocess
         #: Shared service clock epoch for every host and the coordinator.
@@ -307,14 +306,7 @@ class ShardSupervisor:
             "--port", "0",
             "--shard-index", str(index),
             "--t0", repr(self.t0),
-            "--deadlock-action", self.config.deadlock_action,
         ]
-        if not self.config.kernel:
-            argv.append("--no-kernel")
-        if not self.config.record_sysceil:
-            argv.append("--no-record-sysceil")
-        if self.config.honor_early_release:
-            argv.append("--honor-early-release")
         process = await asyncio.create_subprocess_exec(
             *argv,
             stdin=asyncio.subprocess.PIPE,
@@ -361,12 +353,14 @@ async def start_proc_deployment(
     The returned coordinator is a drop-in
     :class:`~repro.service.sharding.coordinator.ShardedLockManager` —
     serve it, drive it with the loadgen, hand it to the stress harness.
-    The caller owns teardown: ``await coordinator.shutdown()`` then
+    ``config`` is the coordinator's: the hosts run uncapped and
+    deadline-free, like every in-process shard.  The caller owns
+    teardown: ``await coordinator.shutdown()`` then
     ``await supervisor.stop()``.
     """
     supervisor = ShardSupervisor(
         catalog, protocol, shards=shards, host=host,
-        config=config, on_crash=on_crash, spawn=spawn,
+        on_crash=on_crash, spawn=spawn,
     )
     await supervisor.start()
     try:

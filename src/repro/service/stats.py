@@ -231,11 +231,10 @@ class ServiceStats:
         self.sessions_rejected = 0  # admission control (backpressure)
         self.commits = 0
         self.client_aborts = 0
-        self.forced_aborts = 0      # deadlock victims, validation, shutdown
+        self.forced_aborts = 0      # deadlock victims, shutdown, cascades
         self.deadline_aborts = 0
         self.grants = 0
         self.denials = 0
-        self.abort_grants = 0
         self.deadlocks = 0
         self.requests = 0           # wire/in-process requests dispatched
         self.commit_latency = LatencyHistogram()
@@ -294,7 +293,7 @@ class ServiceStats:
         for name in (
             "sessions_started", "sessions_rejected", "commits",
             "client_aborts", "forced_aborts", "deadline_aborts", "grants",
-            "denials", "abort_grants", "deadlocks", "requests",
+            "denials", "deadlocks", "requests",
         ):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.commit_latency.merge(other.commit_latency)
@@ -323,7 +322,6 @@ class ServiceStats:
             "deadline_aborts": self.deadline_aborts,
             "grants": self.grants,
             "denials": self.denials,
-            "abort_grants": self.abort_grants,
             "deadlocks": self.deadlocks,
             "requests": self.requests,
             "commit_latency": self.commit_latency.to_dict(),
@@ -338,7 +336,7 @@ class ServiceStats:
         for name in (
             "sessions_started", "sessions_rejected", "commits",
             "client_aborts", "forced_aborts", "deadline_aborts", "grants",
-            "denials", "abort_grants", "deadlocks", "requests",
+            "denials", "deadlocks", "requests",
         ):
             setattr(stats, name, int(doc[name]))
         stats.commit_latency = LatencyHistogram.from_dict(doc["commit_latency"])
@@ -357,8 +355,7 @@ class ServiceStats:
             f"aborts={self.client_aborts}+{self.forced_aborts} forced "
             f"deadline_aborts={self.deadline_aborts}",
             f"  locks granted={self.grants} denied={self.denials} "
-            f"abort_grants={self.abort_grants} deadlocks={self.deadlocks} "
-            f"requests={self.requests}",
+            f"deadlocks={self.deadlocks} requests={self.requests}",
             "",
             self.commit_latency.render("commit latency"),
             "",

@@ -45,7 +45,6 @@ from repro.exceptions import InvariantViolation
 from repro.model.spec import TaskSet
 from repro.trace.recorder import LockEvent
 from repro.verify.stress import (
-    CEILING_FAMILY,
     StressSpec,
     build_taskset,
     iter_arrivals,
@@ -137,20 +136,16 @@ async def _drive_sequential(
         await manager.commit(session)
 
 
-def service_decisions(
-    spec: StressSpec, protocol: str, *, kernel: bool = True
-) -> List[DecisionRecord]:
+def service_decisions(spec: StressSpec, protocol: str) -> List[DecisionRecord]:
     """Decision sequence of the sequential replay through a LockManager."""
-    from repro.service import LockManager, ServiceConfig
+    from repro.service import LockManager
 
     catalog = make_catalog(spec)
     order = [a.name for a in iter_arrivals(spec)]
     captured: List[DecisionRecord] = []
 
     async def run() -> None:
-        manager = LockManager(
-            catalog, protocol, ServiceConfig(kernel=kernel)
-        )
+        manager = LockManager(catalog, protocol)
         manager.decision_listeners.append(
             lambda event: captured.append(_normalise(event))
         )
@@ -169,10 +164,9 @@ def coordinator_decisions(
     *,
     shards: int = 1,
     partitioner: str = "hash",
-    kernel: bool = True,
 ) -> List[DecisionRecord]:
     """Decision sequence of the sequential replay through the coordinator."""
-    from repro.service import ServiceConfig, ShardedLockManager
+    from repro.service import ShardedLockManager
 
     catalog = make_catalog(spec)
     order = [a.name for a in iter_arrivals(spec)]
@@ -180,11 +174,7 @@ def coordinator_decisions(
 
     async def run() -> None:
         manager = ShardedLockManager(
-            catalog,
-            protocol,
-            ServiceConfig(kernel=kernel),
-            shards=shards,
-            partitioner=partitioner,
+            catalog, protocol, shards=shards, partitioner=partitioner
         )
         manager.add_decision_listener(
             lambda event: captured.append(_normalise(event))
@@ -356,7 +346,7 @@ def check_decision_parity(
 def parity_battery(
     *,
     seeds: Sequence[int],
-    protocols: Sequence[str] = CEILING_FAMILY,
+    protocols: Optional[Sequence[str]] = None,
     transactions: int = 25,
     coordinator_shards: int = 1,
     coordinator_procs: int = 0,
@@ -366,9 +356,17 @@ def parity_battery(
 
     The acceptance battery: every seed builds one workload
     (:class:`StressSpec` with ``spec_overrides`` applied), and every
-    protocol must pass :func:`check_decision_parity` on it.  Returns the
-    reports; raises :class:`ParityError` on the first divergence.
+    protocol must pass :func:`check_decision_parity` on it.  ``protocols``
+    defaults to :data:`~repro.service.manager.SERVED_PROTOCOLS`, the
+    ones the service paths accept; the rest of the ceiling family is
+    compared on the simulator alone (:func:`simulator_decisions`).
+    Returns the reports; raises :class:`ParityError` on the first
+    divergence.
     """
+    if protocols is None:
+        from repro.service.manager import SERVED_PROTOCOLS
+
+        protocols = SERVED_PROTOCOLS
     reports = []
     for seed in seeds:
         spec = StressSpec(

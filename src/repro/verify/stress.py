@@ -15,12 +15,13 @@ is then *proved* correct rather than eyeballed:
 * **conservation** — every transaction the driver started is accounted
   for exactly once: ``begun = committed + client aborts + forced aborts
   + deadline misses`` on both the driver's and the service's counters,
-  and no session is left live;
-* **deadlock bounds** — under a ceiling-family protocol every forced
-  abort must be attributable to a service-resolved wait cycle (the
-  gate/guard cycles docs/SERVICE.md documents as the price of dropping
-  the single-CPU assumption) or a sharded cascade; unattributed forced
-  aborts fail the run.
+  no session is left live, and the history holds one install row per
+  item a committed transaction wrote (a dropped write cannot hide behind
+  a serializable history of initial-version reads);
+* **deadlock bounds** — every forced abort must be attributable to a
+  service-resolved wait cycle (the gate/guard cycles docs/SERVICE.md
+  documents as the price of dropping the single-CPU assumption) or a
+  sharded cascade; unattributed forced aborts fail the run.
 
 A bounded prefix of the same arrival schedule can also be replayed in the
 virtual-time simulator (:func:`simulator_stress_check`), where the
@@ -57,10 +58,11 @@ from repro.exceptions import (
 from repro.model.spec import TaskSet, TransactionSpec, read, write
 
 #: Protocols whose admissions are driven by priority ceilings — the family
-#: the parity acceptance criterion quantifies over.  ``pcp-da-checked``
-#: and ``rw-pcp-abort`` are the kernel force-opt-out members (their
-#: ``compile_table`` returns ``None``), so including them keeps the
-#: fallback path under the same battery.
+#: the simulator's kernel/object parity quantifies over (the service
+#: paths take only :data:`repro.service.manager.SERVED_PROTOCOLS`).
+#: ``pcp-da-checked`` and ``rw-pcp-abort`` are the kernel force-opt-out
+#: members (their ``compile_table`` returns ``None``), so including them
+#: keeps the fallback path under the same battery.
 CEILING_FAMILY: Tuple[str, ...] = (
     "pcp-da", "pcp-da-checked", "weak-pcp-da", "rw-pcp", "rw-pcp-abort",
     "ccp", "pcp", "ipcp",
@@ -324,6 +326,9 @@ class StressReport:
     forced_aborts: int = 0
     deadline_misses: int = 0
     admission_rejects: int = 0
+    #: Distinct items written by committed transactions: the install rows
+    #: the history must hold.
+    written_items: int = 0
     serializable: bool = True
     violation: str = ""
     conservation_ok: bool = True
@@ -404,7 +409,6 @@ async def run_stress(
     shards: int = 1,
     partitioner: str = "hash",
     max_sessions: Optional[int] = 512,
-    kernel: bool = True,
     shard_procs: int = 0,
 ) -> StressReport:
     """Drive one stress workload through a live deployment and check it.
@@ -424,7 +428,7 @@ async def run_stress(
     from repro.service import LockManager, ServiceConfig, ShardedLockManager
 
     catalog = make_catalog(spec)
-    config = ServiceConfig(max_sessions=max_sessions, kernel=kernel)
+    config = ServiceConfig(max_sessions=max_sessions)
     supervisor = None
     if shard_procs > 1:
         from repro.service.sharding.procs import start_proc_deployment
@@ -444,6 +448,10 @@ async def run_stress(
         spec=spec, protocol=protocol, shards=shards, procs=shard_procs
     )
     programs = {name: catalog[name].operations for name in catalog.names}
+    writes = {
+        name: len({op.item for op in ops if op.kind.value == "write"})
+        for name, ops in programs.items()
+    }
 
     async def one(arrival: Arrival) -> None:
         try:
@@ -466,6 +474,7 @@ async def run_stress(
             else:
                 await manager.commit(session)
                 report.committed += 1
+                report.written_items += writes[arrival.name]
         except DeadlineExceeded:
             report.deadline_misses += 1
         except TransactionAborted:
@@ -504,7 +513,7 @@ async def run_stress(
         if asyncio.iscoroutine(stats_doc):
             stats_doc = await stats_doc
         report.stats_doc = stats_doc
-        _audit_conservation(report, manager)
+        _audit_conservation(report, manager, events)
         _audit_bounds(report)
     finally:
         await manager.shutdown()
@@ -513,8 +522,11 @@ async def run_stress(
     return report
 
 
-def _audit_conservation(report: StressReport, manager: Any) -> None:
-    """Exact begun = committed + aborted accounting, driver vs service."""
+def _audit_conservation(
+    report: StressReport, manager: Any, events: List[Dict[str, Any]]
+) -> None:
+    """Exact begun = committed + aborted accounting, driver vs service,
+    and one history install per item a committed transaction wrote."""
     doc = report.stats_doc
     problems: List[str] = []
     driver_total = (
@@ -543,6 +555,12 @@ def _audit_conservation(report: StressReport, manager: Any) -> None:
             f"driver committed={report.committed} != "
             f"service commits={doc['commits']}"
         )
+    installs = sum(1 for row in events if row["kind"] == "install")
+    if installs != report.written_items:
+        problems.append(
+            f"history installs={installs} != items written by committed "
+            f"transactions={report.written_items}"
+        )
     live = manager.live_sessions()
     if live:
         problems.append(f"{len(live)} session(s) still live after the run")
@@ -554,15 +572,13 @@ def _audit_conservation(report: StressReport, manager: Any) -> None:
 def _audit_bounds(report: StressReport) -> None:
     """Every forced abort must be attributable to a documented cause.
 
-    Under a deadlock-free ceiling protocol the live service aborts only
-    as a deadlock victim of a gate/guard cycle (one victim per resolved
-    cycle, counted in ``deadlocks`` / ``cross_shard_deadlocks``) or as a
-    sharded cascade of such a victim's other legs (``cascade_aborts``).
+    Under a served protocol the live service aborts only as a deadlock
+    victim of a gate/guard cycle (one victim per resolved cycle, counted
+    in ``deadlocks`` / ``cross_shard_deadlocks``) or as a sharded cascade
+    of such a victim's other legs (``cascade_aborts``).
     A forced abort beyond that budget means the service invented an abort
     the protocol's documentation does not allow.
     """
-    if report.protocol not in DEADLOCK_FREE_CEILING:
-        return
     doc = report.stats_doc
     budget = doc.get("deadlocks", 0)
     coordinator = doc.get("coordinator") or {}

@@ -97,6 +97,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "critical-section refinement" in out
 
+    @pytest.mark.parametrize(
+        "command", ["serve", "loadgen", "stress", "shard-host"]
+    )
+    def test_service_commands_take_only_the_served_protocols(
+        self, command, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--protocol", "2pl-hp"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "2pl-hp" in err
+        assert all(name in err for name in ("pcp-da", "rw-pcp", "pcp"))
+
 
 class TestReproduceProfileFlag:
     """``--profile`` must leave the process profiler exactly as it found

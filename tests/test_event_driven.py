@@ -159,7 +159,7 @@ class TestEventDrivenDeadlockDetection:
             t1 = TransactionSpec("T1", (write("a", 1.0), write("e", 1.0)))
             t2 = TransactionSpec("T2", (write("e", 1.0), write("a", 1.0)))
             mgr = ShardedLockManager(
-                assign_by_order([t1, t2]), "2pl",
+                assign_by_order([t1, t2]), "rw-pcp",
                 shards=2, partitioner="range", sweep_interval_s=HOUR,
             )
             s1 = await mgr.begin("T1")

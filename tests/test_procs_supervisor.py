@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, SpecificationError
 from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
 from repro.service.sharding.procs.supervisor import (
@@ -269,3 +269,18 @@ class TestDeployment:
             await supervisor.stop()
 
         run(body())
+
+    def test_unserved_protocol_refused_before_any_spawn(self):
+        spawned = []
+
+        async def spawn(index):
+            spawned.append(index)
+            return FakeProcess(), FakeProxy(index), 9000 + index
+
+        async def body():
+            with pytest.raises(SpecificationError,
+                               match="pcp-da, rw-pcp, pcp"):
+                await start_proc_deployment(catalog_rw(), "ipcp", spawn=spawn)
+
+        run(body())
+        assert spawned == []

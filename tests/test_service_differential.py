@@ -5,7 +5,7 @@ same object, the same locking conditions (LC1–LC4, the Table-1 footnote)
 the simulator evaluates.  These tests pin that claim from the outside:
 before each operation the expected decision is computed by calling the
 protocol directly (``decide`` is read-only), then the operation is issued
-and its observable outcome (granted immediately / parked / abort-granted)
+and its observable outcome (granted immediately / parked)
 must match.  The one documented divergence is the service's *order guard*
 (serialization-order enforcement, see ``repro/service/manager.py``),
 which may turn a protocol Grant into a wait — the driver recognises it by
@@ -19,16 +19,13 @@ import random
 import pytest
 
 from repro.db.serializability import check_serializable
-from repro.engine.interfaces import AbortAndGrant, Deny, Grant
+from repro.engine.interfaces import Deny, Grant
 from repro.exceptions import ServiceError, TransactionAborted
 from repro.model.spec import LockMode, OpKind
 from repro.service import LockManager, ServiceConfig
-from repro.service.manager import SessionState
+from repro.service.manager import SERVED_PROTOCOLS, SessionState
 from repro.service.park import ParkKind
 from repro.workloads.generator import WorkloadConfig, generate_taskset
-
-PROTOCOLS = ("pcp-da", "pcp", "rw-pcp", "ipcp", "2pl", "2pl-hp", "occ-bc")
-
 
 def run(coro):
     return asyncio.run(coro)
@@ -91,7 +88,7 @@ class Driver:
             observed = "parked"
         else:
             observed = "pending"
-        if isinstance(expected, (Grant, AbortAndGrant)):
+        if isinstance(expected, Grant):
             if observed != "granted":
                 park = manager.parks.get(session)
                 if park is not None and park.kind is ParkKind.ORDER_GUARD:
@@ -209,7 +206,7 @@ async def drive(protocol: str, wseed: int, dseed: int):
     return driver
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", SERVED_PROTOCOLS)
 def test_service_decisions_match_protocol(protocol):
     """Across random interleavings, every immediate outcome matches the
     protocol's own decision (modulo the documented order guard)."""

@@ -24,7 +24,7 @@ from repro.exceptions import (
 from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
 from repro.service import LockManager, ServiceConfig
-from repro.service.manager import SessionState
+from repro.service.manager import SERVED_PROTOCOLS, SessionState
 from repro.service.park import ParkKind
 from repro.verify.stress import StressSpec, make_catalog
 
@@ -145,6 +145,34 @@ class TestSessionLifecycle:
         run(body())
 
 
+class TestServedProtocols:
+    @pytest.mark.parametrize("protocol", SERVED_PROTOCOLS)
+    def test_commit_installs_the_workspace(self, protocol):
+        # RW-PCP and PCP declare in-place installs for the simulator; the
+        # service installs every served protocol's writes at commit.
+        async def body():
+            manager = LockManager(catalog_rw(), protocol)
+            writer = await manager.begin("T2")
+            await manager.write(writer, "x", 42)
+            summary = await manager.commit(writer)
+            assert summary["installed"] == ["x"]
+            reader = await manager.begin("T1")
+            assert await manager.read(reader, "x") == 42
+            await manager.commit(reader)
+            rows = [(r["kind"], r["job"], r["item"])
+                    for r in manager.history_events()]
+            assert ("install", "T2#0", "x") in rows
+            check_serializable(manager.history)
+
+        run(body())
+
+    @pytest.mark.parametrize("protocol", ["ipcp", "ccp", "2pl-hp", "occ-bc"])
+    def test_other_protocols_are_rejected_naming_the_set(self, protocol):
+        with pytest.raises(SpecificationError) as excinfo:
+            LockManager(catalog_rw(), protocol)
+        assert all(name in str(excinfo.value) for name in SERVED_PROTOCOLS)
+
+
 class TestAdmissionAndShutdown:
     def test_max_sessions_backpressure(self):
         async def body():
@@ -189,7 +217,7 @@ class TestDeadlines:
 
     def test_deadline_fires_while_parked_in_grant_queue(self):
         async def body():
-            manager = LockManager(catalog_rw(), "2pl")
+            manager = LockManager(catalog_rw(), "rw-pcp")
             writer = await manager.begin("T2")
             await manager.write(writer, "x", 1)
             reader = await manager.begin("T1", deadline_s=0.02)
@@ -203,9 +231,9 @@ class TestDeadlines:
 
 
 class TestGrantQueue:
-    def test_conflicting_read_waits_for_writer_under_2pl(self):
+    def test_conflicting_read_waits_for_writer_under_rw_pcp(self):
         async def body():
-            manager = LockManager(catalog_rw(), "2pl")
+            manager = LockManager(catalog_rw(), "rw-pcp")
             writer = await manager.begin("T2")
             await manager.write(writer, "x", "w")
             reader = await manager.begin("T1")
@@ -226,7 +254,7 @@ class TestGrantQueue:
             t1 = TransactionSpec("T1", (read("x", 1.0),))
             t2 = TransactionSpec("T2", (read("x", 1.0),))
             t3 = TransactionSpec("T3", (write("x", 1.0),))
-            manager = LockManager(assign_by_order([t1, t2, t3]), "2pl")
+            manager = LockManager(assign_by_order([t1, t2, t3]), "rw-pcp")
             holder = await manager.begin("T3")
             await manager.write(holder, "x", 1)
             low = await manager.begin("T2")
@@ -249,7 +277,7 @@ class TestGrantQueue:
 
     def test_one_inflight_operation_per_session(self):
         async def body():
-            manager = LockManager(catalog_rw(), "2pl")
+            manager = LockManager(catalog_rw(), "rw-pcp")
             writer = await manager.begin("T2")
             await manager.write(writer, "x", 1)
             reader = await manager.begin("T1")
@@ -265,7 +293,7 @@ class TestGrantQueue:
 
     def test_cancelled_waiter_is_torn_down(self):
         async def body():
-            manager = LockManager(catalog_rw(), "2pl")
+            manager = LockManager(catalog_rw(), "rw-pcp")
             writer = await manager.begin("T2")
             await manager.write(writer, "x", 1)
             reader = await manager.begin("T1")
@@ -465,8 +493,6 @@ class TestIntrospection:
 class TestServiceConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(SpecificationError):
-            ServiceConfig(deadlock_action="retry")
-        with pytest.raises(SpecificationError):
             ServiceConfig(max_sessions=0)
         with pytest.raises(SpecificationError):
             ServiceConfig(default_deadline_s=0.0)
@@ -547,15 +573,12 @@ class TestLiveSessionScale:
     # The digests were recorded at the commit before the wait-for graph
     # became incremental (PR 11, d6fe0a7) with this same replay; they are
     # independent of PYTHONHASHSEED.
-    # ``ipcp`` covers the priority-floor pass and deadlock victims (319).
     @pytest.mark.parametrize("spec, protocol, clients, per_client, digest", [
         (_WIDE, "pcp-da", 128, 6,
          "43fc93855792039473a4962d5936b1924f68fc1deac706f3a774c3223925518b"),
         (_HOT, "pcp-da", 32, 40,
          "0ff023694d4a1cebdd6884631600338b8b916af322ff47fa426b63078d2ca875"),
-        (_HOT, "ipcp", 32, 40,
-         "7eb0c3a1d9c2e60d7ede9514df2f9d1d7172700aba5376277eca748e15cf5c50"),
-    ], ids=["wide-c128", "hot-c32", "hot-c32-ipcp"])
+    ], ids=["wide-c128", "hot-c32"])
     def test_decisions_and_priority_changes_are_pinned(
         self, spec, protocol, clients, per_client, digest
     ):

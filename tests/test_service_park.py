@@ -22,7 +22,6 @@ from repro.db.serializability import (
 from repro.exceptions import (
     DeadlineExceeded,
     InvariantViolation,
-    ServiceError,
     SpecificationError,
     TransactionAborted,
 )
@@ -131,33 +130,6 @@ class TestViolationDoesNotWedge:
         assert counts["aborted"] == 0
         assert counts["committed"] == 480 - len(violations)
         assert manager.stats.forced_aborts == len(violations)
-
-    def test_raise_action_rejects_the_request_and_keeps_the_session(self):
-        async def body():
-            a = TransactionSpec("A", (write("x", 1.0), read("y", 1.0)))
-            b = TransactionSpec("B", (read("x", 1.0), write("y", 1.0)))
-            manager = LockManager(
-                assign_by_order([a, b]), "pcp-da",
-                ServiceConfig(deadlock_action="raise"),
-            )
-            sa = await manager.begin("A")
-            sb = await manager.begin("B")
-            await manager.write(sa, "x", 1)
-            await manager.write(sb, "y", 2)
-            # crossed ≺ constraints, injected as in test_service_manager
-            assert manager.constraints.add(sb.job, sa.job)
-            assert manager.constraints.add(sa.job, sb.job)
-            commit_a = asyncio.ensure_future(manager.commit(sa))
-            await settle()
-            with pytest.raises(ServiceError, match="deadlock detected"):
-                await manager.commit(sb)
-            assert sb.state is SessionState.ACTIVE
-            assert sb not in manager.parks
-            assert not manager.waits.is_blocked(sb.job)
-            await manager.abort(sb)
-            await commit_a
-
-        run(body())
 
 
 async def _replay(catalog, clients, per_client, seed=7):

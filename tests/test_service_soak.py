@@ -88,8 +88,8 @@ class TestAcceptanceSoak:
         assert report.serializable, report.violation
         assert report.client_aborts > 0
 
-    @pytest.mark.parametrize("protocol", ["2pl", "2pl-hp", "occ-bc"])
-    def test_baseline_protocols_serializable_over_tcp(self, protocol):
+    @pytest.mark.parametrize("protocol", ["rw-pcp", "pcp"])
+    def test_other_served_protocols_serializable_over_tcp(self, protocol):
         report = serve_and_load(
             protocol,
             WorkloadConfig(

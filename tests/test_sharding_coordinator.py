@@ -332,14 +332,14 @@ class TestFailurePaths:
 
     def test_cross_shard_deadlock_resolved_by_victim_abort(self):
         async def body():
-            # Pure 2PL, no ceilings: T1 locks a (shard 0) then wants e
+            # Per-shard ceilings: T1 locks a (shard 0) then wants e
             # (shard 1); T2 locks e then wants a.  Each shard sees one
             # harmless edge — the cycle exists only in the union, which
             # is exactly what the coordinator sweep checks.
             t1 = TransactionSpec("T1", (write("a", 1.0), write("e", 1.0)))
             t2 = TransactionSpec("T2", (write("e", 1.0), write("a", 1.0)))
             mgr = ShardedLockManager(
-                assign_by_order([t1, t2]), "2pl",
+                assign_by_order([t1, t2]), "rw-pcp",
                 shards=2, partitioner="range", sweep_interval_s=0.01,
             )
             s1 = await mgr.begin("T1")

@@ -7,7 +7,7 @@ commit fast path delegates wholesale, and the cross-shard deadlock
 detector defers to the shard's own.  These tests pin that from the
 outside: the same deterministic script of begins/reads/writes/commits is
 played against a bare :class:`LockManager` and a 1-shard
-:class:`ShardedLockManager`, under every registered protocol, and the
+:class:`ShardedLockManager`, under every served protocol, and the
 observable logs must be *identical* — per-operation immediate outcome
 (granted now vs parked), read values, exception types, install sets,
 final per-item version chains, committed sets, and the shard's
@@ -30,10 +30,8 @@ from repro.exceptions import ServiceError
 from repro.model.spec import OpKind
 from repro.service import LockManager, ServiceConfig, ShardedLockManager
 from repro.service.loadgen import history_from_events
-from repro.service.manager import SessionState
+from repro.service.manager import SERVED_PROTOCOLS, SessionState
 from repro.workloads.generator import WorkloadConfig, generate_taskset
-
-PROTOCOLS = ("pcp-da", "pcp", "rw-pcp", "ipcp", "2pl", "2pl-hp", "occ-bc")
 
 SEED_PAIRS = ((3, 1), (11, 2))
 
@@ -170,7 +168,7 @@ def _summarize(rows):
     )
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("protocol", SERVED_PROTOCOLS)
 def test_one_shard_deployment_is_decision_equivalent(protocol):
     for wseed, dseed in SEED_PAIRS:
         catalog = generate_taskset(WorkloadConfig(
@@ -223,7 +221,7 @@ def test_equivalence_battery_exercises_contention():
         ))
 
         async def body():
-            manager = LockManager(catalog, "2pl", ServiceConfig())
+            manager = LockManager(catalog, "rw-pcp", ServiceConfig())
             log = await play(manager, catalog, dseed)
             await manager.shutdown()
             return log

@@ -12,8 +12,6 @@ The socket is skipped (``in_process_client``) so the test stays in the
 
 import asyncio
 
-import pytest
-
 from repro.service import (
     LoadgenConfig,
     ServiceConfig,
@@ -23,17 +21,13 @@ from repro.service import (
 )
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
-PROTOCOL = "pcp-da"
-
-
-def load_sharded(workload, loadcfg, *, shards=4, partitioner="hash",
-                 protocol=PROTOCOL):
+def load_sharded(workload, loadcfg, *, shards=4, partitioner="hash"):
     """Run the loadgen against a fresh in-process sharded deployment."""
 
     async def body():
         catalog = generate_taskset(workload)
         manager = ShardedLockManager(
-            catalog, protocol, ServiceConfig(),
+            catalog, "pcp-da", ServiceConfig(),
             shards=shards, partitioner=partitioner,
         )
         try:
@@ -98,25 +92,3 @@ class TestFourShardReplay:
         assert report.completed > 0
         coordinator = report.stats_doc["coordinator"]
         assert coordinator["gate_waits"] > 0
-
-    @pytest.mark.parametrize("protocol", ["2pl-hp", "occ-bc"])
-    def test_abort_heavy_protocols_stay_serializable(self, protocol):
-        # HP displacement and OCC broadcast aborts cross the coordinator
-        # as cascades; the merged history must still replay clean (the
-        # run may abort transactions, but never corrupt the order).
-        report = load_sharded(
-            WorkloadConfig(
-                n_transactions=5, n_items=6, write_probability=0.5, seed=11,
-            ),
-            LoadgenConfig(clients=8, transactions_per_client=5, seed=9),
-            protocol=protocol,
-        )
-        assert report.serializable, report.violation
-        # A victim cascaded while *idle* surfaces as SessionStateError
-        # on its next operation (same as the unsharded manager), which
-        # the loadgen counts under transport_errors — account for all
-        # three buckets, not just clean commits and in-flight aborts.
-        accounted = (report.completed + report.forced_aborts
-                     + report.transport_errors)
-        assert accounted == 8 * 5
-        assert report.completed > 0

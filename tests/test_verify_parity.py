@@ -3,9 +3,10 @@
 One seeded workload, four executions — simulator (kernel and object
 paths), in-process service, sharded coordinator — must agree
 decision-for-decision under sequential replay.  The acceptance battery
-(20 seeds × the full ceiling family) runs here in tier-1; the harness's
-plumbing (normalisation, sequential task sets, divergence reporting) is
-pinned by the smaller cases.
+(20 seeds × the served protocols on all four paths, plus the rest of the
+ceiling family on the two simulator paths) runs here in tier-1; the
+harness's plumbing (normalisation, sequential task sets, divergence
+reporting) is pinned by the smaller cases.
 """
 
 import pytest
@@ -21,11 +22,8 @@ from repro.verify.parity import (
     service_decisions,
     simulator_decisions,
 )
+from repro.service.manager import SERVED_PROTOCOLS
 from repro.verify.stress import CEILING_FAMILY, StressSpec, iter_arrivals
-
-#: Non-ceiling protocols the harness should also hold for — parity under
-#: sequential replay is a property of *any* correctly layered protocol.
-OTHER_PROTOCOLS = ("pip-2pl", "2pl-hp", "2pl", "occ-bc")
 
 
 def _event(job, item="x1", mode="write", outcome=LockOutcome.GRANTED,
@@ -131,17 +129,23 @@ class TestAcceptanceBattery:
     """The ISSUE's parity acceptance criterion, enforced in tier-1."""
 
     def test_twenty_seeds_ceiling_family(self):
-        reports = parity_battery(
-            seeds=range(20), protocols=CEILING_FAMILY, transactions=25,
-        )
-        assert len(reports) == 20 * len(CEILING_FAMILY)
+        reports = parity_battery(seeds=range(20), transactions=25)
+        assert len(reports) == 20 * len(SERVED_PROTOCOLS)
         assert all(len(r.executions) == 4 for r in reports)
         assert all(r.decisions > 0 for r in reports)
 
-    def test_non_ceiling_protocols_also_agree(self):
-        parity_battery(
-            seeds=range(3), protocols=OTHER_PROTOCOLS, transactions=15,
-        )
+    @pytest.mark.parametrize("protocol", sorted(
+        set(CEILING_FAMILY) - set(SERVED_PROTOCOLS)
+    ))
+    def test_twenty_seeds_simulator_only_members(self, protocol):
+        # The service refuses these; their kernel table (or, for the
+        # force-opt-out members, the fallback) still has to make the
+        # object path's decisions on the same twenty workloads.
+        for seed in range(20):
+            spec = StressSpec(seed=seed, transactions=25)
+            kernel = simulator_decisions(spec, protocol, kernel=True)
+            assert kernel
+            assert kernel == simulator_decisions(spec, protocol, kernel=False)
 
     def test_multi_shard_coordinator_in_the_loop(self):
         parity_battery(

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.exceptions import SpecificationError
+from repro.service.manager import SERVED_PROTOCOLS
 from repro.verify.stress import (
     CEILING_FAMILY,
     DEADLOCK_FREE_CEILING,
@@ -201,6 +202,8 @@ class TestConcurrentStress:
     def test_rw_pcp_also_holds(self):
         report = asyncio.run(run_stress(self._spec(), "rw-pcp"))
         assert report.ok, report.render()
+        # the conservation audit counted installs against real writes
+        assert report.written_items > 0
 
 
 @pytest.mark.stress
@@ -221,6 +224,7 @@ class TestSimulatorOracle:
 
 class TestFamilies:
     def test_deadlock_free_family_is_a_subset(self):
+        assert set(SERVED_PROTOCOLS) < set(DEADLOCK_FREE_CEILING)
         assert set(DEADLOCK_FREE_CEILING) < set(CEILING_FAMILY)
         assert "weak-pcp-da" not in DEADLOCK_FREE_CEILING
 
