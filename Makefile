@@ -37,7 +37,7 @@ verify: \
 	verify-procs
 
 # The in-process service battery (no sockets): manager semantics, the
-# park → wait → unpark battery (every kind of wait ended every way, the
+# lock core driven with no event loop, the park → wait → unpark battery (every kind of wait ended every way, the
 # stale-exemption cycle, a violation that must not wedge the service), the
 # constraint graph's property battery, the simulator differential, wire
 # dispatch, the connection class fed raw bytes over an in-memory
@@ -46,6 +46,7 @@ verify: \
 # SOAK=1.
 verify-service:
 	$(PYTHON) -m pytest -q tests/test_service_manager.py \
+		tests/test_service_core.py \
 		tests/test_service_park.py tests/test_service_constraints.py \
 		tests/test_service_differential.py tests/test_service_wire.py \
 		tests/test_service_connection.py tests/test_service_loadgen.py

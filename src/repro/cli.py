@@ -250,15 +250,30 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return _run_reproduce(args)
 
 
-def _service_manager(taskset, protocol, config, shards, partitioner):
-    """A plain or sharded lock manager, depending on ``--shards``."""
+async def _deploy(args: argparse.Namespace, taskset, config):
+    """The ``(supervisor, manager)`` pair ``serve`` and ``loadgen`` serve.
+
+    ``--shard-procs > 1`` spawns shard-host processes behind a
+    coordinator and returns their supervisor; otherwise the supervisor
+    is ``None`` and the manager runs in-process, sharded when
+    ``--shards > 1``.
+    """
     from repro.service import LockManager, ShardedLockManager
 
-    if shards > 1:
-        return ShardedLockManager(
-            taskset, protocol, config, shards=shards, partitioner=partitioner
+    if args.shard_procs > 1:
+        from repro.service.sharding.procs import start_proc_deployment
+
+        crash = {"on_crash": args.on_crash} if "on_crash" in args else {}
+        return await start_proc_deployment(
+            taskset, args.protocol, shards=args.shard_procs, config=config,
+            partitioner=args.partitioner, **crash,
         )
-    return LockManager(taskset, protocol, config)
+    if args.shards > 1:
+        return None, ShardedLockManager(
+            taskset, args.protocol, config,
+            shards=args.shards, partitioner=args.partitioner,
+        )
+    return None, LockManager(taskset, args.protocol, config)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -274,29 +289,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def run() -> int:
-        supervisor = None
-        if args.shard_procs > 1:
-            from repro.service.sharding.procs import start_proc_deployment
-
-            supervisor, manager = await start_proc_deployment(
-                taskset,
-                args.protocol,
-                shards=args.shard_procs,
-                config=config,
-                partitioner=args.partitioner,
-                on_crash=args.on_crash,
-            )
+        supervisor, manager = await _deploy(args, taskset, config)
+        if supervisor is not None:
             sharding = (
                 f", {args.shard_procs} shard processes ({args.partitioner})"
             )
+        elif args.shards > 1:
+            sharding = f", {args.shards} shards ({args.partitioner})"
         else:
-            manager = _service_manager(
-                taskset, args.protocol, config, args.shards, args.partitioner
-            )
-            sharding = (
-                f", {args.shards} shards ({args.partitioner})"
-                if args.shards > 1 else ""
-            )
+            sharding = ""
         server = LockServer(manager, args.host, args.port)
         await server.start()
         print(
@@ -396,27 +397,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 target_utilization=args.utilization,
                 seed=args.workload_seed,
             ))
-            service_config = ServiceConfig(max_sessions=args.max_sessions)
-            if args.shard_procs > 1:
-                from repro.service.sharding.procs import (
-                    start_proc_deployment,
-                )
-
-                supervisor, manager = await start_proc_deployment(
-                    taskset,
-                    args.protocol,
-                    shards=args.shard_procs,
-                    config=service_config,
-                    partitioner=args.partitioner,
-                )
-            else:
-                manager = _service_manager(
-                    taskset,
-                    args.protocol,
-                    service_config,
-                    args.shards,
-                    args.partitioner,
-                )
+            supervisor, manager = await _deploy(
+                args, taskset, ServiceConfig(max_sessions=args.max_sessions)
+            )
             server = LockServer(manager, "127.0.0.1", 0)
             await server.start()
             host, port = server.host, server.port
@@ -474,10 +457,10 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         # smoke's offered load must sit inside every deployment's
         # capacity: at a burst peak of 4 x 600 = 2,400 arrivals/s both
         # deployments keep pace and the ratio catches coordination
-        # regressions (a polling coordinator parks waiters for whole
-        # failsafe periods and craters the multi-shard wall) instead of
-        # re-litigating peak capacity, which a single event loop decides
-        # in the 1-shard deployment's favor by construction — see
+        # regressions (a coordinator whose waiters miss their wake-ups
+        # craters the multi-shard wall) instead of re-litigating peak
+        # capacity, which a single event loop decides in the 1-shard
+        # deployment's favor by construction — see
         # docs/PERFORMANCE.md.  The full `repro stress` run keeps the
         # genuine overload profile.
         overload = 1.0
@@ -668,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.set_defaults(func=_cmd_reproduce)
 
-    from repro.service.manager import SERVED_PROTOCOLS
+    from repro.service.core import SERVED_PROTOCOLS
 
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--transactions", type=int, default=6,

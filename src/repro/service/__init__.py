@@ -20,8 +20,11 @@ reusing the exact same building blocks:
 
 Layers (see docs/SERVICE.md):
 
-* :mod:`repro.service.manager` — the transport-agnostic async runtime
-  (sessions, grant queues, commit, observability hooks);
+* :mod:`repro.service.core` — the synchronous lock core (sessions,
+  decisions, parks, grant queue, commit, observability hooks), with no
+  event loop;
+* :mod:`repro.service.manager` — the asyncio adapter over the core: it
+  awaits parks and turns deadlines and cancellations into aborts;
 * :mod:`repro.service.park` — the one record (and its kinds) for every
   way a request waits: lock, order guard, commit fence, commit gate;
 * :mod:`repro.service.stats` — latency histograms, per-priority-band
@@ -44,7 +47,8 @@ Layers (see docs/SERVICE.md):
 
 from repro.service.client import ServiceClient, connect_tcp, in_process_client
 from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
-from repro.service.manager import LockManager, ServiceConfig, Session
+from repro.service.core import ServiceConfig, Session
+from repro.service.manager import LockManager
 from repro.service.server import LockServer
 from repro.service.sharding import (
     GlobalSession,

@@ -13,17 +13,16 @@ how a cycle through it is treated):
   before it has finished.
 
 Whichever it is, the waiting request is one :class:`Park` in its
-manager's registry (``LockManager.parks`` keyed by session,
+manager's registry (``LockCore.parks`` keyed by session,
 ``ShardedLockManager.parks`` keyed by global session): what it waits
-for, on whom, since when, and the future that ends the wait.  The
-deadlock classifier, the grant queue and the ``waiting_sessions`` gauge
-all read that one record; the kind is set where the denial is built
-(:class:`ServiceDeny`), never recovered from a reason string.
+for, on whom, since when, and — once the wait is over — how it ended.
+The deadlock classifier, the grant queue and the ``waiting_sessions``
+gauge all read that one record; the kind is set where the denial is
+built (:class:`ServiceDeny`), never recovered from a reason string.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
@@ -86,7 +85,6 @@ class Park:
             sessions in the coordinator.  For a lock-path park this is
             the blame set of the latest denial: the jobs whose lock
             churn can flip the decision.
-        future: resolved by whoever ends the wait (grant, wake, abort).
         parked_at: service-clock time the wait began.
         item, mode: the request, for parks made on the lock path
             (:data:`COMMIT_ITEM` and write mode for the commit gate).
@@ -94,17 +92,21 @@ class Park:
         decided_priority: the requester's running priority when last
             decided; a later change can flip LC2/LC3, so any delta
             re-queues the park.
+        ended: whether the wait is over.
+        outcome: how it ended — the grant rule, ``None`` for a woken
+            commit gate, or the exception the waiting operation raises.
     """
 
     session: Any
     kind: ParkKind
     blockers: Tuple[Any, ...]
-    future: "asyncio.Future[Any]"
     parked_at: float
     item: Optional[str] = None
     mode: Optional[LockMode] = None
     reason: str = ""
     decided_priority: int = 0
+    ended: bool = False
+    outcome: Any = None
 
     def describe(self) -> str:
         """``"T2#7: lock write(x) denied by 'LC1 ...'"`` for diagnostics."""

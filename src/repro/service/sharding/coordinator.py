@@ -53,13 +53,12 @@ serializable service:
   coordinator waits and resolves any cycle not attributable to a single
   shard by aborting its lowest-priority member.
 
-Everything the old polling watchdog did is now notification-driven:
-shard-side leg aborts cascade to their global session synchronously
-from the shard's ``"abort"`` churn event, predecessor terminals wake
-exactly the gate/guard waiters indexed on them, and deadlines are
-enforced as wait timeouts.  A long-period failsafe re-check (the
-remnant of ``sweep_interval_s``) backstops lost notifications but does
-no steady-state work.
+Everything is notification-driven, with no timer: shard-side leg
+aborts cascade to their global session synchronously from the shard's
+``"abort"`` churn event, predecessor terminals wake exactly the
+gate/guard waiters indexed on them, and deadlines are enforced as wait
+timeouts through the lock manager's
+:func:`~repro.service.manager.wait_firm`.
 """
 
 from __future__ import annotations
@@ -90,14 +89,14 @@ from repro.exceptions import (
 )
 from repro.model.spec import TaskSet, TransactionSpec
 from repro.service.constraints import ConstraintGraph
-from repro.service.eager import eager_start
-from repro.service.manager import (
-    LockManager,
+from repro.service.core import (
     ServiceConfig,
     Session,
     SessionState,
     check_served,
 )
+from repro.service.eager import eager_start
+from repro.service.manager import LockManager, wait_firm
 from repro.service.park import Park, ParkKind
 from repro.service.sharding.partitioner import Partitioner, make_partitioner
 from repro.service.stats import ServiceStats, ShardingStats
@@ -175,11 +174,6 @@ class ShardedLockManager:
         shards: number of partitions (>= 1).
         partitioner: scheme name (``"hash"`` / ``"range"``) or a prebuilt
             :class:`Partitioner`.
-        sweep_interval_s: period of the *failsafe* re-check run by parked
-            waiters (cascade of shard-side aborts + cross-shard deadlock
-            check).  All steady-state progress is notification-driven;
-            the failsafe only backstops lost wake-ups, so its period is
-            floored at one second regardless of this value.
     """
 
     def __init__(
@@ -190,12 +184,9 @@ class ShardedLockManager:
         *,
         shards: int = 2,
         partitioner: Union[str, Partitioner] = "hash",
-        sweep_interval_s: float = 0.05,
         shard_managers: Optional[Sequence[Any]] = None,
     ) -> None:
         check_served(protocol)
-        if sweep_interval_s <= 0:
-            raise SpecificationError("sweep_interval_s must be positive")
         self.catalog = catalog
         self.config = config or ServiceConfig()
         items = sorted(catalog.items)
@@ -243,10 +234,6 @@ class ShardedLockManager:
             shard._t0 = self._t0
         self.stats = ServiceStats()
         self.sharding_stats = ShardingStats()
-        self._sweep_interval = sweep_interval_s
-        #: Failsafe period for parked waiters: the event-driven design
-        #: needs no timer for progress, so the re-check runs rarely.
-        self._failsafe_interval = max(sweep_interval_s, 1.0)
 
         self._sessions: Dict[int, GlobalSession] = {}
         self._live: Dict[GlobalSession, None] = {}  # insertion-ordered set
@@ -255,6 +242,8 @@ class ShardedLockManager:
         #: The registry of coordinator-level parks (global commit gate /
         #: global order guard); a leg's lock wait is its shard's park.
         self.parks: Dict[GlobalSession, Park] = {}
+        #: parked session -> the future its ``_await_remote`` sleeps on.
+        self._wakers: Dict[GlobalSession, "asyncio.Future[None]"] = {}
         #: blocker session -> waiters parked on it (terminal wake index).
         self._wake_index: Dict[GlobalSession, Set[GlobalSession]] = {}
         #: The incrementally maintained session-level constraint graph,
@@ -760,18 +749,9 @@ class ShardedLockManager:
         """
         if self._remote:
             return self._history_events_remote()
-        data_rows = [
-            {
-                "kind": event.kind.value,
-                "job": event.job,
-                "item": event.item,
-                "version_seq": event.version_seq,
-                "time": event.time,
-            }
-            for shard in self.shards
-            for event in shard.history
-        ]
-        return self._assemble_history(data_rows)
+        return self._assemble_history(
+            [row for shard in self.shards for row in shard.history_events()]
+        )
 
     async def _history_events_remote(self) -> List[Dict[str, Any]]:
         """Fetch each host's history rows and assemble the merged view."""
@@ -790,13 +770,7 @@ class ShardedLockManager:
             kind = row["kind"]
             if kind not in ("read", "install"):
                 continue  # per-leg terminals: superseded globally
-            rows.append((row["time"], _HISTORY_RANK[kind], {
-                "kind": kind,
-                "job": row["job"],
-                "item": row["item"],
-                "version_seq": row["version_seq"],
-                "time": row["time"],
-            }))
+            rows.append((row["time"], _HISTORY_RANK[kind], row))
         for kind, name, when in self._outcomes:
             rows.append((when, _HISTORY_RANK[kind], {
                 "kind": kind,
@@ -831,21 +805,8 @@ class ShardedLockManager:
             raise SessionStateError(
                 f"{session.name}: session already {session.state.value}"
             )
-        # A leg abort cascades synchronously from the shard's "abort"
-        # notification, so a live global session with a dead leg should
-        # be unobservable; keep the check as a cheap belt-and-braces
-        # mirror of the unsharded manager's synchronous state flip.
-        self._cascade_session(session)
-        if not session.state.live:
-            raise TransactionAborted(
-                f"{session.name}: {session.abort_reason or 'aborted'}"
-            )
         if session.deadline is not None and self.now() > session.deadline:
-            self.stats.deadline_aborts += 1
-            self._abort_global(session, "deadline", forced=True)
-            raise DeadlineExceeded(
-                f"{session.name}: deadline passed before the operation"
-            )
+            self._expire(session, "before the operation")
 
     async def _ensure_leg(
         self, session: GlobalSession, shard_id: int
@@ -860,14 +821,6 @@ class ShardedLockManager:
         """
         leg = session.legs.get(shard_id)
         if leg is not None:
-            if not leg.state.live:
-                # The leg died while this operation was parked at the
-                # coordinator (guard/gate): the whole transaction is gone.
-                self._cascade_session(session)
-                raise TransactionAborted(
-                    f"{session.name}: leg on shard {shard_id} already "
-                    f"{leg.state.value} ({leg.abort_reason or 'aborted'})"
-                )
             return leg
         # Tie-breakers (grant-queue FIFO, victim choice) must follow the
         # *global* begin order, not the lazy leg-creation order, or two
@@ -896,8 +849,7 @@ class ShardedLockManager:
         * ``"abort"`` — a leg died shard-side (a service-made cycle's
           victim, an invariant violation): cascade to its global session
           *now*, synchronously, exactly as the unsharded manager flips
-          such sessions' states inside the operation.  This replaces the
-          polling cascade sweep.
+          such sessions' states inside the operation.
         * ``"wait"`` — a wait edge was created or re-pointed: a cross-
           shard cycle can only close here, so schedule one coalesced
           deadlock pass.
@@ -911,7 +863,9 @@ class ShardedLockManager:
         elif kind == "abort":
             session = self._job_sessions.get(job)
             if session is not None and session.state.live:
-                self._cascade_session(session)
+                reason = session.legs[shard_id].abort_reason or "abort"
+                self.sharding_stats.cascade_aborts += 1
+                self._abort_global(session, f"shard:{reason}", forced=True)
         elif kind == "wait":
             self._schedule_deadlock_check()
 
@@ -949,15 +903,19 @@ class ShardedLockManager:
         waiters = self._wake_index.pop(session, None)
         if waiters:
             for waiter in tuple(waiters):
-                park = self.parks.get(waiter)
-                if park is not None and not park.future.done():
-                    park.future.set_result(None)
+                self._wake(waiter)
+
+    def _wake(self, session: GlobalSession) -> None:
+        """End ``session``'s coordinator park, if it has one."""
+        future = self._wakers.get(session)
+        if future is not None and not future.done():
+            future.set_result(None)
 
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
     async def _forward(self, session: GlobalSession, coro) -> Any:
-        """Await a shard operation, mapping failures and deadlines.
+        """Await a shard operation under the session's deadline.
 
         The operation's first step runs *eagerly*, on the caller's
         stack: the overwhelmingly common shard op (an unblocked grant, a
@@ -970,80 +928,38 @@ class ShardedLockManager:
         multi-shard throughput.  Only an op that actually parks
         (lock wait, shard-side gate) is handed to a task.
 
-        Shard churn that the old polling watchdog existed to observe now
-        arrives as synchronous notifications (leg aborts cascade from
-        the shard's ``"abort"`` event before the operation even
-        resolves), so an operation without a deadline simply awaits its
-        task.  A deadline bounds the wait; cancellation (client
+        Shard churn arrives as synchronous notifications (a leg abort
+        cascades to the global session from the shard's ``"abort"``
+        event before the operation's error even propagates; over the
+        wire the event frame precedes the response), so a parked
+        operation's task is simply awaited through :func:`wait_firm`:
+        the session's deadline bounds it and a cancellation (client
         disconnect) tears the global session down, mirroring the
-        unsharded manager.
+        unsharded manager — either way the shard operation is cancelled
+        first.
         """
-        task: Optional["asyncio.Future"] = None
-        try:
-            done, outcome = eager_start(coro)
-            if done:
-                return outcome
-            task = outcome
-            if session.deadline is None:
-                return await asyncio.shield(task)
-            while True:
-                remaining = session.deadline - self.now()
-                if remaining <= 0:
-                    await self._reap(task)
-                    if session.state.live:
-                        self.stats.deadline_aborts += 1
-                        self._abort_global(session, "deadline", forced=True)
-                    raise DeadlineExceeded(
-                        f"{session.name}: deadline passed during the operation"
-                    )
-                try:
-                    return await asyncio.wait_for(
-                        asyncio.shield(task), remaining
-                    )
-                except asyncio.TimeoutError:
-                    continue
-        except asyncio.CancelledError:
-            if task is not None:
-                await self._reap(task)
-            if session.state.live:
-                self._abort_global(session, "cancelled", forced=True)
-            raise
-        except ServiceError as exc:
-            self._on_leg_failure(session, exc)
-            raise
+        done, outcome = eager_start(coro)
+        if done:
+            return outcome
+        return await wait_firm(
+            outcome, session.deadline, self.now,
+            lambda: self._expire(session, "during the operation"),
+            lambda: self._cancel(session),
+        )
 
-    @staticmethod
-    async def _reap(task: "asyncio.Future") -> None:
-        """Cancel a forwarded task and silence its outcome."""
-        task.cancel()
-        try:
-            await task
-        except BaseException:  # noqa: BLE001 - outcome deliberately dropped
-            pass
+    def _expire(self, session: GlobalSession, where: str) -> None:
+        """The session's deadline passed ``where``: abort it, raise."""
+        if session.state.live:
+            self.stats.deadline_aborts += 1
+            self._abort_global(session, "deadline", forced=True)
+        raise DeadlineExceeded(
+            f"{session.name}: deadline passed {where}"
+        ) from None
 
-    def _on_leg_failure(self, session: GlobalSession, exc: ServiceError) -> None:
-        """Map a shard-side failure onto the global session.
-
-        A leg abort (deadlock victim, shard shutdown) kills the whole
-        transaction: the sibling legs are torn down so no shard keeps
-        locks for a dead session.  Client-level
-        errors (session-state, bad item) leave the session alive, same
-        as on the unsharded manager.
-        """
-        if not session.state.live:
-            return
-        if isinstance(exc, (TransactionAborted, DeadlineExceeded)):
-            dead = next(
-                (leg for leg in session.legs.values()
-                 if leg.state is SessionState.ABORTED),
-                None,
-            )
-            reason = dead.abort_reason if dead is not None else "shard abort"
-            self.sharding_stats.cascade_aborts += 1
-            self._abort_global(
-                session, f"shard:{reason}", forced=True,
-                exc=TransactionAborted(f"{session.name}: {reason}"),
-            )
+    def _cancel(self, session: GlobalSession) -> None:
+        """The client's task was cancelled mid-wait: abort the session."""
+        if session.state.live:
+            self._abort_global(session, "cancelled", forced=True)
 
     # ------------------------------------------------------------------
     # The global gate and guard
@@ -1113,8 +1029,8 @@ class ShardedLockManager:
         parked can only grow the set and never require a wake, and the
         re-evaluation after each wake picks them up.  Registers the wait
         for the cross-shard deadlock detector (one coalesced pass per
-        park), enforces liveness/deadline on every wake, and falls back
-        to a rare failsafe re-check against lost notifications.  Returns
+        park), checks liveness on every wake, and bounds every wait by
+        the session's deadline (:func:`wait_firm`).  Returns
         synchronously once the blocker set is empty — callers rely on
         there being no trailing ``await``.
         """
@@ -1132,38 +1048,23 @@ class ShardedLockManager:
         session.state = SessionState.WAITING
         loop = asyncio.get_running_loop()
         try:
-            while True:
-                blockers = blockers_fn()
-                if not blockers:
-                    return
-                future: "asyncio.Future[None]" = loop.create_future()
-                self.parks[session] = Park(
-                    session, kind, blockers, future, started
-                )
+            while blockers:
+                future = self._wakers[session] = loop.create_future()
+                self.parks[session] = Park(session, kind, blockers, started)
                 for blocker in blockers:
                     self._wake_index.setdefault(blocker, set()).add(session)
                 self._schedule_deadlock_check()
                 try:
                     if session.state.live:
-                        timeout = self._failsafe_interval
-                        if session.deadline is not None:
-                            timeout = min(
-                                timeout,
-                                max(1e-4, session.deadline - self.now()),
-                            )
-                        try:
-                            await asyncio.wait_for(
-                                asyncio.shield(future), timeout
-                            )
-                        except asyncio.TimeoutError:
-                            self._sweep()  # failsafe, not the wake path
-                        except asyncio.CancelledError:
-                            if session.state.live:
-                                self._abort_global(
-                                    session, "cancelled", forced=True
-                                )
-                            raise
+                        await wait_firm(
+                            future, session.deadline, self.now,
+                            lambda: self._expire(
+                                session, f"at the {kind.value}"
+                            ),
+                            lambda: self._cancel(session),
+                        )
                 finally:
+                    del self._wakers[session]
                     self.parks.pop(session, None)
                     for blocker in blockers:
                         waiters = self._wake_index.get(blocker)
@@ -1177,15 +1078,7 @@ class ShardedLockManager:
                         f"{session.abort_reason or 'aborted'} "
                         f"(while parked at the {kind.value})"
                     )
-                if (
-                    session.deadline is not None
-                    and self.now() > session.deadline
-                ):
-                    self.stats.deadline_aborts += 1
-                    self._abort_global(session, "deadline", forced=True)
-                    raise DeadlineExceeded(
-                        f"{session.name}: deadline passed at the {kind.value}"
-                    )
+                blockers = blockers_fn()
         finally:
             if session.state is SessionState.WAITING:
                 session.state = previous_state
@@ -1230,67 +1123,13 @@ class ShardedLockManager:
         self._outcomes.append(("abort", session.name, self.now()))
         self.stats.record_abort(session.priority, forced=forced)
         self._on_session_terminal(session)
-        # The victim itself may be parked at a gate/guard: fire its own
-        # future so the park observes the abort without a failsafe tick.
-        own = self.parks.get(session)
-        if own is not None and not own.future.done():
-            own.future.set_result(None)
+        # The victim itself may be parked at a gate/guard: wake it so the
+        # park observes the abort.
+        self._wake(session)
 
     # ------------------------------------------------------------------
-    # Sweep: cascades and cross-shard deadlock detection
+    # Cross-shard deadlock detection
     # ------------------------------------------------------------------
-    def _cascade_session(self, session: GlobalSession) -> None:
-        """Kill ``session`` globally if any of its legs was *aborted*
-        shard-side.
-
-        Only ABORTED counts as dead here: during a commit there is an
-        instant where a leg is already COMMITTED while the global
-        session is still live — that is the commit path's own business,
-        not a cascade.
-        """
-        if not session.state.live:
-            return
-        dead = next(
-            (leg for leg in session.legs.values()
-             if leg.state is SessionState.ABORTED),
-            None,
-        )
-        if dead is not None:
-            self.sharding_stats.cascade_aborts += 1
-            self._abort_global(
-                session,
-                f"shard:{dead.abort_reason or 'abort'}",
-                forced=True,
-            )
-
-    def _cascade_dead(self) -> None:
-        """Cascade every live session that lost a leg shard-side.
-
-        A shard may abort a leg with no coordinator frame on the stack —
-        the victim of a shard-side gate or guard cycle.  The global
-        session must follow, so sibling legs release their locks and
-        subsequent client operations see the abort rather than a
-        half-dead transaction.
-        """
-        for session in list(self._live):
-            self._cascade_session(session)
-
-    def _sweep(self) -> None:
-        """Failsafe re-check body (rarely run; see ``sweep_interval_s``).
-
-        Both steps are redundant under the notification design — leg
-        aborts cascade synchronously from shard ``"abort"`` events and
-        cycles are checked when wait edges appear — but a lost wake-up
-        would otherwise park a waiter forever, so parked waiters re-run
-        this on their (long) failsafe period:
-
-        1. Cascade: kill the global session of any leg aborted
-           shard-side, so sibling legs release their locks.
-        2. Cross-shard deadlock detection (see module docstring).
-        """
-        self._cascade_dead()
-        self._check_global_deadlock()
-
     def _check_global_deadlock(self) -> None:
         """Find and resolve wait cycles spanning shards or the coordinator.
 

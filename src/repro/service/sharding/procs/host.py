@@ -32,7 +32,8 @@ from typing import Dict, FrozenSet, List, Optional
 from repro.engine.job import Job
 from repro.service import wire
 from repro.service.connection import Connection
-from repro.service.manager import SERVED_PROTOCOLS, LockManager
+from repro.service.core import SERVED_PROTOCOLS
+from repro.service.manager import LockManager
 from repro.service.server import LockServer
 from repro.trace.recorder import LockEvent
 from repro.workloads.io import load_taskset

@@ -54,7 +54,7 @@ from repro.model.spec import TaskSet
 from repro.service import wire
 from repro.service.connection import Connection
 from repro.service.constraints import ConstraintGraph
-from repro.service.manager import Session, SessionState, catalog_document
+from repro.service.core import Session, SessionState, catalog_document
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import LockEvent
 
@@ -264,7 +264,7 @@ class RemoteShardProxy:
             job = self._jobs.get(name)
             self._forget(name)
             # Notify *after* the mirror flip: the coordinator's cascade
-            # reads the leg state synchronously inside this callback.
+            # reads the leg's abort reason inside this callback.
             self._notify(kind, job, None)
         elif kind == "finish":
             leg = self._legs.get(name)

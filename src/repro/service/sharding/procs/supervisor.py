@@ -47,7 +47,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ServiceError
 from repro.model.spec import TaskSet
-from repro.service.manager import ServiceConfig, check_served
+from repro.service.core import ServiceConfig, check_served
 from repro.service.sharding.coordinator import ShardedLockManager
 from repro.service.sharding.procs.proxy import RemoteShardProxy
 from repro.workloads.io import dump_taskset

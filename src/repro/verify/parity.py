@@ -364,7 +364,7 @@ def parity_battery(
     divergence.
     """
     if protocols is None:
-        from repro.service.manager import SERVED_PROTOCOLS
+        from repro.service.core import SERVED_PROTOCOLS
 
         protocols = SERVED_PROTOCOLS
     reports = []

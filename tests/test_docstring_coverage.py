@@ -54,6 +54,7 @@ def test_parallel_sweep_modules_are_covered():
         "repro.service.sharding.coordinator",
         "repro.service.connection",
         "repro.service.constraints",
+        "repro.service.core",
         "repro.service.eager",
     } <= names
 

@@ -1,11 +1,9 @@
 """Tests for the event-driven wakeup paths (no timer-driven progress).
 
-The coordinator used to make progress by polling: parked gate/guard
-waiters re-checked their predecessor sets every ``sweep_interval_s``.
-These tests pin the replacement — shard churn notifications wake exactly
-the waiters whose constraints changed — by running every blocking
-scenario with a *one hour* sweep interval: if any path still needed the
-timer, the test would hang far past its ``wait_for`` deadline.
+The coordinator has no timer: shard churn notifications wake exactly
+the waiters whose constraints changed.  Every blocking scenario below
+bounds its wait with ``wait_for``: if any path needed a timer to make
+progress, the test would hang past that deadline.
 
 The manager-side counterpart is covered the same way: the grant queue
 re-decides only the waiters the drained churn can affect (item touched,
@@ -24,10 +22,6 @@ from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
 from repro.service import LockManager, ShardedLockManager
 from repro.service.manager import SessionState
-
-#: Long enough that any test relying on the timer hangs its wait_for.
-HOUR = 3600.0
-
 
 def catalog_two_shards() -> TaskSet:
     """Items {a, b} on shard 0, {f} on shard 1 (range over 2)."""
@@ -56,7 +50,7 @@ async def settle(steps: int = 5) -> None:
 class TestGateWakeupOnNotification:
     def test_gate_opens_on_commit_without_sweep_timer(self):
         async def body():
-            mgr = make_manager(sweep_interval_s=HOUR)
+            mgr = make_manager()
             writer = await mgr.begin("W")
             await mgr.write(writer, "b", "new")
             await mgr.write(writer, "f", "new")
@@ -67,8 +61,7 @@ class TestGateWakeupOnNotification:
             assert not commit_task.done()
             assert mgr.sharding_stats.gate_waits == 1
             await mgr.commit(reader)
-            # Only the commit's "finish" notification can open the gate
-            # inside the deadline: the failsafe timer is an hour away.
+            # Only the commit's "finish" notification can open the gate.
             await asyncio.wait_for(commit_task, timeout=5.0)
             assert writer.state is SessionState.COMMITTED
             await mgr.shutdown()
@@ -77,7 +70,7 @@ class TestGateWakeupOnNotification:
 
     def test_gate_opens_on_abort_without_sweep_timer(self):
         async def body():
-            mgr = make_manager(sweep_interval_s=HOUR)
+            mgr = make_manager()
             writer = await mgr.begin("W")
             await mgr.write(writer, "b", "new")
             await mgr.write(writer, "f", "new")
@@ -95,7 +88,7 @@ class TestGateWakeupOnNotification:
 
     def test_gate_park_time_lands_in_gate_histogram(self):
         async def body():
-            mgr = make_manager(sweep_interval_s=HOUR)
+            mgr = make_manager()
             writer = await mgr.begin("W")
             await mgr.write(writer, "b", "new")
             await mgr.write(writer, "f", "new")
@@ -123,12 +116,12 @@ class TestGuardWakeupOnNotification:
         async def body():
             # B ≺ A recorded on shard 1 only; A's read of a on shard 0
             # must park at the coordinator guard until B finishes — woken
-            # by B's terminal notification, not by the (hour-long) timer.
+            # by B's terminal notification.
             a = TransactionSpec("A", (write("e", 1.0), read("a", 1.0)))
             b = TransactionSpec("B", (read("e", 1.0), write("a", 1.0)))
             mgr = ShardedLockManager(
                 assign_by_order([b, a]), "pcp-da",
-                shards=2, partitioner="range", sweep_interval_s=HOUR,
+                shards=2, partitioner="range",
             )
             sa = await mgr.begin("A")
             await mgr.write(sa, "e", "a-val")
@@ -154,13 +147,12 @@ class TestEventDrivenDeadlockDetection:
         async def body():
             # The cycle exists only in the union of the two shards'
             # wait-for edges; each new wait schedules a coalesced
-            # deadlock pass, so detection must not need the hour-long
-            # failsafe timer.
+            # deadlock pass, so detection needs no timer.
             t1 = TransactionSpec("T1", (write("a", 1.0), write("e", 1.0)))
             t2 = TransactionSpec("T2", (write("e", 1.0), write("a", 1.0)))
             mgr = ShardedLockManager(
                 assign_by_order([t1, t2]), "rw-pcp",
-                shards=2, partitioner="range", sweep_interval_s=HOUR,
+                shards=2, partitioner="range",
             )
             s1 = await mgr.begin("T1")
             s2 = await mgr.begin("T2")
@@ -182,18 +174,6 @@ class TestEventDrivenDeadlockDetection:
             await mgr.shutdown()
 
         run(body())
-
-    def test_sweep_retained_as_failsafe_only(self):
-        # The timer still exists but is clamped to a ≥1s failsafe floor:
-        # even the pinned 10ms ctor argument cannot make waiters poll.
-        mgr = make_manager(sweep_interval_s=0.01)
-        assert mgr._failsafe_interval == 1.0
-        assert callable(mgr._sweep)  # lost-notification backstop
-        run(mgr.shutdown())
-
-        slow = make_manager(sweep_interval_s=HOUR)
-        assert slow._failsafe_interval == HOUR
-        run(slow.shutdown())
 
 
 class TestPartialRedecide:

@@ -9,6 +9,7 @@ the in-process client, with explicit interleavings built from bare
 import asyncio
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -221,11 +222,35 @@ class TestDeadlines:
             writer = await manager.begin("T2")
             await manager.write(writer, "x", 1)
             reader = await manager.begin("T1", deadline_s=0.02)
-            with pytest.raises(DeadlineExceeded):
+            with pytest.raises(
+                DeadlineExceeded,
+                match=r"^T1#0: deadline passed waiting for read\(x\)$",
+            ):
                 await manager.read(reader, "x")
             assert reader.state is SessionState.ABORTED
             assert not manager.parks  # queue entry cleaned up
             await manager.commit(writer)
+
+        run(body())
+
+    def test_grant_before_deadline_stands_when_the_waiter_resumes_late(self):
+        async def body():
+            manager = LockManager(catalog_rw(), "rw-pcp")
+            writer = await manager.begin("T2")
+            await manager.write(writer, "x", "w")
+            reader = await manager.begin("T1", deadline_s=0.05)
+            task = asyncio.ensure_future(manager.read(reader, "x"))
+            await settle()
+            assert reader.state is SessionState.WAITING
+            await manager.commit(writer)  # the grant lands in time ...
+            assert not manager.parks
+            time.sleep(0.1)  # ... and the reader resumes past its deadline
+            assert await task == "w"
+            assert reader.state is SessionState.ACTIVE
+            assert manager.stats.deadline_aborts == 0
+            # The deadline is enforced at the next operation instead.
+            with pytest.raises(DeadlineExceeded, match="before the operation"):
+                await manager.commit(reader)
 
         run(body())
 
@@ -291,6 +316,25 @@ class TestGrantQueue:
 
         run(body())
 
+    def test_abort_between_grant_and_resume_wins(self):
+        async def body():
+            manager = LockManager(catalog_rw(), "rw-pcp")
+            writer = await manager.begin("T2")
+            await manager.write(writer, "x", "w")
+            reader = await manager.begin("T1")
+            task = asyncio.ensure_future(manager.read(reader, "x"))
+            await settle()
+            await manager.commit(writer)  # the read is granted ...
+            manager.force_abort(reader, "victim")  # ... before it resumes
+            with pytest.raises(TransactionAborted, match="victim"):
+                await task
+            assert not manager.table.items_held_by(reader.job)
+            rows = [e.kind.value for e in manager.history
+                    if e.job == reader.name]
+            assert rows == ["abort"]
+
+        run(body())
+
     def test_cancelled_waiter_is_torn_down(self):
         async def body():
             manager = LockManager(catalog_rw(), "rw-pcp")
@@ -310,7 +354,7 @@ class TestGrantQueue:
 
 class TestSerializationOrderEnforcement:
     """PCP-DA reads past write locks; the service must keep the adjusted
-    order honest under true concurrency (module docstring of manager.py)."""
+    order honest under true concurrency (module docstring of service/core.py)."""
 
     def test_read_past_write_lock_is_granted(self):
         async def body():
@@ -365,6 +409,27 @@ class TestSerializationOrderEnforcement:
             await commit_task
             assert writer.state is SessionState.COMMITTED
             check_serializable(manager.history)
+
+        run(body())
+
+    def test_abort_between_gate_wake_and_resume_wins(self):
+        async def body():
+            manager = LockManager(catalog_rw(), "pcp-da")
+            writer = await manager.begin("T2")
+            await manager.write(writer, "x", "new")
+            reader = await manager.begin("T1")
+            await manager.read(reader, "x")
+            commit_task = asyncio.ensure_future(manager.commit(writer))
+            await settle()
+            await manager.commit(reader)  # wakes the writer's gate ...
+            manager.force_abort(writer, "victim")  # ... before it resumes
+            with pytest.raises(TransactionAborted, match="victim"):
+                await commit_task
+            assert writer.state is SessionState.ABORTED
+            rows = [e.kind.value for e in manager.history
+                    if e.job == writer.name]
+            assert rows == ["abort"]
+            assert manager.db.read_committed("x").value is None
 
         run(body())
 

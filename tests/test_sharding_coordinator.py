@@ -264,7 +264,6 @@ class TestFailurePaths:
             # A shard kills the leg behind the coordinator's back (the
             # shape of a shard-local deadlock victim).
             mgr.shards[1].force_abort(session.legs[1], "test-injected")
-            mgr._sweep()
             assert session.state is SessionState.ABORTED
             assert session.abort_reason.startswith("shard:")
             assert not session.legs[0].state.live  # sibling torn down too
@@ -335,12 +334,12 @@ class TestFailurePaths:
             # Per-shard ceilings: T1 locks a (shard 0) then wants e
             # (shard 1); T2 locks e then wants a.  Each shard sees one
             # harmless edge — the cycle exists only in the union, which
-            # is exactly what the coordinator sweep checks.
+            # is exactly what the coordinator's deadlock pass checks.
             t1 = TransactionSpec("T1", (write("a", 1.0), write("e", 1.0)))
             t2 = TransactionSpec("T2", (write("e", 1.0), write("a", 1.0)))
             mgr = ShardedLockManager(
                 assign_by_order([t1, t2]), "rw-pcp",
-                shards=2, partitioner="range", sweep_interval_s=0.01,
+                shards=2, partitioner="range",
             )
             s1 = await mgr.begin("T1")
             s2 = await mgr.begin("T2")
