@@ -41,15 +41,16 @@ verify: \
 # stale-exemption cycle, a violation that must not wedge the service), the
 # constraint graph's property battery, the simulator differential, wire
 # dispatch, the connection class fed raw bytes over an in-memory
-# transport (framing, garbage, stalls, disconnects), and the loadgen
-# driven through the in-process transport. The TCP soak runs only when
-# SOAK=1.
+# transport (framing, garbage, stalls, disconnects), the loadgen driven
+# through the in-process transport, and the names the benchmark tracer
+# wraps. The TCP soak runs only when SOAK=1.
 verify-service:
 	$(PYTHON) -m pytest -q tests/test_service_manager.py \
 		tests/test_service_core.py \
 		tests/test_service_park.py tests/test_service_constraints.py \
 		tests/test_service_differential.py tests/test_service_wire.py \
-		tests/test_service_connection.py tests/test_service_loadgen.py
+		tests/test_service_connection.py tests/test_service_loadgen.py \
+		tests/test_benchmark_compat.py
 	$(if $(SOAK),$(PYTHON) -m pytest -q -m service_soak --override-ini \
 		'addopts=-q',)
 
@@ -121,12 +122,14 @@ bench-suite-smoke:
 	python3 benchmarks/suite/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/suite -q
 
-# Compare REF with the working tree on one suite workload: alternating
+# Compare REF with the working tree on suite workloads: alternating
 # runs (the first side alternating too), every pair printed, then
 # medians, quartiles, wins and the choosing-metrics §8 verdict per
-# end-to-end metric. REF is a commit (checked out into a temporary
-# `git worktree`) or the path of an existing checkout.
-# Usage: make bench-pair REF=HEAD~1 WORKLOAD=proc2-wide-c8 [PAIRS=10]
+# end-to-end metric, one block per workload. WORKLOAD is one name, a
+# comma list, or `all` (pair i of every workload runs before pair i+1).
+# REF is a commit (checked out into a temporary `git worktree`) or the
+# path of an existing checkout.
+# Usage: make bench-pair REF=HEAD~1 WORKLOAD=proc2-wide-c8|all [PAIRS=10]
 bench-pair:
 	python3 benchmarks/bench_pair.py --ref $(REF) --workload $(WORKLOAD) \
 		$(if $(PAIRS),--pairs $(PAIRS),)

@@ -6,7 +6,8 @@ push/pop with rank-at-push, lock grant/release driving the kernel's
 ceiling index, ``Sysceil`` queries answered from it, the object path's
 from-scratch ceiling walk at 8 / 128 / 512 read locks, dispatch-heavy
 simulation, the wait-for graph's three queries at 8 / 128 / 512 parked
-waiters, and one wire round trip through the real server and client
+waiters, the grant-queue drain re-blaming 8 / 32 / 128 parks after a
+commit, and one wire round trip through the real server and client
 connection ends — so a regression can be attributed to the specific
 structure that caused it.
 
@@ -30,6 +31,8 @@ from repro.model.spec import LockMode, TransactionSpec, read, write
 from repro.protocols import make_protocol
 from repro.service import LockManager, LockServer
 from repro.service.connection import Connection
+from repro.service.core import LockCore
+from repro.service.park import Park
 from repro.verify.stress import StressSpec, make_catalog
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
@@ -261,6 +264,58 @@ def test_wait_graph_cycle_check_after_one_edge_edit(benchmark, parked):
         return graph.find_new_cycle()
 
     assert benchmark(edit_and_check) is None
+
+
+# ----------------------------------------------------------------------
+# Grant-queue re-decide: the drain's own row.  Under PCP-DA's inheritance
+# rule a parked read blames ``T*``, the readers at the system ceiling;
+# when ``T*`` commits, every park that blamed it is re-decided and its
+# wait edge moves to the next ``Sysceil`` holder (docs/PERFORMANCE.md
+# "Live sessions" has the measured split on the live workloads).
+# ----------------------------------------------------------------------
+def _reblame_catalog():
+    """RA and RB read x and y, which WX writes, so both raise ``Sysceil``
+    to WX's priority; Q reads z (WX writes it too) below that ceiling, so
+    Q is ceiling-denied whenever RA or RB holds its read lock."""
+    return assign_by_order([
+        TransactionSpec("RA", (read("x"),)),
+        TransactionSpec("RB", (read("y"),)),
+        TransactionSpec("WX", (write("x"), write("y"), write("z"))),
+        TransactionSpec("Q", (read("z"),)),
+    ])
+
+
+@pytest.mark.parametrize("parked", (8, 32, 128))
+def test_drain_reblame(benchmark, parked):
+    """``parked`` ceiling-denied reads all blame one reader; that reader
+    commits, each park is re-decided and re-blamed to the other reader,
+    and a fresh instance takes the committed reader's lock back.  The
+    row is per round; µs per re-blamed park (the round's commit, begin
+    and grant included) is printed and stored as ``extra_info``."""
+    core = LockCore(_reblame_catalog(), "pcp-da")
+    items = {"RA": "x", "RB": "y"}
+    holders = {}
+    for name, item in items.items():
+        holders[name] = core.begin(name)
+        assert core.read(holders[name], item) is None
+    waiters = [core.begin("Q") for _ in range(parked)]
+    for session in waiters:
+        assert isinstance(core.read(session, "z"), Park)
+    turn = ["RA", "RB"]
+
+    def reblame():
+        name = turn[0]
+        turn.reverse()
+        core.commit(holders[name])
+        holders[name] = core.begin(name)
+        core.read(holders[name], items[name])
+
+    benchmark(reblame)
+    blamed = (holders[turn[0]].job,)
+    assert all(core.parks[s].blockers == blamed for s in waiters)
+    us = benchmark.stats.stats.min * 1e6 / parked
+    benchmark.extra_info.update(us_per_reblamed_park=us)
+    print(f"\ndrain re-blame, {parked} parks: {us:.2f} us per re-blamed park")
 
 
 # ----------------------------------------------------------------------

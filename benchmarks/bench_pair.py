@@ -1,9 +1,10 @@
-"""Alternating parent/change runs of one end-to-end suite workload.
+"""Alternating parent/change runs of end-to-end suite workloads.
 
 Usage::
 
-    python3 benchmarks/bench_pair.py --ref REF --workload NAME [--pairs 10]
-    make bench-pair REF=<commit> WORKLOAD=<name> [PAIRS=10]
+    python3 benchmarks/bench_pair.py --ref REF --workload NAME[,NAME...|all]
+        [--pairs 10]
+    make bench-pair REF=<commit> WORKLOAD=<name>[,<name>...|all] [PAIRS=10]
 
 The sandbox has two host speed regimes (suite README, "spread"), so two
 commits are compared only by time-paired runs.  This runs
@@ -14,6 +15,11 @@ median and quartiles, wins and ties, and — the rule the suite README and
 the choosing-metrics guide (§8) prescribe — whether the change won at
 least nine tenths of the decided pairs *and* the medians differ by more
 than the distance between the reference's own quartiles.
+
+``--workload`` takes one name, a comma list, or ``all`` (every workload
+in ``BENCHMARK.json``).  With several, pair ``i`` of every workload runs
+before pair ``i + 1`` of any, so a speed-regime flip lands on all of them
+alike, and the report has one verdict block per workload.
 
 ``REF`` is a commit (checked out with ``git worktree add`` under a
 temporary directory, removed afterwards) or the path of an existing
@@ -86,15 +92,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ref", required=True,
                         help="commit, or path of an existing checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma list of them, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {
         metric["name"]: metric["better"] == "higher"
-        for metric in json.loads(
-            (ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        for metric in spec["end_to_end"]
     }
+    known = [workload["name"] for workload in spec["workloads"]]
+    names = (
+        known if args.workload == "all" else args.workload.split(",")
+    )
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; known: {known}")
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as scratch:
         ref_tree = pathlib.Path(args.ref)
         worktree = not ref_tree.is_dir()
@@ -105,31 +119,36 @@ def main(argv=None) -> int:
                  args.ref], cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
             )
         try:
-            rows: List[Dict[str, Dict[str, float]]] = []
+            rows: Dict[str, List[Dict[str, Dict[str, float]]]] = {
+                workload: [] for workload in names
+            }
             for pair in range(1, args.pairs + 1):
                 order = ("ref", "change") if pair % 2 else ("change", "ref")
-                row = {
-                    side: run_once(ref_tree if side == "ref" else ROOT,
-                                   args.workload, pair)
-                    for side in order
-                }
-                rows.append(row)
-                print(f"pair {pair} ({order[0]} first): " + "  ".join(
-                    f"{name} {row['ref'][name]:.6g} -> "
-                    f"{row['change'][name]:.6g}" for name in better
-                ), flush=True)
+                for workload in names:
+                    row = {
+                        side: run_once(ref_tree if side == "ref" else ROOT,
+                                       workload, pair)
+                        for side in order
+                    }
+                    rows[workload].append(row)
+                    print(f"{workload} pair {pair} ({order[0]} first): "
+                          + "  ".join(
+                              f"{name} {row['ref'][name]:.6g} -> "
+                              f"{row['change'][name]:.6g}" for name in better
+                          ), flush=True)
         finally:
             if worktree:
                 subprocess.run(
                     ["git", "worktree", "remove", "--force", str(ref_tree)],
                     cwd=ROOT, check=False,
                 )
-    print(f"\n{args.workload}, {len(rows)} pairs, ref {args.ref}:")
-    for name, higher in better.items():
-        print("  " + summarize(
-            name, higher,
-            [(row["ref"][name], row["change"][name]) for row in rows],
-        ))
+    for workload, pairs in rows.items():
+        print(f"\n{workload}, {len(pairs)} pairs, ref {args.ref}:")
+        for name, higher in better.items():
+            print("  " + summarize(
+                name, higher,
+                [(row["ref"][name], row["change"][name]) for row in pairs],
+            ))
     return 0
 
 

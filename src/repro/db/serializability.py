@@ -96,8 +96,12 @@ def build_sparse_serialization_graph(history: History) -> SerializationGraph:
             (event.version_seq, event.job)
         )
     committed = set(history.committed_jobs)
+    # item -> its install sequence numbers, ascending: built once per
+    # item, binary-searched once per read.
+    seqs_by_item: Dict[str, List[int]] = {}
     for item, versions in installs_by_item.items():
         versions.sort()
+        seqs_by_item[item] = [seq for seq, _ in versions]
         # ww chain between consecutive installers — exactly the dense
         # graph's ww edges (uncommitted installers included), so any rw
         # target can reach every later installer along the chain.
@@ -108,8 +112,9 @@ def build_sparse_serialization_graph(history: History) -> SerializationGraph:
         item = event.item
         assert item is not None and event.version_seq is not None
         versions = installs_by_item.get(item, [])
-        seqs = [seq for seq, _ in versions]
-        index = bisect.bisect_left(seqs, event.version_seq)
+        index = bisect.bisect_left(
+            seqs_by_item.get(item, ()), event.version_seq
+        )
         if index < len(versions) and versions[index][0] == event.version_seq:
             writer = versions[index][1]
             if writer in committed:

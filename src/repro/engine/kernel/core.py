@@ -6,13 +6,16 @@ into flat integer state —
 
 * per-item **lock-mode words**: one int bitset of reader slots and one of
   writer slots per item id;
-* per-item **ceiling levels** in the run's one
-  :class:`~repro.engine.lock_table.CeilingIndex` (bump on grant, lazy
-  repair on release), keyed by item id —
+* per-item **ceilings** — level and raising holders — in the run's one
+  :class:`~repro.engine.lock_table.CeilingIndex` (level buckets, updated
+  on every grant and release), keyed by item id —
 
 and answers every admission decision from the bound
 :class:`~repro.engine.kernel.tables.ProtocolTable` without touching
 ``Job``/``frozenset`` machinery until a ``Deny`` must name its blockers.
+A denial is memoised by its blocker word and reason until a job slot is
+recycled, so a grant-queue re-decide that names the blockers of the one
+before it builds no new ``Deny``.
 Wait edges are *not* mirrored: the PCP-DA waiter exemption asks the run's
 :class:`~repro.engine.inheritance.WaitForGraph`, whose reverse adjacency
 answers "nobody waits on the requester" — the common case — in one dict
@@ -33,7 +36,7 @@ pin the equivalence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.interfaces import Deny, Grant
 from repro.engine.kernel.interning import Interner
@@ -49,7 +52,7 @@ from repro.engine.kernel.tables import (
     TABLE1_REASON,
     WEAK_CEILING_REASON,
 )
-from repro.engine.lock_table import CeilingIndex
+from repro.engine.lock_table import NO_CEILING, CeilingIndex
 from repro.model.spec import DUMMY_PRIORITY, LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,7 +72,7 @@ class Kernel:
         "table_spec", "interner", "_lock_table", "_wait_graph",
         "_reader_word", "_writer_word", "_ceilings", "_jid",
         "_family", "_level_source", "_select_readers", "_waiter_exempt",
-        "_wceil", "_aceil",
+        "_wceil", "_aceil", "_denials",
         "_grant_write", "_read_grants", "_decide_read",
     )
 
@@ -99,6 +102,8 @@ class Kernel:
         )
         self._wceil = self.interner.wceil
         self._aceil = self.interner.aceil
+        #: (blocker word, reason) -> its Deny; valid while no slot is recycled.
+        self._denials: Dict[Tuple[int, str], Deny] = {}
         self._grant_write = Grant(table_spec.write_grant_rule)
         self._read_grants = tuple(
             Grant(rule) for rule in table_spec.read_grant_rules
@@ -115,7 +120,7 @@ class Kernel:
     # Mirror maintenance — driven by LockTable hooks
     # ==================================================================
     def rebuild(self, lock_table: "LockTable") -> None:
-        """Re-derive the lock words and levels from the table's entries."""
+        """Re-derive the lock words and ceilings from the table's entries."""
         self._lock_table = lock_table
         n = len(self.interner.items)
         self._reader_word = [0] * n
@@ -128,44 +133,49 @@ class Kernel:
                 self._reader_word[iid] |= 1 << intern.intern_job(job)
             for job in entry.writers:
                 self._writer_word[iid] |= 1 << intern.intern_job(job)
-            self._refresh_level(iid)
+            level, holders = self._ceiling_of(iid)
+            self._ceilings.update(iid, level, holders)
 
     def on_grant(self, job: "Job", item: str, mode: LockMode) -> None:
-        """Lock-table hook: set the holder bit and refresh the level."""
+        """Lock-table hook: set the holder bit and refresh the ceiling."""
         iid = self.interner.item_ids[item]
         bit = 1 << self._jid(job)
         if mode is LockMode.READ:
             self._reader_word[iid] |= bit
         else:
             self._writer_word[iid] |= bit
-        self._refresh_level(iid)
+        level, holders = self._ceiling_of(iid)
+        self._ceilings.update(iid, level, holders)
 
     def on_release(self, job: "Job", item: str, mode: LockMode) -> None:
-        """Lock-table hook: clear the holder bit and refresh the level."""
+        """Lock-table hook: clear the holder bit and refresh the ceiling."""
         iid = self.interner.item_ids[item]
         bit = 1 << self._jid(job)
         if mode is LockMode.READ:
             self._reader_word[iid] &= ~bit
         else:
             self._writer_word[iid] &= ~bit
-        self._refresh_level(iid)
+        level, holders = self._ceiling_of(iid)
+        self._ceilings.update(iid, level, holders)
 
-    def _level_of(self, iid: int) -> int:
-        """The ceiling level the item's lock words raise under the
-        table's level source (``DUMMY_PRIORITY``: none)."""
+    def _ceiling_of(self, iid: int) -> Tuple[int, int]:
+        """``(level, holders)``: the ceiling the item's lock words raise
+        under the table's level source, and the holders that raise it
+        (read holders only when the table selects readers);
+        ``NO_CEILING`` when it raises none."""
         readers = self._reader_word[iid]
+        writers = self._writer_word[iid]
         source = self._level_source
         if source == LEVEL_READ_WCEIL:
-            return self._wceil[iid] if readers else DUMMY_PRIORITY
-        writers = self._writer_word[iid]
-        if not (readers or writers):
-            return DUMMY_PRIORITY
-        if source == LEVEL_RW and not writers:
-            return self._wceil[iid]
-        return self._aceil[iid]  # LEVEL_ACEIL, or LEVEL_RW write-locked
-
-    def _refresh_level(self, iid: int) -> None:
-        self._ceilings.update(iid, self._level_of(iid))
+            level = self._wceil[iid] if readers else DUMMY_PRIORITY
+        elif not (readers or writers):
+            return NO_CEILING
+        elif source == LEVEL_RW and not writers:
+            level = self._wceil[iid]
+        else:
+            level = self._aceil[iid]  # LEVEL_ACEIL, or LEVEL_RW write-locked
+        holders = readers if self._select_readers else readers | writers
+        return (level, holders) if level and holders else NO_CEILING
 
     def retire(self, job: "Job") -> None:
         """Recycle a finished job's slot (service sessions churn jobs).
@@ -173,44 +183,26 @@ class Kernel:
         Callers must have released the job's locks first; the slot is
         kept (not recycled) while the lock table still shows a holding, so
         a misuse degrades to the old grow-only behaviour instead of
-        corrupting another job's bitsets.
+        corrupting another job's bitsets.  Recycling drops the memoised
+        denials: their words may name the slot's next job.
         """
         if not self._lock_table.iter_items_held_by(job):
             self.interner.release_job(job)
+            self._denials.clear()
 
     # ==================================================================
     # Ceiling queries
     # ==================================================================
-    def _scan(self, excluded_word: int) -> Tuple[int, int]:
-        """Highest current level among items with a relevant holder outside
-        ``excluded_word``, plus the bit-union of those holders over every
-        item at that level.  ``(0, 0)`` when nothing qualifies."""
-        readers = self._reader_word
-        writers = self._writer_word
-        keep = ~excluded_word
-        if self._select_readers:
-            def holders_of(iid: int) -> int:
-                return readers[iid] & keep
-        else:
-            def holders_of(iid: int) -> int:
-                return (readers[iid] | writers[iid]) & keep
-        level, iids = self._ceilings.scan(holders_of)
-        holders = 0
-        for iid in iids:
-            holders |= holders_of(iid)
-        return level, holders
-
     def system_ceiling(self, exclude: "Optional[Job]" = None) -> int:
         """Current system ceiling (global when ``exclude`` is ``None``).
 
-        The global query is amortised O(1): with no exclusions the top
-        live level qualifies by construction (a non-zero level implies a
-        relevant holder).
+        The global query is the top live level: with no exclusions it
+        qualifies by construction (a live level always has a holder).
         """
         if exclude is not None:
             jid = self.interner.job_ids.get(exclude)
             if jid is not None:
-                return self._scan(1 << jid)[0]
+                return self._ceilings.scan(1 << jid)[0]
         return self._ceilings.top()
 
     # ==================================================================
@@ -226,44 +218,49 @@ class Kernel:
             others = self._reader_word[iid] & ~me
             if not others:
                 return self._grant_write
-            return Deny(
-                self._sorted_jobs(others),
-                self.table_spec.write_conflict_reason,
-            )
+            return self._deny(others, self.table_spec.write_conflict_reason)
         return self._decide_read(job, iid)
 
-    def decide_batch(self, requests: Sequence, on_deny=None, pre_decide=None):
-        """Decide ``requests`` (``(job, item, mode)`` tuples) in order,
-        stopping after the first non-``Deny`` decision; returns the
+    def decide_batch(self, requests: Sequence, pre_decide, on_deny):
+        """Decide ``requests`` — ``(job, item, mode, tag)`` tuples — in
+        order, stopping after the first non-``Deny`` decision; returns the
         decisions made.
 
-        ``pre_decide(request)`` may answer a request ahead of the table
-        (the service's commit fence and order guard) or return ``None``;
-        it runs per request, in order, so it sees the blame the denials
-        before it refreshed and is never evaluated past the first grant.
+        ``pre_decide(job, item, mode)`` may answer a request ahead of the
+        table (the service's commit fence and order guard) or return
+        ``None``; it runs per request, in order, so it sees the blame the
+        denials before it refreshed and is never evaluated past the first
+        grant.
 
-        ``on_deny(request, decision)`` runs after each denial *before* the
+        ``on_deny(tag, decision)`` runs after each denial *before* the
         next request is decided, so callers can refresh wait-graph blame
         between decisions exactly like the one-at-a-time loop did (a
         denial's inheritance edges can change the next requester's
-        transitive-waiter exemption).
+        transitive-waiter exemption).  ``tag`` is the caller's handle on
+        the request (the service passes its park).
         """
         out = []
-        for request in requests:
-            decision = pre_decide(request) if pre_decide is not None else None
+        for job, item, mode, tag in requests:
+            decision = pre_decide(job, item, mode)
             if decision is None:
-                decision = self.decide(request[0], request[1], request[2])
+                decision = self.decide(job, item, mode)
             out.append(decision)
             if not isinstance(decision, Deny):
                 break
-            if on_deny is not None:
-                on_deny(request, decision)
+            on_deny(tag, decision)
         return out
 
-    def _sorted_jobs(self, word: int) -> Tuple["Job", ...]:
-        jobs = self.interner.jobs_from_word(word)
-        jobs.sort(key=_seq_of)
-        return tuple(jobs)
+    def _deny(self, word: int, reason: str) -> Deny:
+        """The denial blaming the jobs in ``word``, sorted by release
+        sequence like the protocol objects sort them; memoised, so a
+        repeated denial is one dict probe."""
+        key = (word, reason)
+        deny = self._denials.get(key)
+        if deny is None:
+            jobs = self.interner.jobs_from_word(word)
+            jobs.sort(key=_seq_of)
+            deny = self._denials[key] = Deny(tuple(jobs), reason)
+        return deny
 
     # ---- family: PCP-DA ----------------------------------------------
     def _decide_read_pcpda(self, job: "Job", iid: int):
@@ -278,7 +275,7 @@ class Kernel:
                 wid = job_ids.get(waiter)
                 if wid is not None:
                     excluded |= 1 << wid
-        sysceil, tstar = self._scan(excluded)
+        sysceil, tstar = self._ceilings.scan(excluded)
         spec = self.table_spec
         priority = job.running_priority
 
@@ -297,7 +294,8 @@ class Kernel:
         if lc2 and not violators:
             return self._read_grants[0]  # LC2
         lc3 = lc4 = False
-        if tstar:
+        hpw = self._wceil[iid]
+        if tstar and priority >= hpw:  # LC3 needs P > HPW, LC4 P == HPW
             union_writes = 0
             word = tstar
             while word:
@@ -305,7 +303,6 @@ class Kernel:
                 word ^= low
                 union_writes |= intern.job_write_mask[low.bit_length() - 1]
             item_outside = not (union_writes >> iid) & 1
-            hpw = self._wceil[iid]
             if spec.enable_lc3 and priority > hpw and item_outside:
                 lc3 = True
             elif (
@@ -325,30 +322,30 @@ class Kernel:
         if not violators and (lc2 or lc3 or lc4):
             return self._read_grants[0 if lc2 else (1 if lc3 else 2)]
         if violators:
-            return Deny(self._sorted_jobs(violators), TABLE1_REASON)
-        return Deny(self._sorted_jobs(tstar), PCPDA_CEILING_REASON)
+            return self._deny(violators, TABLE1_REASON)
+        return self._deny(tstar, PCPDA_CEILING_REASON)
 
     # ---- family: weak PCP-DA -----------------------------------------
     def _decide_read_weak(self, job: "Job", iid: int):
         me = 1 << self._jid(job)
-        sysceil, holders = self._scan(me)
+        sysceil, holders = self._ceilings.scan(me)
         priority = job.running_priority
         if priority > sysceil:
             return self._read_grants[0]  # cond(1) P>Sysceil
         if priority >= self._wceil[iid]:
             return self._read_grants[1]  # cond(2) P>=HPW
-        return Deny(self._sorted_jobs(holders), WEAK_CEILING_REASON)
+        return self._deny(holders, WEAK_CEILING_REASON)
 
     # ---- family: RW-PCP / CCP / original PCP -------------------------
     def _decide_sysceil(self, job: "Job", iid: int):
         me = 1 << self._jid(job)
-        sysceil, holders = self._scan(me)
+        sysceil, holders = self._ceilings.scan(me)
         if job.running_priority > sysceil:
             return self._read_grants[0]  # P>Sysceil
         spec = self.table_spec
         locked = (self._reader_word[iid] | self._writer_word[iid]) & ~me
         reason = spec.conflict_reason if locked else spec.ceiling_reason
-        return Deny(self._sorted_jobs(holders), reason)
+        return self._deny(holders, reason)
 
     # ---- family: IPCP ------------------------------------------------
     def _decide_ipcp(self, job: "Job", iid: int):
@@ -356,7 +353,7 @@ class Kernel:
         holders = (self._reader_word[iid] | self._writer_word[iid]) & ~me
         if not holders:
             return self._read_grants[0]  # ceiling-elevated
-        return Deny(self._sorted_jobs(holders), self.table_spec.conflict_reason)
+        return self._deny(holders, self.table_spec.conflict_reason)
 
     # ==================================================================
     # Differential verification
@@ -377,9 +374,9 @@ class Kernel:
                 writers[iid] |= 1 << intern.job_ids[job]
         if readers != self._reader_word or writers != self._writer_word:
             raise AssertionError("kernel lock words diverged from the table")
-        levels = ((iid, self._level_of(iid)) for iid in range(n))
+        ceilings = ((iid, self._ceiling_of(iid)) for iid in range(n))
         self._ceilings.self_check(
-            {iid: level for iid, level in levels if level != DUMMY_PRIORITY}
+            {iid: c for iid, c in ceilings if c != NO_CEILING}
         )
         if self._wait_graph is not None:
             self._wait_graph.self_check()

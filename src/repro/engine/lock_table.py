@@ -17,18 +17,17 @@ Unusual-but-intentional capabilities (required by PCP-DA):
 Stricter protocols simply never grant such combinations.
 
 This module is also the home of :class:`CeilingIndex`, the incrementally
-maintained max-structure over per-item ceiling levels.  The table itself
+maintained level buckets over per-item ceiling levels.  The table itself
 does not use it: the array kernel — the one listener a table notifies of
 every grant and release — keeps it current and answers ``Sysceil`` from it.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -63,105 +62,119 @@ class LockEntry:
         return not self.readers and not self.writers
 
 
+#: A key that raises no ceiling: ``(level, holders)`` of a free item.
+NO_CEILING: Tuple[int, int] = (DUMMY_PRIORITY, 0)
+
+
 class CeilingIndex:
-    """Lazy max-heap over per-key ceiling levels: the one incremental
-    ``Sysceil`` structure.  The array kernel owns the only instance,
-    keyed by item id (:mod:`repro.engine.kernel.core`); the protocols'
-    object path walks the lock table from scratch instead and is the
-    reference this structure is checked against.
+    """Level buckets over per-key ceilings: the one incremental ``Sysceil``
+    structure.  The array kernel owns the only instance, keyed by item id
+    (:mod:`repro.engine.kernel.core`); the protocols' object path walks
+    the lock table from scratch instead and is the reference this
+    structure is checked against.
 
-    Maintenance contract ("bump on grant, lazy-max-repair on release"):
+    A key's ceiling is a ``(level, holders)`` pair: the level its locks
+    raise and the bit-word of the job slots whose locks raise it
+    (:data:`NO_CEILING` when it raises none; a live level always has a
+    holder).  Per live level the index keeps
 
-    * :meth:`update` records a key's current level and **pushes** a heap
-      entry whenever the level changed, so the heap always holds an entry
-      for every key's *current* level;
-    * nothing is ever removed eagerly; outdated entries (the key's level
-      changed, or it dropped to ``DUMMY_PRIORITY``) are recognised
-      against ``_level`` and discarded when they surface at the heap top
-      during a query.
+    * how many of that level's keys each holder bit appears in, and
+    * the union of those holder words,
 
-    Queries therefore cost O(stale + skipped + |answer|) heap operations;
-    with low churn the top of the heap is almost always the answer.
+    with the live levels in sorted order.  :meth:`update` touches only
+    the bits that changed; :meth:`scan` with an exclusion word is one AND
+    per level from the top, and :meth:`top` is the first live level.
     """
 
-    __slots__ = ("_heap", "_level")
+    __slots__ = ("_ceiling", "_levels", "_union", "_count")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[int, Hashable]] = []  # (-level, key), lazy
-        self._level: Dict[Hashable, int] = {}        # key -> live level
+        self._ceiling: Dict[Hashable, Tuple[int, int]] = {}  # key -> live ceiling
+        self._levels: List[int] = []        # live levels, ascending
+        self._union: Dict[int, int] = {}    # level -> OR of its holder words
+        #: level -> {holder bit: number of the level's keys it holds}
+        self._count: Dict[int, Dict[int, int]] = {}
 
-    def update(self, key: Hashable, level: int) -> None:
-        """Record ``key``'s current ceiling level (``DUMMY_PRIORITY``: it
-        raises no ceiling)."""
-        if level == self._level.get(key, DUMMY_PRIORITY):
-            return
-        if level == DUMMY_PRIORITY:
-            del self._level[key]
+    def update(self, key: Hashable, level: int, holders: int) -> None:
+        """Record ``key``'s current ceiling: ``level`` raised by the jobs in
+        ``holders`` (``DUMMY_PRIORITY`` and ``0``: it raises none)."""
+        old_level, old_holders = self._ceiling.get(key, NO_CEILING)
+        if level == old_level:
+            if holders == old_holders:
+                return
+            gained, lost = holders & ~old_holders, old_holders & ~holders
         else:
-            self._level[key] = level
-            heapq.heappush(self._heap, (-level, key))
+            gained, lost = holders, old_holders
+        # Count the gained bits in first, so a level that keeps a holder
+        # never leaves the sorted list.
+        if gained:
+            counts = self._count.get(level)
+            if counts is None:
+                counts = self._count[level] = {}
+                self._union[level] = gained
+                insort(self._levels, level)
+            else:
+                self._union[level] |= gained
+            while gained:
+                bit = gained & -gained
+                gained ^= bit
+                counts[bit] = counts.get(bit, 0) + 1
+        if lost:
+            counts = self._count[old_level]
+            union = self._union[old_level]
+            while lost:
+                bit = lost & -lost
+                lost ^= bit
+                left = counts[bit] - 1
+                if left:
+                    counts[bit] = left
+                else:
+                    del counts[bit]
+                    union ^= bit  # no other key at the level holds it
+            if union:
+                self._union[old_level] = union
+            else:
+                del self._count[old_level], self._union[old_level]
+                self._levels.remove(old_level)
+        if holders:
+            self._ceiling[key] = (level, holders)
+        else:
+            del self._ceiling[key]
 
     def top(self) -> int:
-        """Highest live level (``DUMMY_PRIORITY`` when there is none);
-        amortised O(1), only outdated entries are popped."""
-        heap = self._heap
-        live = self._level
-        while heap:
-            neg, key = heap[0]
-            if live.get(key) == -neg:
-                return -neg
-            heapq.heappop(heap)
-        return DUMMY_PRIORITY
+        """Highest live level (``DUMMY_PRIORITY`` when there is none)."""
+        return self._levels[-1] if self._levels else DUMMY_PRIORITY
 
-    def scan(
-        self, qualifies: Callable[[Hashable], object]
-    ) -> Tuple[int, List[Hashable]]:
-        """Highest level among the keys ``qualifies`` accepts, plus every
-        accepted key at that level; ``(DUMMY_PRIORITY, [])`` when none is.
+    def scan(self, excluded: int) -> Tuple[int, int]:
+        """Highest level with a holder outside the ``excluded`` word, plus
+        the union of those holders over every key at that level;
+        ``(DUMMY_PRIORITY, 0)`` when no level has one."""
+        keep = ~excluded
+        union = self._union
+        for level in reversed(self._levels):
+            holders = union[level] & keep
+            if holders:
+                return level, holders
+        return NO_CEILING
 
-        Keys are visited in descending level order.  Outdated heap
-        entries met on the way down are discarded permanently; live ones,
-        whether accepted or skipped, are pushed back.
-        """
-        heap = self._heap
-        live = self._level
-        restore: List[Tuple[int, Hashable]] = []
-        level = DUMMY_PRIORITY
-        keys: List[Hashable] = []
-        while heap:
-            entry = heap[0]
-            neg, key = entry
-            if live.get(key) != -neg:
-                heapq.heappop(heap)  # outdated: drop for good
-                continue
-            if -neg < level:
-                break  # everything below the found level is irrelevant
-            heapq.heappop(heap)
-            if restore and restore[-1] == entry:
-                continue  # duplicate: equal entries surface back to back
-            restore.append(entry)
-            if qualifies(key):
-                level = -neg
-                keys.append(key)
-        for entry in restore:
-            heapq.heappush(heap, entry)
-        return level, keys
-
-    def self_check(self, expected: Dict[Hashable, int]) -> None:
-        """Assert the recorded levels equal ``expected`` (key -> level,
-        ceiling-free keys absent) and the heap still holds an entry for
-        each (differential-battery hook)."""
-        if expected != self._level:
+    def self_check(self, expected: Dict[Hashable, Tuple[int, int]]) -> None:
+        """Assert the recorded ceilings equal ``expected`` (key ->
+        ``(level, holders)``, ceiling-free keys absent) and the buckets
+        equal those re-derived from it (differential-battery hook)."""
+        if expected != self._ceiling:
             raise AssertionError(
-                f"ceiling index diverged: incremental={self._level} "
+                f"ceiling index diverged: incremental={self._ceiling} "
                 f"rescan={expected}"
             )
-        missing = set(expected.items()) - {
-            (key, -neg) for neg, key in self._heap
-        }
-        if missing:
+        rebuilt = CeilingIndex()
+        for key, (level, holders) in expected.items():
+            rebuilt.update(key, level, holders)
+        if (rebuilt._levels, rebuilt._union, rebuilt._count) != (
+            self._levels, self._union, self._count
+        ):
             raise AssertionError(
-                f"ceiling index heap lost live levels: {sorted(missing)}"
+                f"ceiling index buckets diverged: incremental="
+                f"{self._union} rescan={rebuilt._union}"
             )
 
 

@@ -88,7 +88,6 @@ an :class:`InvariantViolation`, exactly as in the simulator.
 from __future__ import annotations
 
 import enum
-import heapq
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
@@ -237,6 +236,29 @@ class Session:
         """The job's base priority (wire ``begin`` reports this; the
         sharded coordinator exposes the same attribute on its sessions)."""
         return self.job.base_priority
+
+
+_NO_DEADLINE = float("inf")
+
+
+def _names(blockers: Tuple[Job, ...]) -> Tuple[str, ...]:
+    """Blocker names, sorted, as the trace and block intervals record
+    them (one blocker, the common case, needs no sort)."""
+    if len(blockers) == 1:
+        return (blockers[0].name,)
+    return tuple(sorted(b.name for b in blockers))
+
+
+def _queue_order(park: Park) -> Tuple[int, float, int]:
+    """Grant-queue key: highest running priority first, then earliest
+    deadline, then FIFO by job release."""
+    session = park.session
+    deadline = session.deadline
+    return (
+        -session.job.running_priority,
+        _NO_DEADLINE if deadline is None else deadline,
+        session.job.seq,
+    )
 
 
 class LockCore:
@@ -788,7 +810,7 @@ class LockCore:
         self.stats.record_denial(job.base_priority)
         self._trace_lock(
             now, job.name, item, mode, LockOutcome.DENIED, decision.reason,
-            tuple(sorted(b.name for b in decision.blockers)),
+            _names(decision.blockers),
         )
         return self._park(session, item, mode, decision, now)
 
@@ -816,7 +838,7 @@ class LockCore:
         self._item_parks.setdefault(item, {})[session] = None
         session.state = SessionState.WAITING
         job.begin_block(
-            now, item, mode, tuple(sorted(b.name for b in deny.blockers)),
+            now, item, mode, _names(deny.blockers),
             deny.reason,
         )
         self.waits.block(job, deny.blockers, inherit=deny.inherit)
@@ -842,10 +864,9 @@ class LockCore:
         park.ended = True
         park.outcome = outcome
 
-    def _order_guard(
-        self, job: Job, item: str, mode: LockMode
-    ) -> Optional[Deny]:
-        """The service-level guard decision, or ``None`` to pass through.
+    def _order_guard(self, job: Job, item: str) -> Optional[Deny]:
+        """The service-level guard decision on a read, or ``None`` to pass
+        through.
 
         A read of an item inside a live transitive ``≺``-predecessor's
         write set must wait: granting it would let the requester observe
@@ -853,8 +874,8 @@ class LockCore:
         overwrite (or would close a cycle in the constraint graph).  This
         is the Table-1 footnote condition applied forward in time.
         """
-        if mode is not LockMode.READ or not self.constraints:
-            return None
+        if not self.constraints.direct_preds(job):
+            return None  # no ≺-predecessor at all: nothing to guard
         guard = tuple(sorted(
             (p for p in self.constraints.preds(job)
              if item in p.spec.write_set),
@@ -869,10 +890,8 @@ class LockCore:
             )
         return None
 
-    def _commit_fence(
-        self, job: Job, item: str, mode: LockMode
-    ) -> Optional[Deny]:
-        """Deny reads past a fenced (committing) session's write locks.
+    def _commit_fence(self, job: Job, item: str) -> Optional[Deny]:
+        """Deny a read past a fenced (committing) session's write locks.
 
         Between :meth:`prepare_commit` and the commit (or
         :meth:`unprepare_commit`), an LC3/LC4 read passing one of the
@@ -882,8 +901,6 @@ class LockCore:
         completes (it then reads the new version, serialized after) or
         the fence is dropped (it then passes as usual).
         """
-        if not self._committing or mode is not LockMode.READ:
-            return None
         holders = tuple(sorted(
             (w for w in self.table.writers_of(item)
              if w is not job and w in self._committing),
@@ -901,11 +918,12 @@ class LockCore:
         self, job: Job, item: str, mode: LockMode
     ) -> Optional[Deny]:
         """The service-level pre-decision (fence, then order guard), or
-        ``None`` to fall through to the kernel."""
-        fence = self._commit_fence(job, item, mode)
-        if fence is not None:
-            return fence
-        return self._order_guard(job, item, mode)
+        ``None`` to fall through to the kernel.  Both hold back reads
+        only; the fence is looked at only while a session is fenced."""
+        if mode is not LockMode.READ:
+            return None
+        fence = self._commit_fence(job, item) if self._committing else None
+        return fence or self._order_guard(job, item)
 
     def _service_decide(
         self, job: Job, item: str, mode: LockMode
@@ -939,17 +957,6 @@ class LockCore:
         self.stats.record_grant(job.base_priority)
         self._trace_lock(now, job.name, item, mode, LockOutcome.GRANTED, rule)
         self._sample_sysceil()
-
-    def _grant_queue_order(self, park: Park) -> Tuple[int, float, int]:
-        """Priority-and-deadline-aware queue key: highest running priority
-        first, then earliest deadline, then FIFO by job release."""
-        deadline = (
-            park.session.deadline
-            if park.session.deadline is not None
-            else float("inf")
-        )
-        return (-park.session.job.running_priority, deadline,
-                park.session.job.seq)
 
     def _drain_candidates(self) -> Dict[Session, Park]:
         """Consume the churn sets and pick the parks they can affect.
@@ -1016,80 +1023,57 @@ class LockCore:
 
         Churn accumulates in ``_churn_items`` / ``_churn_waiters`` /
         ``_churn_priorities`` between drains; each pass re-evaluates only
-        the candidates :meth:`_drain_candidates` selects, ordered through
-        a heap in (running priority, earliest deadline, FIFO) order.  Each
-        candidate is decided *at most once per drain*: a denial removes
-        it from the working set (its refreshed blame re-selects it on
-        the next relevant churn), and a grant resumes the pass over the
-        still-undecided suffix plus whatever fresh churn the grant
-        produced.  A grant never frees a lock, so re-deciding the
-        already-denied prefix after one could only flip through a
-        priority ripple — which the next drain's priority-delta rule
-        catches.  This is the service counterpart of
-        the simulator's wake-then-retry loop, collapsed into one atomic
-        step because parked requests need no CPU to proceed — minus the
-        full-queue re-sort (and per-grant re-decide storm) the simulator
-        never needed either.
+        the candidates :meth:`_drain_candidates` selects, sorted in
+        (running priority, earliest deadline, FIFO) order.  A pass is one
+        :meth:`Kernel.decide_batch` call: the commit fence and order guard
+        answer ahead of the table, and every denial's blame is refreshed
+        *before* the next park is decided (the new inheritance edges feed
+        the next decision's transitive-waiter exemption); the batch stops
+        at the first grant.  Each candidate is decided *at most once per
+        drain*: a denial removes it from the working set (its refreshed
+        blame re-selects it on the next relevant churn), and a grant
+        resumes the pass over the still-undecided suffix plus whatever
+        fresh churn the grant produced.  A grant never frees a lock, so
+        re-deciding the already-denied prefix after one could only flip
+        through a priority ripple — which the next drain's priority-delta
+        rule catches.  This is the service counterpart of the simulator's
+        wake-then-retry loop, collapsed into one atomic step because
+        parked requests need no CPU to proceed — minus the full-queue
+        re-sort (and per-grant re-decide storm) the simulator never needed
+        either.
         """
         candidates = self._drain_candidates()
+        parks = self.parks
         granted = False
-        progressed = True
-        while progressed and candidates:
-            progressed = False
-            heap = [
-                (self._grant_queue_order(park), park.session.job.seq, park)
-                for session, park in candidates.items()
-                if self.parks.get(session) is park
-            ]
-            heapq.heapify(heap)
-            ordered: List[Park] = []
-            while heap:
-                ordered.append(heapq.heappop(heap)[2])
-            decisions = self._decide_queue(ordered)
-            for park, decision in zip(ordered, decisions):
-                session = park.session
+        while candidates:
+            ordered = sorted(
+                (park for session, park in candidates.items()
+                 if parks.get(session) is park),
+                key=_queue_order,
+            )
+            decisions = self.kernel.decide_batch(
+                [(park.session.job, park.item, park.mode, park)
+                 for park in ordered],
+                self._service_predecide, self._refresh_blame,
+            )
+            for park in ordered[:len(decisions)]:
                 # Decided this drain: out of the working set until churn
                 # that can actually flip it re-selects it.
-                candidates.pop(session, None)
-                if isinstance(decision, Deny):
-                    continue
-                now = self.now()
-                self._unpark(session)
-                self._apply_grant(
-                    session, park.item, park.mode, decision.rule, now
-                )
-                self._end_park(park, decision.rule)
-                granted = progressed = True
-                break  # table changed: resume over the suffix
-            if progressed:
-                # The grant is fresh churn: fold any newly affected parks
-                # into the working set.
-                candidates.update(self._drain_candidates())
+                del candidates[park.session]
+            if not decisions or isinstance(decisions[-1], Deny):
+                break
+            park = ordered[len(decisions) - 1]
+            rule = decisions[-1].rule
+            self._unpark(park.session)
+            self._apply_grant(park.session, park.item, park.mode, rule,
+                              self.now())
+            self._end_park(park, rule)
+            granted = True
+            # The grant is fresh churn: fold any newly affected parks into
+            # the working set, and resume over the suffix.
+            candidates.update(self._drain_candidates())
         self._recompute_priorities()
         return granted
-
-    def _decide_queue(self, ordered: List[Park]) -> List[Union[Grant, Deny]]:
-        """Decisions for one grant-queue pass, stopping after the first
-        grant; every denial's blame is refreshed *before* the next park is
-        decided (the new inheritance edges feed the next decision's
-        transitive-waiter exemption).
-
-        This is one :meth:`Kernel.decide_batch` call — fence and order
-        guard plug into its per-request ``pre_decide`` hook and the blame
-        refresh into ``on_deny``, so nothing is evaluated for the parks
-        behind the first grant.
-        """
-        # Denials are exactly the processed prefix of ``ordered`` (the
-        # batch stops at the first grant), so the callback walks the same
-        # list in lock-step.
-        denied = iter(ordered)
-        return self.kernel.decide_batch(
-            [(p.session.job, p.item, p.mode) for p in ordered],
-            on_deny=lambda request, decision: self._refresh_blame(
-                next(denied), decision
-            ),
-            pre_decide=lambda request: self._service_predecide(*request),
-        )
 
     def _refresh_blame(self, park: Park, decision: Deny) -> None:
         """Point a still-parked request's blame — and kind — at the
@@ -1110,7 +1094,7 @@ class LockCore:
         park.reason = decision.reason
         park.blockers = decision.blockers
         last = job.block_intervals[-1]
-        last.blockers = tuple(sorted(b.name for b in decision.blockers))
+        last.blockers = _names(decision.blockers)
         last.reason = decision.reason
 
     def _unpark(

@@ -17,6 +17,7 @@ import asyncio
 
 import pytest
 
+from repro.engine.kernel import Kernel
 from repro.exceptions import TransactionAborted
 from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
@@ -189,7 +190,9 @@ class TestPartialRedecide:
         wb = TransactionSpec("WB", (write("b", 1.0),))
         return assign_by_order([ra, rb, wa, wb])
 
-    def test_release_redecides_only_waiters_on_churned_item(self):
+    def test_release_redecides_only_waiters_on_churned_item(
+        self, monkeypatch
+    ):
         async def body():
             mgr = LockManager(self.catalog_disjoint(), "pcp-da")
             ra = await mgr.begin("RA")
@@ -204,14 +207,16 @@ class TestPartialRedecide:
             assert wa.state is SessionState.WAITING
             assert wb.state is SessionState.WAITING
 
+            # Every drain pass is one Kernel.decide_batch call over the
+            # candidates it selected, in queue order.
             decided = []
-            inner = mgr._decide_queue
+            inner = Kernel.decide_batch
 
-            def recording(ordered):
-                decided.extend(w.session.name for w in ordered)
-                return inner(ordered)
+            def recording(kernel, requests, pre_decide, on_deny):
+                decided.extend(job.name for job, *_ in requests)
+                return inner(kernel, requests, pre_decide, on_deny)
 
-            mgr._decide_queue = recording
+            monkeypatch.setattr(Kernel, "decide_batch", recording)
             # RA's commit churns item a and job RA: WA is a candidate on
             # both counts; WB (parked on b, blaming RB) is untouched and
             # must not be re-decided.

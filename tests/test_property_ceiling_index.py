@@ -1,18 +1,20 @@
-"""Property test: the kernel's incremental ceiling index equals the
-protocol's from-scratch walk after *every* grant and release of a random
-lock schedule.
+"""Property test: the kernel's ceiling index equals the protocol's
+from-scratch walk after *every* grant and release of a random lock
+schedule.
 
-:class:`~repro.engine.lock_table.CeilingIndex` is the "bump on grant,
-lazy-max-repair on release" structure behind the array kernel's
-``Sysceil`` queries — the only incremental ceiling structure there is.
-Its maintenance contract is easy to get subtly wrong (stale heap entries,
-exclusion sets, items whose ceiling is the dummy level), so this test
-drives a kernel-attached :class:`LockTable` through arbitrary
-grant/release toggles and, at each step, compares
-``Kernel.system_ceiling(exclude)`` and the scan's holder set with the
+:class:`~repro.engine.lock_table.CeilingIndex` keeps level buckets — per
+live level, how many of its items each holder bit appears in and the
+union of those holder words — behind the array kernel's ``Sysceil``
+queries; it is the only incremental ceiling structure there is.  Its
+maintenance contract is easy to get subtly wrong (a holder shared by two
+items at one level, a level emptied by its last release, items whose
+ceiling is the dummy level, a level change while holders stay), so this
+test drives a kernel-attached :class:`LockTable` through arbitrary
+grant/release toggles and, at each step, compares ``CeilingIndex.scan``
+under random exclusion words and ``Kernel.system_ceiling`` with the
 reference the object path decides from — for each of the three level
 sources a protocol can compile to (PCP-DA read ceilings, RW-PCP runtime
-r/w ceilings, original-PCP access ceilings) and under several exclusions.
+r/w ceilings, original-PCP access ceilings).
 """
 
 import pytest
@@ -65,19 +67,35 @@ def _fixture(kind, table=None):
 
 
 def _reference(protocol, excluded):
-    """``(Sysceil, holders)`` by the protocol's from-scratch walk."""
+    """``(Sysceil, holders)`` by the protocol's from-scratch walk.
+
+    PCP-DA's walk takes any exclusion set.  The P>Sysceil protocols'
+    walk excludes one job; for more, the same walk over the protocol's
+    own per-item ceiling is repeated here with a set.
+    """
     if protocol.name == "pcp-da":
         return sysceil_and_tstar(protocol.table, protocol.ceilings, excluded)
-    (exclude,) = excluded or (None,)
-    return protocol._sysceil_and_holders(exclude)
+    if len(excluded) <= 1:
+        (exclude,) = excluded or (None,)
+        return protocol._sysceil_and_holders(exclude)
+    level, holders = DUMMY_PRIORITY, set()
+    for item, entry in protocol.table.all_entries().items():
+        ceil = protocol._item_ceiling(item, entry)
+        others = (entry.readers | entry.writers) - set(excluded)
+        if ceil == DUMMY_PRIORITY or ceil < level or not others:
+            continue
+        if ceil > level:
+            level, holders = ceil, set()
+        holders |= others
+    return level, tuple(sorted(holders, key=lambda j: j.seq))
 
 
-def _kernel_scan(kernel, excluded):
-    """``(Sysceil, holders)`` from the kernel's index scan."""
+def _index_scan(kernel, excluded):
+    """``(Sysceil, holders)`` from the kernel's index, one AND per level."""
     word = 0
     for job in excluded:
         word |= 1 << kernel.interner.intern_job(job)
-    level, holders = kernel._scan(word)
+    level, holders = kernel._ceilings.scan(word)
     jobs = kernel.interner.jobs_from_word(holders)
     return level, tuple(sorted(jobs, key=lambda j: j.seq))
 
@@ -97,43 +115,51 @@ def lock_schedules(draw):
     ]
 
 
+#: Exclusion words over the four jobs (bit i excludes job i).
+exclusion_words = st.lists(
+    st.integers(min_value=0, max_value=15), min_size=1, max_size=4
+)
+
+
 @pytest.mark.parametrize("kind", ["pcpda-read", "rwceil", "aceil"])
 @settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(schedule=lock_schedules())
-def test_incremental_ceiling_equals_rescan_after_every_step(kind, schedule):
+@given(schedule=lock_schedules(), words=exclusion_words)
+def test_incremental_ceiling_equals_rescan_after_every_step(
+    kind, schedule, words
+):
     protocol, kernel, table, jobs = _fixture(kind)
-    exclusions = [(), *((job,) for job in jobs)]
-    if kind == "pcpda-read":
-        # Only PCP-DA excludes more than the requester (its waiters).
-        exclusions += [(jobs[1], jobs[2]), jobs]
+    exclusions = [
+        tuple(job for i, job in enumerate(jobs) if word >> i & 1)
+        for word in (0, 1, 2, 4, 8, *words)
+    ]
     for job_idx, item, mode in schedule:
         job = jobs[job_idx]
         if table.holds(job, item, mode):
             table.release(job, item, mode)
         else:
             table.grant(job, item, mode)
-        kernel.self_check()
+        kernel.self_check()  # the buckets re-derived from the lock words
+        top = _reference(protocol, ())[0]
+        assert kernel.system_ceiling(None) == protocol.system_ceiling() == top
         for excluded in exclusions:
             expected = _reference(protocol, excluded)
-            assert _kernel_scan(kernel, excluded) == expected, (
+            assert _index_scan(kernel, excluded) == expected, (
                 f"diverged after toggling {job.name}/{item}/{mode}"
             )
-            if len(excluded) <= 1:
-                exclude = excluded[0] if excluded else None
-                assert kernel.system_ceiling(exclude) == expected[0]
-                assert protocol.system_ceiling(exclude) == expected[0]
-        # The scan must restore every live entry it consumed: a second
-        # query right away has to see the same world.
-        assert _kernel_scan(kernel, ()) == _reference(protocol, ())
+            if len(excluded) == 1:
+                assert kernel.system_ceiling(excluded[0]) == expected[0]
+                assert protocol.system_ceiling(excluded[0]) == expected[0]
+        # A scan reads the buckets and changes nothing.
+        assert _index_scan(kernel, ()) == _reference(protocol, ())
 
 
 def test_release_all_keeps_index_current():
     """``release_all`` (the commit path) goes through ``release`` and must
-    leave the index consistent too."""
+    leave the index consistent too — down to no live level at all."""
     protocol, kernel, table, jobs = _fixture("rwceil")
     table.grant(jobs[0], "a", LockMode.READ)
     table.grant(jobs[0], "b", LockMode.WRITE)
@@ -141,12 +167,12 @@ def test_release_all_keeps_index_current():
     kernel.self_check()
     table.release_all(jobs[0])
     kernel.self_check()
-    assert _kernel_scan(kernel, ()) == (
+    assert _index_scan(kernel, ()) == (
         protocol.ceilings.aceil("a"), (jobs[1],)
     )
     table.release_all(jobs[1])
     kernel.self_check()
-    assert _kernel_scan(kernel, ()) == (DUMMY_PRIORITY, ())
+    assert _index_scan(kernel, ()) == (DUMMY_PRIORITY, ())
     assert kernel.system_ceiling() == DUMMY_PRIORITY
 
 
@@ -166,7 +192,7 @@ def test_attach_rebuilds_from_live_entries():
 def test_corrupt_level_trips_the_from_scratch_cross_check():
     """Under ``debug_invariants`` every kernel answer is compared with the
     protocol's walk of the lock table — an independent computation, not
-    the same heap again — so a wrong level in the index cannot pass."""
+    the same buckets again — so a wrong level in the index cannot pass."""
     taskset = _taskset()
     sim = Simulator(
         taskset, make_protocol("pcp-da"), SimConfig(debug_invariants=True)
@@ -176,10 +202,14 @@ def test_corrupt_level_trips_the_from_scratch_cross_check():
     sim.table.grant(reader, "a", LockMode.READ)
     wceil = sim.protocol.ceilings.wceil("a")
     assert sim._sysceil(None) == wceil
-    sim.kernel._ceilings.update(sim.kernel.interner.item_id("a"), wceil + 1)
+    kernel = sim.kernel
+    kernel._ceilings.update(
+        kernel.interner.item_id("a"), wceil + 1,
+        1 << kernel.interner.job_ids[reader],
+    )
     with pytest.raises(SimulationError, match="system ceiling diverged"):
         sim._sysceil(None)
     with pytest.raises(SimulationError, match="decision diverged"):
         sim._decide(requester, "a", LockMode.READ)  # kernel: P <= Sysceil
     with pytest.raises(AssertionError, match="ceiling index diverged"):
-        sim.kernel.self_check()
+        kernel.self_check()
