@@ -2,34 +2,32 @@
 #   test               tier-1 pytest suite (ROADMAP.md); every paper claim passes
 #   smoke              `repro reproduce --extended` passes; stdout at --jobs 2 == --jobs 1
 #   kernel-smoke       array kernel and object path emit byte-identical traces
-#   bench-smoke        the perf harness runs; within 50% of the checked-in baseline
 #   bench-suite-smoke  every BENCHMARK.json workload runs once, tiny, all checks pass
-#   stress-smoke       decision parity + simulator oracle; 4 shards >= 1 shard;
-#                      installs and abort bounds under pcp-da and rw-pcp
+#   stress-smoke       decision parity + simulator oracle; serializability,
+#                      installs and abort bounds at 1 and 4 shards under
+#                      pcp-da and rw-pcp
 #   verify-service     in-process service battery, socket-free (docs/SERVICE.md)
 #   verify-sharding    sharded-deployment battery, socket-free (docs/SHARDING.md)
 #   verify-procs       shard-host processes: frames, proxy, supervisor, no orphans
 #
-# Measurement, not gating: `make bench` (pytest-benchmark suites, then
-# benchmarks/perf_report.py writes BENCH_<date>.json), `make bench-compare`
-# (diff two such ledgers), `make bench-pair` (alternating runs of two
-# commits on one end-to-end workload, benchmarks/bench_pair.py), `make
-# stress` / `make stress-procs` (100k-arrival overload runs), and `make
-# loc` (code-only line counts per src/repro package — the one way a PR
-# counts "smaller").
+# Outside `make verify`: `make bench-pair` (alternating runs of two
+# commits on the end-to-end suite workloads, benchmarks/bench_pair.py —
+# the one perf gate, exit 1 on a regression beyond a BENCHMARK.json
+# bound), `make bench` (pytest-benchmark microbench rows), `make stress`
+# (the 100k-arrival invariant run), and `make loc` (code-only line
+# counts per src/repro package — the one way a PR counts "smaller").
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify verify-service verify-sharding verify-procs \
-	test smoke kernel-smoke bench bench-smoke bench-suite-smoke \
-	bench-pair bench-compare bench-all stress stress-smoke stress-procs loc
+	test smoke kernel-smoke bench bench-suite-smoke \
+	bench-pair bench-all stress stress-smoke loc
 
 verify: \
 	test \
 	smoke \
 	kernel-smoke \
-	bench-smoke \
 	bench-suite-smoke \
 	stress-smoke \
 	verify-service \
@@ -95,24 +93,12 @@ smoke:
 kernel-smoke:
 	$(PYTHON) -m tests.kernel_smoke
 
+# pytest-benchmark layer rows (whole simulator runs, per-event and
+# per-layer microbenchmarks): for attributing a suite delta, not a gate.
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_simulator_throughput.py \
 		benchmarks/bench_event_microbench.py --benchmark-only -q \
 		-k "not ledger"
-	$(PYTHON) benchmarks/perf_report.py --out BENCH_$$(date +%F).json
-
-# Tiny deterministic perf run (seconds): exercises the same measurement
-# and validation code as `make bench` without the full grid, then diffs
-# the result against the checked-in smoke baseline with a loose 50%
-# threshold — loose enough to ride out container noise, tight enough to
-# catch an order-of-magnitude regression on every `make verify`.
-bench-smoke:
-	OUT=$$(mktemp -u) && \
-	$(PYTHON) benchmarks/perf_report.py --smoke --out $$OUT && \
-	$(PYTHON) benchmarks/bench_compare.py \
-		benchmarks/BENCH_smoke_baseline.json $$OUT \
-		--threshold 0.5 --total-only && \
-	rm -f $$OUT
 
 # The end-to-end benchmark's schema-and-checks pass (~10 s): all eight
 # workloads through the real deployments (shard-host children included),
@@ -124,8 +110,10 @@ bench-suite-smoke:
 
 # Compare REF with the working tree on suite workloads: alternating
 # runs (the first side alternating too), every pair printed, then
-# medians, quartiles, wins and the choosing-metrics §8 verdict per
-# end-to-end metric, one block per workload. WORKLOAD is one name, a
+# medians, quartiles, wins, the choosing-metrics §8 gain verdict and an
+# ok / REGRESSION / unresolved verdict against the BENCHMARK.json bound
+# per end-to-end metric, one block per workload; exits 1 on any
+# REGRESSION. WORKLOAD is one name, a
 # comma list, or `all` (pair i of every workload runs before pair i+1).
 # REF is a commit (checked out into a temporary `git worktree`) or the
 # path of an existing checkout.
@@ -142,58 +130,24 @@ loc:
 	$(PYTHON) tools/loc.py $(LOC_ROOT) $(LOC_ROOT)/service/manager.py \
 		$(LOC_ROOT)/service/sharding/coordinator.py
 
-# Diff two BENCH ledgers (review gate for perf PRs): non-zero exit when
-# any protocol row or the total drops >10% events/s vs BASE.
-# Usage: make bench-compare BASE=BENCH_old.json HEAD=BENCH_new.json
-bench-compare:
-	$(PYTHON) benchmarks/bench_compare.py $(BASE) $(HEAD) \
-		$(if $(THRESHOLD),--threshold $(THRESHOLD),)
-
 # Heavy-traffic parity harness (docs/TESTING.md), all phases socket-free:
 # sequential decision parity across every execution path, the virtual-time
 # simulator oracle, then a >=100k-arrival overload trace with bursts and
 # chaos against live 1-shard and 4-shard deployments — serializability,
-# conservation, and abort-attribution checked. Appends committed-throughput
-# trend rows to BENCH_stress_<date>.json (diffable via make bench-compare).
-# Usage: make stress [STRESS_TXNS=200000] [STRESS_LEDGER=path.json]
+# conservation, and abort-attribution checked.
+# Usage: make stress [STRESS_TXNS=200000]
 stress:
 	$(PYTHON) -m repro stress \
-		--transactions $(if $(STRESS_TXNS),$(STRESS_TXNS),100000) \
-		--ledger $(if $(STRESS_LEDGER),$(STRESS_LEDGER),BENCH_stress_$$(date +%F).json)
+		--transactions $(if $(STRESS_TXNS),$(STRESS_TXNS),100000)
 
-# Small deterministic slice of the same harness (seconds); part of
-# `make verify`. Writes a throwaway ledger so the shard-scaling gate can
-# assert the 4-shard smoke run commits at least as much throughput as
-# the 1-shard run (tolerance via bench_compare --threshold). A second,
-# ledger-free run repeats the concurrent phase under rw-pcp, so the
-# install count and the served-set rules are checked on a second
-# protocol.
+# The same harness with 400 arrivals and small parity/oracle phases
+# (seconds); part of `make verify`.  The second run repeats the
+# concurrent phase under rw-pcp, so the install count and the
+# served-set rules are checked on a second protocol.
 stress-smoke:
-	tmp=$$(mktemp -u /tmp/stress_smoke_XXXXXX.json) && \
-	$(PYTHON) -m repro stress --smoke --ledger $$tmp && \
-	$(PYTHON) benchmarks/bench_compare.py $$tmp --shard-scaling; \
-	status=$$?; rm -f $$tmp; exit $$status
+	$(PYTHON) -m repro stress --smoke
 	$(PYTHON) -m repro stress --smoke --protocol rw-pcp --skip-parity
-
-# The 100k-arrival overload workload against a real 4-process
-# deployment, with the in-process 1-shard run as the ledger baseline.
-# Appends @1sh and @4proc trend rows, then prints the shard-scaling
-# table. The table here is a report, not a gate (`|| true`): @Nproc
-# rows are informational by design (on a single-core box the ratio
-# measures socket overhead, not scaling — docs/PERFORMANCE.md), and a
-# full trend ledger mixes rows from runs with different workload
-# profiles; the enforced scaling gate is `make stress-smoke`, which
-# grades a single fresh run. The target still fails when the stress
-# run itself fails (serializability, conservation, abort bounds).
-# Usage: make stress-procs [STRESS_TXNS=100000] [STRESS_LEDGER=path.json]
-stress-procs:
-	ledger=$(if $(STRESS_LEDGER),$(STRESS_LEDGER),BENCH_stress_$$(date +%F).json) && \
-	$(PYTHON) -m repro stress \
-		--transactions $(if $(STRESS_TXNS),$(STRESS_TXNS),100000) \
-		--shards 1 --shard-procs 4 --ledger $$ledger && \
-	{ $(PYTHON) benchmarks/bench_compare.py $$ledger --shard-scaling || true; }
 
 # Every benchmark, including the slow full-ledger comparison cases.
 bench-all:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
-	$(PYTHON) benchmarks/perf_report.py --out BENCH_$$(date +%F).json

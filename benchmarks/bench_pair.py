@@ -16,6 +16,14 @@ the choosing-metrics guide (§8) prescribe — whether the change won at
 least nine tenths of the decided pairs *and* the medians differ by more
 than the distance between the reference's own quartiles.
 
+It is also the no-regression gate.  Each end-to-end metric gets one of
+three verdicts against its ``bound`` in ``BENCHMARK.json``: ``ok`` (the
+change's median is no worse than the reference's by more than the
+bound), ``REGRESSION`` (it is), or ``unresolved`` (the reference's own
+IQR/median exceeds the bound, so the runs cannot tell — unless every
+change run beats every reference run).  The exit status is 1 when any
+metric of any workload is a ``REGRESSION``.
+
 ``--workload`` takes one name, a comma list, or ``all`` (every workload
 in ``BENCHMARK.json``).  With several, pair ``i`` of every workload runs
 before pair ``i + 1`` of any, so a speed-regime flip lands on all of them
@@ -66,11 +74,14 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(name: str, higher_is_better: bool,
-              pairs: List[Tuple[float, float]]) -> str:
-    """The §8 verdict for one metric over ``(ref, change)`` pairs."""
-    ref_q1, ref_median, ref_q3 = quartiles([ref for ref, _ in pairs])
-    new_q1, new_median, new_q3 = quartiles([new for _, new in pairs])
+def summarize(name: str, higher_is_better: bool, bound: float,
+              pairs: List[Tuple[float, float]]) -> Tuple[str, str]:
+    """One metric over ``(ref, change)`` pairs: the report line and the
+    no-regression verdict (``ok``, ``REGRESSION`` or ``unresolved``)."""
+    refs = [ref for ref, _ in pairs]
+    news = [new for _, new in pairs]
+    ref_q1, ref_median, ref_q3 = quartiles(refs)
+    new_q1, new_median, new_q3 = quartiles(news)
     sign = 1 if higher_is_better else -1
     wins = sum(1 for ref, new in pairs if sign * (new - ref) > 0)
     ties = sum(1 for ref, new in pairs if new == ref)
@@ -78,17 +89,27 @@ def summarize(name: str, higher_is_better: bool,
     beyond = sign * (new_median - ref_median) > ref_q3 - ref_q1
     gain = decided > 0 and wins >= 0.9 * decided and beyond
     ratio = new_median / ref_median if ref_median else float("nan")
+    scale = abs(ref_median) or 1.0
+    dominates = min(sign * new for new in news) > max(sign * ref for ref in refs)
+    if (ref_q3 - ref_q1) / scale > bound and not dominates:
+        verdict = "unresolved"
+    elif sign * (ref_median - new_median) / scale > bound:
+        verdict = "REGRESSION"
+    else:
+        verdict = "ok"
     return (
         f"{name}: ref {ref_median:.6g} [{ref_q1:.6g}, {ref_q3:.6g}]  "
         f"change {new_median:.6g} [{new_q1:.6g}, {new_q3:.6g}]  "
         f"ratio {ratio:.3f}  wins {wins}/{decided} (ties {ties})  "
         f"medians differ by more than ref IQR: {'yes' if beyond else 'no'}"
-        f"  -> {'GAIN' if gain else 'no gain shown'}"
-    )
+        f"  -> {'GAIN' if gain else 'no gain shown'}; "
+        f"bound {bound:.0%}: {verdict}"
+    ), verdict
 
 
 def main(argv=None) -> int:
-    """Run the pairs and print the report (exit 0 unless a run fails)."""
+    """Run the pairs and print the report (exit 1 on a regression; a
+    failed run exits with its message)."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ref", required=True,
                         help="commit, or path of an existing checkout")
@@ -98,8 +119,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {
-        metric["name"]: metric["better"] == "higher"
+    metrics = {
+        metric["name"]: (metric["better"] == "higher", metric["bound"])
         for metric in spec["end_to_end"]
     }
     known = [workload["name"] for workload in spec["workloads"]]
@@ -134,7 +155,7 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair} ({order[0]} first): "
                           + "  ".join(
                               f"{name} {row['ref'][name]:.6g} -> "
-                              f"{row['change'][name]:.6g}" for name in better
+                              f"{row['change'][name]:.6g}" for name in metrics
                           ), flush=True)
         finally:
             if worktree:
@@ -142,14 +163,17 @@ def main(argv=None) -> int:
                     ["git", "worktree", "remove", "--force", str(ref_tree)],
                     cwd=ROOT, check=False,
                 )
+    regressions = 0
     for workload, pairs in rows.items():
         print(f"\n{workload}, {len(pairs)} pairs, ref {args.ref}:")
-        for name, higher in better.items():
-            print("  " + summarize(
-                name, higher,
+        for name, (higher, bound) in metrics.items():
+            line, verdict = summarize(
+                name, higher, bound,
                 [(row["ref"][name], row["change"][name]) for row in pairs],
-            ))
-    return 0
+            )
+            print("  " + line)
+            regressions += verdict == "REGRESSION"
+    return 1 if regressions else 0
 
 
 if __name__ == "__main__":

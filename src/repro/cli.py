@@ -432,15 +432,13 @@ def _cmd_stress(args: argparse.Namespace) -> int:
        deployments (each ``--shards`` entry), checked for
        serializability, conservation, and abort attribution.
 
-    Exits non-zero when any phase fails.  ``--ledger`` appends one
-    ``repro-bench/1`` trend row per concurrent run.
+    Exits non-zero when any phase fails.
     """
     import asyncio
 
     from repro.verify.parity import ParityError, parity_battery
     from repro.verify.stress import (
         StressSpec,
-        append_trend_rows,
         run_stress,
         simulator_stress_check,
     )
@@ -450,35 +448,17 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         parity_seeds = range(2)
         parity_transactions = 10
         sim_limit = 150
-        # 1 vs 4 shards so the smoke ledger feeds the shard-scaling gate
-        # (make stress-smoke fails when 4-shard loses to 1-shard).
-        shard_counts = [1, 4]
-        # The gate compares *sustained* committed throughput, so the
-        # smoke's offered load must sit inside every deployment's
-        # capacity: at a burst peak of 4 x 600 = 2,400 arrivals/s both
-        # deployments keep pace and the ratio catches coordination
-        # regressions (a coordinator whose waiters miss their wake-ups
-        # craters the multi-shard wall) instead of re-litigating peak
-        # capacity, which a single event loop decides in the 1-shard
-        # deployment's favor by construction — see
-        # docs/PERFORMANCE.md.  The full `repro stress` run keeps the
-        # genuine overload profile.
-        overload = 1.0
-        arrival_hz = 600.0
     else:
         transactions = args.transactions
         parity_seeds = range(args.parity_seeds)
         parity_transactions = args.parity_transactions
         sim_limit = args.sim_limit
-        shard_counts = [int(s) for s in args.shards.split(",") if s]
-        overload = args.overload
-        arrival_hz = args.arrival_rate
 
     spec = StressSpec(
         seed=args.seed,
         transactions=transactions,
-        overload=overload,
-        arrival_rate_hz=arrival_hz,
+        overload=args.overload,
+        arrival_rate_hz=args.arrival_rate,
         burst_factor=args.burst_factor,
         burst_period_s=args.burst_period,
         burst_duty=args.burst_duty,
@@ -517,51 +497,16 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             "time, kernel/object byte-identical, Theorem 1-3 oracles pass"
         )
 
-    # One cap for every deployment shape: the event-driven
-    # coordinator holds up under hundreds of live sessions, so
-    # multi-shard runs no longer need a protective lower default.
-    max_sessions = args.max_sessions
-    if max_sessions is None:
-        max_sessions = 512
-
-    rows = []
-    for shards in shard_counts:
+    for shards in (int(s) for s in args.shards.split(",") if s):
         report = asyncio.run(run_stress(
             spec,
             args.protocol,
             shards=shards,
             partitioner=args.partitioner,
-            max_sessions=max_sessions,
+            max_sessions=args.max_sessions,
         ))
         print(report.render())
-        if report.ok:
-            rows.append(report.trend_row())
-        else:
-            failed = True
-
-    proc_counts = [
-        int(s) for s in (args.shard_procs or "").split(",") if s
-    ]
-    for procs in proc_counts:
-        report = asyncio.run(run_stress(
-            spec,
-            args.protocol,
-            partitioner=args.partitioner,
-            max_sessions=max_sessions,
-            shard_procs=procs,
-        ))
-        print(report.render())
-        if report.ok:
-            rows.append(report.trend_row())
-        else:
-            failed = True
-
-    if args.ledger and rows:
-        doc = append_trend_rows(args.ledger, rows)
-        print(
-            f"appended {len(rows)} trend row(s) to {args.ledger} "
-            f"({len(doc['results'])} total)"
-        )
+        failed = failed or not report.ok
     return 1 if failed else 0
 
 
@@ -781,13 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "concurrent phase (default '1,4')")
     stress.add_argument("--partitioner", default="hash",
                         choices=("hash", "range"))
-    stress.add_argument("--shard-procs", default="", metavar="LIST",
-                        help="comma list of shard-process counts to also "
-                             "run the concurrent phase against (e.g. '4': "
-                             "one 4-process deployment; default: none)")
-    stress.add_argument("--max-sessions", type=int, default=None,
-                        help="admission cap for the concurrent phase "
-                             "(default: 512 for every shard count)")
+    stress.add_argument("--max-sessions", type=int, default=512,
+                        help="admission cap for the concurrent phase, "
+                             "every shard count")
     stress.add_argument("--parity-seeds", type=int, default=20, metavar="N",
                         help="decision-parity workload seeds 0..N-1")
     stress.add_argument("--parity-transactions", type=int, default=25,
@@ -797,11 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
     stress.add_argument("--sim-limit", type=int, default=500,
                         help="schedule prefix replayed in the simulator "
                              "oracle phase")
-    stress.add_argument("--ledger", default=None, metavar="PATH",
-                        help="append repro-bench/1 trend rows here")
     stress.add_argument("--smoke", action="store_true",
-                        help="small deterministic run (seconds): the "
-                             "make stress-smoke / make verify gate")
+                        help="the same load, 400 arrivals and small "
+                             "parity/oracle phases (seconds): the make "
+                             "stress-smoke / make verify gate")
     stress.add_argument("--skip-parity", action="store_true",
                         help="skip the decision-parity battery")
     stress.set_defaults(func=_cmd_stress)

@@ -225,7 +225,7 @@ def run_example5() -> ExperimentReport:
     if weak.deadlock is not None:
         report.check(
             "the cycle is T_L <-> T_H",
-            {"TH#0", "TL#0"}, set(weak.deadlock.cycle),
+            ("TH#0", "TL#0"), tuple(sorted(weak.deadlock.cycle)),
         )
     real = _simulate(example5_taskset(), "pcp-da")
     report.check_true(

@@ -32,11 +32,6 @@ byte-identical traces, and the per-protocol verification oracles
 Scale: arrivals stream from a generator (O(1) memory per arrival), so
 ``transactions`` can be hundreds of thousands to millions; concurrency is
 bounded by admission control, not by materialising the schedule.
-
-Reports convert to ``repro-bench/1`` trend rows (committed transactions
-per second) so ``make stress`` appends throughput history to the same
-ledger ``benchmarks/bench_compare.py`` gates with its >10% regression
-rule.
 """
 
 from __future__ import annotations
@@ -315,9 +310,7 @@ class StressReport:
     protocol: str
     shards: int
     #: Shard-host *processes* (0 = in-process deployment).  When set it
-    #: equals ``shards`` — one shard per process — and the trend row key
-    #: becomes ``proto@Nproc`` so process scaling diffs independently of
-    #: in-process shard scaling.
+    #: equals ``shards`` — one shard per process.
     procs: int = 0
     wall_s: float = 0.0
     begun: int = 0
@@ -375,31 +368,6 @@ class StressReport:
             + ("OK" if self.bounds_ok else f"FAIL — {self.bounds_detail}"),
         ]
         return "\n".join(lines)
-
-    def trend_row(self) -> Dict[str, Any]:
-        """This run as one ``repro-bench/1`` result row.
-
-        ``events`` counts committed transactions, so ``events_per_sec``
-        is committed throughput — the quantity whose regression the
-        ``bench_compare`` gate should catch across PRs.  The shard count
-        rides in the protocol key so 1-shard and N-shard trends diff
-        independently.
-        """
-        wall = max(self.wall_s, 1e-9)
-        key = (
-            f"{self.protocol}@{self.procs}proc" if self.procs
-            else f"{self.protocol}@{self.shards}sh"
-        )
-        return {
-            "benchmark": "stress_loadgen",
-            "protocol": key,
-            "runs": 1,
-            "events": self.committed,
-            "wall_s": wall,
-            "events_per_sec": self.committed / wall,
-            "ns_per_event": (wall / self.committed) * 1e9
-            if self.committed else 0.0,
-        }
 
 
 async def run_stress(
@@ -648,68 +616,12 @@ def simulator_stress_check(
     return result
 
 
-def append_trend_rows(
-    path: Any, rows: List[Dict[str, Any]], *, validate: bool = True
-) -> Dict[str, Any]:
-    """Append stress trend rows to a ``repro-bench/1`` ledger file.
-
-    Creates the ledger (``mode="stress"``) when ``path`` does not exist;
-    otherwise loads it, appends the rows, and recomputes the totals so
-    the document stays schema-valid.  Returns the written document.
-    """
-    import datetime
-    import json
-    import pathlib
-    import platform
-
-    SCHEMA = "repro-bench/1"
-    try:  # the validator lives with the bench tooling at the repo root
-        from benchmarks.perf_report import validate_bench_document
-    except ImportError:  # installed elsewhere: totals math keeps us valid
-        validate = False
-        validate_bench_document = None  # type: ignore[assignment]
-
-    path = pathlib.Path(path)
-    if path.exists():
-        doc = json.loads(path.read_text())
-        if validate:
-            validate_bench_document(doc)
-    else:
-        doc = {
-            "schema": SCHEMA,
-            "generated_at": "",
-            "mode": "stress",
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "results": [],
-            "totals": {},
-        }
-    doc["generated_at"] = (
-        datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
-    doc["results"] = list(doc["results"]) + list(rows)
-    total_events = sum(r["events"] for r in doc["results"])
-    total_wall = sum(r["wall_s"] for r in doc["results"])
-    doc["totals"] = {
-        "events": total_events,
-        "wall_s": total_wall,
-        "events_per_sec": total_events / total_wall if total_wall else 0.0,
-        "ns_per_event": (total_wall / total_events) * 1e9
-        if total_events else 0.0,
-    }
-    if validate:
-        validate_bench_document(doc)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return doc
-
-
 __all__ = [
     "Arrival",
     "CEILING_FAMILY",
     "DEADLOCK_FREE_CEILING",
     "StressReport",
     "StressSpec",
-    "append_trend_rows",
     "build_taskset",
     "iter_arrivals",
     "make_catalog",

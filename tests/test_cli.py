@@ -200,25 +200,17 @@ class TestLoadgenExitCode:
 
 @pytest.mark.stress
 class TestStressCommand:
-    def test_small_run_writes_ledger_and_exits_zero(self, tmp_path, capsys):
-        ledger = tmp_path / "BENCH_stress.json"
+    def test_small_run_exits_zero(self, capsys):
         code = main([
             "stress", "--transactions", "120", "--overload", "1.2",
             "--shards", "1", "--parity-seeds", "1",
             "--parity-transactions", "8", "--sim-limit", "60",
-            "--ledger", str(ledger),
         ])
         out = capsys.readouterr().out
         assert code == 0, out
         assert "decision parity: OK" in out
         assert "simulator oracle: OK" in out
         assert "conservation: OK" in out
-        assert ledger.exists()
-        import json
-
-        doc = json.loads(ledger.read_text())
-        assert doc["mode"] == "stress"
-        assert doc["results"][0]["benchmark"] == "stress_loadgen"
 
     def test_failure_exits_nonzero(self, monkeypatch, capsys):
         # sabotage the parity battery to prove the gate actually gates

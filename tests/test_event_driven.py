@@ -15,8 +15,6 @@ All socket-free; part of ``make verify-sharding``'s tier.
 
 import asyncio
 
-import pytest
-
 from repro.engine.kernel import Kernel
 from repro.exceptions import TransactionAborted
 from repro.model.priorities import assign_by_order
@@ -317,74 +315,3 @@ class TestTransitivePredsMemo:
 
         run(body())
 
-
-class TestShardScalingReport:
-    """Units for the bench_compare --shard-scaling gate (satellite of the
-    event-driven coordinator work: the gate is what keeps multi-shard
-    from quietly regressing below single-shard again)."""
-
-    @staticmethod
-    def ledger(rows):
-        return {"results": [
-            {"benchmark": "stress_loadgen", "protocol": proto,
-             "events": events, "events_per_sec": rate}
-            for proto, events, rate in rows
-        ]}
-
-    def test_scaling_ok_and_regression(self):
-        from benchmarks.bench_compare import (
-            render_shard_scaling,
-            shard_scaling_report,
-        )
-
-        good = shard_scaling_report(self.ledger([
-            ("pcp-da@1sh", 1000, 100.0),
-            ("pcp-da@4sh", 2500, 250.0),
-        ]))
-        assert good["ok"]
-        assert good["rows"][0]["ratio"] == pytest.approx(2.5)
-        assert "OK" in render_shard_scaling(good)
-
-        bad = shard_scaling_report(self.ledger([
-            ("pcp-da@1sh", 1000, 100.0),
-            ("pcp-da@4sh", 500, 50.0),
-        ]))
-        assert not bad["ok"]
-        assert bad["rows"][0]["regressed"]
-        rendered = render_shard_scaling(bad)
-        assert "REGRESSION" in rendered and "FAIL" in rendered
-
-    def test_threshold_tolerance_and_last_row_wins(self):
-        from benchmarks.bench_compare import shard_scaling_report
-
-        # 5% below the 1sh baseline passes the default 10% tolerance.
-        close = shard_scaling_report(self.ledger([
-            ("pcp-da@1sh", 1000, 100.0),
-            ("pcp-da@2sh", 950, 95.0),
-        ]))
-        assert close["ok"]
-        # Append-only trend ledger: the freshest duplicate row wins.
-        rerun = shard_scaling_report(self.ledger([
-            ("pcp-da@1sh", 1000, 100.0),
-            ("pcp-da@4sh", 100, 10.0),
-            ("pcp-da@4sh", 3000, 300.0),
-        ]))
-        assert rerun["ok"]
-        assert rerun["rows"][0]["head_events_per_sec"] == 300.0
-
-    def test_unmatched_and_empty_ledgers(self):
-        from benchmarks.bench_compare import (
-            render_shard_scaling,
-            shard_scaling_report,
-        )
-
-        orphan = shard_scaling_report(self.ledger([
-            ("2pl@4sh", 1000, 100.0),
-        ]))
-        assert orphan["unmatched"] == ["2pl@4sh"]
-        assert orphan["empty"] and not orphan["ok"]
-        assert "no 1-shard baseline" in render_shard_scaling(orphan)
-
-        empty = shard_scaling_report({"results": []})
-        assert empty["empty"] and not empty["ok"]
-        assert "no comparable" in render_shard_scaling(empty)

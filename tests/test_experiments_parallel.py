@@ -2,8 +2,15 @@
 
 The guarantee under test is the one docs/PERFORMANCE.md documents:
 ``run_all(jobs=N)`` returns reports in :func:`experiment_order` and renders
-byte-identically to the serial run for every ``N``.
+byte-identically to the serial run for every ``N``.  The verbose CLI
+output is byte-identical across launches too, whatever the string-hash
+seed.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,3 +69,17 @@ class TestSerialEquivalence:
         assert main(["reproduce", "--extended", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
         assert "ALL CHECKS PASS" in serial
+
+    def test_cli_verbose_stdout_ignores_the_hash_seed(self):
+        root = Path(__file__).resolve().parent.parent
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(root / "src"))
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "reproduce", "-v",
+                 "--extended"],
+                cwd=root, env=env, stdout=subprocess.PIPE, check=True,
+            )
+            outs.append(done.stdout)
+        assert outs[0] == outs[1]

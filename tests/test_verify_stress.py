@@ -3,14 +3,11 @@
 Workload generation is pinned deterministically (catalog shape, arrival
 schedule, burst density, chaos flags); the concurrent runner is
 exercised at small scale against 1-shard and 2-shard deployments with
-every verdict checked; the trend-row path round-trips through the
-``repro-bench/1`` schema validator.  Acceptance-scale overload runs
-(100k arrivals, the ``make stress`` battery) live behind the
-``stress_soak`` marker.
+every verdict checked.  Acceptance-scale overload runs (100k arrivals,
+the ``make stress`` battery) live behind the ``stress_soak`` marker.
 """
 
 import asyncio
-import json
 
 import pytest
 
@@ -19,9 +16,7 @@ from repro.service.manager import SERVED_PROTOCOLS
 from repro.verify.stress import (
     CEILING_FAMILY,
     DEADLOCK_FREE_CEILING,
-    StressReport,
     StressSpec,
-    append_trend_rows,
     build_taskset,
     iter_arrivals,
     make_catalog,
@@ -130,38 +125,6 @@ class TestBuildTaskset:
     def test_limit_bounds_the_instancing(self):
         spec = StressSpec(seed=6, transactions=400)
         assert len(build_taskset(spec, limit=25).specs) == 25
-
-
-class TestTrendLedger:
-    def _report(self, shards=1, committed=100, wall=2.0):
-        report = StressReport(
-            spec=StressSpec(seed=1), protocol="pcp-da", shards=shards,
-        )
-        report.committed = committed
-        report.wall_s = wall
-        return report
-
-    def test_trend_row_shape(self):
-        row = self._report(shards=4).trend_row()
-        assert row["benchmark"] == "stress_loadgen"
-        assert row["protocol"] == "pcp-da@4sh"
-        assert row["events"] == 100
-        assert row["events_per_sec"] == pytest.approx(50.0)
-
-    def test_append_creates_and_extends_a_valid_ledger(self, tmp_path):
-        from benchmarks.perf_report import validate_bench_document
-
-        path = tmp_path / "BENCH_stress.json"
-        append_trend_rows(path, [self._report().trend_row()])
-        doc = append_trend_rows(
-            path, [self._report(shards=4, committed=40).trend_row()]
-        )
-        validate_bench_document(doc)
-        assert doc["mode"] == "stress"
-        assert len(doc["results"]) == 2
-        assert doc["totals"]["events"] == 140
-        on_disk = json.loads(path.read_text())
-        assert on_disk["totals"] == doc["totals"]
 
 
 @pytest.mark.stress
