@@ -7,7 +7,9 @@
 #                      installs and abort bounds at 1 and 4 shards under
 #                      pcp-da and rw-pcp
 #   verify-service     in-process service battery, socket-free (docs/SERVICE.md)
-#   verify-sharding    sharded-deployment battery, socket-free (docs/SHARDING.md)
+#   verify-sharding    sharded-deployment battery, socket-free (docs/SHARDING.md),
+#                      including the event-driven wake-ups and both
+#                      cross-shard deadlock cases (tests/test_event_driven.py)
 #   verify-procs       shard-host processes: frames, proxy, supervisor, no orphans
 #
 # Outside `make verify`: `make bench-pair` (alternating runs of two
@@ -54,11 +56,13 @@ verify-service:
 
 # The sharded-deployment battery (no sockets): partitioners, coordinator
 # semantics (routing, gate, guard, cascades, cross-shard deadlock), the
-# 1-shard decision-equivalence differential, and the 4-shard replay
-# acceptance run. The multi-shard TCP soak runs only when SOAK=1.
+# notification-driven gate/guard wake-ups and the shard-local cycle
+# exemption, the 1-shard decision-equivalence differential, and the
+# 4-shard replay acceptance run. The multi-shard TCP soak runs only when
+# SOAK=1.
 verify-sharding:
 	$(PYTHON) -m pytest -q tests/test_sharding_partitioner.py \
-		tests/test_sharding_coordinator.py \
+		tests/test_sharding_coordinator.py tests/test_event_driven.py \
 		tests/test_sharding_equivalence.py tests/test_sharding_replay.py
 	$(if $(SOAK),$(PYTHON) -m pytest -q -m sharding_soak --override-ini \
 		'addopts=-q',)
@@ -128,7 +132,8 @@ bench-pair:
 LOC_ROOT ?= src/repro
 loc:
 	$(PYTHON) tools/loc.py $(LOC_ROOT) $(LOC_ROOT)/service/manager.py \
-		$(LOC_ROOT)/service/sharding/coordinator.py
+		$(LOC_ROOT)/service/sharding/coordinator.py \
+		$(LOC_ROOT)/service/sharding/procs/supervisor.py
 
 # Heavy-traffic parity harness (docs/TESTING.md), all phases socket-free:
 # sequential decision parity across every execution path, the virtual-time

@@ -263,10 +263,9 @@ async def _deploy(args: argparse.Namespace, taskset, config):
     if args.shard_procs > 1:
         from repro.service.sharding.procs import start_proc_deployment
 
-        crash = {"on_crash": args.on_crash} if "on_crash" in args else {}
         return await start_proc_deployment(
             taskset, args.protocol, shards=args.shard_procs, config=config,
-            partitioner=args.partitioner, **crash,
+            partitioner=args.partitioner,
         )
     if args.shards > 1:
         return None, ShardedLockManager(
@@ -312,7 +311,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 await server.serve_forever()
                 return 0
             # Multi-process mode: serve until interrupted OR the
-            # deployment fails (a shard host died under on_crash=fail).
+            # deployment fails (a shard host died).
             serving = asyncio.ensure_future(server.serve_forever())
             crashed = asyncio.ensure_future(supervisor.crashed.wait())
             try:
@@ -628,12 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run N shards as separate shard-host OS "
                             "processes behind the coordinator (default 1: "
                             "in-process; overrides --shards)")
-    serve.add_argument("--on-crash", default="fail",
-                       choices=("fail", "restart"),
-                       help="shard-host crash policy with --shard-procs: "
-                            "fail the deployment fast, or restart the "
-                            "shard empty after aborting affected "
-                            "transactions")
     serve.add_argument("--max-sessions", type=int, default=None,
                        help="admission-control cap on live sessions")
     serve.add_argument("--deadline", type=float, default=None, metavar="S",

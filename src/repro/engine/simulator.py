@@ -228,8 +228,8 @@ class Simulator:
         )
         # Same inert-default elision for the other per-event protocol
         # hooks: only CCP releases early, only OCC-BC aborts at commit,
-        # and nothing in the library overrides the grant/release hooks —
-        # ``None`` here means "don't even make the call".
+        # and only IPCP overrides the grant/release hooks (its cached
+        # priority floor) — ``None`` here means "don't even make the call".
         proto_type = type(self.protocol)
         base = ConcurrencyControlProtocol
         self._after_op = (

@@ -212,7 +212,7 @@ class Session:
     """
 
     __slots__ = ("id", "job", "state", "deadline", "opened_at",
-                 "abort_reason", "committing")
+                 "abort_reason")
 
     def __init__(self, session_id: int, job: Job, opened_at: float,
                  deadline: Optional[float]):
@@ -223,8 +223,6 @@ class Session:
         self.deadline = deadline
         self.opened_at = opened_at
         self.abort_reason = ""
-        #: Commit fence flag (see :meth:`LockCore.prepare_commit`).
-        self.committing = False
 
     @property
     def name(self) -> str:
@@ -564,7 +562,6 @@ class LockCore:
             raise TransactionAborted(
                 f"{session.name}: {session.abort_reason or 'not live'}"
             )
-        session.committing = True
         self._committing[session.job] = session
         return tuple(sorted(
             p.name for p in self.constraints.direct_preds(session.job)
@@ -579,7 +576,6 @@ class LockCore:
         """
         if self._committing.pop(session.job, None) is None:
             return
-        session.committing = False
         # Fence denials blame the fenced job; dropping the fence is churn
         # on that job, which re-selects exactly those waiters.
         self._note_release_churn(session.job, ())
@@ -1173,7 +1169,6 @@ class LockCore:
         self.waits.forget(job)
         self.kernel.retire(job)
         session.state = state
-        session.committing = False
         self._committing.pop(job, None)
         self._live.pop(job, None)
         self.constraints.drop(job)

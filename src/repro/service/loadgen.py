@@ -81,9 +81,6 @@ class LoadgenConfig:
         burst_period_s: length of one burst cycle.
         burst_duty: fraction of each cycle spent at the bursty rate.
         deadline_s: per-session relative deadline passed to ``begin``.
-        compute_scale: multiply catalog compute-op durations by this and
-            sleep for the result (0 = skip compute ops, the default —
-            contention then comes purely from data access order).
         mix: transaction-name → weight for the draw; default uniform over
             the catalog.
         seed: base RNG seed (worker ``i`` uses ``seed * 10007 + i``).
@@ -100,7 +97,6 @@ class LoadgenConfig:
     burst_period_s: float = 0.5
     burst_duty: float = 0.25
     deadline_s: Optional[float] = None
-    compute_scale: float = 0.0
     mix: Optional[Dict[str, float]] = None
     seed: int = 0
     abort_probability: float = 0.0
@@ -298,7 +294,14 @@ class _Worker:
         else:
             self.names = names
             self.weights = [1.0] * len(names)
-        self.programs = {spec["name"]: spec["operations"] for spec in catalog}
+        # Compute ops are skipped: contention comes from data access
+        # order alone.
+        self.programs = {
+            spec["name"]: [
+                op for op in spec["operations"] if op["kind"] != "compute"
+            ]
+            for spec in catalog
+        }
 
     def _expired(self) -> bool:
         return self.stop_at is not None and time.monotonic() >= self.stop_at
@@ -366,13 +369,7 @@ class _Worker:
             return
         try:
             for op in self.programs[name]:
-                kind = op["kind"]
-                if kind == "compute":
-                    if self.config.compute_scale > 0:
-                        await asyncio.sleep(
-                            op["duration"] * self.config.compute_scale
-                        )
-                elif kind == "read":
+                if op["kind"] == "read":
                     await txn.read(op["item"])
                 else:
                     await txn.write(op["item"], f"{txn.name}@{op['item']}")

@@ -50,8 +50,10 @@ serializable service:
   event-driven: shard ``"wait"`` notifications and coordinator parks
   schedule one coalesced detection pass per event-loop tick, which
   builds the session-level union of all shard wait-for graphs plus the
-  coordinator waits and resolves any cycle not attributable to a single
-  shard by aborting its lowest-priority member.
+  coordinator waits, searches it with the engine's
+  :class:`~repro.engine.inheritance.WaitForGraph`, and resolves any cycle
+  not attributable to a single shard by aborting its lowest-priority
+  member.
 
 Everything is notification-driven, with no timer: shard-side leg
 aborts cascade to their global session synchronously from the shard's
@@ -78,6 +80,7 @@ from typing import (
     Union,
 )
 
+from repro.engine.inheritance import WaitForGraph
 from repro.engine.job import Job
 from repro.exceptions import (
     AdmissionError,
@@ -140,6 +143,12 @@ class GlobalSession:
     def name(self) -> str:
         """The instance name every leg shares (``"T2#7"``)."""
         return f"{self.spec.name}#{self.instance}"
+
+    @property
+    def seq(self) -> int:
+        """The global begin order: the ``seq`` every leg's job carries,
+        and the deterministic order key of the engine's cycle search."""
+        return self.id
 
     @property
     def priority(self) -> int:
@@ -258,19 +267,12 @@ class ShardedLockManager:
         self._instances: Dict[str, int] = {}
         self._next_session_id = 0
         self._closed = False
-        #: Registered decision listeners, kept so a replacement shard
-        #: (crash restart) can be re-subscribed to all of them.
-        self._decision_listeners: List[Callable] = []
         for index, shard in enumerate(self.shards):
-            self._attach_shard_listeners(index, shard)
-
-    def _attach_shard_listeners(self, index: int, shard: Any) -> None:
-        """Subscribe the coordinator to one shard's churn stream."""
-        shard.churn_listeners.append(
-            lambda kind, job, other, _shard=index: self._on_shard_churn(
-                _shard, kind, job, other
+            shard.churn_listeners.append(
+                lambda kind, job, other, _shard=index: self._on_shard_churn(
+                    _shard, kind, job, other
+                )
             )
-        )
 
     # ------------------------------------------------------------------
     # Clock and identity
@@ -306,7 +308,6 @@ class ShardedLockManager:
         per-shard traces alone cannot reconstruct the interleaving.  Used
         by the parity harness (:mod:`repro.verify.parity`).
         """
-        self._decision_listeners.append(listener)
         for shard in self.shards:
             shard.add_decision_listener(listener)
 
@@ -586,10 +587,7 @@ class ShardedLockManager:
         normally.  Mirror legs on the dead shard are flipped terminally
         first so the global abort does not try to RPC a corpse.
         """
-        dead = self.shards[shard_id]
-        drop = getattr(dead, "mark_lost", None)
-        if drop is not None:
-            drop(reason)
+        self.shards[shard_id].mark_lost(reason)
         failure = TransactionAborted(
             f"shard {shard_id} lost: {reason}"
         )
@@ -604,25 +602,6 @@ class ShardedLockManager:
                 session, f"shard {shard_id} lost: {reason}",
                 forced=True, exc=failure,
             )
-
-    def replace_shard(self, shard_id: int, shard: Any) -> None:
-        """Swap in a restarted shard (supervisor crash-restart policy).
-
-        ``on_shard_lost`` must already have run for ``shard_id`` — the
-        new shard starts empty, so no live session may still reference
-        the old one.  The replacement joins the shared service clock and
-        is re-subscribed to churn and every registered decision listener.
-        """
-        shards = list(self.shards)
-        shards[shard_id] = shard
-        self.shards = tuple(shards)
-        shard._t0 = self._t0
-        self._attach_shard_listeners(shard_id, shard)
-        for listener in self._decision_listeners:
-            shard.add_decision_listener(listener)
-        self._remote = any(
-            getattr(s, "is_remote", False) for s in self.shards
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -651,9 +630,7 @@ class ShardedLockManager:
         if self._remote:
             return self._stats_document_remote()
         return self._assemble_stats(
-            [shard.stats for shard in self.shards],
-            shard_waiting=sum(len(shard.parks) for shard in self.shards),
-            ceilings=[shard.system_ceiling() for shard in self.shards],
+            [shard.stats_document() for shard in self.shards]
         )
 
     async def _stats_document_remote(self) -> Dict[str, Any]:
@@ -661,24 +638,16 @@ class ShardedLockManager:
         docs = await asyncio.gather(
             *(shard.fetch_stats_document() for shard in self.shards)
         )
-        doc = self._assemble_stats(
-            [ServiceStats.from_dict(shard_doc) for shard_doc in docs],
-            shard_waiting=sum(
-                shard_doc.get("waiting_sessions", 0) for shard_doc in docs
-            ),
-            ceilings=[shard_doc.get("system_ceiling") for shard_doc in docs],
-        )
+        doc = self._assemble_stats(docs)
         doc["shard_procs"] = len(self.shards)
         doc["deployment"] = "multiprocess"
         return doc
 
     def _assemble_stats(
-        self,
-        shard_stats: List[ServiceStats],
-        *,
-        shard_waiting: int,
-        ceilings: List[Optional[int]],
+        self, shard_docs: List[Dict[str, Any]]
     ) -> Dict[str, Any]:
+        """Merge per-shard ``stats`` documents with the coordinator's view."""
+        shard_stats = [ServiceStats.from_dict(d) for d in shard_docs]
         merged = ServiceStats()
         for stats in shard_stats:
             merged.merge(stats)
@@ -696,8 +665,13 @@ class ShardedLockManager:
         doc["protocol"] = self.protocol.name
         doc["uptime_s"] = self.now()
         doc["live_sessions"] = len(self._live)
-        doc["waiting_sessions"] = shard_waiting + len(self.parks)
-        known = [c for c in ceilings if c is not None]
+        doc["waiting_sessions"] = len(self.parks) + sum(
+            d["waiting_sessions"] for d in shard_docs
+        )
+        known = [
+            d["system_ceiling"] for d in shard_docs
+            if d["system_ceiling"] is not None
+        ]
         doc["system_ceiling"] = max(known) if known else None
         assignment = self.partitioner.assignment(self.catalog.items)
         doc["shard_count"] = self.shard_count
@@ -1133,46 +1107,55 @@ class ShardedLockManager:
     def _check_global_deadlock(self) -> None:
         """Find and resolve wait cycles spanning shards or the coordinator.
 
-        Builds a session-level wait graph from every shard's wait-for
-        edges plus the coordinator's parked gate/guard waits, each edge
-        tagged with its sources.  A cycle whose edges are all
-        attributable to one single shard is left to that shard's own
-        detector (identical rules to the unsharded manager); any other
+        Gathers every shard's wait-for edges plus the coordinator's
+        parked gate/guard waits, over live global sessions, into one
+        throwaway :class:`WaitForGraph` and runs the engine's cycle
+        search on it (a long-lived graph would keep every terminated
+        session in its inheritance worklist, which nothing here ever
+        drains).  Each waiter also records where it waits: a shard
+        index, or ``None`` for a coordinator park or several places.  A
+        session has one in-flight operation, so it waits in exactly one
+        place, and a cycle whose members all wait on shard *i* is made
+        of shard *i*'s edges alone: it is left to that shard's own
+        detector (identical rules to the unsharded manager).  Any other
         cycle exists only because of partitioning, so it is resolved by
         aborting the lowest-base-priority member — the same policy the
         unsharded manager applies to service-level cycles.
         """
-        edges: Dict[GlobalSession, Dict[GlobalSession, Set[Any]]] = {}
+        waits: List[Tuple[Any, Sequence[Any], Optional[int]]] = []
         for index, shard in enumerate(self.shards):
             for waiter_job in shard.waits.waiters():
-                waiter = self._job_sessions.get(waiter_job)
-                if waiter is None or not waiter.state.live:
-                    continue
-                for blocker_job in shard.waits.blockers_of(waiter_job):
-                    blocker = self._job_sessions.get(blocker_job)
-                    if (
-                        blocker is None or blocker is waiter
-                        or not blocker.state.live
-                    ):
-                        continue
-                    edges.setdefault(waiter, {}).setdefault(
-                        blocker, set()
-                    ).add(index)
+                waits.append((
+                    self._job_sessions.get(waiter_job),
+                    [self._job_sessions.get(job)
+                     for job in shard.waits.blockers_of(waiter_job)],
+                    index,
+                ))
         for waiter, park in self.parks.items():
-            if not waiter.state.live:
+            waits.append((waiter, park.blockers, None))
+        edges: Dict[GlobalSession, Dict[GlobalSession, None]] = {}
+        where: Dict[GlobalSession, Optional[int]] = {}
+        for waiter, blockers, place in waits:
+            if waiter is None or not waiter.state.live:
                 continue
-            for blocker in park.blockers:
-                if blocker.state.live and blocker is not waiter:
-                    edges.setdefault(waiter, {}).setdefault(
-                        blocker, set()
-                    ).add("coordinator")
-        cycle = self._find_cycle(edges)
+            targets = edges.setdefault(waiter, {})
+            for blocker in blockers:
+                if (
+                    blocker is not None and blocker is not waiter
+                    and blocker.state.live
+                ):
+                    targets[blocker] = None
+            where[waiter] = place if where.get(waiter, place) == place else None
+        graph = WaitForGraph()
+        for waiter, targets in edges.items():
+            if targets:
+                graph.block(waiter, targets)
+        cycle = graph.find_new_cycle()
         if cycle is None:
             return
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        for index in range(len(self.shards)):
-            if all(index in edges[a][b] for a, b in pairs):
-                return  # purely shard-local: that shard's own business
+        places = {where[session] for session in cycle}
+        if len(places) == 1 and None not in places:
+            return  # purely shard-local: that shard's own business
         self.sharding_stats.cross_shard_deadlocks += 1
         names = " -> ".join(s.name for s in cycle)
         victim = min(cycle, key=lambda s: (s.priority, -s.id))
@@ -1183,40 +1166,3 @@ class ShardedLockManager:
                 f"({names})"
             ),
         )
-
-    @staticmethod
-    def _find_cycle(
-        edges: Dict[GlobalSession, Dict[GlobalSession, Set[Any]]]
-    ) -> Optional[List[GlobalSession]]:
-        """One cycle in the session wait graph, or ``None`` (iterative DFS)."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[GlobalSession, int] = {}
-        for root in sorted(edges, key=lambda s: s.id):
-            if color.get(root, WHITE) is not WHITE:
-                continue
-            path: List[GlobalSession] = []
-            stack: List[Tuple[GlobalSession, bool]] = [(root, False)]
-            while stack:
-                node, done = stack.pop()
-                if done:
-                    color[node] = BLACK
-                    path.pop()
-                    continue
-                state = color.get(node, WHITE)
-                if state is BLACK:
-                    continue
-                if state is GRAY:
-                    continue
-                color[node] = GRAY
-                path.append(node)
-                stack.append((node, True))
-                for target in sorted(
-                    edges.get(node, ()), key=lambda s: s.id
-                ):
-                    target_state = color.get(target, WHITE)
-                    if target_state is GRAY:
-                        start = path.index(target)
-                        return path[start:]
-                    if target_state is WHITE:
-                        stack.append((target, False))
-        return None

@@ -43,7 +43,7 @@ class ShardHostServer(LockServer):
     """A :class:`LockServer` over one shard that pushes event frames.
 
     ``manager`` must be a plain :class:`LockManager` (the shard-op
-    family — ``prepare``/``force_abort``/``wait_graph``/... — targets a
+    family — ``prepare``/``unprepare``/``force_abort`` — targets a
     single shard, and the wire layer rejects it otherwise).  Frames go
     only to connections that opted in with ``subscribe``; a plain v2
     client on the same host sees the classic request/response protocol.

@@ -55,7 +55,6 @@ from repro.service import wire
 from repro.service.connection import Connection
 from repro.service.constraints import ConstraintGraph
 from repro.service.core import Session, SessionState, catalog_document
-from repro.service.stats import ServiceStats
 from repro.trace.recorder import LockEvent
 
 
@@ -129,11 +128,6 @@ class RemoteShardProxy:
         self.waits = _WaitMirror(self)
         self.churn_listeners: List[Callable[..., None]] = []
         self.decision_listeners: List[Callable[[LockEvent], None]] = []
-        #: Mirror legs never carry history or local stats; the
-        #: coordinator uses the async fetch path for both when any shard
-        #: is remote, so these exist only to satisfy the surface.
-        self.history: Tuple[Any, ...] = ()
-        self.stats = ServiceStats()
         self.protocol = _RemoteProtocol("unknown")
         self._t0 = 0.0  # overwritten by the coordinator/supervisor
 
@@ -366,12 +360,10 @@ class RemoteShardProxy:
         on.
         """
         result = await self._call("prepare", session=leg.id)
-        leg.committing = True
         return tuple(result.get("gate", ()))
 
     def unprepare_commit(self, leg: Session) -> None:
         """Drop the fence (gate back-off); posted fire-and-forget."""
-        leg.committing = False
         self._post("unprepare", session=leg.id)
 
     def force_abort(
@@ -391,10 +383,6 @@ class RemoteShardProxy:
         self._forget(name)
         self._post("force_abort", session=leg.id, reason=reason)
 
-    def system_ceiling(self) -> Optional[int]:
-        """Unknown without a round-trip; the async stats path carries it."""
-        return None
-
     def catalog_document(self) -> List[Dict[str, Any]]:
         """Answered locally: the catalog is static and shared."""
         return catalog_document(self._catalog)
@@ -413,7 +401,3 @@ class RemoteShardProxy:
     async def fetch_history_events(self) -> List[Dict[str, Any]]:
         """The shard's history rows (one dict per data event)."""
         return (await self._call("history"))["events"]
-
-    async def fetch_wait_graph(self) -> Dict[str, List[str]]:
-        """The host's authoritative wait-for edges (diagnostics)."""
-        return (await self._call("wait_graph"))["edges"]

@@ -22,9 +22,10 @@ orphans on a crashed parent is worse than no lock service.  Four layers:
    a signal handler).
 4. **Crash monitors.**  A task per child awaits its exit; an unexpected
    death aborts every in-flight transaction touching the dead shard
-   via ``coordinator.on_shard_lost`` and then either fails the
-   deployment fast (default) or restarts the shard empty and swaps the
-   new proxy in (``on_crash="restart"``).
+   via ``coordinator.on_shard_lost`` and fails the deployment fast.
+   There is no restart: a relaunched host would serve its partition
+   empty, every write it had committed gone, and the merged history
+   would lose those installs with it.
 
 The supervisor also owns the deployment's shared service clock: it
 passes its own ``time.monotonic()`` epoch to every host (``--t0``) and
@@ -70,7 +71,7 @@ class ShardHostHandle:
 
 
 #: A spawner: shard index -> (process-like, proxy, port).  Injectable so
-#: the supervisor's crash/restart/stop logic is testable without
+#: the supervisor's crash/stop logic is testable without
 #: sockets or subprocesses; the process-like needs ``wait()``,
 #: ``terminate()``, ``kill()``, ``returncode``, ``pid`` and a ``stdin``
 #: with ``close()`` (or ``None``).
@@ -87,19 +88,13 @@ class ShardSupervisor:
         *,
         shards: int = 2,
         host: str = "127.0.0.1",
-        on_crash: str = "fail",
         spawn: Optional[Spawner] = None,
     ) -> None:
-        if on_crash not in ("fail", "restart"):
-            raise ValueError(
-                f"on_crash must be 'fail' or 'restart', not {on_crash!r}"
-            )
         check_served(protocol)
         self.catalog = catalog
         self.protocol = protocol
         self.shard_count = shards
         self.host = host
-        self.on_crash = on_crash
         self._spawn = spawn or self._spawn_subprocess
         #: Shared service clock epoch for every host and the coordinator.
         self.t0 = time.monotonic()
@@ -108,7 +103,7 @@ class ShardSupervisor:
         self._coordinator: Optional[ShardedLockManager] = None
         self._closing = False
         self._started = False
-        #: Set once a shard died under ``on_crash="fail"``.
+        #: Set once a shard host died: the deployment has failed.
         self.failed: Optional[str] = None
         #: Fires on any unexpected child death (tests/serve loops wait on it).
         self.crashed = asyncio.Event()
@@ -136,18 +131,15 @@ class ShardSupervisor:
         self._atexit_registered = True
         try:
             for index in range(self.shard_count):
-                self.handles[index] = await self._launch(index)
+                process, proxy, port = await self._spawn(index)
+                handle = ShardHostHandle(index, process, proxy, port)
+                self.handles[index] = handle
+                self._monitors.append(
+                    asyncio.ensure_future(self._monitor(handle))
+                )
         except BaseException:
             await self.stop()
             raise
-
-    async def _launch(self, index: int) -> ShardHostHandle:
-        process, proxy, port = await self._spawn(index)
-        handle = ShardHostHandle(index, process, proxy, port)
-        self._monitors.append(
-            asyncio.ensure_future(self._monitor(handle))
-        )
-        return handle
 
     async def stop(self) -> None:
         """Drain and reap every child (idempotent, bounded)."""
@@ -251,36 +243,17 @@ class ShardSupervisor:
     # Crash handling
     # ------------------------------------------------------------------
     async def _monitor(self, handle: ShardHostHandle) -> None:
+        """Await the child's exit; an unexpected one fails the deployment."""
         returncode = await handle.process.wait()
         if self._closing:
             return
         reason = f"shard host exited with code {returncode}"
-        await self._on_child_death(handle, reason)
-
-    async def _on_child_death(
-        self, handle: ShardHostHandle, reason: str
-    ) -> None:
         try:
             await handle.proxy.shutdown()
         except Exception:
             pass
         if self._coordinator is not None:
             self._coordinator.on_shard_lost(handle.shard_id, reason)
-        if self.on_crash == "restart":
-            try:
-                replacement = await self._launch(handle.shard_id)
-            except Exception as exc:
-                self.failed = f"{reason}; restart failed: {exc}"
-                self.crashed.set()
-                return
-            self.handles[handle.shard_id] = replacement
-            if self._coordinator is not None:
-                self._coordinator.replace_shard(
-                    handle.shard_id, replacement.proxy
-                )
-                replacement.proxy._t0 = self.t0
-            self.crashed.set()
-            return
         self.failed = reason
         self.crashed.set()
 
@@ -345,7 +318,6 @@ async def start_proc_deployment(
     config: Optional[ServiceConfig] = None,
     partitioner: str = "hash",
     host: str = "127.0.0.1",
-    on_crash: str = "fail",
     spawn: Optional[Spawner] = None,
 ) -> Tuple[ShardSupervisor, ShardedLockManager]:
     """Spawn an N-process deployment and its coordinator, fully wired.
@@ -359,8 +331,7 @@ async def start_proc_deployment(
     ``await supervisor.stop()``.
     """
     supervisor = ShardSupervisor(
-        catalog, protocol, shards=shards, host=host,
-        on_crash=on_crash, spawn=spawn,
+        catalog, protocol, shards=shards, host=host, spawn=spawn,
     )
     await supervisor.start()
     try:

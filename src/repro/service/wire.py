@@ -67,8 +67,7 @@ from repro.trace.recorder import LockEvent, LockOutcome
 #: Bumped on incompatible schema changes; shipped in every ``hello``/
 #: ``ping`` response so clients can refuse to talk to the wrong era.
 #: v2: event frames, ``hello`` negotiation, and the shard-host operation
-#: family (``subscribe`` / ``prepare`` / ``unprepare`` / ``force_abort``
-#: / ``wait_graph``).
+#: family (``subscribe`` / ``prepare`` / ``unprepare`` / ``force_abort``).
 PROTOCOL_VERSION = "repro-service/2"
 
 #: Optional capabilities a ``hello`` may negotiate.  ``events`` is the
@@ -264,13 +263,6 @@ async def _execute(
         session = manager.session(request["session"])
         manager.force_abort(session, request.get("reason", "coordinator"))
         return {"aborted": True}
-    if op == "wait_graph":
-        _shard_surface(manager, op)
-        edges = {
-            waiter.name: sorted(b.name for b in manager.waits.blockers_of(waiter))
-            for waiter in manager.waits.waiters()
-        }
-        return {"edges": edges}
     if op == "stats":
         return await _maybe_await(manager.stats_document())
     if op == "history":

@@ -175,6 +175,63 @@ class TestEventDrivenDeadlockDetection:
         run(body())
 
 
+class TestShardLocalCycleExemption:
+    """The deadlock pass leaves a cycle to shard *i* exactly when every
+    member waits on shard *i*: each edge below is injected into a shard's
+    wait-for graph between legs opened by real operations."""
+
+    @staticmethod
+    async def two_sessions_on_both_shards():
+        # Range over {a, b, e, f}: {a, b} on shard 0, {e, f} on shard 1.
+        # Disjoint write sets, lower priority first: every write is
+        # granted and both sessions hold a leg on each shard.
+        hi = TransactionSpec("HI", (write("a", 1.0), write("e", 1.0)))
+        lo = TransactionSpec("LO", (write("b", 1.0), write("f", 1.0)))
+        mgr = ShardedLockManager(
+            assign_by_order([hi, lo]), "pcp-da",
+            shards=2, partitioner="range",
+        )
+        s_lo = await mgr.begin("LO")
+        await mgr.write(s_lo, "b", 1)
+        await mgr.write(s_lo, "f", 1)
+        s_hi = await mgr.begin("HI")
+        await mgr.write(s_hi, "a", 2)
+        await mgr.write(s_hi, "e", 2)
+        return mgr, s_hi, s_lo
+
+    def test_cycle_on_one_shard_is_left_to_that_shard(self):
+        async def body():
+            mgr, s_hi, s_lo = await self.two_sessions_on_both_shards()
+            waits = mgr.shards[0].waits
+            hi_leg, lo_leg = s_hi.legs[0].job, s_lo.legs[0].job
+            waits.block(hi_leg, [lo_leg])
+            waits.block(lo_leg, [hi_leg])
+            mgr._check_global_deadlock()
+            assert s_hi.state.live and s_lo.state.live
+            assert mgr.sharding_stats.cross_shard_deadlocks == 0
+            waits.unblock(hi_leg)
+            waits.unblock(lo_leg)
+            await mgr.shutdown()
+
+        run(body())
+
+    def test_cycle_split_across_shards_aborts_one_victim(self):
+        async def body():
+            mgr, s_hi, s_lo = await self.two_sessions_on_both_shards()
+            mgr.shards[0].waits.block(s_hi.legs[0].job, [s_lo.legs[0].job])
+            mgr.shards[1].waits.block(s_lo.legs[1].job, [s_hi.legs[1].job])
+            mgr._check_global_deadlock()
+            victim = min((s_hi, s_lo), key=lambda s: (s.priority, -s.id))
+            assert victim is s_lo
+            assert s_lo.state is SessionState.ABORTED
+            assert s_lo.abort_reason == "deadlock"
+            assert s_hi.state.live
+            assert mgr.sharding_stats.cross_shard_deadlocks == 1
+            await mgr.shutdown()
+
+        run(body())
+
+
 class TestPartialRedecide:
     """The grant queue re-decides only churn-affected waiters."""
 

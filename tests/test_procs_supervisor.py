@@ -3,7 +3,7 @@
 Socket-free (``make verify-procs`` tier): a fake spawner hands the
 supervisor process-like and proxy-like objects, so the lifecycle logic —
 start, graceful stop with SIGTERM-then-SIGKILL escalation, crash
-detection, fail-fast vs restart, the atexit backstop's pid bookkeeping —
+detection and fail-fast, the atexit backstop's pid bookkeeping —
 is all exercised deterministically.  The one test that needs real
 processes (nothing survives a SIGKILLed parent) lives in
 ``test_procs_orphans.py``.
@@ -92,13 +92,9 @@ class FakeCoordinator:
 
     def __init__(self):
         self.lost = []
-        self.replaced = []
 
     def on_shard_lost(self, shard_id, reason):
         self.lost.append((shard_id, reason))
-
-    def replace_shard(self, shard_id, shard):
-        self.replaced.append((shard_id, shard))
 
 
 def make_supervisor(**kwargs):
@@ -197,51 +193,6 @@ class TestCrashHandling:
             await supervisor.stop()
 
         run(body())
-
-    def test_restart_policy_relaunches_and_swaps_the_proxy(self):
-        async def body():
-            supervisor, spawned = make_supervisor(on_crash="restart")
-            coordinator = FakeCoordinator()
-            supervisor.attach(coordinator)
-            await supervisor.start()
-            dead = spawned[0]
-            dead[1].exit(1)
-            await asyncio.wait_for(supervisor.crashed.wait(), 5)
-            assert supervisor.failed is None
-            assert len(spawned) == 3  # 2 initial + 1 replacement
-            replacement = spawned[2]
-            assert replacement[0] == 0  # respawned at the dead index
-            assert supervisor.handles[0].process is replacement[1]
-            assert coordinator.lost[0][0] == 0
-            assert coordinator.replaced == [(0, replacement[2])]
-            assert replacement[2]._t0 == supervisor.t0
-            await supervisor.stop()
-
-        run(body())
-
-    def test_restart_failure_downgrades_to_failed(self):
-        calls = {"n": 0}
-
-        async def spawn(index):
-            calls["n"] += 1
-            if calls["n"] > 2:
-                raise OSError("fork bomb guard")
-            return FakeProcess(), FakeProxy(index), 9000 + index
-
-        async def body():
-            supervisor = ShardSupervisor(catalog_rw(), "pcp-da", shards=2,
-                                         on_crash="restart", spawn=spawn)
-            await supervisor.start()
-            supervisor.handles[0].process.exit(1)
-            await asyncio.wait_for(supervisor.crashed.wait(), 5)
-            assert "restart failed" in supervisor.failed
-            await supervisor.stop()
-
-        run(body())
-
-    def test_invalid_on_crash_rejected(self):
-        with pytest.raises(ValueError):
-            ShardSupervisor(catalog_rw(), on_crash="shrug")
 
 
 class TestDeployment:

@@ -217,26 +217,6 @@ class TestShardOps:
 
         run(body())
 
-    def test_wait_graph_reports_edges(self):
-        async def body():
-            manager = LockManager(catalog_rw(), "pcp-da")
-            w = await call(manager, "begin", transaction="W")
-            await call(manager, "write", session=w["session"], item="x",
-                       value=1)
-            await call(manager, "prepare", session=w["session"])
-            r = await call(manager, "begin", transaction="R")
-            reader = asyncio.ensure_future(
-                call(manager, "read", session=r["session"], item="x")
-            )
-            await settle()
-            edges = (await call(manager, "wait_graph"))["edges"]
-            assert edges == {"R#0": ["W#0"]}
-            await call(manager, "unprepare", session=w["session"])
-            await reader
-            await manager.shutdown()
-
-        run(body())
-
     def test_shard_ops_rejected_by_a_coordinator(self):
         async def body():
             manager = ShardedLockManager(catalog_rw(), "pcp-da", shards=2,
@@ -248,10 +228,6 @@ class TestShardOps:
                 assert not response["ok"]
                 assert response["error"]["kind"] == "bad-request"
                 assert "not a shard host" in response["error"]["message"]
-            response = await wire.dispatch_request(
-                manager, {"id": 1, "op": "wait_graph"}
-            )
-            assert not response["ok"]
             await manager.shutdown()
 
         run(body())

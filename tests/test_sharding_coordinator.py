@@ -34,6 +34,8 @@ from repro.service import (
 from repro.service.loadgen import history_from_events
 from repro.service.manager import SessionState
 from repro.service.park import ParkKind
+from repro.service.stats import ServiceStats
+from repro.verify.stress import StressSpec, make_catalog
 
 
 def catalog_two_shards() -> TaskSet:
@@ -383,11 +385,66 @@ class TestObservability:
             assert doc["commits"] == 1
             assert sum(e["commits"] for e in doc["shards"]) == 2
             assert doc["coordinator"]["cross_shard_commits"] == 1
-            from repro.service.stats import ServiceStats
-
             # Unsharded consumers must read the document unchanged.
             roundtrip = ServiceStats.from_dict(doc)
             assert roundtrip.commits == 1
+            await mgr.shutdown()
+
+        run(body())
+
+    def test_stats_document_equals_the_live_shard_stats_merged(self):
+        """The merged document is assembled from per-shard ``stats``
+        documents; on a contended 4-shard run (the benchmark's hot
+        catalog) it must equal the merge of the shards' live objects."""
+        async def body():
+            catalog = make_catalog(StressSpec(
+                seed=1, txn_types=8, items=24, min_ops=2, max_ops=5,
+                write_probability=0.3, zipf_s=1.1,
+            ))
+            mgr = ShardedLockManager(
+                catalog, "pcp-da", shards=4, partitioner="hash",
+            )
+
+            async def connect():
+                return in_process_client(mgr)
+
+            report = await run_loadgen(
+                LoadgenConfig(clients=8, transactions_per_client=30, seed=1),
+                connect,
+            )
+            assert report.serializable
+            doc = mgr.stats_document()
+            live = [shard.stats for shard in mgr.shards]
+            merged = ServiceStats()
+            for stats in live:
+                merged.merge(stats)
+            assert merged.denials > 0  # contended: bands and waits non-trivial
+            assert set(doc) == set(merged.to_dict()) | {
+                "protocol", "uptime_s", "live_sessions", "waiting_sessions",
+                "system_ceiling", "shard_count", "partitioner", "shards",
+                "coordinator",
+            }
+            for key in ("grants", "denials", "deadlocks", "lock_wait",
+                        "bands"):
+                assert doc[key] == merged.to_dict()[key], key
+            assert doc["system_ceiling"] == max(
+                shard.system_ceiling() for shard in mgr.shards
+            )
+            assert doc["waiting_sessions"] == len(mgr.parks) + sum(
+                len(shard.parks) for shard in mgr.shards
+            )
+            for index, (entry, stats) in enumerate(zip(doc["shards"], live)):
+                assert entry["shard"] == index
+                assert (
+                    entry["sessions"], entry["grants"], entry["denials"],
+                    entry["commits"], entry["forced_aborts"],
+                    entry["deadlocks"],
+                ) == (
+                    stats.sessions_started, stats.grants, stats.denials,
+                    stats.commits, stats.forced_aborts, stats.deadlocks,
+                )
+                assert entry["commit_latency"] == stats.commit_latency.to_dict()
+                assert entry["lock_wait"] == stats.lock_wait.to_dict()
             await mgr.shutdown()
 
         run(body())
