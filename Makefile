@@ -3,9 +3,10 @@
 #   smoke              `repro reproduce --extended` passes; stdout at --jobs 2 == --jobs 1
 #   kernel-smoke       array kernel and object path emit byte-identical traces
 #   bench-suite-smoke  every BENCHMARK.json workload runs once, tiny, all checks pass
-#   stress-smoke       decision parity + simulator oracle; serializability,
-#                      installs and abort bounds at 1 and 4 shards under
-#                      pcp-da and rw-pcp
+#   stress-smoke       decision parity + simulator oracle; the arrival schedule
+#                      through the load driver's open loop (sessions overlap
+#                      and wait), checked for serializability, conservation
+#                      and abort bounds at 1 and 4 shards, pcp-da and rw-pcp
 #   verify-service     in-process service battery, socket-free (docs/SERVICE.md)
 #   verify-sharding    sharded-deployment battery, socket-free (docs/SHARDING.md),
 #                      including the event-driven wake-ups and both
@@ -127,18 +128,22 @@ bench-pair:
 		$(if $(PAIRS),--pairs $(PAIRS),)
 
 # Line counts per package, total and code-only (tools/loc.py, stdlib
-# tokenize), then the two modules every open ROADMAP item edits.
+# tokenize), then the modules open ROADMAP items edit: the service
+# manager, coordinator and supervisor, and the load driver with the
+# stress harness built on it.
 # Usage: make loc [LOC_ROOT=path/to/other/checkout/src/repro]
 LOC_ROOT ?= src/repro
 loc:
 	$(PYTHON) tools/loc.py $(LOC_ROOT) $(LOC_ROOT)/service/manager.py \
 		$(LOC_ROOT)/service/sharding/coordinator.py \
-		$(LOC_ROOT)/service/sharding/procs/supervisor.py
+		$(LOC_ROOT)/service/sharding/procs/supervisor.py \
+		$(LOC_ROOT)/service/loadgen.py $(LOC_ROOT)/verify/stress.py
 
 # Heavy-traffic parity harness (docs/TESTING.md), all phases socket-free:
 # sequential decision parity across every execution path, the virtual-time
 # simulator oracle, then a >=100k-arrival overload trace with bursts and
-# chaos against live 1-shard and 4-shard deployments — serializability,
+# chaos, run as the load driver's open loop over the in-process client
+# against live 1-shard and 4-shard deployments — serializability,
 # conservation, and abort-attribution checked.
 # Usage: make stress [STRESS_TXNS=200000]
 stress:

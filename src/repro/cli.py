@@ -250,36 +250,12 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return _run_reproduce(args)
 
 
-async def _deploy(args: argparse.Namespace, taskset, config):
-    """The ``(supervisor, manager)`` pair ``serve`` and ``loadgen`` serve.
-
-    ``--shard-procs > 1`` spawns shard-host processes behind a
-    coordinator and returns their supervisor; otherwise the supervisor
-    is ``None`` and the manager runs in-process, sharded when
-    ``--shards > 1``.
-    """
-    from repro.service import LockManager, ShardedLockManager
-
-    if args.shard_procs > 1:
-        from repro.service.sharding.procs import start_proc_deployment
-
-        return await start_proc_deployment(
-            taskset, args.protocol, shards=args.shard_procs, config=config,
-            partitioner=args.partitioner,
-        )
-    if args.shards > 1:
-        return None, ShardedLockManager(
-            taskset, args.protocol, config,
-            shards=args.shards, partitioner=args.partitioner,
-        )
-    return None, LockManager(taskset, args.protocol, config)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Serve a generated catalog over TCP until interrupted."""
     import asyncio
 
     from repro.service import LockServer, ServiceConfig
+    from repro.service.sharding import deploy
 
     taskset = generate_taskset(_workload_from_args(args))
     config = ServiceConfig(
@@ -288,7 +264,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def run() -> int:
-        supervisor, manager = await _deploy(args, taskset, config)
+        supervisor, manager = await deploy(
+            taskset, args.protocol, config, shards=args.shards,
+            shard_procs=args.shard_procs, partitioner=args.partitioner,
+        )
         if supervisor is not None:
             sharding = (
                 f", {args.shard_procs} shard processes ({args.partitioner})"
@@ -363,16 +342,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         connect_tcp,
         run_loadgen,
     )
+    from repro.service.sharding import deploy
 
     config = LoadgenConfig(
         clients=args.clients,
         transactions_per_client=args.per_client,
         duration_s=args.duration,
         think_time_s=args.think_time,
-        arrival_rate_hz=args.arrival_rate,
-        burst_factor=args.burst_factor,
-        burst_period_s=args.burst_period,
-        burst_duty=args.burst_duty,
         deadline_s=args.deadline,
         seed=args.seed,
         abort_probability=args.abort_probability,
@@ -396,8 +372,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 target_utilization=args.utilization,
                 seed=args.workload_seed,
             ))
-            supervisor, manager = await _deploy(
-                args, taskset, ServiceConfig(max_sessions=args.max_sessions)
+            supervisor, manager = await deploy(
+                taskset, args.protocol,
+                ServiceConfig(max_sessions=args.max_sessions),
+                shards=args.shards, shard_procs=args.shard_procs,
+                partitioner=args.partitioner,
             )
             server = LockServer(manager, "127.0.0.1", 0)
             await server.start()
@@ -652,17 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--think-time", type=float, default=0.0, metavar="S",
                          help="mean closed-loop think time between "
                               "transactions")
-    loadgen.add_argument("--arrival-rate", type=float, default=None,
-                         metavar="HZ",
-                         help="switch to the open loop: per-client "
-                              "transaction start rate")
-    loadgen.add_argument("--burst-factor", type=float, default=1.0,
-                         help="open-loop burst multiplier (square-wave "
-                              "arrival bursts; 1.0 = steady)")
-    loadgen.add_argument("--burst-period", type=float, default=0.5,
-                         metavar="S", help="length of one burst cycle")
-    loadgen.add_argument("--burst-duty", type=float, default=0.25,
-                         help="fraction of each cycle at the bursty rate")
     loadgen.add_argument("--deadline", type=float, default=None, metavar="S",
                          help="per-session relative deadline")
     loadgen.add_argument("--abort-probability", type=float, default=0.0,

@@ -34,6 +34,11 @@ diagram of a cross-shard commit, and the documented limitations
 victim abort rather than prevented by a global ceiling).
 """
 
+from typing import Any, Optional, Tuple
+
+from repro.model.spec import TaskSet
+from repro.service.core import ServiceConfig
+from repro.service.manager import LockManager
 from repro.service.sharding.coordinator import GlobalSession, ShardedLockManager
 from repro.service.sharding.partitioner import (
     HashPartitioner,
@@ -42,11 +47,44 @@ from repro.service.sharding.partitioner import (
     make_partitioner,
 )
 
+
+async def deploy(
+    catalog: TaskSet,
+    protocol: str,
+    config: Optional[ServiceConfig] = None,
+    *,
+    shards: int = 1,
+    shard_procs: int = 0,
+    partitioner: str = "hash",
+) -> Tuple[Optional[Any], Any]:
+    """Build a deployment; returns ``(supervisor, manager)``.
+
+    ``shard_procs > 1`` spawns that many ``repro shard-host`` processes
+    behind a coordinator (``shards`` is then ignored) and returns their
+    supervisor; otherwise the supervisor is ``None`` and the manager runs
+    in-process, sharded when ``shards > 1``.  The caller owns teardown:
+    ``await manager.shutdown()``, then ``await supervisor.stop()``.
+    """
+    if shard_procs > 1:
+        from repro.service.sharding.procs import start_proc_deployment
+
+        return await start_proc_deployment(
+            catalog, protocol, shards=shard_procs, config=config,
+            partitioner=partitioner,
+        )
+    if shards > 1:
+        return None, ShardedLockManager(
+            catalog, protocol, config, shards=shards, partitioner=partitioner
+        )
+    return None, LockManager(catalog, protocol, config)
+
+
 __all__ = [
     "GlobalSession",
     "HashPartitioner",
     "Partitioner",
     "RangePartitioner",
     "ShardedLockManager",
+    "deploy",
     "make_partitioner",
 ]

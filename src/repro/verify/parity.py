@@ -136,26 +136,40 @@ async def _drive_sequential(
         await manager.commit(session)
 
 
-def service_decisions(spec: StressSpec, protocol: str) -> List[DecisionRecord]:
-    """Decision sequence of the sequential replay through a LockManager."""
-    from repro.service import LockManager
+def _replay_decisions(
+    spec: StressSpec, build: Callable[[TaskSet], Any]
+) -> List[DecisionRecord]:
+    """Decision sequence of the sequential replay through one deployment.
 
+    ``build(catalog)`` awaits to the deployment's ``(supervisor,
+    manager)`` pair (supervisor ``None`` in-process), as
+    :func:`repro.service.sharding.deploy` returns it.
+    """
     catalog = make_catalog(spec)
     order = [a.name for a in iter_arrivals(spec)]
     captured: List[DecisionRecord] = []
 
     async def run() -> None:
-        manager = LockManager(catalog, protocol)
-        manager.decision_listeners.append(
+        supervisor, manager = await build(catalog)
+        manager.add_decision_listener(
             lambda event: captured.append(_normalise(event))
         )
         try:
             await _drive_sequential(manager, catalog, order)
         finally:
             await manager.shutdown()
+            if supervisor is not None:
+                await supervisor.stop()
 
     asyncio.run(run())
     return captured
+
+
+def service_decisions(spec: StressSpec, protocol: str) -> List[DecisionRecord]:
+    """Decision sequence of the sequential replay through a LockManager."""
+    from repro.service.sharding import deploy
+
+    return _replay_decisions(spec, lambda catalog: deploy(catalog, protocol))
 
 
 def coordinator_decisions(
@@ -165,27 +179,16 @@ def coordinator_decisions(
     shards: int = 1,
     partitioner: str = "hash",
 ) -> List[DecisionRecord]:
-    """Decision sequence of the sequential replay through the coordinator."""
+    """Decision sequence of the sequential replay through the coordinator
+    (at ``shards=1`` too, unlike a deployment of one shard)."""
     from repro.service import ShardedLockManager
 
-    catalog = make_catalog(spec)
-    order = [a.name for a in iter_arrivals(spec)]
-    captured: List[DecisionRecord] = []
-
-    async def run() -> None:
-        manager = ShardedLockManager(
+    async def build(catalog: TaskSet) -> Any:
+        return None, ShardedLockManager(
             catalog, protocol, shards=shards, partitioner=partitioner
         )
-        manager.add_decision_listener(
-            lambda event: captured.append(_normalise(event))
-        )
-        try:
-            await _drive_sequential(manager, catalog, order)
-        finally:
-            await manager.shutdown()
 
-    asyncio.run(run())
-    return captured
+    return _replay_decisions(spec, build)
 
 
 def procs_coordinator_decisions(
@@ -210,25 +213,9 @@ def procs_coordinator_decisions(
     """
     from repro.service.sharding.procs import start_proc_deployment
 
-    catalog = make_catalog(spec)
-    order = [a.name for a in iter_arrivals(spec)]
-    captured: List[DecisionRecord] = []
-
-    async def run() -> None:
-        supervisor, manager = await start_proc_deployment(
-            catalog, protocol, shards=shard_procs, partitioner=partitioner
-        )
-        manager.add_decision_listener(
-            lambda event: captured.append(_normalise(event))
-        )
-        try:
-            await _drive_sequential(manager, catalog, order)
-        finally:
-            await manager.shutdown()
-            await supervisor.stop()
-
-    asyncio.run(run())
-    return captured
+    return _replay_decisions(spec, lambda catalog: start_proc_deployment(
+        catalog, protocol, shards=shard_procs, partitioner=partitioner
+    ))
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,26 @@ This module is one half of the parity-and-stress tentpole (the other is
 — a seeded catalog with Zipf-skewed item access plus an open-system
 arrival schedule with bursts and a configurable overload factor — and
 drives it through a live deployment (:class:`~repro.service.manager.LockManager`
-or the sharded coordinator at N shards) under true concurrency.  The run
-is then *proved* correct rather than eyeballed:
+or the sharded coordinator at N shards) under true concurrency: the
+schedule is the open loop of the one load driver,
+:func:`repro.service.loadgen.run_loadgen`, over the in-process client,
+whose every request crosses the event loop, so sessions overlap, wait on
+each other and are shed by admission control.  The run is then *proved*
+correct rather than eyeballed:
 
-* **serializability** — the service's observable history replays through
+* **serializability** — the driver's live oracle: the service's
+  observable history replays through
   :func:`repro.db.serializability.check_serializable_fast` (the sparse,
   near-linear variant of the Theorem 3 oracle, so 100k+-transaction
   traces verify in seconds);
 * **conservation** — every transaction the driver started is accounted
   for exactly once: ``begun = committed + client aborts + forced aborts
-  + deadline misses`` on both the driver's and the service's counters,
-  no session is left live, and the history holds one install row per
-  item a committed transaction wrote (a dropped write cannot hide behind
-  a serializable history of initial-version reads);
+  + deadline misses + transport errors`` on both the driver's and the
+  service's counters, no transport error (in-process there is no
+  transport to fail), no session is left live, and the history holds
+  one install row per item a committed transaction wrote (a dropped
+  write cannot hide behind a serializable history of initial-version
+  reads);
 * **deadlock bounds** — every forced abort must be attributable to a
   service-resolved wait cycle (the gate/guard cycles docs/SERVICE.md
   documents as the price of dropping the single-CPU assumption) or a
@@ -36,21 +43,16 @@ bounded by admission control, not by materialising the schedule.
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.db.serializability import check_serializable_fast
-from repro.exceptions import (
-    AdmissionError,
-    DeadlineExceeded,
-    SerializationViolation,
-    SpecificationError,
-    TransactionAborted,
-)
+from repro.exceptions import SpecificationError
 from repro.model.spec import TaskSet, TransactionSpec, read, write
+
+if TYPE_CHECKING:  # the service layer sits above this one; imported lazily
+    from repro.service.loadgen import LoadReport
 
 #: Protocols whose admissions are driven by priority ceilings — the family
 #: the simulator's kernel/object parity quantifies over (the service
@@ -304,42 +306,34 @@ def build_taskset(
 
 @dataclass
 class StressReport:
-    """Counters and verdicts of one concurrent stress run."""
+    """One concurrent stress run: the driver's report plus the deployment
+    shape and the conservation and bounds audits.
+
+    The driver's counters and serializability verdict live once, on
+    ``load`` (:class:`~repro.service.loadgen.LoadReport`), and read
+    through: ``report.begun`` is ``report.load.begun``.
+    """
 
     spec: StressSpec
-    protocol: str
-    shards: int
+    load: "LoadReport"
+    shards: int = 1
     #: Shard-host *processes* (0 = in-process deployment).  When set it
     #: equals ``shards`` — one shard per process.
     procs: int = 0
-    wall_s: float = 0.0
-    begun: int = 0
-    committed: int = 0
-    client_aborts: int = 0
-    forced_aborts: int = 0
-    deadline_misses: int = 0
-    admission_rejects: int = 0
-    #: Distinct items written by committed transactions: the install rows
-    #: the history must hold.
-    written_items: int = 0
-    serializable: bool = True
-    violation: str = ""
     conservation_ok: bool = True
     conservation_detail: str = ""
     bounds_ok: bool = True
     bounds_detail: str = ""
-    history_events: int = 0
-    stats_doc: Dict[str, Any] = field(default_factory=dict)
+
+    def __getattr__(self, name: str) -> Any:
+        if name == "load":  # not set yet (a copy or unpickle probing)
+            raise AttributeError(name)
+        return getattr(self.load, name)
 
     @property
     def ok(self) -> bool:
         """The run's overall verdict (all three checks passed)."""
         return self.serializable and self.conservation_ok and self.bounds_ok
-
-    @property
-    def throughput_tps(self) -> float:
-        """Committed transactions per wall-clock second."""
-        return self.committed / self.wall_s if self.wall_s > 0 else 0.0
 
     def render(self) -> str:
         """Multi-line text summary (the ``repro stress`` report body)."""
@@ -352,15 +346,14 @@ class StressReport:
             f"arrivals={self.spec.transactions} "
             f"overload={self.spec.overload:g} "
             f"burst={self.spec.burst_factor:g}x wall={self.wall_s:.2f}s",
-            f"  begun={self.begun} committed={self.committed} "
+            f"  begun={self.begun} committed={self.completed} "
             f"({self.throughput_tps:,.0f} txn/s) "
             f"client_aborts={self.client_aborts} "
             f"forced_aborts={self.forced_aborts} "
             f"deadline_misses={self.deadline_misses} "
-            f"admission_rejects={self.admission_rejects}",
-            f"  serializability: "
-            + ("OK" if self.serializable else f"VIOLATION — {self.violation}")
-            + f" ({self.history_events} history events)",
+            f"admission_rejects={self.admission_rejects} "
+            f"denials={self.stats_doc.get('denials', 0)}",
+            f"  {self.render_verdict()}",
             f"  conservation: "
             + ("OK" if self.conservation_ok
                else f"FAIL — {self.conservation_detail}"),
@@ -381,107 +374,41 @@ async def run_stress(
 ) -> StressReport:
     """Drive one stress workload through a live deployment and check it.
 
-    Builds the deployment in-process (socket-free), streams the arrival
-    schedule against the wall clock — falling behind is expected under
-    overload; the driver then fires arrivals as fast as the loop allows —
-    and, after every transaction resolved, replays the observable history
-    through the sparse serializability oracle and audits conservation and
-    abort attribution.  The returned report carries verdicts, not
-    assertions; callers gate on :attr:`StressReport.ok`.
+    Builds the deployment, runs the arrival schedule as
+    :func:`~repro.service.loadgen.run_loadgen`'s open loop over the
+    in-process client (socket-free; falling behind the wall clock is
+    expected under overload), then audits conservation and abort
+    attribution on top of the driver's serializability verdict.  The
+    returned report carries verdicts, not assertions; callers gate on
+    :attr:`StressReport.ok`.
 
     ``shard_procs=N`` (N > 1) replaces the in-process deployment with N
     ``repro shard-host`` child processes behind the same coordinator —
     real sockets, real process boundaries; ``shards`` is ignored.
     """
-    from repro.service import LockManager, ServiceConfig, ShardedLockManager
+    from repro.service import LoadgenConfig, in_process_client, run_loadgen
+    from repro.service.core import ServiceConfig
+    from repro.service.sharding import deploy
 
-    catalog = make_catalog(spec)
-    config = ServiceConfig(max_sessions=max_sessions)
-    supervisor = None
-    if shard_procs > 1:
-        from repro.service.sharding.procs import start_proc_deployment
-
-        shards = shard_procs
-        supervisor, manager = await start_proc_deployment(
-            catalog, protocol, shards=shard_procs,
-            config=config, partitioner=partitioner,
-        )
-    elif shards > 1:
-        manager = ShardedLockManager(
-            catalog, protocol, config, shards=shards, partitioner=partitioner
-        )
-    else:
-        manager = LockManager(catalog, protocol, config)
-    report = StressReport(
-        spec=spec, protocol=protocol, shards=shards, procs=shard_procs
+    supervisor, manager = await deploy(
+        make_catalog(spec), protocol, ServiceConfig(max_sessions=max_sessions),
+        shards=shards, shard_procs=shard_procs, partitioner=partitioner,
     )
-    programs = {name: catalog[name].operations for name in catalog.names}
-    writes = {
-        name: len({op.item for op in ops if op.kind.value == "write"})
-        for name, ops in programs.items()
-    }
 
-    async def one(arrival: Arrival) -> None:
-        try:
-            session = await manager.begin(arrival.name)
-        except AdmissionError:
-            report.admission_rejects += 1
-            return
-        report.begun += 1
-        try:
-            for op in programs[arrival.name]:
-                if op.kind.value == "read":
-                    await manager.read(session, op.item)
-                elif op.kind.value == "write":
-                    await manager.write(
-                        session, op.item, f"{session.name}@{op.item}"
-                    )
-            if arrival.chaos_abort:
-                await manager.abort(session, "loadgen-chaos")
-                report.client_aborts += 1
-            else:
-                await manager.commit(session)
-                report.committed += 1
-                report.written_items += writes[arrival.name]
-        except DeadlineExceeded:
-            report.deadline_misses += 1
-        except TransactionAborted:
-            report.forced_aborts += 1
+    async def connect() -> Any:
+        return in_process_client(manager)
 
-    loop = asyncio.get_running_loop()
-    started = loop.time()
-    inflight: set = set()
     try:
-        for arrival in iter_arrivals(spec):
-            delay = started + arrival.at_s - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            task = asyncio.ensure_future(one(arrival))
-            inflight.add(task)
-            task.add_done_callback(inflight.discard)
-        if inflight:
-            await asyncio.gather(*inflight)
-        report.wall_s = loop.time() - started
-
-        # --- the oracle: replay the observable history ------------------
-        from repro.service.loadgen import history_from_events
-
-        events = manager.history_events()
-        if asyncio.iscoroutine(events):  # remote shards: wire fetch
-            events = await events
-        report.history_events = len(events)
-        history = history_from_events(events)
-        try:
-            check_serializable_fast(history)
-        except SerializationViolation as exc:
-            report.serializable = False
-            report.violation = str(exc)
-
-        stats_doc = manager.stats_document()
-        if asyncio.iscoroutine(stats_doc):
-            stats_doc = await stats_doc
-        report.stats_doc = stats_doc
-        _audit_conservation(report, manager, events)
+        load = await run_loadgen(
+            LoadgenConfig(clients=1, seed=spec.seed), connect,
+            iter_arrivals(spec),
+        )
+        report = StressReport(
+            spec=spec, load=load,
+            shards=shard_procs if shard_procs > 1 else shards,
+            procs=shard_procs,
+        )
+        _audit_conservation(report, len(manager.live_sessions()))
         _audit_bounds(report)
     finally:
         await manager.shutdown()
@@ -490,16 +417,22 @@ async def run_stress(
     return report
 
 
-def _audit_conservation(
-    report: StressReport, manager: Any, events: List[Dict[str, Any]]
-) -> None:
+def _audit_conservation(report: StressReport, live: int) -> None:
     """Exact begun = committed + aborted accounting, driver vs service,
-    and one history install per item a committed transaction wrote."""
+    and one history install per item a committed transaction wrote.
+
+    ``live`` is the deployment's live-session count after the run.
+    """
     doc = report.stats_doc
     problems: List[str] = []
+    if report.transport_errors:
+        problems.append(
+            f"transport_errors={report.transport_errors} in an in-process "
+            "run"
+        )
     driver_total = (
-        report.committed + report.client_aborts + report.forced_aborts
-        + report.deadline_misses
+        report.completed + report.client_aborts + report.forced_aborts
+        + report.deadline_misses + report.transport_errors
     )
     if report.begun != driver_total:
         problems.append(
@@ -518,20 +451,18 @@ def _audit_conservation(
             f"driver begun={report.begun} != "
             f"service sessions_started={doc['sessions_started']}"
         )
-    if doc["commits"] != report.committed:
+    if doc["commits"] != report.completed:
         problems.append(
-            f"driver committed={report.committed} != "
+            f"driver committed={report.completed} != "
             f"service commits={doc['commits']}"
         )
-    installs = sum(1 for row in events if row["kind"] == "install")
-    if installs != report.written_items:
+    if report.installs != report.written_items:
         problems.append(
-            f"history installs={installs} != items written by committed "
-            f"transactions={report.written_items}"
+            f"history installs={report.installs} != items written by "
+            f"committed transactions={report.written_items}"
         )
-    live = manager.live_sessions()
     if live:
-        problems.append(f"{len(live)} session(s) still live after the run")
+        problems.append(f"{live} session(s) still live after the run")
     if problems:
         report.conservation_ok = False
         report.conservation_detail = "; ".join(problems)

@@ -48,4 +48,4 @@ class TestProcsStress:
         ))
         assert report.ok, report.render()
         assert report.procs == 4
-        assert report.committed > 0
+        assert report.completed > 0

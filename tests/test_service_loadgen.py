@@ -2,9 +2,9 @@
 
 The generator is exercised against an in-process client factory, so
 these tests cover worker scheduling, the mix draw, the abort/deadline
-chaos paths, and the client-side serializability verdict — the TCP soak
-variant lives in ``test_service_soak.py`` behind the ``service_soak``
-marker.
+chaos paths, the open loop over a stress arrival schedule, and the
+client-side serializability verdict — the TCP soak variant lives in
+``test_service_soak.py`` behind the ``service_soak`` marker.
 """
 
 import asyncio
@@ -22,6 +22,7 @@ from repro.service.loadgen import (
     run_loadgen,
 )
 from repro.service.stats import LatencyHistogram
+from repro.verify.stress import StressSpec, iter_arrivals, make_catalog
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
 
@@ -35,17 +36,25 @@ def make_manager(protocol="pcp-da", *, seed=11, max_sessions=64):
     )
 
 
-def run_against(manager, config):
+def run_against(manager, config, arrivals=None):
     async def body():
         async def connect():
             return in_process_client(manager)
 
         try:
-            return await run_loadgen(config, connect)
+            return await run_loadgen(config, connect, arrivals)
         finally:
             await manager.shutdown()
 
     return asyncio.run(body())
+
+
+def run_schedule(spec, config):
+    """The open loop: ``spec``'s arrival schedule against its catalog."""
+    manager = LockManager(
+        make_catalog(spec), "pcp-da", ServiceConfig(max_sessions=64)
+    )
+    return run_against(manager, config, iter_arrivals(spec))
 
 
 class TestConfigValidation:
@@ -56,10 +65,6 @@ class TestConfigValidation:
     def test_rejects_zero_budget(self):
         with pytest.raises(SpecificationError):
             LoadgenConfig(transactions_per_client=0)
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(SpecificationError):
-            LoadgenConfig(arrival_rate_hz=0.0)
 
     def test_rejects_bad_abort_probability(self):
         with pytest.raises(SpecificationError):
@@ -76,7 +81,9 @@ class TestClosedLoop:
         assert report.serializable, report.violation
         assert report.completed == 24
         assert report.latency.total == report.completed
-        assert len(report.serialization_order) == report.completed
+        assert len(manager.history.committed_jobs) == report.completed
+        assert report.begun == report.completed
+        assert report.installs == report.written_items > 0
         assert report.stats is not None
         assert report.stats.commits == report.completed
         assert report.throughput_tps > 0
@@ -101,7 +108,7 @@ class TestClosedLoop:
         )
         report = run_against(manager, config)
         assert report.serializable
-        assert set(report.serialization_order) <= {
+        assert set(manager.history.committed_jobs) <= {
             f"{only}#{i}" for i in range(6)
         }
 
@@ -116,14 +123,22 @@ class TestClosedLoop:
 
 class TestOpenLoop:
     def test_open_loop_serializable(self):
-        manager = make_manager(seed=47)
-        config = LoadgenConfig(
-            clients=3, transactions_per_client=4, seed=9,
-            arrival_rate_hz=500.0,
-        )
-        report = run_against(manager, config)
+        spec = StressSpec(seed=9, transactions=12, arrival_rate_hz=500.0)
+        report = run_schedule(spec, LoadgenConfig(clients=3, seed=9))
         assert report.serializable, report.violation
         assert report.completed == 12
+
+    def test_duration_stops_dispatch(self):
+        # a 2 s schedule cut at 0.2 s: most arrivals never start
+        spec = StressSpec(
+            seed=2, transactions=100, arrival_rate_hz=50.0, burst_factor=1.0,
+        )
+        report = run_schedule(
+            spec, LoadgenConfig(clients=2, duration_s=0.2)
+        )
+        assert report.serializable, report.violation
+        assert 0 < report.begun < 50
+        assert report.wall_s < 1.0
 
 
 class TestHistoryRoundTrip:
@@ -211,63 +226,19 @@ class TestChaosDeterministic:
         assert report.completed == 0
         assert report.client_aborts == 15
         assert report.serializable  # nothing committed, trivially so
-        assert report.serialization_order == ()
+        assert manager.history.committed_jobs == ()
         assert report.stats is not None
         assert report.stats.client_aborts == 15
         assert report.stats.commits == 0
 
 
 class TestBurstKnobs:
-    def test_rejects_sub_unit_burst_factor(self):
-        with pytest.raises(SpecificationError):
-            LoadgenConfig(burst_factor=0.9)
-
-    def test_rejects_nonpositive_burst_period(self):
-        with pytest.raises(SpecificationError):
-            LoadgenConfig(burst_period_s=0.0)
-
-    def test_rejects_zero_burst_duty(self):
-        with pytest.raises(SpecificationError):
-            LoadgenConfig(burst_duty=0.0)
-
-    def test_current_rate_square_wave(self):
-        from repro.service.loadgen import _Worker
-
-        config = LoadgenConfig(
-            arrival_rate_hz=100.0, burst_factor=4.0,
-            burst_period_s=1.0, burst_duty=0.25,
-        )
-        report = LoadReport(config=config, protocol="pcp-da", wall_s=0.0)
-        worker = _Worker(
-            0, None, config,
-            [{"name": "T1", "operations": []}], report, None,
-        )
-        assert worker._current_rate(0.1) == 400.0   # inside the burst
-        assert worker._current_rate(0.25) == 100.0  # at the edge: base
-        assert worker._current_rate(0.9) == 100.0
-        assert worker._current_rate(1.1) == 400.0   # next cycle's burst
-
-    def test_default_factor_keeps_constant_rate(self):
-        from repro.service.loadgen import _Worker
-
-        config = LoadgenConfig(arrival_rate_hz=100.0)
-        report = LoadReport(config=config, protocol="pcp-da", wall_s=0.0)
-        worker = _Worker(
-            0, None, config,
-            [{"name": "T1", "operations": []}], report, None,
-        )
-        assert all(
-            worker._current_rate(t) == 100.0 for t in (0.0, 0.1, 0.7, 3.2)
-        )
-
     def test_bursty_open_loop_run_stays_serializable(self):
-        manager = make_manager(seed=53)
-        config = LoadgenConfig(
-            clients=3, transactions_per_client=5, seed=4,
-            arrival_rate_hz=800.0, burst_factor=6.0,
-            burst_period_s=0.05, burst_duty=0.3,
+        spec = StressSpec(
+            seed=4, transactions=15, arrival_rate_hz=800.0,
+            burst_factor=6.0, burst_period_s=0.05, burst_duty=0.3,
         )
-        report = run_against(manager, config)
+        report = run_schedule(spec, LoadgenConfig(clients=3, seed=4))
         assert report.serializable, report.violation
         assert report.completed == 15
 

@@ -17,16 +17,17 @@ from repro.service import LockManager, ServiceConfig
 from repro.service.client import connect_tcp
 from repro.service.loadgen import LoadgenConfig, run_loadgen
 from repro.service.server import LockServer
+from repro.verify.stress import StressSpec, iter_arrivals, make_catalog
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
 pytestmark = pytest.mark.service_soak
 
 
-def serve_and_load(protocol, workload, loadcfg, *, service=None):
+def serve_and_load(protocol, catalog, loadcfg, *, service=None,
+                   arrivals=None):
     """Start a TCP server, run the loadgen against it, return the report."""
 
     async def body():
-        catalog = generate_taskset(workload)
         manager = LockManager(catalog, protocol, service or ServiceConfig())
         server = LockServer(manager, port=0)
         await server.start()
@@ -34,7 +35,7 @@ def serve_and_load(protocol, workload, loadcfg, *, service=None):
             async def connect():
                 return await connect_tcp("127.0.0.1", server.port)
 
-            return await run_loadgen(loadcfg, connect)
+            return await run_loadgen(loadcfg, connect, arrivals)
         finally:
             await server.close()
 
@@ -45,9 +46,9 @@ class TestAcceptanceSoak:
     def test_pcp_da_32_clients_serializable(self):
         report = serve_and_load(
             "pcp-da",
-            WorkloadConfig(
+            generate_taskset(WorkloadConfig(
                 n_transactions=6, n_items=8, write_probability=0.5, seed=11
-            ),
+            )),
             LoadgenConfig(clients=32, transactions_per_client=8, seed=5),
         )
         assert report.serializable, report.violation
@@ -61,15 +62,15 @@ class TestAcceptanceSoak:
         assert "blocking by priority band" in text
 
     def test_open_loop_overload_probe(self):
+        # 24 connections share a steady 1,200 arrivals/s schedule over a
+        # 4-item, write-heavy catalog
+        spec = StressSpec(
+            seed=3, transactions=24 * 10, items=4, max_ops=4,
+            write_probability=0.7, arrival_rate_hz=1200.0, burst_factor=1.0,
+        )
         report = serve_and_load(
-            "pcp-da",
-            WorkloadConfig(
-                n_transactions=8, n_items=4, write_probability=0.7, seed=3
-            ),
-            LoadgenConfig(
-                clients=24, transactions_per_client=10, seed=7,
-                arrival_rate_hz=50.0,
-            ),
+            "pcp-da", make_catalog(spec),
+            LoadgenConfig(clients=24, seed=7), arrivals=iter_arrivals(spec),
         )
         assert report.serializable, report.violation
         assert report.completed == 24 * 10
@@ -77,9 +78,9 @@ class TestAcceptanceSoak:
     def test_chaos_with_deadlines_stays_serializable(self):
         report = serve_and_load(
             "pcp-da",
-            WorkloadConfig(
+            generate_taskset(WorkloadConfig(
                 n_transactions=6, n_items=6, write_probability=0.6, seed=29
-            ),
+            )),
             LoadgenConfig(
                 clients=16, transactions_per_client=8, seed=13,
                 abort_probability=0.15, deadline_s=5.0,
@@ -92,9 +93,9 @@ class TestAcceptanceSoak:
     def test_other_served_protocols_serializable_over_tcp(self, protocol):
         report = serve_and_load(
             protocol,
-            WorkloadConfig(
+            generate_taskset(WorkloadConfig(
                 n_transactions=5, n_items=6, write_probability=0.5, seed=11
-            ),
+            )),
             LoadgenConfig(clients=12, transactions_per_client=6, seed=9),
         )
         assert report.serializable, report.violation

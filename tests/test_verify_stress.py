@@ -12,11 +12,14 @@ import asyncio
 import pytest
 
 from repro.exceptions import SpecificationError
+from repro.service.loadgen import LoadgenConfig, LoadReport
 from repro.service.manager import SERVED_PROTOCOLS
 from repro.verify.stress import (
     CEILING_FAMILY,
     DEADLOCK_FREE_CEILING,
+    StressReport,
     StressSpec,
+    _audit_conservation,
     build_taskset,
     iter_arrivals,
     make_catalog,
@@ -141,7 +144,7 @@ class TestConcurrentStress:
         report = asyncio.run(run_stress(self._spec(), "pcp-da"))
         assert report.ok, report.render()
         assert report.begun == (
-            report.committed + report.client_aborts
+            report.completed + report.client_aborts
             + report.forced_aborts + report.deadline_misses
         )
         assert report.history_events > 0
@@ -159,14 +162,64 @@ class TestConcurrentStress:
             self._spec(abort_probability=1.0), "pcp-da",
         ))
         assert report.ok, report.render()
-        assert report.committed == 0
+        assert report.completed == 0
         assert report.client_aborts == report.begun
+
+    def test_sessions_overlap_and_wait(self):
+        # The driver's every request crosses the event loop, so arrivals
+        # overlap and lock requests are denied; a harness that ran each
+        # transaction from begin to commit in one step would read 0.
+        for shards, cap in ((1, 512), (2, 64)):
+            report = asyncio.run(run_stress(
+                self._spec(), "pcp-da", shards=shards, max_sessions=cap,
+            ))
+            assert report.ok, report.render()
+            assert report.stats_doc["denials"] > 0, report.render()
 
     def test_rw_pcp_also_holds(self):
         report = asyncio.run(run_stress(self._spec(), "rw-pcp"))
         assert report.ok, report.render()
         # the conservation audit counted installs against real writes
         assert report.written_items > 0
+
+
+class TestConservationAudit:
+    """_audit_conservation on synthetic reports: each failure names
+    itself."""
+
+    def _report(self, **counters):
+        params = dict(
+            config=LoadgenConfig(clients=1), protocol="pcp-da", wall_s=1.0,
+            begun=3, completed=2, client_aborts=1, written_items=4,
+            installs=4,
+            stats_doc={"sessions_started": 3, "commits": 2,
+                       "client_aborts": 1, "forced_aborts": 0},
+        )
+        params.update(counters)
+        return StressReport(spec=StressSpec(), load=LoadReport(**params))
+
+    def test_balanced_run_passes(self):
+        report = self._report()
+        _audit_conservation(report, live=0)
+        assert report.conservation_ok, report.conservation_detail
+
+    def test_transport_error_fails_with_its_own_message(self):
+        # the begun session resolved as a transport error, not an abort
+        report = self._report(client_aborts=0, transport_errors=1)
+        _audit_conservation(report, live=0)
+        assert not report.conservation_ok
+        assert report.conservation_detail.startswith(
+            "transport_errors=1 in an in-process run"
+        )
+        # the driver's resolved sum counts the error: no begun mismatch
+        assert "driver: begun" not in report.conservation_detail
+
+    def test_missing_install_and_live_session_fail(self):
+        report = self._report(installs=3)
+        _audit_conservation(report, live=2)
+        assert not report.conservation_ok
+        assert "history installs=3" in report.conservation_detail
+        assert "2 session(s) still live" in report.conservation_detail
 
 
 @pytest.mark.stress
