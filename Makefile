@@ -55,7 +55,8 @@ verify-service:
 	$(if $(SOAK),$(PYTHON) -m pytest -q -m service_soak --override-ini \
 		'addopts=-q',)
 
-# The sharded-deployment battery (no sockets): partitioners, coordinator
+# The sharded-deployment battery (no sockets): partitioners, the sharded
+# core driven as plain calls with no event loop, coordinator
 # semantics (routing, gate, guard, cascades, cross-shard deadlock), the
 # notification-driven gate/guard wake-ups and the shard-local cycle
 # exemption, the 1-shard decision-equivalence differential, and the
@@ -63,6 +64,7 @@ verify-service:
 # SOAK=1.
 verify-sharding:
 	$(PYTHON) -m pytest -q tests/test_sharding_partitioner.py \
+		tests/test_sharding_core.py \
 		tests/test_sharding_coordinator.py tests/test_event_driven.py \
 		tests/test_sharding_equivalence.py tests/test_sharding_replay.py
 	$(if $(SOAK),$(PYTHON) -m pytest -q -m sharding_soak --override-ini \
@@ -135,6 +137,7 @@ bench-pair:
 LOC_ROOT ?= src/repro
 loc:
 	$(PYTHON) tools/loc.py $(LOC_ROOT) $(LOC_ROOT)/service/manager.py \
+		$(LOC_ROOT)/service/sharding/core.py \
 		$(LOC_ROOT)/service/sharding/coordinator.py \
 		$(LOC_ROOT)/service/sharding/procs/supervisor.py \
 		$(LOC_ROOT)/service/loadgen.py $(LOC_ROOT)/verify/stress.py

@@ -436,10 +436,6 @@ def _cmd_stress(args: argparse.Namespace) -> int:
         seed=args.seed,
         transactions=transactions,
         overload=args.overload,
-        arrival_rate_hz=args.arrival_rate,
-        burst_factor=args.burst_factor,
-        burst_period_s=args.burst_period,
-        burst_duty=args.burst_duty,
         abort_probability=args.abort_probability,
     )
     failed = False
@@ -449,7 +445,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             reports = parity_battery(
                 seeds=parity_seeds,
                 transactions=parity_transactions,
-                coordinator_shards=args.parity_shards,
+                coordinator_shards=2,
             )
         except ParityError as exc:
             print(f"decision parity: FAIL — {exc}")
@@ -459,7 +455,7 @@ def _cmd_stress(args: argparse.Namespace) -> int:
             print(
                 f"decision parity: OK — {len(reports)} workload×protocol "
                 f"cases, {decisions} decisions, 4 executions each "
-                f"(coordinator at {args.parity_shards} shard(s))"
+                "(coordinator at 2 shards)"
             )
 
     try:
@@ -670,15 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="arrivals in the overload schedule "
                              "(streamed; can be millions)")
     stress.add_argument("--overload", type=float, default=2.0,
-                        help="offered-load multiplier over --arrival-rate")
-    stress.add_argument("--arrival-rate", type=float, default=2000.0,
-                        metavar="HZ", help="base arrival rate")
-    stress.add_argument("--burst-factor", type=float, default=4.0,
-                        help="arrival-rate multiplier during bursts")
-    stress.add_argument("--burst-period", type=float, default=0.5,
-                        metavar="S", help="burst cycle length")
-    stress.add_argument("--burst-duty", type=float, default=0.25,
-                        help="fraction of each cycle at the burst rate")
+                        help="offered-load multiplier over the base "
+                             "arrival rate (2000/s, 4x bursts)")
     stress.add_argument("--abort-probability", type=float, default=0.02,
                         help="chaos knob: chance an arrival aborts "
                              "instead of committing")
@@ -694,8 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decision-parity workload seeds 0..N-1")
     stress.add_argument("--parity-transactions", type=int, default=25,
                         help="arrivals per parity workload")
-    stress.add_argument("--parity-shards", type=int, default=2,
-                        help="coordinator shard count in the parity phase")
     stress.add_argument("--sim-limit", type=int, default=500,
                         help="schedule prefix replayed in the simulator "
                              "oracle phase")

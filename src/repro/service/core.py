@@ -24,10 +24,10 @@ There is no event loop here (docs/SERVICE.md, "Concurrency model"):
   :class:`~repro.service.park.Park` — one per waiting session, whatever
   it waits for — and returns it; its blockers inherit the requester's
   priority through the shared wait-for graph, exactly as in the engine;
-* a park ends when the core stores its outcome on the record: the grant
-  rule when the grant queue grants it, ``None`` when a finishing
-  predecessor wakes a commit gate, the exception when the session is
-  aborted.  The caller then calls the same operation again with
+* a park ends through :func:`~repro.service.park.end_park`, which stores
+  its outcome on the record and wakes whoever awaits it: the grant rule
+  when the grant queue grants it, ``None`` when a finishing predecessor
+  wakes a commit gate, the exception when the session is aborted.  The caller then calls the same operation again with
   ``resume=park``: it raises that exception, or carries on after the
   wait without re-running the entry checks — so a grant that landed
   before the session's deadline stands;
@@ -113,7 +113,13 @@ from repro.model.spec import LockMode, TaskSet
 from repro.model.validation import validate_taskset
 from repro.protocols import make_protocol
 from repro.service.constraints import ConstraintGraph
-from repro.service.park import COMMIT_ITEM, Park, ParkKind, ServiceDeny
+from repro.service.park import (
+    COMMIT_ITEM,
+    Park,
+    ParkKind,
+    ServiceDeny,
+    end_park,
+)
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import (
     LockEvent,
@@ -165,6 +171,16 @@ def catalog_document(catalog: TaskSet) -> List[Dict[str, Any]]:
         }
         for spec in catalog
     ]
+
+
+def check_deadline(deadline_s: Optional[float]) -> None:
+    """Raise :class:`SpecificationError` unless a per-request relative
+    deadline is absent or positive (the rule of
+    :attr:`ServiceConfig.default_deadline_s`)."""
+    if deadline_s is not None and not deadline_s > 0:
+        raise SpecificationError(
+            f"deadline_s must be positive, not {deadline_s!r}"
+        )
 
 
 class SessionState(enum.Enum):
@@ -349,7 +365,9 @@ class LockCore:
         #: job is in here, reads may not pass its write locks.
         self._committing: Dict[Job, Session] = {}
         self._next_session_id = 0
+        #: transaction -> next instance number, and every one issued.
         self._instances: Dict[str, int] = {}
+        self._issued: Dict[str, Set[int]] = {}
         self._t0 = time.monotonic()
         self._closed = False
 
@@ -384,11 +402,22 @@ class LockCore:
 
         Raises:
             AdmissionError: the ``max_sessions`` backpressure cap is hit.
-            SpecificationError: unknown transaction name.
+            SpecificationError: unknown transaction name, a pin that is
+                not a non-negative integer, an instance number already
+                issued, or a ``deadline_s`` that is not positive.
             ServiceError: the manager is shut down.
         """
         self._ensure_open()
         spec = self.catalog[transaction]
+        check_deadline(deadline_s)
+        for name, pin in (("instance", instance), ("seq", seq)):
+            if pin is not None and (type(pin) is not int or pin < 0):
+                raise SpecificationError(
+                    f"{name} must be a non-negative integer, not {pin!r}"
+                )
+        issued = self._issued.setdefault(transaction, set())
+        if instance in issued:
+            raise SpecificationError(f"{transaction}#{instance} exists")
         limit = self.config.max_sessions
         if limit is not None and len(self._live) >= limit:
             self.stats.sessions_rejected += 1
@@ -398,11 +427,11 @@ class LockCore:
         now = self.now()
         if instance is None:
             instance = self._instances.get(transaction, 0)
-            self._instances[transaction] = instance + 1
-        else:
-            self._instances[transaction] = max(
-                self._instances.get(transaction, 0), instance + 1
-            )
+        # The counter stays past every pin, so a drawn number is new too.
+        self._instances[transaction] = max(
+            self._instances.get(transaction, 0), instance + 1
+        )
+        issued.add(instance)
         job = Job(spec, instance, now)
         if seq is not None:
             job.seq = seq
@@ -852,14 +881,6 @@ class LockCore:
         self._sample_sysceil()
         return park
 
-    def _end_park(self, park: Park, outcome: Any) -> None:
-        """Store how ``park`` ended on the record: the grant rule,
-        ``None`` for a woken commit gate, or the exception its operation
-        raises on re-entry.  The event-loop adapter extends this to wake the
-        coroutine awaiting the park."""
-        park.ended = True
-        park.outcome = outcome
-
     def _order_guard(self, job: Job, item: str) -> Optional[Deny]:
         """The service-level guard decision on a read, or ``None`` to pass
         through.
@@ -1063,7 +1084,7 @@ class LockCore:
             self._unpark(park.session)
             self._apply_grant(park.session, park.item, park.mode, rule,
                               self.now())
-            self._end_park(park, rule)
+            end_park(park, rule)
             granted = True
             # The grant is fresh churn: fold any newly affected parks into
             # the working set, and resume over the suffix.
@@ -1128,7 +1149,7 @@ class LockCore:
         for session in self._item_parks.get(COMMIT_ITEM, ()):
             park = self.parks[session]
             if not park.ended:
-                self._end_park(park, None)
+                end_park(park, None)
 
     # ------------------------------------------------------------------
     # Abort / deadlock machinery
@@ -1148,7 +1169,7 @@ class LockCore:
         if park is not None:
             # Also over a woken gate's ``None``: the commit re-entering
             # after the wake raises this abort.
-            self._end_park(
+            end_park(
                 park, exc or TransactionAborted(f"{session.name}: {reason}")
             )
         now = self.now()

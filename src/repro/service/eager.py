@@ -4,10 +4,10 @@ The overwhelmingly common service operation — an unblocked grant, a
 buffered write, an uncontended commit — finishes without ever
 suspending.  :func:`eager_start` runs a coroutine's first step on the
 caller's stack and hands only a coroutine that suspended to the event
-loop, so the common case never costs a loop tick or a task.  The shard
-coordinator forwards leg operations this way and the wire connection
-dispatches requests this way (``repro.service.connection``); both call
-this one helper.
+loop, so the common case never costs a loop tick or a task.  The wire
+connection dispatches requests this way
+(``repro.service.connection``), and only it: the shard coordinator
+calls its shards' synchronous cores directly.
 """
 
 from __future__ import annotations

@@ -5,11 +5,11 @@ decision, park, wake and abort — plus the one thing an event loop adds:
 waiting.  Each operation calls the core op; when a
 :class:`~repro.service.park.Park` comes back it awaits the park's end
 and calls the op again with ``resume=park``, until the op completes.
-The adapter owns the only future per park, resolved when the core ends
-the park, and turns the session's firm deadline or the cancellation of
-the awaiting task into :meth:`LockCore.expire` through
-:func:`wait_firm` — the one deadline/cancel helper, which the shard
-coordinator's forwarded operations and parks use too.
+:func:`wait_firm` puts a waker on the park, which the core's
+:func:`~repro.service.park.end_park` calls, and turns the session's firm
+deadline or the cancellation of the awaiting task into the core's
+``expire`` — the one way to wait on a park, which the shard
+coordinator's adapter uses too.
 
 The adapter subclasses the core rather than wrapping it: the shard
 coordinator, the shard host, the verify harness and the tests read the
@@ -26,10 +26,10 @@ importable from here as well.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, Optional
+import functools
+from typing import Any, Callable, Dict
 
 from repro.exceptions import DeadlineExceeded
-from repro.model.spec import TaskSet
 from repro.service.core import (  # noqa: F401 - the shared names re-exported
     SERVED_PROTOCOLS,
     LockCore,
@@ -41,82 +41,76 @@ from repro.service.park import Park, ParkKind
 
 
 async def wait_firm(
-    waiter: Awaitable[Any],
-    deadline: Optional[float],
-    clock: Callable[[], float],
-    expire: Callable[[], None],
-    cancel: Callable[[], None],
-) -> Any:
-    """Await ``waiter`` until the absolute ``deadline`` on ``clock``
-    (``None``: unbounded); returns its result.
+    core: Any, session: Any, park: Park, *, firm: bool = True
+) -> None:
+    """Await the end of ``park``, which ``session``'s operation on
+    ``core`` returned.
 
-    The one place a firm deadline or a cancellation turns into an abort.
-    When the time runs out, ``expire()`` aborts and raises — it returns
-    only when the outcome waited for landed in time after all, and then
-    so does this.  When the awaiting task is cancelled, ``cancel()``
-    aborts and the cancellation propagates.  Either way
-    ``asyncio.wait_for`` cancels ``waiter``.
+    The one way an adapter waits on a park, and the one place a firm
+    deadline or a cancellation turns into an abort: when ``session``'s
+    deadline passes first, the session is expired and
+    :class:`DeadlineExceeded` raised — unless the park ended in time
+    after all, whose outcome then stands; when the awaiting task is
+    cancelled, the session is expired and the cancellation propagates.
+    ``firm=False`` waits with no deadline and only propagates a
+    cancellation (the sharded install, past its commit point).
     """
-    timeout = None if deadline is None else max(0.0, deadline - clock())
+    if park.ended:
+        return  # ended while parking: a re-decide grant, or a victim
+    future = asyncio.get_running_loop().create_future()
+    park.waker = functools.partial(_resolve, future)
+    deadline = session.deadline if firm else None
+    timeout = None if deadline is None else max(0.0, deadline - core.now())
     try:
-        return await asyncio.wait_for(waiter, timeout)
+        await asyncio.wait_for(future, timeout)
     except asyncio.TimeoutError:
-        expire()
+        if not park.ended:
+            core.expire(session, "deadline")
+            raise DeadlineExceeded(
+                f"{session.name}: deadline passed {_where(park)}"
+            ) from None
     except asyncio.CancelledError:
-        cancel()
+        if firm:
+            core.expire(session, "cancelled")
         raise
+    finally:
+        park.waker = None
+
+
+def _resolve(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)
+
+
+def _where(park: Park) -> str:
+    """Where a session was waiting, for the deadline message."""
+    if park.kind is None:
+        return "waiting for a shard host"
+    if park.item is None or park.kind is ParkKind.COMMIT_GATE:
+        return f"at the {park.kind.value}"
+    return f"waiting for {park.mode.value}({park.item})"
 
 
 class LockManager(LockCore):
     """Serve lock requests from concurrent asyncio clients under one
     protocol (arguments as :class:`~repro.service.core.LockCore`)."""
 
-    def __init__(
-        self,
-        catalog: TaskSet,
-        protocol: str = "pcp-da",
-        config: Optional[ServiceConfig] = None,
-    ) -> None:
-        super().__init__(catalog, protocol, config)
-        #: park -> the future its awaiting coroutine sleeps on.
-        self._futures: Dict[Park, "asyncio.Future[None]"] = {}
-
-    async def begin(
-        self,
-        transaction: str,
-        *,
-        deadline_s: Optional[float] = None,
-        instance: Optional[int] = None,
-        seq: Optional[int] = None,
-    ) -> Session:
-        """Open a session (:meth:`LockCore.begin`; never waits)."""
-        return LockCore.begin(
-            self, transaction, deadline_s=deadline_s, instance=instance,
-            seq=seq,
-        )
+    async def begin(self, transaction: str, **pins: Any) -> Session:
+        """Open a session (:meth:`LockCore.begin`, same deadline and
+        pins; never waits)."""
+        return LockCore.begin(self, transaction, **pins)
 
     async def read(self, session: Session, item: str) -> Any:
         """Read ``item`` (:meth:`LockCore.read`), waiting out its parks."""
-        result = LockCore.read(self, session, item)
-        while isinstance(result, Park):
-            await self._wait(session, result)
-            result = LockCore.read(self, session, item, resume=result)
-        return result
+        return await self._run(LockCore.read, session, item)
 
     async def write(self, session: Session, item: str, value: Any) -> None:
         """Buffer a write (:meth:`LockCore.write`), waiting out its parks."""
-        result = LockCore.write(self, session, item, value)
-        while result is not None:
-            await self._wait(session, result)
-            result = LockCore.write(self, session, item, value, resume=result)
+        await self._run(LockCore.write, session, item, value)
 
     async def commit(self, session: Session) -> Dict[str, Any]:
         """Commit (:meth:`LockCore.commit`), waiting out the commit gate."""
-        result = LockCore.commit(self, session)
-        while isinstance(result, Park):
-            await self._wait(session, result)
-            result = LockCore.commit(self, session, resume=result)
-        return result
+        return await self._run(LockCore.commit, session)
 
     async def abort(self, session: Session, reason: str = "client") -> None:
         """Abort the session (:meth:`LockCore.abort`; never waits)."""
@@ -126,35 +120,13 @@ class LockManager(LockCore):
         """Abort every live session and refuse further requests."""
         LockCore.shutdown(self)
 
-    async def _wait(self, session: Session, park: Park) -> None:
-        """Await the end of ``park`` under ``session``'s firm deadline."""
-        if park.ended:
-            return  # ended while parking: a re-decide grant, or a victim
-        future = asyncio.get_running_loop().create_future()
-        self._futures[park] = future
-
-        def expire() -> None:
-            if park.ended:
-                return  # the grant landed before the deadline: it stands
-            self.expire(session, "deadline")
-            where = (
-                "at the commit gate" if park.kind is ParkKind.COMMIT_GATE
-                else f"waiting for {park.mode.value}({park.item})"
-            )
-            raise DeadlineExceeded(
-                f"{session.name}: deadline passed {where}"
-            ) from None
-
-        try:
-            await wait_firm(
-                future, session.deadline, self.now, expire,
-                lambda: self.expire(session, "cancelled"),
-            )
-        finally:
-            del self._futures[park]
-
-    def _end_park(self, park: Park, outcome: Any) -> None:
-        LockCore._end_park(self, park, outcome)
-        future = self._futures.get(park)
-        if future is not None and not future.done():
-            future.set_result(None)
+    async def _run(
+        self, op: Callable[..., Any], session: Session, *args: Any
+    ) -> Any:
+        """Call the core ``op``, then resume it from every park it
+        returns once the park has ended."""
+        result = op(self, session, *args)
+        while isinstance(result, Park):
+            await wait_firm(self, session, result)
+            result = op(self, session, *args, resume=result)
+        return result

@@ -13,19 +13,27 @@ how a cycle through it is treated):
   before it has finished.
 
 Whichever it is, the waiting request is one :class:`Park` in its
-manager's registry (``LockCore.parks`` keyed by session,
-``ShardedLockManager.parks`` keyed by global session): what it waits
+core's registry (``LockCore.parks`` keyed by session,
+``ShardedCore.parks`` keyed by global session): what it waits
 for, on whom, since when, and — once the wait is over — how it ended.
 The deadlock classifier, the grant queue and the ``waiting_sessions``
 gauge all read that one record; the kind is set where the denial is
 built (:class:`ServiceDeny`), never recovered from a reason string.
+
+A fifth record has no kind: the **remote park** a shard proxy returns
+for a request sent to a shard host, ended by the host's response.  It
+joins no wait-for graph and no registry; a lock wait behind it reaches
+the coordinator as the host's ``wait`` frame.
+
+Every park ends the same way, through :func:`end_park`, whoever ends
+it; an event-loop adapter that awaits a park puts a ``waker`` on it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.engine.interfaces import Deny
 from repro.model.spec import LockMode
@@ -78,9 +86,10 @@ class Park:
     """One parked request.
 
     Attributes:
-        session: the waiting session (a ``Session`` in a lock manager, a
-            ``GlobalSession`` in the shard coordinator).
-        kind: what it waits for.
+        session: the waiting session (a ``Session`` in a lock core, a
+            ``GlobalSession`` in the shard coordinator, the leg — or
+            ``None`` for a ``begin`` — in a remote park).
+        kind: what it waits for; ``None`` for a remote park.
         blockers: whom it waits on — jobs in a lock manager, global
             sessions in the coordinator.  For a lock-path park this is
             the blame set of the latest denial: the jobs whose lock
@@ -94,11 +103,14 @@ class Park:
             re-queues the park.
         ended: whether the wait is over.
         outcome: how it ended — the grant rule, ``None`` for a woken
-            commit gate, or the exception the waiting operation raises.
+            commit gate, the exception the waiting operation raises, or
+            for a remote park the response future.
+        waker: called once when the park ends, if set (the adapter
+            awaiting it).
     """
 
     session: Any
-    kind: ParkKind
+    kind: Optional[ParkKind]
     blockers: Tuple[Any, ...]
     parked_at: float
     item: Optional[str] = None
@@ -107,6 +119,7 @@ class Park:
     decided_priority: int = 0
     ended: bool = False
     outcome: Any = None
+    waker: Optional[Callable[[], None]] = None
 
     def describe(self) -> str:
         """``"T2#7: lock write(x) denied by 'LC1 ...'"`` for diagnostics."""
@@ -115,3 +128,12 @@ class Park:
             f"{self.session.name}: {self.kind.value}{request} "
             f"denied by {self.reason!r}"
         )
+
+
+def end_park(park: Park, outcome: Any) -> None:
+    """End ``park`` with ``outcome`` and wake whoever awaits it: the one
+    way a park ends, for the lock core, the sharded core and the proxy."""
+    park.ended = True
+    park.outcome = outcome
+    if park.waker is not None:
+        park.waker()

@@ -4,10 +4,11 @@ The paper's dynamic adjustment of serialization order is what makes
 PCP-DA *partitionable*: reader≺writer constraints are recorded at grant
 time on whichever shard owns the item, and only need to be reconciled
 when a writer tries to commit.  This package splits the item space across
-N independent :class:`~repro.service.manager.LockManager` instances (one
-asyncio "shard" each, DPCP-p-style local ceilings and inheritance) and
-adds a :class:`~repro.service.sharding.coordinator.ShardedLockManager`
-that
+N independent :class:`~repro.service.core.LockCore` shards (DPCP-p-style
+local ceilings and inheritance) and adds a synchronous
+:class:`~repro.service.sharding.core.ShardedCore` — with its asyncio
+adapter :class:`~repro.service.sharding.coordinator.ShardedLockManager`,
+as :class:`~repro.service.manager.LockManager` is ``LockCore``'s — that
 
 * routes ``read``/``write`` operations to the owning shard via a
   pluggable :class:`~repro.service.sharding.partitioner.Partitioner`
@@ -22,13 +23,14 @@ that
   finished, and the **order guard** additionally holds back reads of
   items that a live transitive predecessor (computed on the merged
   graph) will write;
-* installs a cross-shard commit atomically on the event loop (no
-  ``await`` between the final gate check and the last shard's install),
-  so the client-side serializability replay
+* installs a cross-shard commit in one synchronous call over in-process
+  shards, so the client-side serializability replay
   (:func:`repro.db.serializability.check_serializable`) passes unchanged
   on a multi-shard deployment.
 
-See ``docs/SHARDING.md`` for the design write-up, the request-lifecycle
+The core calls its in-process shards directly; no operation here runs
+an eager first step (only the wire connection does).  See
+``docs/SHARDING.md`` for the design write-up, the request-lifecycle
 diagram of a cross-shard commit, and the documented limitations
 (per-shard priority inheritance; cross-shard cycles are resolved by
 victim abort rather than prevented by a global ceiling).
@@ -39,7 +41,8 @@ from typing import Any, Optional, Tuple
 from repro.model.spec import TaskSet
 from repro.service.core import ServiceConfig
 from repro.service.manager import LockManager
-from repro.service.sharding.coordinator import GlobalSession, ShardedLockManager
+from repro.service.sharding.coordinator import ShardedLockManager
+from repro.service.sharding.core import GlobalSession, ShardedCore
 from repro.service.sharding.partitioner import (
     HashPartitioner,
     Partitioner,
@@ -84,6 +87,7 @@ __all__ = [
     "HashPartitioner",
     "Partitioner",
     "RangePartitioner",
+    "ShardedCore",
     "ShardedLockManager",
     "deploy",
     "make_partitioner",

@@ -1,12 +1,12 @@
 """The coordinator's stand-in for a shard living in another process.
 
 A :class:`RemoteShardProxy` implements exactly the surface
-:class:`~repro.service.sharding.coordinator.ShardedLockManager` consumes
+:class:`~repro.service.sharding.core.ShardedCore` consumes
 from a shard — ``begin``/``read``/``write``/``commit``, the commit-fence
 pair ``prepare_commit``/``unprepare_commit``, ``force_abort``, the
 constraint/wait introspection (``constraints``, ``waits``) and the
 churn/decision listener hookup — so the coordinator code runs unchanged
-whether a shard is an in-process :class:`LockManager` or a
+whether a shard is an in-process :class:`LockCore` or a
 ``repro shard-host`` on the far side of a socket.
 
 Two mechanisms make that possible:
@@ -31,7 +31,13 @@ Two mechanisms make that possible:
   at every response boundary.
 
 Writes travel two ways: operations whose result the coordinator needs
-(``begin``, ``read``, ``prepare``) are awaited calls; bookkeeping the
+(``begin``, ``read``, ``write``, ``commit``, ``prepare``) send their
+request and return a *remote park* at once, which the response ends
+with the result or the mapped error; called again with ``resume=`` that
+park, the op returns or raises the outcome — the ``LockCore`` contract,
+so the sharded core serves both kinds of shard alike.  A remote park
+joins no wait-for graph and no registry: a host-side lock wait reaches
+the coordinator as the host's ``wait`` frame.  Bookkeeping the
 coordinator treats as synchronous on an in-process shard
 (``unprepare``, ``force_abort``) is *posted* fire-and-forget — the
 mirror flips immediately, the frame confirming it is ignored, and
@@ -45,8 +51,10 @@ write.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import time
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.engine.job import Job
 from repro.exceptions import ServiceError
@@ -55,6 +63,7 @@ from repro.service import wire
 from repro.service.connection import Connection
 from repro.service.constraints import ConstraintGraph
 from repro.service.core import Session, SessionState, catalog_document
+from repro.service.park import Park, end_park
 from repro.trace.recorder import LockEvent
 
 
@@ -100,7 +109,7 @@ class _WaitMirror:
 
 
 class RemoteShardProxy:
-    """One shard-host connection, speaking the ``LockManager`` surface."""
+    """One shard-host connection, speaking the ``LockCore`` surface."""
 
     #: Flips the coordinator's introspection to the async fetch path.
     is_remote = True
@@ -119,12 +128,12 @@ class RemoteShardProxy:
         #: instance name -> mirror session of a live leg.
         self._legs: Dict[str, Session] = {}
         #: Mirror of the host's ``reader ≺ writer`` edges, over the mirror
-        #: jobs — the same public attribute a ``LockManager`` carries.
+        #: jobs — the same public attribute a ``LockCore`` carries.
         self.constraints = ConstraintGraph()
         #: waiter name -> blocker names (current wait-for edges).
         self._wait_edges: Dict[str, Tuple[str, ...]] = {}
 
-        # -- LockManager-surface attributes ------------------------------
+        # -- LockCore-surface attributes ------------------------------
         self.waits = _WaitMirror(self)
         self.churn_listeners: List[Callable[..., None]] = []
         self.decision_listeners: List[Callable[[LockEvent], None]] = []
@@ -213,6 +222,23 @@ class RemoteShardProxy:
             {"id": next(self._ids), "op": op, **params}
         ))
 
+    def _send(
+        self, op: str, leg: Optional[Session], params: Dict[str, Any]
+    ) -> Park:
+        """Send one request; returns the remote park its response ends
+        (the outcome is the response future)."""
+        park = Park(leg, None, (), time.monotonic() - self._t0)
+        self.connection.request(
+            {"id": next(self._ids), "op": op, **params}
+        ).add_done_callback(functools.partial(end_park, park))
+        return park
+
+    @staticmethod
+    def _outcome(park: Park) -> Dict[str, Any]:
+        """A remote park's result; its error, or a lost connection's,
+        re-raised."""
+        return wire.unwrap(park.outcome.result())
+
     def _post(self, op: str, **params: Any) -> None:
         """Fire-and-forget request: the response is discarded on arrival.
 
@@ -292,17 +318,18 @@ class RemoteShardProxy:
             self.constraints.drop(job)
 
     # ------------------------------------------------------------------
-    # The LockManager surface the coordinator consumes
+    # The LockCore surface the coordinator consumes
     # ------------------------------------------------------------------
-    async def begin(
+    def begin(
         self,
         transaction: str,
         *,
         deadline_s: Optional[float] = None,
         instance: Optional[int] = None,
         seq: Optional[int] = None,
-    ) -> Session:
-        """Open a leg on the host; returns its local mirror session.
+        resume: Optional[Park] = None,
+    ) -> Union[Session, Park]:
+        """Open a leg on the host; on ``resume``, its local mirror session.
 
         The mirror embeds a real engine :class:`Job` so every
         coordinator structure keyed or ordered by jobs (constraint
@@ -311,14 +338,14 @@ class RemoteShardProxy:
         ``seq`` (the coordinator's tie-break pin) reaches the host in
         the same message and the mirror job alike.
         """
-        params: Dict[str, Any] = {"transaction": transaction}
-        if deadline_s is not None:
-            params["deadline_s"] = deadline_s
-        if instance is not None:
-            params["instance"] = instance
-        if seq is not None:
-            params["seq"] = seq
-        result = await self._call("begin", **params)
+        if resume is None:
+            params: Dict[str, Any] = {"transaction": transaction}
+            for key, pin in (("deadline_s", deadline_s),
+                             ("instance", instance), ("seq", seq)):
+                if pin is not None:
+                    params[key] = pin
+            return self._send("begin", None, params)
+        result = self._outcome(resume)
         name = result["name"]
         if instance is None:
             instance = int(name.rpartition("#")[2])
@@ -330,37 +357,52 @@ class RemoteShardProxy:
         self._legs[name] = leg
         return leg
 
-    async def read(self, leg: Session, item: str) -> Any:
+    def read(
+        self, leg: Session, item: str, *, resume: Optional[Park] = None
+    ) -> Any:
         """Read ``item`` through the host's protocol; may park there."""
-        result = await self._call("read", session=leg.id, item=item)
-        return result["value"]
+        if resume is None:
+            return self._send("read", leg, {"session": leg.id, "item": item})
+        return self._outcome(resume)["value"]
 
-    async def write(self, leg: Session, item: str, value: Any) -> None:
+    def write(
+        self, leg: Session, item: str, value: Any, *,
+        resume: Optional[Park] = None,
+    ) -> Optional[Park]:
         """Acquire the write lock host-side and buffer the value."""
-        await self._call("write", session=leg.id, item=item, value=value)
+        if resume is None:
+            return self._send(
+                "write", leg,
+                {"session": leg.id, "item": item, "value": value},
+            )
+        self._outcome(resume)
+        return None
 
-    async def commit(self, leg: Session) -> Dict[str, Any]:
+    def commit(
+        self, leg: Session, *, resume: Optional[Park] = None
+    ) -> Union[Dict[str, Any], Park]:
         """Install the leg host-side; the finish frame precedes the ack."""
-        result = await self._call("commit", session=leg.id)
+        if resume is None:
+            return self._send("commit", leg, {"session": leg.id})
+        result = self._outcome(resume)
         if leg.state.live:  # frame raced a connection hiccup: flip anyway
             leg.state = SessionState.COMMITTED
             self._forget(leg.name)
         return result
 
-    async def abort(self, leg: Session, reason: str = "client") -> None:
-        """Client-initiated abort; the abort frame flips the mirror."""
-        await self._call("abort", session=leg.id, reason=reason)
+    def prepare_commit(
+        self, leg: Session, *, resume: Optional[Park] = None
+    ) -> Union[Tuple[str, ...], Park]:
+        """Fence the leg for install (the ack is the fence point).
 
-    async def prepare_commit(self, leg: Session) -> Tuple[str, ...]:
-        """Fence the leg for install (awaited: the ack is the fence point).
-
-        By the time the ack resolves, every constraint frame recorded
-        before the fence landed has been applied to the mirror — the
-        property the coordinator's post-prepare gate re-check is built
-        on.
+        By the time the ack ends the park, every constraint frame
+        recorded before the fence landed has been applied to the mirror
+        — the property the coordinator's post-prepare gate re-check is
+        built on.
         """
-        result = await self._call("prepare", session=leg.id)
-        return tuple(result.get("gate", ()))
+        if resume is None:
+            return self._send("prepare", leg, {"session": leg.id})
+        return tuple(self._outcome(resume).get("gate", ()))
 
     def unprepare_commit(self, leg: Session) -> None:
         """Drop the fence (gate back-off); posted fire-and-forget."""

@@ -54,6 +54,14 @@ async def settle(steps: int = 10) -> None:
         await asyncio.sleep(0)
 
 
+async def settled(op, *args, **kwargs):
+    """Await the remote park a proxy op returns, then resume the op."""
+    park = op(*args, **kwargs)
+    while not park.ended:
+        await asyncio.sleep(0)
+    return op(*args, resume=park, **kwargs)
+
+
 class Host:
     """One in-memory shard host: manager + served connection + proxy."""
 
@@ -143,19 +151,19 @@ class TestProxySurface:
         async def body():
             host = await Host(catalog_rw()).start()
             proxy = host.proxy
-            leg = await proxy.begin("W")
+            leg = await settled(proxy.begin, "W")
             assert leg.name == "W#0"
             assert leg.name in proxy._legs and leg.name in proxy._jobs
-            await proxy.write(leg, "x", 10)
-            await proxy.write(leg, "y", 11)
-            result = await proxy.commit(leg)
+            await settled(proxy.write, leg, "x", 10)
+            await settled(proxy.write, leg, "y", 11)
+            result = await settled(proxy.commit, leg)
             assert sorted(result["installed"]) == ["x", "y"]
             # finish frame preceded the commit ack: mirror already flipped
             assert leg.state is SessionState.COMMITTED
             assert leg.name not in proxy._legs
-            reader = await proxy.begin("R")
-            assert await proxy.read(reader, "x") == 10
-            await proxy.commit(reader)
+            reader = await settled(proxy.begin, "R")
+            assert await settled(proxy.read, reader, "x") == 10
+            await settled(proxy.commit, reader)
             await host.stop()
 
         run(body())
@@ -163,11 +171,11 @@ class TestProxySurface:
     def test_begin_seq_reaches_the_host(self):
         async def body():
             host = await Host(catalog_rw()).start()
-            leg = await host.proxy.begin("R", instance=3, seq=77)
+            leg = await settled(host.proxy.begin, "R", instance=3, seq=77)
             # one message pins both the mirror job and the host's
             assert leg.job.seq == 77
             assert host.manager.session(leg.id).job.seq == 77
-            await host.proxy.commit(leg)
+            await settled(host.proxy.commit, leg)
             await host.stop()
 
         run(body())
@@ -176,14 +184,14 @@ class TestProxySurface:
         async def body():
             host = await Host(catalog_rw()).start()
             with pytest.raises(ServiceError):
-                await host.proxy.begin("NOPE")  # bad-request kind
-            leg = await host.proxy.begin("R")
+                await settled(host.proxy.begin, "NOPE")  # bad-request kind
+            leg = await settled(host.proxy.begin, "R")
             host.manager.force_abort(
                 host.manager.session(leg.id), "host-side abort"
             )
             await settle()
             with pytest.raises(SessionStateError):
-                await host.proxy.read(leg, "x")
+                await settled(host.proxy.read, leg, "x")
             await host.stop()
 
         run(body())
@@ -191,10 +199,10 @@ class TestProxySurface:
     def test_calls_after_shutdown_fail_cleanly(self):
         async def body():
             host = await Host(catalog_rw()).start()
-            leg = await host.proxy.begin("R")
+            leg = await settled(host.proxy.begin, "R")
             await host.proxy.shutdown()
             with pytest.raises(ServiceError):
-                await host.proxy.read(leg, "x")
+                await settled(host.proxy.read, leg, "x")
             host.proxy._post("unprepare", session=leg.id)  # silent no-op
             await host.stop()
 
@@ -206,21 +214,21 @@ class TestMirrors:
         async def body():
             host = await Host(catalog_rw()).start()
             proxy = host.proxy
-            w = await proxy.begin("W")
-            await proxy.write(w, "x", 1)
-            r = await proxy.begin("R")
+            w = await settled(proxy.begin, "W")
+            await settled(proxy.write, w, "x", 1)
+            r = await settled(proxy.begin, "R")
             # LC3: the read passes W's write lock, recording R ≺ W.
-            await proxy.read(r, "x")
+            await settled(proxy.read, r, "x")
             assert proxy.constraints.direct_preds(w.job) == {r.job}
             assert not proxy.constraints.direct_preds(r.job)
             preds = proxy.constraints.preds(w.job)
             assert {job.name for job in preds} == {r.name}
-            await proxy.commit(r)
+            await settled(proxy.commit, r)
             await settle()
             # r is terminal: the constraint node is pruned
             assert proxy.constraints.preds(w.job) == set()
             assert not proxy.constraints
-            await proxy.commit(w)
+            await settled(proxy.commit, w)
             await host.stop()
 
         run(body())
@@ -229,12 +237,12 @@ class TestMirrors:
         async def body():
             host = await Host(catalog_rw()).start()
             proxy = host.proxy
-            w = await proxy.begin("W")
-            await proxy.write(w, "x", 1)
-            gate = await proxy.prepare_commit(w)
+            w = await settled(proxy.begin, "W")
+            await settled(proxy.write, w, "x", 1)
+            gate = await settled(proxy.prepare_commit, w)
             assert isinstance(gate, tuple)
-            r = await proxy.begin("R")
-            reading = asyncio.ensure_future(proxy.read(r, "x"))
+            r = await settled(proxy.begin, "R")
+            reading = asyncio.ensure_future(settled(proxy.read, r, "x"))
             await settle()
             # the fence parked the reader; the wait frame mirrored it
             assert proxy._wait_edges == {r.name: (w.name,)}
@@ -243,8 +251,8 @@ class TestMirrors:
             proxy.unprepare_commit(w)
             await reading
             assert proxy._wait_edges == {}
-            await proxy.commit(r)
-            await proxy.commit(w)
+            await settled(proxy.commit, r)
+            await settled(proxy.commit, w)
             await host.stop()
 
         run(body())
@@ -257,7 +265,7 @@ class TestMirrors:
             proxy.churn_listeners.append(
                 lambda kind, job, other: seen.append((kind, job.name))
             )
-            leg = await proxy.begin("R")
+            leg = await settled(proxy.begin, "R")
             host.manager.force_abort(
                 host.manager.session(leg.id), "deadlock victim"
             )
@@ -278,7 +286,7 @@ class TestMirrors:
             proxy.churn_listeners.append(
                 lambda kind, job, other: seen.append((kind, job.name))
             )
-            leg = await proxy.begin("R")
+            leg = await settled(proxy.begin, "R")
             proxy.force_abort(leg, "coordinator victim")
             assert leg.state is SessionState.ABORTED
             proxy.force_abort(leg, "twice")  # idempotent
@@ -296,8 +304,8 @@ class TestMirrors:
         async def body():
             host = await Host(catalog_rw()).start()
             proxy = host.proxy
-            a = await proxy.begin("R")
-            b = await proxy.begin("W")
+            a = await settled(proxy.begin, "R")
+            b = await settled(proxy.begin, "W")
             proxy.mark_lost("exited with code -9")
             for leg in (a, b):
                 assert leg.state is SessionState.ABORTED
@@ -312,9 +320,9 @@ class TestMirrors:
             host = await Host(catalog_rw()).start()
             events = []
             host.proxy.add_decision_listener(events.append)
-            leg = await host.proxy.begin("R")
-            await host.proxy.read(leg, "x")
-            await host.proxy.commit(leg)
+            leg = await settled(host.proxy.begin, "R")
+            await settled(host.proxy.read, leg, "x")
+            await settled(host.proxy.commit, leg)
             assert events, "no decision frames arrived"
             assert events[0].job == leg.name
             assert events[0].item == "x"
@@ -330,19 +338,19 @@ class TestMirrors:
                 return [chunk for chunk in host.server_end.written
                         if b'"event":"decision"' in chunk]
 
-            leg = await host.proxy.begin("R")
-            await host.proxy.read(leg, "x")
-            await host.proxy.commit(leg)
+            leg = await settled(host.proxy.begin, "R")
+            await settled(host.proxy.read, leg, "x")
+            await settled(host.proxy.commit, leg)
             assert decision_frames() == []
             assert host.server._subscribers == {
                 host.server_end.protocol: frozenset({"churn"})
             }
             # the widened subscription is posted ahead of the next call
             host.proxy.add_decision_listener(lambda event: None)
-            leg = await host.proxy.begin("R")
-            await host.proxy.read(leg, "x")
+            leg = await settled(host.proxy.begin, "R")
+            await settled(host.proxy.read, leg, "x")
             assert len(decision_frames()) == 1
-            await host.proxy.commit(leg)
+            await settled(host.proxy.commit, leg)
             await host.stop()
 
         run(body())

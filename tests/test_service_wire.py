@@ -21,7 +21,7 @@ from repro.exceptions import (
 )
 from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
-from repro.service import LockManager, ServiceConfig
+from repro.service import LockManager, ServiceConfig, ShardedLockManager
 from repro.service import wire
 from repro.service.client import connect_tcp, in_process_client
 from repro.service.server import LockServer
@@ -114,6 +114,62 @@ class TestDispatch:
             await manager.shutdown()
 
         run(body())
+
+    @staticmethod
+    def begin_response(manager, **fields):
+        async def body():
+            response = await wire.dispatch_request(
+                manager, {"id": 1, "op": "begin", "transaction": "T1",
+                          **fields},
+            )
+            await manager.shutdown()
+            return response
+
+        return run(body())
+
+    def test_begin_reusing_a_pinned_instance_is_bad_request(self):
+        async def body():
+            manager = LockManager(catalog_rw(), "pcp-da")
+            request = {"id": 1, "op": "begin", "transaction": "T1",
+                       "instance": 0}
+            first = await wire.dispatch_request(manager, request)
+            second = await wire.dispatch_request(manager, request)
+            drawn = await wire.dispatch_request(
+                manager, {"id": 2, "op": "begin", "transaction": "T1"}
+            )
+            await manager.shutdown()
+            return first, second, drawn
+
+        first, second, drawn = run(body())
+        assert first["ok"] and first["result"]["name"] == "T1#0"
+        assert second["error"]["kind"] == "bad-request"
+        assert drawn["result"]["name"] == "T1#1"
+
+    def test_begin_with_a_negative_instance_is_bad_request(self):
+        response = self.begin_response(
+            LockManager(catalog_rw(), "pcp-da"), instance=-5
+        )
+        assert response["error"]["kind"] == "bad-request"
+
+    def test_begin_with_a_non_integer_seq_is_bad_request(self):
+        for seq in ("x", True, 1.5):
+            response = self.begin_response(
+                LockManager(catalog_rw(), "pcp-da"), seq=seq
+            )
+            assert response["error"]["kind"] == "bad-request", seq
+
+    def test_begin_with_a_non_positive_deadline_is_bad_request(self):
+        for deadline in (-1, 0):
+            response = self.begin_response(
+                LockManager(catalog_rw(), "pcp-da"), deadline_s=deadline
+            )
+            assert response["error"]["kind"] == "bad-request", deadline
+
+    def test_sharded_begin_with_a_negative_deadline_is_bad_request(self):
+        manager = ShardedLockManager(catalog_rw(), "pcp-da", shards=2)
+        response = self.begin_response(manager, deadline_s=-1)
+        assert response["error"]["kind"] == "bad-request"
+        assert manager.stats.sessions_started == 0
 
     def test_unknown_op_is_bad_request(self):
         async def body():

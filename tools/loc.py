@@ -8,8 +8,8 @@ belongs to is not a bare string.  Standard library only.
 Usage: python tools/loc.py [PATH ...]    (default PATH: src/repro)
 
 A directory prints one row per package under it and its total; a file
-prints one row of its own (``make loc`` appends the two modules every
-open ROADMAP item edits).
+prints one row of its own (``make loc`` appends the modules open ROADMAP
+items edit), or a row of zeros when it does not exist.
 """
 
 import sys
@@ -61,6 +61,8 @@ def main(paths) -> None:
     for path in paths:
         if path.is_dir():
             rows.extend(package_rows(path))
+        elif not path.exists():
+            rows.append((str(path), 0, 0, 0))  # e.g. a parent checkout
         else:
             rows.append((str(path), 1, *count(path)))
     width = max(20, 2 + max(len(row[0]) for row in rows))
