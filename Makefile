@@ -130,13 +130,14 @@ bench-pair:
 		$(if $(PAIRS),--pairs $(PAIRS),)
 
 # Line counts per package, total and code-only (tools/loc.py, stdlib
-# tokenize), then the modules open ROADMAP items edit: the service
-# manager, coordinator and supervisor, and the load driver with the
-# stress harness built on it.
+# tokenize), then the modules open ROADMAP items edit: the lock core and
+# its manager, the coordinator and supervisor, and the load driver with
+# the stress harness built on it.
 # Usage: make loc [LOC_ROOT=path/to/other/checkout/src/repro]
 LOC_ROOT ?= src/repro
 loc:
-	$(PYTHON) tools/loc.py $(LOC_ROOT) $(LOC_ROOT)/service/manager.py \
+	$(PYTHON) tools/loc.py $(LOC_ROOT) $(LOC_ROOT)/service/core.py \
+		$(LOC_ROOT)/service/manager.py \
 		$(LOC_ROOT)/service/sharding/core.py \
 		$(LOC_ROOT)/service/sharding/coordinator.py \
 		$(LOC_ROOT)/service/sharding/procs/supervisor.py \

@@ -26,18 +26,20 @@ There is no event loop here (docs/SERVICE.md, "Concurrency model"):
   priority through the shared wait-for graph, exactly as in the engine;
 * a park ends through :func:`~repro.service.park.end_park`, which stores
   its outcome on the record and wakes whoever awaits it: the grant rule
-  when the grant queue grants it, ``None`` when a finishing predecessor
-  wakes a commit gate, the exception when the session is aborted.  The caller then calls the same operation again with
-  ``resume=park``: it raises that exception, or carries on after the
-  wait without re-running the entry checks — so a grant that landed
-  before the session's deadline stands;
+  when the grant queue grants it, ``None`` when the grant queue finds a
+  commit gate cleared, the exception when the session is aborted.  The
+  caller then calls the same operation again with ``resume=park``: it
+  raises that exception, or carries on after the wait without
+  re-running the entry checks — so a grant that landed before the
+  session's deadline stands;
 * every lock release re-services the grant queue in (running priority,
-  earliest deadline, FIFO) order, re-evaluating against the protocol's
-  locking conditions exactly the parks the release can affect (an
-  item→parks index plus each denial's blame set select them; every
-  other denial is invariant under the churn); "wake" and "grant" are one
-  atomic step here because there is no CPU to schedule, unlike the
-  simulator's wake-then-retry dance;
+  earliest deadline, FIFO) order, re-evaluating exactly the parks the
+  release can affect: one wake rule for every kind — a park is
+  re-examined only when a job its denial blames releases its locks, or
+  its own running priority moves (the wait-for graph's edges are the
+  index; every other denial is invariant under the churn); "wake" and
+  "grant" are one atomic step here because there is no CPU to
+  schedule, unlike the simulator's wake-then-retry dance;
 * commits install deferred writes from the session workspace into the
   shared database under a monotonic service clock, so the recorded
   history replays through :func:`repro.db.serializability.check_serializable`
@@ -69,7 +71,8 @@ duly reports.  The core therefore makes the adjusted order explicit:
   close a cycle);
 * **commit gate** — a session with live ``≺``-predecessors parks its
   commit until they finish, so its installs can never be observed by a
-  transaction serialized before it;
+  transaction serialized before it; the gate blames those predecessors,
+  so each one's terminal re-checks it in the grant queue;
 * **order guard** — a read of an item inside a live predecessor's write
   set is held back (this is the Table-1 footnote condition
   ``DataRead ∩ WriteSet = ∅`` carried forward in time: the footnote
@@ -109,7 +112,7 @@ from repro.exceptions import (
     SpecificationError,
     TransactionAborted,
 )
-from repro.model.spec import LockMode, TaskSet
+from repro.model.spec import LockMode, TaskSet, TransactionSpec
 from repro.model.validation import validate_taskset
 from repro.protocols import make_protocol
 from repro.service.constraints import ConstraintGraph
@@ -183,6 +186,26 @@ def check_deadline(deadline_s: Optional[float]) -> None:
         )
 
 
+def check_access(
+    name: str, spec: TransactionSpec, item: str, mode: LockMode
+) -> None:
+    """Raise :class:`SessionStateError` unless ``item`` is in ``spec``'s
+    declared access set (a read) or write set (a write).
+
+    Ceilings are static, so a session never steps outside them.  The
+    shard coordinator makes the same check before it routes a request,
+    so a refused one opens no leg.
+    """
+    allowed = spec.access_set if mode is LockMode.READ else spec.write_set
+    if item not in allowed:
+        raise SessionStateError(
+            f"{name}: {mode.value} of {item!r} is outside the "
+            f"declared {'access' if mode is LockMode.READ else 'write'} "
+            f"set of {spec.name} (ceilings are static — register the "
+            "item in the catalog)"
+        )
+
+
 class SessionState(enum.Enum):
     """Lifecycle of a service session (one transaction instance)."""
 
@@ -253,6 +276,10 @@ class Session:
 
 
 _NO_DEADLINE = float("inf")
+
+#: The grant-queue answer for a parked commit whose gate has no live
+#: predecessor left: the park ends with ``None`` and the commit installs.
+_GATE_CLEAR = Grant("commit gate clear")
 
 
 def _names(blockers: Tuple[Job, ...]) -> Tuple[str, ...]:
@@ -345,16 +372,11 @@ class LockCore:
         #: The registry: every waiting session's :class:`Park`, whatever
         #: it waits for (lock, order guard, commit fence, commit gate).
         self.parks: Dict[Session, Park] = {}
-        #: item -> sessions parked on it, oldest park first: the partial
-        #: re-decide index, and under :data:`COMMIT_ITEM` the gated
-        #: commits every terminal wakes.
-        self._item_parks: Dict[str, Dict[Session, None]] = {}
         #: Lock churn since the last grant-queue drain: items whose locks
         #: were released, the jobs waiting directly on a releasing job, and
         #: the jobs whose running priority moved.  Terminal transitions and
         #: dropped commit fences feed these; the drain re-decides only the
         #: waiters they can affect.
-        self._churn_items: Set[str] = set()
         self._churn_waiters: Set[Job] = set()
         self._churn_priorities: Set[Job] = set()
         #: Serialization-order constraints ``reader ≺ writer`` among live
@@ -529,24 +551,10 @@ class LockCore:
         """
         self._enter(session, None, None, resume)
         job = session.job
-        # Commit gate: transactions serialized before this one (they read
-        # past its write locks) must finish first, or they could observe
-        # this commit's installs and close a serialization cycle.
-        predecessors = tuple(sorted(
-            self.constraints.direct_preds(job), key=lambda j: j.seq
-        ))
-        if predecessors:
-            # Any predecessor's end wakes the park; the re-entry
-            # re-evaluates the remaining set.
+        gate = self._commit_gate(job)
+        if gate is not None:
             return self._park(
-                session, COMMIT_ITEM, LockMode.WRITE,
-                ServiceDeny(
-                    predecessors,
-                    "commit gate: transactions serialized before this one "
-                    "are still running",
-                    kind=ParkKind.COMMIT_GATE,
-                ),
-                self.now(),
+                session, COMMIT_ITEM, LockMode.WRITE, gate, self.now()
             )
         # Every served protocol holds its locks to commit, so installing
         # the workspace here is indistinguishable from installing in place.
@@ -607,7 +615,7 @@ class LockCore:
             return
         # Fence denials blame the fenced job; dropping the fence is churn
         # on that job, which re-selects exactly those waiters.
-        self._note_release_churn(session.job, ())
+        self._note_release_churn(session.job)
         self._service_grant_queue()
 
     def abort(self, session: Session, reason: str = "client") -> None:
@@ -753,7 +761,7 @@ class LockCore:
         for listener in self.churn_listeners:
             listener(kind, job, other)
 
-    def _note_release_churn(self, job: Job, items) -> None:
+    def _note_release_churn(self, job: Job) -> None:
         """Record released locks for the next grant-queue drain.
 
         Must run while ``job``'s wait edges still stand (before
@@ -761,7 +769,6 @@ class LockCore:
         parked requests whose latest denial blames it.
         """
         self._churn_waiters.update(self.waits.waiters_on(job))
-        self._churn_items.update(items)
 
     def _enter(
         self,
@@ -774,22 +781,18 @@ class LockCore:
 
         An operation re-entering after ``resume`` ended skips them and
         takes that park's outcome instead: its exception is raised, a
-        woken commit gate leaves the queue, a grant stands — even when
-        the deadline passed since it landed.
+        grant or a cleared commit gate stands — even when the deadline
+        passed since it landed.  Whoever ended the park has already
+        taken it out of the registry.
         """
         if resume is not None:
             if isinstance(resume.outcome, BaseException):
                 raise resume.outcome
             if not session.state.live:
-                # Aborted after its grant landed, before re-entering.
+                # Aborted after its park ended, before re-entering.
                 raise TransactionAborted(
                     f"{session.name}: {session.abort_reason}"
                 )
-            if self._unpark(session) is not None:
-                # Woken, not granted (a commit gate): whoever grants a
-                # lock unparks the session itself, a wake leaves that to
-                # the waiter.
-                self._recompute_priorities()
             return
         self._ensure_open()
         if session.state is SessionState.WAITING:
@@ -806,17 +809,8 @@ class LockCore:
             raise DeadlineExceeded(
                 f"{session.name}: deadline passed before the operation"
             )
-        if item is None or mode is None:
-            return
-        spec = session.job.spec
-        allowed = spec.access_set if mode is LockMode.READ else spec.write_set
-        if item not in allowed:
-            raise SessionStateError(
-                f"{session.name}: {mode.value} of {item!r} is outside the "
-                f"declared {'access' if mode is LockMode.READ else 'write'} "
-                f"set of {spec.name} (ceilings are static — register the "
-                "item in the catalog)"
-            )
+        if item is not None and mode is not None:
+            check_access(session.name, session.job.spec, item, mode)
 
     # ------------------------------------------------------------------
     # Lock acquisition and the grant queue
@@ -860,7 +854,6 @@ class LockCore:
             item, mode, deny.reason, job.running_priority,
         )
         self.parks[session] = park
-        self._item_parks.setdefault(item, {})[session] = None
         session.state = SessionState.WAITING
         job.begin_block(
             now, item, mode, _names(deny.blockers),
@@ -931,13 +924,37 @@ class LockCore:
             )
         return None
 
+    def _commit_gate(self, job: Job) -> Optional[Deny]:
+        """Deny a commit while a transaction serialized before it (one
+        that read past its write locks) is live: that reader could
+        observe this commit's installs and close a serialization cycle.
+
+        The denial blames every live direct ``≺``-predecessor, so each
+        one's terminal re-checks the gate in the grant queue.
+        """
+        predecessors = tuple(sorted(
+            self.constraints.direct_preds(job), key=lambda j: j.seq
+        ))
+        if predecessors:
+            return ServiceDeny(
+                predecessors,
+                "commit gate: transactions serialized before this one "
+                "are still running",
+                kind=ParkKind.COMMIT_GATE,
+            )
+        return None
+
     def _service_predecide(
         self, job: Job, item: str, mode: LockMode
-    ) -> Optional[Deny]:
-        """The service-level pre-decision (fence, then order guard), or
-        ``None`` to fall through to the kernel.  Both hold back reads
-        only; the fence is looked at only while a session is fenced."""
+    ) -> Union[Grant, Deny, None]:
+        """The service-level pre-decision, or ``None`` to fall through to
+        the kernel: a parked commit is answered by its gate alone (a
+        cleared gate is :data:`_GATE_CLEAR`); reads meet the commit fence
+        — looked at only while a session is fenced — then the order
+        guard."""
         if mode is not LockMode.READ:
+            if item == COMMIT_ITEM:
+                return self._commit_gate(job) or _GATE_CLEAR
             return None
         fence = self._commit_fence(job, item) if self._committing else None
         return fence or self._order_guard(job, item)
@@ -978,45 +995,38 @@ class LockCore:
     def _drain_candidates(self) -> Dict[Session, Park]:
         """Consume the churn sets and pick the parks they can affect.
 
-        A parked request is a re-decide candidate iff (a) a lock on *its
-        item* was released, (b) a job *it blames* released any lock (the
-        denial reports exactly the holders whose departure can flip it:
-        LC1's readers, the ceiling's T*, the footnote's violators, the
-        guard's writing predecessors), or (c) its own running priority
-        moved since it was last decided (LC2 compares the requester's
-        priority against the system ceiling).  Every other denial is
-        invariant under the drained churn, so skipping it changes only
-        the work done, never the decisions.  All three are index lookups
-        — the item index, the wait graph's reverse adjacency captured by
+        A park of any kind is a re-decide candidate iff (a) a job *it
+        blames* released its locks (the denial reports exactly the jobs
+        whose departure can flip it: LC1's readers, the ceiling's T*, the
+        footnote's violators, the guard's writing predecessors, the
+        fenced writer, the gate's live predecessors — the jobs that
+        inherit the requester's priority), or (b) its own running
+        priority moved since it was last decided (LC2 compares the
+        requester's priority against the system ceiling).  Every other
+        denial is invariant under the drained churn, so skipping it
+        changes only the work done, never the decisions.  Both are index
+        lookups — the wait graph's reverse adjacency captured by
         :meth:`_note_release_churn`, the inheritance pass's change list —
-        so the cost follows the candidates, not the queue.  A commit-gate
-        park is never one: no lock decision is pending behind it, and
-        :meth:`_wake_gates` is what ends it.
+        so the wait-for graph is the one index, and the cost follows the
+        candidates, not the queue.
         """
-        churn_items = self._churn_items
         churn_waiters = self._churn_waiters
         churn_priorities = self._churn_priorities
-        self._churn_items = set()
         self._churn_waiters = set()
         self._churn_priorities = set()
         parks = self.parks
         if not parks:
             return {}
         picked: Dict[Session, Park] = {}
-        for item in churn_items:
-            for session in self._item_parks.get(item, ()):
-                picked[session] = parks[session]
         by_job = self._by_job
-        gate = ParkKind.COMMIT_GATE
         for job in churn_waiters:
             park = parks.get(by_job[job])  # None: granted since
-            if park is not None and park.kind is not gate:
+            if park is not None:
                 picked[park.session] = park
         for job in churn_priorities:
             park = parks.get(by_job[job])
             if (
                 park is not None
-                and park.kind is not gate
                 and job.running_priority != park.decided_priority
             ):
                 picked[park.session] = park
@@ -1038,22 +1048,24 @@ class LockCore:
     def _drain_grant_queue(self) -> bool:
         """One grant-queue drain; returns whether it granted anything.
 
-        Churn accumulates in ``_churn_items`` / ``_churn_waiters`` /
-        ``_churn_priorities`` between drains; each pass re-evaluates only
-        the candidates :meth:`_drain_candidates` selects, sorted in
-        (running priority, earliest deadline, FIFO) order.  A pass is one
-        :meth:`Kernel.decide_batch` call: the commit fence and order guard
-        answer ahead of the table, and every denial's blame is refreshed
-        *before* the next park is decided (the new inheritance edges feed
-        the next decision's transitive-waiter exemption); the batch stops
-        at the first grant.  Each candidate is decided *at most once per
-        drain*: a denial removes it from the working set (its refreshed
-        blame re-selects it on the next relevant churn), and a grant
-        resumes the pass over the still-undecided suffix plus whatever
-        fresh churn the grant produced.  A grant never frees a lock, so
-        re-deciding the already-denied prefix after one could only flip
-        through a priority ripple — which the next drain's priority-delta
-        rule catches.  This is the service counterpart of the simulator's
+        Churn accumulates in ``_churn_waiters`` / ``_churn_priorities``
+        between drains; each pass re-evaluates only the candidates
+        :meth:`_drain_candidates` selects, sorted in (running priority,
+        earliest deadline, FIFO) order.  A pass is one
+        :meth:`Kernel.decide_batch` call: the commit gate, the commit
+        fence and the order guard answer ahead of the table, and every
+        denial's blame is refreshed *before* the next park is decided
+        (the new inheritance edges feed the next decision's
+        transitive-waiter exemption); the batch stops at the first grant.
+        A cleared gate counts as one: its park ends with ``None`` and the
+        commit re-enters to install.  Each candidate is decided *at most
+        once per drain*: a denial removes it from the working set (its
+        refreshed blame re-selects it on the next relevant churn), and a
+        grant resumes the pass over the still-undecided suffix plus
+        whatever fresh churn the grant produced.  A grant never frees a
+        lock, so re-deciding the already-denied prefix after one could
+        only flip through a priority ripple — which the next drain's
+        priority-delta rule catches.  This is the service counterpart of the simulator's
         wake-then-retry loop, collapsed into one atomic step because
         parked requests need no CPU to proceed — minus the full-queue
         re-sort (and per-grant re-decide storm) the simulator never needed
@@ -1080,11 +1092,14 @@ class LockCore:
             if not decisions or isinstance(decisions[-1], Deny):
                 break
             park = ordered[len(decisions) - 1]
-            rule = decisions[-1].rule
             self._unpark(park.session)
-            self._apply_grant(park.session, park.item, park.mode, rule,
-                              self.now())
-            end_park(park, rule)
+            if park.kind is ParkKind.COMMIT_GATE:
+                end_park(park, None)  # the commit re-enters and installs
+            else:
+                rule = decisions[-1].rule
+                self._apply_grant(park.session, park.item, park.mode, rule,
+                                  self.now())
+                end_park(park, rule)
             granted = True
             # The grant is fresh churn: fold any newly affected parks into
             # the working set, and resume over the suffix.
@@ -1114,25 +1129,18 @@ class LockCore:
         last.blockers = _names(decision.blockers)
         last.reason = decision.reason
 
-    def _unpark(
-        self, session: Session, *, aborting: bool = False
-    ) -> Optional[Park]:
-        """Take ``session`` out of the registry and close its wait: index
-        entry, block interval and ``lock_wait`` sample, state, wait edges.
+    def _unpark(self, session: Session) -> Optional[Park]:
+        """Take ``session`` out of the registry and close its wait: block
+        interval and ``lock_wait`` sample, state, wait edges, announced
+        as ``"unwait"``.
 
-        The one way out for every park and every ending (granted, woken,
-        deadline, cancelled, rejected, aborted).  Idempotent: returns
-        ``None`` when another path already cleaned up.  ``aborting``
-        marks the abort teardown, whose ``"abort"`` notification alone
-        tells mirrors that a gate-parked session left the graph.
+        The one way out for every park and every ending (granted, gate
+        cleared, deadline, cancelled, rejected, aborted).  Idempotent:
+        returns ``None`` when another path already cleaned up.
         """
         park = self.parks.pop(session, None)
         if park is None:
             return None
-        indexed = self._item_parks[park.item]
-        del indexed[session]
-        if not indexed:
-            del self._item_parks[park.item]
         job = session.job
         job.end_block(self.now())
         self.stats.record_wait(
@@ -1140,16 +1148,8 @@ class LockCore:
         )
         session.state = SessionState.ACTIVE
         self.waits.unblock(job)
-        if not (aborting and park.kind is ParkKind.COMMIT_GATE):
-            self._notify_churn("unwait", job)
+        self._notify_churn("unwait", job)
         return park
-
-    def _wake_gates(self) -> None:
-        """Re-check every gated commit after a session finished."""
-        for session in self._item_parks.get(COMMIT_ITEM, ()):
-            park = self.parks[session]
-            if not park.ended:
-                end_park(park, None)
 
     # ------------------------------------------------------------------
     # Abort / deadlock machinery
@@ -1165,10 +1165,8 @@ class LockCore:
         """Tear one session down: locks, workspace, graph, history."""
         if not session.state.live:
             return
-        park = self._unpark(session, aborting=True)
+        park = self._unpark(session)
         if park is not None:
-            # Also over a woken gate's ``None``: the commit re-entering
-            # after the wake raises this abort.
             end_park(
                 park, exc or TransactionAborted(f"{session.name}: {reason}")
             )
@@ -1183,10 +1181,10 @@ class LockCore:
 
     def _finish(self, session: Session, state: SessionState) -> None:
         """The terminal transition commit and abort share: release every
-        lock, leave every graph, wake the gates, tell the listeners."""
+        lock, leave every graph, tell the listeners."""
         job = session.job
-        released = self.table.release_all(job)
-        self._note_release_churn(job, (item for item, _ in released))
+        self.table.release_all(job)
+        self._note_release_churn(job)
         self.waits.forget(job)
         self.kernel.retire(job)
         session.state = state
@@ -1195,7 +1193,6 @@ class LockCore:
         self.constraints.drop(job)
         self._recompute_priorities()
         self._sample_sysceil()
-        self._wake_gates()
         self._notify_churn(
             "finish" if state is SessionState.COMMITTED else "abort", job
         )

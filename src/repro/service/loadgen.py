@@ -199,9 +199,7 @@ class LoadReport:
         )
         for entry in shards:
             hist = LatencyHistogram.from_dict(entry["commit_latency"])
-            wait_doc = entry.get("lock_wait")
-            waits = (LatencyHistogram.from_dict(wait_doc) if wait_doc
-                     else LatencyHistogram())
+            waits = LatencyHistogram.from_dict(entry["lock_wait"])
             lines.append(
                 f"  {entry['shard']:>5} {entry['items']:>6} "
                 f"{entry['sessions']:>9} {entry['grants']:>7} "

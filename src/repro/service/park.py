@@ -38,8 +38,8 @@ from typing import Any, Callable, Optional, Tuple
 from repro.engine.interfaces import Deny
 from repro.model.spec import LockMode
 
-#: The item a commit-gate park records in its block interval and is
-#: indexed under: a commit waits for no lock.
+#: The item a commit-gate park records in its block interval: a commit
+#: waits for no lock.
 COMMIT_ITEM = "<commit>"
 
 
@@ -91,9 +91,10 @@ class Park:
             ``None`` for a ``begin`` — in a remote park).
         kind: what it waits for; ``None`` for a remote park.
         blockers: whom it waits on — jobs in a lock manager, global
-            sessions in the coordinator.  For a lock-path park this is
-            the blame set of the latest denial: the jobs whose lock
-            churn can flip the decision.
+            sessions in the coordinator.  In a lock manager this is the
+            blame set of the latest denial, for every kind: the jobs
+            whose release can flip it, and the only ones whose release
+            re-examines it.
         parked_at: service-clock time the wait began.
         item, mode: the request, for parks made on the lock path
             (:data:`COMMIT_ITEM` and write mode for the commit gate).
@@ -102,7 +103,7 @@ class Park:
             decided; a later change can flip LC2/LC3, so any delta
             re-queues the park.
         ended: whether the wait is over.
-        outcome: how it ended — the grant rule, ``None`` for a woken
+        outcome: how it ended — the grant rule, ``None`` for a cleared
             commit gate, the exception the waiting operation raises, or
             for a remote park the response future.
         waker: called once when the park ends, if set (the adapter

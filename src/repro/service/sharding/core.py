@@ -12,11 +12,13 @@ result or a :class:`~repro.service.park.Park`, called again with
 ``resume=park`` once the park has ended.
 
 * **Routing.**  A :class:`~repro.service.sharding.partitioner.Partitioner`
-  maps every item id to its owning shard; ``read``/``write`` go to a
-  lazily-opened *leg* session there.  All legs of one global session
-  share the same pinned instance number, so every shard knows the
-  transaction by the same name (``"T2#7"``) and the merged history is
-  coherent.
+  maps every catalog item to its owning shard, once, at construction;
+  ``read``/``write`` go to a lazily-opened *leg* session there.  A
+  request outside the session's declared access (or write) set is
+  refused before it is routed, so it opens no leg.  All legs of one
+  global session share the same pinned instance number, so every shard
+  knows the transaction by the same name (``"T2#7"``) and the merged
+  history is coherent.
 * **Shard-span.**  Access sets are static (ceilings require it), so the
   span — the set of shards a session may touch — is known at ``begin``.
   Single-shard ("local") sessions take the fast path: their commit is
@@ -90,13 +92,14 @@ from repro.exceptions import (
     SpecificationError,
     TransactionAborted,
 )
-from repro.model.spec import TaskSet, TransactionSpec
+from repro.model.spec import LockMode, TaskSet, TransactionSpec
 from repro.service.constraints import ConstraintGraph
 from repro.service.core import (
     LockCore,
     ServiceConfig,
     Session,
     SessionState,
+    check_access,
     check_deadline,
     check_served,
 )
@@ -326,14 +329,6 @@ class ShardedCore:
         """Seconds since the deployment started (shared service clock)."""
         return time.monotonic() - self._t0
 
-    def _route(self, item: str) -> int:
-        """Owning shard of ``item`` (memoized over the partitioner)."""
-        shard = self._shard_of.get(item)
-        if shard is None:
-            shard = self.partitioner.shard_of(item)
-            self._shard_of[item] = shard
-        return shard
-
     @property
     def protocol(self):
         """The protocol instance of shard 0 (all shards run the same one)."""
@@ -415,7 +410,8 @@ class ShardedCore:
         must finish before this read may observe the item they will
         write.  The shard's own guard then covers the local remainder.
         """
-        shard_id = self._route(item)
+        check_access(session.name, session.spec, item, LockMode.READ)
+        shard_id = self._shard_of[item]
         yield from self._hold(
             session, ParkKind.ORDER_GUARD,
             lambda: self._remote_guard_blockers(session, shard_id, item),
@@ -427,7 +423,8 @@ class ShardedCore:
     def write(self, session: GlobalSession, item: str, value: Any) -> Steps:
         """Buffer a deferred write on the owning shard's leg; returns
         ``None``, or the :class:`Park` to ``resume`` from."""
-        shard_id = self._route(item)
+        check_access(session.name, session.spec, item, LockMode.WRITE)
+        shard_id = self._shard_of[item]
         leg = yield from self._leg(session, shard_id)
         yield from self._call(self.shards[shard_id].write, leg, item, value)
 

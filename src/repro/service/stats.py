@@ -446,11 +446,8 @@ class ShardingStats:
             "cascade_aborts", "cross_shard_deadlocks",
         ):
             setattr(stats, name, int(doc[name]))
-        # Park-time histograms arrived after the counters; tolerate
-        # documents from older servers that lack them.
         for name in ("gate_wait", "guard_wait"):
-            if name in doc:
-                setattr(stats, name, LatencyHistogram.from_dict(doc[name]))
+            setattr(stats, name, LatencyHistogram.from_dict(doc[name]))
         return stats
 
     def render(self) -> str:

@@ -238,7 +238,7 @@ class TestPartialRedecide:
     @staticmethod
     def catalog_disjoint() -> TaskSet:
         # Readers outrank writers so running priorities stay put and the
-        # only re-decide triggers are item churn and blamed-job churn.
+        # only re-decide trigger is churn on a blamed job.
         ra = TransactionSpec("RA", (read("a", 1.0),))
         rb = TransactionSpec("RB", (read("b", 1.0),))
         wa = TransactionSpec("WA", (write("a", 1.0),))
@@ -272,9 +272,9 @@ class TestPartialRedecide:
                 return inner(kernel, requests, pre_decide, on_deny)
 
             monkeypatch.setattr(Kernel, "decide_batch", recording)
-            # RA's commit churns item a and job RA: WA is a candidate on
-            # both counts; WB (parked on b, blaming RB) is untouched and
-            # must not be re-decided.
+            # RA's commit churns job RA, which WA's denial blames; WB
+            # (parked on b, blaming RB) is untouched and must not be
+            # re-decided.
             await mgr.commit(ra)
             await asyncio.wait_for(blocked_a, timeout=5.0)
             assert set(decided) == {"WA#0"}
@@ -287,23 +287,6 @@ class TestPartialRedecide:
             assert set(decided) == {"WB#0"}
             await mgr.commit(wa)
             await mgr.commit(wb)
-            await mgr.shutdown()
-
-        run(body())
-
-    def test_item_waiter_index_tracks_parks(self):
-        async def body():
-            mgr = LockManager(self.catalog_disjoint(), "pcp-da")
-            ra = await mgr.begin("RA")
-            await mgr.read(ra, "a")
-            wa = await mgr.begin("WA")
-            blocked = asyncio.ensure_future(mgr.write(wa, "a", 1))
-            await settle()
-            assert wa in mgr._item_parks["a"]
-            await mgr.commit(ra)
-            await asyncio.wait_for(blocked, timeout=5.0)
-            assert "a" not in mgr._item_parks  # unindexed on grant
-            await mgr.commit(wa)
             await mgr.shutdown()
 
         run(body())

@@ -51,7 +51,7 @@ def test_seed3_cycle_is_redecided_as_a_list_of_core_calls():
     assert core.commit(s1)["installed"] == ["x4", "x5"]
     assert core.stats.deadlocks == 0
     assert core.stats.forced_aborts == 0
-    assert not core.parks and not core._item_parks
+    assert not core.parks
     order = check_serializable(core.history).topological_order()
     assert order.index("S8#0") < order.index("S1#0")
 
@@ -106,7 +106,6 @@ def test_every_park_kind_ends_on_its_record(kind, ending):
     park = operation()
     assert isinstance(park, Park) and park.kind is kind and not park.ended
     assert core.parks == {parked: park}
-    assert parked in core._item_parks[park.item]
     assert (park.item == COMMIT_ITEM) == (kind is ParkKind.COMMIT_GATE)
     assert parked.state is SessionState.WAITING
 
@@ -114,8 +113,9 @@ def test_every_park_kind_ends_on_its_record(kind, ending):
         release()
         assert park.ended
         if kind is ParkKind.COMMIT_GATE:
-            # A wake, not a grant: the commit leaves the queue itself.
-            assert park.outcome is None and core.parks == {parked: park}
+            # A cleared gate, not a grant: the park is already off the
+            # registry, and the commit re-enters to install.
+            assert park.outcome is None and not core.parks
         else:
             assert park.outcome == parked.job.grant_rules[-1][3]
         assert not isinstance(operation(resume=park), Park)
@@ -132,7 +132,7 @@ def test_every_park_kind_ends_on_its_record(kind, ending):
     if ending != "released":
         assert parked.state is SessionState.ABORTED
 
-    assert not core.parks and not core._item_parks
+    assert not core.parks
     assert not core.waits.waiters()
     (interval,) = parked.job.block_intervals
     assert interval.end is not None
@@ -141,13 +141,45 @@ def test_every_park_kind_ends_on_its_record(kind, ending):
                if name == parked.name and what != "constraint"]
     if ending == "released":
         assert leaving[:2] == ["wait", "unwait"]
-    elif ending == "aborted" and kind is ParkKind.COMMIT_GATE:
-        assert leaving == ["wait", "abort"]
     else:
         assert leaving == ["wait", "unwait", "abort"]
 
     for session in (b, a):
         if session.state.live:
             assert not isinstance(core.commit(session), Park)
+    check_serializable(core.history)
+    core.waits.self_check()
+
+
+def test_a_commit_gate_wait_is_one_park():
+    # A writes x; two instances of B read past A's write lock, so both
+    # are serialized before A, and A's commit waits at the gate for both.
+    core = LockCore(catalog_ab(), "pcp-da")
+    a = core.begin("A")
+    b1 = core.begin("B")
+    b2 = core.begin("B")
+    unrelated = core.begin("B")
+    assert core.write(a, "x", 1) is None
+    core.read(b1, "x")
+    core.read(b2, "x")
+    park = core.commit(a)
+    assert isinstance(park, Park) and park.kind is ParkKind.COMMIT_GATE
+    assert park.blockers == (b1.job, b2.job)
+
+    # A terminal the gate does not blame does not touch it.
+    core.commit(unrelated)
+    assert not park.ended and core.parks == {a: park}
+    # A blamed predecessor's terminal re-checks the gate in place.
+    core.commit(b1)
+    assert not park.ended and core.parks == {a: park}
+    assert park.blockers == (b2.job,)
+    assert a.job.block_intervals[-1].blockers == (b2.name,)
+    # The last one clears it: the park ends off the registry.
+    core.commit(b2)
+    assert park.ended and park.outcome is None
+    assert core.parks == {}
+    assert core.commit(a, resume=park)["installed"] == ["x"]
+    assert len(a.job.block_intervals) == 1
+    assert core.stats.lock_wait.total == 1
     check_serializable(core.history)
     core.waits.self_check()

@@ -252,6 +252,7 @@ class TestZeroGrantShardWarning:
             "shard": shard, "items": 3, "sessions": commits,
             "grants": grants, "denials": 0, "commits": commits,
             "commit_latency": LatencyHistogram().to_dict(),
+            "lock_wait": LatencyHistogram().to_dict(),
         }
 
     def _report(self, completed, shards):

@@ -635,15 +635,29 @@ class TestLiveSessionScale:
         ).hexdigest()
         return digest, stats, live_peak, len(priorities)
 
-    # The digests were recorded at the commit before the wait-for graph
-    # became incremental (PR 11, d6fe0a7) with this same replay; they are
-    # independent of PYTHONHASHSEED.
+    # All six digests are independent of PYTHONHASHSEED.  The rw-pcp and
+    # pcp digests were recorded before the grant queue dropped its
+    # item→parks index, and neither protocol records a ≺-constraint, so
+    # they have never moved.  The pcp-da digests were re-pinned when a
+    # parked commit gate became re-checked only at a predecessor's
+    # terminal (rather than woken by every terminal and re-parked): that
+    # moves when gated commits resume, so it moves the later decisions
+    # and priority changes too.
     @pytest.mark.parametrize("spec, protocol, clients, per_client, digest", [
         (_WIDE, "pcp-da", 128, 6,
-         "43fc93855792039473a4962d5936b1924f68fc1deac706f3a774c3223925518b"),
+         "86417d6eae5a9fa3f962f5ccab24ec8307126d4b080ffdabebaf64aa8e760969"),
         (_HOT, "pcp-da", 32, 40,
-         "0ff023694d4a1cebdd6884631600338b8b916af322ff47fa426b63078d2ca875"),
-    ], ids=["wide-c128", "hot-c32"])
+         "6a8029290def93c297e1e92816d888d346c553f9d922037315913de79d3d639d"),
+        (_WIDE, "rw-pcp", 128, 6,
+         "157f5f1f0578f1fdefe23544096900910d11fb5102df22a62410a204862fb4ad"),
+        (_HOT, "rw-pcp", 32, 40,
+         "3e9f46961b7ee83f37d8c0a6d009baad55acfc4a9de714563bdeb47a630e8a76"),
+        (_WIDE, "pcp", 128, 6,
+         "ff2f5603aaeb35c194f55b7a4d2d7bd79381f964ebcd00088deca44092703ffe"),
+        (_HOT, "pcp", 32, 40,
+         "105e22c14a47d7c245ca1c1d083e7fa4bdc516d7e2ba5711e472f5ea0edaeaf2"),
+    ], ids=["wide-c128", "hot-c32", "rw-pcp-wide-c128", "rw-pcp-hot-c32",
+            "pcp-wide-c128", "pcp-hot-c32"])
     def test_decisions_and_priority_changes_are_pinned(
         self, spec, protocol, clients, per_client, digest
     ):
@@ -676,7 +690,7 @@ class TestLiveSessionScale:
             waiter = manager.parks[writer]
             assert waiter.blockers == (holder.job, other.job)
             # Re-decide with nothing released: same blame, no notification.
-            manager._churn_items.add("x")
+            manager._churn_waiters.add(writer.job)
             manager._service_grant_queue()
             assert waits == ["T2#0"]
             await manager.commit(holder)        # blame moves to (other,)

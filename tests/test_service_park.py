@@ -171,7 +171,7 @@ async def _replay(catalog, clients, per_client, seed=7):
     )
     check_serializable_fast(manager.history)
     assert not manager.live_sessions()
-    assert not manager.parks and not manager._item_parks
+    assert not manager.parks
     assert not manager.waits.waiters()
     manager.waits.self_check()
     manager.kernel.self_check()
@@ -255,7 +255,6 @@ class TestOnePathForEveryKind:
                 assert park.reason.startswith(kind.value + ":")
             assert parked.state is SessionState.WAITING
             assert manager.stats_document()["waiting_sessions"] == 1
-            assert parked in manager._item_parks[park.item]
             assert (park.item == COMMIT_ITEM) == (kind is ParkKind.COMMIT_GATE)
             assert manager.waits.blockers_of(parked.job) == park.blockers
 
@@ -277,21 +276,18 @@ class TestOnePathForEveryKind:
             if ending != "released":
                 assert parked.state is SessionState.ABORTED
 
-            assert not manager.parks and not manager._item_parks
+            assert not manager.parks
             assert not manager.waits.waiters()
             (interval,) = parked.job.block_intervals
             assert interval.end is not None
             assert manager.stats.lock_wait.total == 1
             assert manager.stats_document()["waiting_sessions"] == 0
-            # The churn a shard-host mirror is fed: a live session leaves
-            # the graph with "unwait"; a gate-parked victim's "abort"
-            # alone says so.
+            # The churn a shard-host mirror is fed: every park leaves the
+            # graph with "unwait", a victim's "abort" follows it.
             leaving = [what for what, name in churn
                        if name == parked.name and what != "constraint"]
             if ending == "released":
                 assert leaving[:2] == ["wait", "unwait"]
-            elif ending == "victim" and kind is ParkKind.COMMIT_GATE:
-                assert leaving == ["wait", "abort"]
             else:
                 assert leaving == ["wait", "unwait", "abort"]
 

@@ -25,6 +25,7 @@ from repro.service import LockManager, ServiceConfig, ShardedLockManager
 from repro.service import wire
 from repro.service.client import connect_tcp, in_process_client
 from repro.service.server import LockServer
+from repro.verify.stress import StressSpec, make_catalog
 
 
 def catalog_rw() -> TaskSet:
@@ -170,6 +171,67 @@ class TestDispatch:
         response = self.begin_response(manager, deadline_s=-1)
         assert response["error"]["kind"] == "bad-request"
         assert manager.stats.sessions_started == 0
+
+    def test_sharded_access_outside_the_declared_sets_opens_no_leg(self):
+        # Each out-of-bounds request is refused before it is routed, so
+        # it opens no leg outside the span and teaches the router no new
+        # item: the session stays single-shard and commits locally.
+        catalog = make_catalog(StressSpec(seed=1))
+        manager = ShardedLockManager(catalog, "pcp-da", shards=4)
+        spec = next(
+            spec for spec in catalog
+            if len(manager._spans[spec.name]) == 1
+            and spec.access_set - spec.write_set
+        )
+        span = manager._spans[spec.name]
+        outside = next(
+            item for item in sorted(catalog.items)
+            if manager._shard_of[item] not in span
+        )
+        read_only = sorted(spec.access_set - spec.write_set)[0]
+
+        async def body():
+            begin = await wire.dispatch_request(
+                manager, {"id": 1, "op": "begin", "transaction": spec.name}
+            )
+            sid = begin["result"]["session"]
+            refused = [
+                await wire.dispatch_request(
+                    manager, {"id": 2, "op": "read", "session": sid,
+                              "item": item},
+                )
+                for item in [f"nowhere{i}" for i in range(64)] + [outside]
+            ]
+            refused.append(await wire.dispatch_request(
+                manager, {"id": 3, "op": "write", "session": sid,
+                          "item": read_only, "value": 1},
+            ))
+            for op in spec.operations:
+                request = {"id": 4, "op": op.kind.value, "session": sid,
+                           "item": op.item, "value": 2}
+                assert (await wire.dispatch_request(manager, request))["ok"]
+            session = manager.session(sid)
+            legs = set(session.legs)
+            committed = await wire.dispatch_request(
+                manager, {"id": 5, "op": "commit", "session": sid}
+            )
+            await manager.shutdown()
+            return refused, legs, committed
+
+        refused, legs, committed = run(body())
+        assert [r["error"]["kind"] for r in refused] == (
+            ["session-state"] * len(refused)
+        )
+        assert "outside the declared access set" in (
+            refused[0]["error"]["message"]
+        )
+        assert "outside the declared write set" in (
+            refused[-1]["error"]["message"]
+        )
+        assert legs <= span
+        assert len(manager._shard_of) == len(catalog.items)
+        assert committed["result"]["shards"] == sorted(span)
+        assert manager.sharding_stats.cross_shard_commits == 0
 
     def test_unknown_op_is_bad_request(self):
         async def body():
