@@ -237,9 +237,33 @@ class Connection(asyncio.BufferedProtocol):
     def _flush(self) -> None:
         self._flush_due = False
         if self._out and self._transport is not None:
-            batch = wire.encode_batch(self._out)
+            batch = b"".join([self._line(document) for document in self._out])
             self._out.clear()
             self._transport.write(batch)
+
+    def _line(self, document: Dict[str, Any]) -> bytes:
+        """``document`` as one NDJSON line — or, when it is longer than
+        the peer accepts (``wire.STREAM_LIMIT``) and the peer would have
+        to drop the connection, the error that answers its request
+        instead: a server end sends a ``service`` error response, a
+        client end fails the awaiting future.  The connection and its
+        sessions survive.
+        """
+        line = wire.encode(document)
+        if len(line) <= wire.STREAM_LIMIT + 1:  # the newline is free
+            return line
+        message = (
+            f"{self.label}: a {len(line) - 1}-byte line exceeds the "
+            f"{wire.STREAM_LIMIT}-byte stream limit"
+        )
+        if self._handler is not None:
+            return wire.encode(
+                wire.error_response(document.get("id"), "service", message)
+            )
+        future = self._pending.pop(document.get("id"), None)
+        if future is not None and not future.done():
+            future.set_exception(ServiceError(message))
+        return b""
 
     def _drop(self) -> None:
         """Write what is queued and close; nothing is sent or read after.

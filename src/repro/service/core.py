@@ -1,20 +1,24 @@
 """The synchronous lock core: sessions, decisions, parks, grant queue, commit.
 
-One :class:`LockCore` owns exactly the objects a :class:`Simulator` owns —
-a :class:`~repro.engine.lock_table.LockTable`, a
-:class:`~repro.engine.inheritance.WaitForGraph`, a
-:class:`~repro.db.database.Database`, a committed
-:class:`~repro.db.history.History`, a
-:class:`~repro.trace.recorder.TraceRecorder` — and drives them from client
-requests instead of from a virtual-time calendar.  Admission decisions
-are made by the array kernel compiled from the *same* protocol objects
-the simulator uses (``Kernel.decide``), so the service's grant/deny
-behaviour is the simulator's by construction; the differential battery
-in ``tests/test_service_differential.py`` pins that claim.  The service
-serves the ceiling protocols in :data:`SERVED_PROTOCOLS` only — each
-compiles to a kernel table and stays deadlock-free without the
-simulator's single-CPU scheduler; every other protocol runs in the
-simulator alone.
+One :class:`LockCore` owns the lock-side objects a :class:`Simulator`
+owns — a :class:`~repro.engine.lock_table.LockTable`, a
+:class:`~repro.engine.inheritance.WaitForGraph`, a committed
+:class:`~repro.db.history.History` — plus a :class:`VersionStore` of
+current versions, and drives them from client requests instead of from
+a virtual-time calendar.  It holds live sessions only: a finished
+transaction leaves behind its history rows and its instance number,
+nothing else (docs/SERVICE.md, "What a finished transaction leaves
+behind"); decisions and priority changes reach whoever subscribes
+(``decision_listeners`` / ``priority_listeners``) and are not kept.
+
+Admission decisions are made by the array kernel compiled from the
+*same* protocol objects the simulator uses (``Kernel.decide``), so the
+service's grant/deny behaviour is the simulator's by construction; the
+differential battery in ``tests/test_service_differential.py`` pins
+that claim.  The service serves the ceiling protocols in
+:data:`SERVED_PROTOCOLS` only — each compiles to a kernel table and
+stays deadlock-free without the simulator's single-CPU scheduler; every
+other protocol runs in the simulator alone.
 
 There is no event loop here (docs/SERVICE.md, "Concurrency model"):
 
@@ -93,16 +97,17 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union,
+)
 
-from repro.db.database import Database
+from repro.db.database import Version
 from repro.db.history import History
 from repro.engine.inheritance import WaitForGraph
 from repro.engine.interfaces import Deny, Grant
 from repro.engine.job import Job
 from repro.engine.kernel import build_kernel
 from repro.engine.lock_table import LockTable
-from repro.engine.simulator import SimulationResult
 from repro.exceptions import (
     AdmissionError,
     DeadlineExceeded,
@@ -124,12 +129,7 @@ from repro.service.park import (
     end_park,
 )
 from repro.service.stats import ServiceStats
-from repro.trace.recorder import (
-    LockEvent,
-    LockOutcome,
-    SchedEventKind,
-    TraceRecorder,
-)
+from repro.trace.recorder import LockEvent, LockOutcome
 
 #: The protocols the live service serves: the ceiling protocols that
 #: compile to a kernel table and stay deadlock-free without the
@@ -184,6 +184,14 @@ def check_deadline(deadline_s: Optional[float]) -> None:
         raise SpecificationError(
             f"deadline_s must be positive, not {deadline_s!r}"
         )
+
+
+def unknown_session(session_id: Any, next_id: int) -> str:
+    """Why ``session_id`` names no live session: finished (an id below
+    ``next_id`` — ids are issued in order), or never issued."""
+    if type(session_id) is int and 0 <= session_id < next_id:
+        return f"session {session_id} already finished"
+    return f"unknown session {session_id}"
 
 
 def check_access(
@@ -275,6 +283,35 @@ class Session:
         return self.job.base_priority
 
 
+class VersionStore:
+    """The service's committed state: each item's current version only.
+
+    Deferred writes install at commit and a reader keeps the value it
+    first read in its own workspace, so no live transaction can reach a
+    superseded version; the simulator's
+    :class:`~repro.db.database.Database` keeps them all for its traces,
+    the service keeps none.
+    """
+
+    __slots__ = ("_current", "_seq")
+
+    def __init__(self, items: Iterable[str]) -> None:
+        self._current = {name: Version(None, None, 0.0, 0) for name in items}
+        self._seq = 0
+
+    def read_committed(self, item: str) -> Version:
+        """The latest installed version of ``item``."""
+        return self._current[item]
+
+    def install(
+        self, item: str, value: Any, writer: str, time: float
+    ) -> Version:
+        """Install a committed value under the next global sequence number."""
+        self._seq += 1
+        version = self._current[item] = Version(value, writer, time, self._seq)
+        return version
+
+
 _NO_DEADLINE = float("inf")
 
 #: The grant-queue answer for a parked commit whose gate has no live
@@ -332,15 +369,18 @@ class LockCore:
         self.protocol = make_protocol(protocol)
         self.table = LockTable()
         self.waits = WaitForGraph()
-        self.db = Database(sorted(catalog.items))
+        self.db = VersionStore(catalog.items)
         self.history = History()
-        self.trace = TraceRecorder()
-        #: Callbacks fired synchronously on every recorded lock decision
-        #: (grants and denials) with the :class:`LockEvent`.
-        #: The parity harness (:mod:`repro.verify.parity`) uses this to
-        #: capture a decision sequence in global order — including across
-        #: the shards of a coordinator, where per-shard traces interleave.
+        #: Callbacks fired synchronously on every lock decision (grants
+        #: and denials) with the :class:`LockEvent`; the event is built
+        #: only when one is registered.  The parity harness
+        #: (:mod:`repro.verify.parity`) uses this to capture a decision
+        #: sequence in global order — including across the shards of a
+        #: coordinator, where per-shard streams interleave.
         self.decision_listeners: List[Callable[[LockEvent], None]] = []
+        #: Callbacks fired with each live job whose running priority
+        #: moved (inheritance gained or lost), oldest session first.
+        self.priority_listeners: List[Callable[[Job], None]] = []
         #: Callbacks fired synchronously on lock churn, for embedders that
         #: maintain derived state (the shard coordinator).  Signature is
         #: ``listener(kind, job, other)`` with kinds:
@@ -364,6 +404,10 @@ class LockCore:
         self._decide = self.kernel.decide
         self._sysceil = self.kernel.system_ceiling
 
+        #: Live sessions by id, and by job.  A finished session leaves
+        #: both at the end of :meth:`_finish`: ``_sessions`` with
+        #: ``_live``, ``_by_job`` once the terminal churn listeners (which
+        #: may still look it up) have run.
         self._sessions: Dict[int, Session] = {}
         self._by_job: Dict[Job, Session] = {}
         #: Live sessions by job, oldest first (the job keys are what the
@@ -469,7 +513,6 @@ class LockCore:
         self._by_job[job] = session
         self._live[job] = session
         self.stats.sessions_started += 1
-        self.trace.sched(now, SchedEventKind.ARRIVAL, job.name)
         return session
 
     def add_decision_listener(
@@ -479,11 +522,21 @@ class LockCore:
         self.decision_listeners.append(listener)
 
     def session(self, session_id: int) -> Session:
-        """Look up a session by id (for the wire layer)."""
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise SessionStateError(f"unknown session {session_id}") from None
+        """Look up a live session by id (for the wire layer).
+
+        Raises :class:`SessionStateError` for any other id: ids are
+        issued in order, so one below the next id is a finished session.
+        """
+        session = self._sessions.get(session_id)
+        if session is None:
+            raise SessionStateError(unknown_session(
+                session_id, self._next_session_id
+            ))
+        return session
+
+    def is_live(self, session_id: int) -> bool:
+        """Whether ``session_id`` names a live session (never raises)."""
+        return session_id in self._sessions
 
     def read(
         self, session: Session, item: str, *, resume: Optional[Park] = None
@@ -565,9 +618,8 @@ class LockCore:
             version = self.db.install(item, writes[item], job.name, now)
             self.history.record_install(job.name, item, version.seq, now)
         self.history.record_commit(job.name, now)
-        self._finish(session, SessionState.COMMITTED)
         job.finish_time = now
-        self.trace.sched(now, SchedEventKind.COMMIT, job.name)
+        self._finish(session, SessionState.COMMITTED)
         latency = now - session.opened_at
         blocking = job.total_blocking_time()
         self.stats.record_commit(job.base_priority, latency)
@@ -713,24 +765,6 @@ class LockCore:
         """The registered transaction types (the ``catalog`` command)."""
         return catalog_document(self.catalog)
 
-    def snapshot_result(self) -> SimulationResult:
-        """Package the run so far as a :class:`SimulationResult`.
-
-        This is what lets the live path reuse the simulator's oracles
-        verbatim: ``check_serializable()`` replays the history, and the
-        trace metrics/exports consume the recorder exactly as they would a
-        simulated run.
-        """
-        return SimulationResult(
-            taskset=self.catalog,
-            protocol_name=self.protocol.name,
-            jobs=tuple(s.job for s in self._sessions.values()),
-            history=self.history,
-            trace=self.trace,
-            database=self.db,
-            end_time=self.now(),
-        )
-
     # ------------------------------------------------------------------
     # Operation plumbing
     # ------------------------------------------------------------------
@@ -748,11 +782,13 @@ class LockCore:
         rule: str,
         blockers: Tuple[str, ...] = (),
     ) -> None:
-        """Record one lock decision and fan it out to the listeners."""
-        event = LockEvent(time, job_name, item, mode, outcome, rule, blockers)
-        self.trace.lock_events.append(event)
-        for listener in self.decision_listeners:
-            listener(event)
+        """Fan one lock decision out to the listeners, if any."""
+        if self.decision_listeners:
+            event = LockEvent(
+                time, job_name, item, mode, outcome, rule, blockers
+            )
+            for listener in self.decision_listeners:
+                listener(event)
 
     def _notify_churn(
         self, kind: str, job: Job, other: Optional[Job] = None
@@ -871,7 +907,6 @@ class LockCore:
             self._abort_session(session, "invariant violation")
             self._service_grant_queue()
             raise
-        self._sample_sysceil()
         return park
 
     def _order_guard(self, job: Job, item: str) -> Optional[Deny]:
@@ -990,7 +1025,6 @@ class LockCore:
         job.grant_rules.append((now, item, mode, rule))
         self.stats.record_grant(job.base_priority)
         self._trace_lock(now, job.name, item, mode, LockOutcome.GRANTED, rule)
-        self._sample_sysceil()
 
     def _drain_candidates(self) -> Dict[Session, Park]:
         """Consume the churn sets and pick the parks they can affect.
@@ -1018,13 +1052,15 @@ class LockCore:
         if not parks:
             return {}
         picked: Dict[Session, Park] = {}
+        # A job churned since the last drain may have been granted (no
+        # park) or have finished (no session) meanwhile.
         by_job = self._by_job
         for job in churn_waiters:
-            park = parks.get(by_job[job])  # None: granted since
+            park = parks.get(by_job.get(job))
             if park is not None:
                 picked[park.session] = park
         for job in churn_priorities:
-            park = parks.get(by_job[job])
+            park = parks.get(by_job.get(job))
             if (
                 park is not None
                 and job.running_priority != park.decided_priority
@@ -1176,12 +1212,18 @@ class LockCore:
         session.abort_reason = reason
         self.history.record_abort(job.name, now)
         self.stats.record_abort(job.base_priority, forced=forced)
-        self.trace.sched(now, SchedEventKind.ABORT, job.name)
         self._finish(session, SessionState.ABORTED)
 
     def _finish(self, session: Session, state: SessionState) -> None:
         """The terminal transition commit and abort share: release every
-        lock, leave every graph, tell the listeners."""
+        lock, leave every graph and registry, tell the listeners.
+
+        Past this point nothing in the core names the session: a live
+        transaction reads installed versions, never a finished one's
+        workspace, and every structure that could name the job (lock
+        table, wait-for graph, kernel slot, constraint graph, parks)
+        has just forgotten it.  Its history rows stay.
+        """
         job = session.job
         self.table.release_all(job)
         self._note_release_churn(job)
@@ -1190,12 +1232,13 @@ class LockCore:
         session.state = state
         self._committing.pop(job, None)
         self._live.pop(job, None)
+        del self._sessions[session.id]
         self.constraints.drop(job)
         self._recompute_priorities()
-        self._sample_sysceil()
         self._notify_churn(
             "finish" if state is SessionState.COMMITTED else "abort", job
         )
+        del self._by_job[job]
 
     def _is_service_cycle(self, cycle: Tuple[Job, ...]) -> bool:
         """True when the cycle runs through a service-made park (guard,
@@ -1260,10 +1303,7 @@ class LockCore:
             # Session ids order like ``_live``: oldest session first.
             by_job = self._by_job
             changed.sort(key=lambda job: by_job[job].id)
-        now = self.now()
-        for job in changed:
-            self.trace.priority(now, job.name, job.running_priority)
+        for listener in self.priority_listeners:
+            for job in changed:
+                listener(job)
         self._churn_priorities.update(changed)
-
-    def _sample_sysceil(self) -> None:
-        self.trace.sysceil(self.now(), self._sysceil(None))

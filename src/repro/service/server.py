@@ -135,7 +135,7 @@ class LockServer:
         if (
             isinstance(session_id, int)  # JSON may carry anything here
             and session_id in owned
-            and not self.manager.session(session_id).state.live
+            and not self.manager.is_live(session_id)
         ):
             del owned[session_id]
         return response
@@ -155,9 +155,9 @@ class LockServer:
         parked by a request that arrived over *another* connection.
         """
         for session_id in owned:
-            session = self.manager.session(session_id)
-            if not session.state.live:
+            if not self.manager.is_live(session_id):
                 continue
+            session = self.manager.session(session_id)
             try:
                 await self.manager.abort(session, "disconnect")
             except ServiceError:

@@ -102,6 +102,7 @@ from repro.service.core import (
     check_access,
     check_deadline,
     check_served,
+    unknown_session,
 )
 from repro.service.park import Park, ParkKind, end_park
 from repro.service.sharding.partitioner import Partitioner, make_partitioner
@@ -294,8 +295,9 @@ class ShardedCore:
         self.stats = ServiceStats()
         self.sharding_stats = ShardingStats()
 
+        #: Live global sessions by id, oldest first; a session leaves at
+        #: its global terminal.
         self._sessions: Dict[int, GlobalSession] = {}
-        self._live: Dict[GlobalSession, None] = {}  # insertion-ordered set
         #: leg job -> owning global session (constraint/wait translation).
         self._job_sessions: Dict[Job, GlobalSession] = {}
         #: The registry of coordinator-level parks (global commit gate /
@@ -367,7 +369,7 @@ class ShardedCore:
         spec = self.catalog[transaction]
         check_deadline(deadline_s)
         limit = self.config.max_sessions
-        if limit is not None and len(self._live) >= limit:
+        if limit is not None and len(self._sessions) >= limit:
             self.stats.sessions_rejected += 1
             raise AdmissionError(
                 f"session limit reached ({limit} live sessions); retry later"
@@ -385,7 +387,6 @@ class ShardedCore:
             session.deadline = now + relative
         session.span = self._spans[transaction]
         self._sessions[session.id] = session
-        self._live[session] = None
         self.stats.sessions_started += 1
         if session.scope == "local":
             self.sharding_stats.local_sessions += 1
@@ -394,11 +395,18 @@ class ShardedCore:
         return session
 
     def session(self, session_id: int) -> GlobalSession:
-        """Look up a global session by id (for the wire layer)."""
-        try:
-            return self._sessions[session_id]
-        except KeyError:
-            raise SessionStateError(f"unknown session {session_id}") from None
+        """Look up a live global session by id (for the wire layer);
+        :meth:`LockCore.session`'s contract."""
+        session = self._sessions.get(session_id)
+        if session is None:
+            raise SessionStateError(unknown_session(
+                session_id, self._next_session_id
+            ))
+        return session
+
+    def is_live(self, session_id: int) -> bool:
+        """Whether ``session_id`` names a live global session."""
+        return session_id in self._sessions
 
     @_operation
     def read(self, session: GlobalSession, item: str) -> Steps:
@@ -532,7 +540,7 @@ class ShardedCore:
         if self._closed:
             return
         self._closed = True
-        for session in list(self._live):
+        for session in list(self._sessions.values()):
             self._abort_global(
                 session, "shutdown", forced=True,
                 exc=TransactionAborted("service shutting down"),
@@ -556,7 +564,7 @@ class ShardedCore:
         """
         self.shards[shard_id].mark_lost(reason)
         failure = TransactionAborted(f"shard {shard_id} lost: {reason}")
-        for session in list(self._live):
+        for session in list(self._sessions.values()):
             if shard_id not in session.legs and shard_id not in session.span:
                 continue
             self.sharding_stats.cascade_aborts += 1
@@ -570,7 +578,7 @@ class ShardedCore:
     # ------------------------------------------------------------------
     def live_sessions(self) -> Tuple[GlobalSession, ...]:
         """Currently live global sessions, oldest first."""
-        return tuple(self._live)
+        return tuple(self._sessions.values())
 
     def stats_document(self) -> Dict[str, Any]:
         """The ``stats`` payload: merged shard stats + coordinator view."""
@@ -610,7 +618,7 @@ class ShardedCore:
         doc["commit_latency"] = self.stats.commit_latency.to_dict()
         doc["protocol"] = self.protocol.name
         doc["uptime_s"] = self.now()
-        doc["live_sessions"] = len(self._live)
+        doc["live_sessions"] = len(self._sessions)
         doc["waiting_sessions"] = len(self.parks) + sum(
             d["waiting_sessions"] for d in shard_docs
         )
@@ -957,7 +965,7 @@ class ShardedCore:
     def _finish_global(self, session: GlobalSession, now: float) -> None:
         """Commit bookkeeping: outcome row, stats, wake-ups."""
         session.state = SessionState.COMMITTED
-        self._live.pop(session, None)
+        del self._sessions[session.id]
         for leg in session.legs.values():
             self._job_sessions.pop(leg.job, None)
         self._outcomes.append(("commit", session.name, now))
@@ -979,7 +987,7 @@ class ShardedCore:
             return
         session.state = SessionState.ABORTED
         session.abort_reason = reason
-        self._live.pop(session, None)
+        del self._sessions[session.id]
         failure = exc or TransactionAborted(f"{session.name}: {reason}")
         for shard_id, leg in session.legs.items():
             if leg.state.live:

@@ -76,8 +76,11 @@ PROTOCOL_VERSION = "repro-service/2"
 FEATURES = frozenset({"events", "shard-ops"})
 
 #: Longest NDJSON line a connection accepts, both directions; a peer that
-#: exceeds it is disconnected.  ``history`` responses carry one row per
-#: data event of the whole run; 64 MiB covers multi-minute soak runs.
+#: sends a longer one is disconnected, so a sending end answers a
+#: document that would exceed it with an error instead (see
+#: ``Connection._line``).  ``history`` responses carry one row per data
+#: event of the whole run, about 445 bytes per committed transaction:
+#: 64 MiB holds the history of about 150k transactions.
 STREAM_LIMIT = 64 * 1024 * 1024
 
 #: Error ``kind`` → exception class, for client-side re-raising.
@@ -97,16 +100,6 @@ ERROR_TYPES: Dict[str, Type[ServiceError]] = {
 def encode(document: Dict[str, Any]) -> bytes:
     """Serialize one wire document to an NDJSON line."""
     return (json.dumps(document, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def encode_batch(documents: Iterable[Dict[str, Any]]) -> bytes:
-    """Serialize many wire documents to one NDJSON byte block.
-
-    A connection's whole output queue — every response, event frame
-    and request queued while one received chunk or one event-loop tick
-    was handled — leaves in a single write.
-    """
-    return b"".join(encode(document) for document in documents)
 
 
 def decode(line: bytes) -> Dict[str, Any]:

@@ -287,13 +287,14 @@ class TestMirrors:
                 lambda kind, job, other: seen.append((kind, job.name))
             )
             leg = await settled(proxy.begin, "R")
+            hosted = host.manager.session(leg.id)
             proxy.force_abort(leg, "coordinator victim")
             assert leg.state is SessionState.ABORTED
             proxy.force_abort(leg, "twice")  # idempotent
             assert leg.abort_reason == "coordinator victim"
             await settle()
             # host applied it...
-            assert not host.manager.session(leg.id).state.live
+            assert not hosted.state.live
             # ...and its confirming abort frame was dropped (no mirror)
             assert ("abort", leg.name) not in seen
             await host.stop()

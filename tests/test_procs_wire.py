@@ -207,10 +207,10 @@ class TestShardOps:
         async def body():
             manager = LockManager(catalog_rw(), "pcp-da")
             r = await call(manager, "begin", transaction="R")
+            session = manager.session(r["session"])
             result = await call(manager, "force_abort", session=r["session"],
                                 reason="coordinator victim")
             assert result["aborted"] is True
-            session = manager.session(r["session"])
             assert not session.state.live
             assert "coordinator victim" in session.abort_reason
             await manager.shutdown()

@@ -204,12 +204,13 @@ class TestBrokenPeers:
     """The connection goes; the locks it held come back; others carry on."""
 
     async def _holds_write_lock(self, server, peer):
+        """The live session handle of a write lock ``peer`` holds."""
         peer.send(id=1, op="begin", transaction="W")
         session = peer.response(1)["result"]["session"]
         peer.send(id=2, op="write", session=session, item="x", value=1)
         assert peer.response(2)["ok"]
         assert server.manager.table.writers_of("x")
-        return session
+        return server.manager.session(session)
 
     async def _others_are_served(self, server):
         assert not server.manager.table.writers_of("x")
@@ -228,7 +229,7 @@ class TestBrokenPeers:
             peer.feed(b'{"id": 3, "op": "ping", "pad": "' + b"x" * 300)
             assert peer.server_end.closing
             await asyncio.wait_for(peer.connection.wait_closed(), 5)
-            assert not server.manager.session(session).state.live
+            assert not session.state.live
             await self._others_are_served(server)
             await server.close()
 
@@ -250,6 +251,54 @@ class TestBrokenPeers:
 
         run(body())
 
+    def test_reply_over_the_limit_is_an_error_and_the_connection_stays(
+        self, monkeypatch
+    ):
+        """The sender, not the peer, enforces the limit on a reply: the
+        request is answered with a ``service`` error naming both sizes,
+        and the connection and its open session carry on."""
+        async def body():
+            manager = LockManager(catalog_rw(), "pcp-da")
+            server = LockServer(manager)
+            async with client_of(server) as client:
+                for _ in range(20):
+                    txn = await client.begin("W")
+                    await txn.write("x", 1)
+                    await txn.commit()
+                open_txn = await client.begin("R")
+                await open_txn.read("x")
+                monkeypatch.setattr(wire, "STREAM_LIMIT", 2048)
+                with pytest.raises(ServiceError) as excinfo:
+                    await client.history()
+                assert type(excinfo.value) is ServiceError
+                assert "exceeds the 2048-byte stream limit" in str(
+                    excinfo.value
+                )
+                assert (await client.ping())["pong"] is True
+                assert manager.stats.client_aborts == 0
+                assert manager.is_live(open_txn.id)
+                await open_txn.commit()
+            await server.close()
+
+        run(body())
+
+    def test_request_over_the_limit_fails_only_its_caller(self, monkeypatch):
+        monkeypatch.setattr(wire, "STREAM_LIMIT", 256)
+
+        async def body():
+            manager = LockManager(catalog_rw(), "pcp-da")
+            server = LockServer(manager)
+            async with client_of(server) as client:
+                txn = await client.begin("W")
+                with pytest.raises(ServiceError, match="stream limit"):
+                    await txn.write("x", "v" * 300)
+                await txn.write("x", 1)
+                assert (await txn.commit())["installed"] == ["x"]
+            assert manager.stats.client_aborts == 0
+            await server.close()
+
+        run(body())
+
     def test_mid_frame_disconnect_releases_the_locks(self):
         async def body():
             server = LockServer(LockManager(catalog_rw(), "pcp-da"))
@@ -257,7 +306,7 @@ class TestBrokenPeers:
             session = await self._holds_write_lock(server, peer)
             peer.feed(b'{"id": 3, "op": "comm')  # ...and the line ends here
             await peer.hang_up()
-            assert not server.manager.session(session).state.live
+            assert not session.state.live
             assert server.manager.stats.client_aborts == 1
             assert server._connections == {}
             await self._others_are_served(server)
@@ -338,8 +387,9 @@ class TestBrokenPeers:
             manager = LockManager(catalog_rw(), "pcp-da")
             server = LockServer(manager)
             client, reader = await holding_read_lock(server)
+            session = manager.session(reader.id)
             await asyncio.wait_for(server.close(), 5)
-            assert not manager.session(reader.id).state.live
+            assert not session.state.live
             await settle()
             with pytest.raises(ServiceError):
                 await client.ping()
@@ -386,6 +436,86 @@ class TestOwnedSessions:
             peer.send(id=2, op="read", session=session, item="x")
             assert not peer.response(2)["ok"]
             assert owned == {}
+            await server.close()
+
+        run(body())
+
+
+def unsharded():
+    return LockManager(catalog_rw(), "pcp-da")
+
+
+def four_shards():
+    return ShardedLockManager(catalog_rw(), "pcp-da", shards=4,
+                              partitioner="hash")
+
+
+class TestRetiredSessions:
+    """A finished session has left the core (docs/SERVICE.md, "What a
+    finished transaction leaves behind"): its id answers like one that
+    was never issued, and a hang-up has nothing left to abort."""
+
+    OPS = (
+        {"op": "read", "item": "x"},
+        {"op": "write", "item": "x", "value": 2},
+        {"op": "commit"},
+        {"op": "abort"},
+    )
+
+    @staticmethod
+    def _commit_one(peer):
+        peer.send(id=1, op="begin", transaction="W")
+        session = peer.response(1)["result"]["session"]
+        peer.send(id=2, op="write", session=session, item="x", value=1)
+        peer.send(id=3, op="commit", session=session)
+        assert peer.response(3)["ok"]
+        return session
+
+    @pytest.mark.parametrize("make", [unsharded, four_shards],
+                             ids=["core", "4-shards"])
+    def test_every_op_on_a_retired_or_unissued_id_is_session_state(
+        self, make
+    ):
+        async def body():
+            manager = make()
+            server = LockServer(manager)
+            peer = RawPeer(server)
+            session = self._commit_one(peer)
+            assert not manager.is_live(session)
+            for target, says in ((session, "already finished"),
+                                 (999, "unknown session 999")):
+                for op in self.OPS:
+                    peer.send(id=10, session=target, **op)
+                    error = peer.documents()[-1]["error"]
+                    assert error["kind"] == "session-state", (op, error)
+                    assert says in error["message"]
+            assert manager.stats.commits == 1
+            await server.close()
+
+        run(body())
+
+    @pytest.mark.parametrize("make", [unsharded, four_shards],
+                             ids=["core", "4-shards"])
+    def test_hang_up_after_commit_aborts_nothing(self, make):
+        """The owner hangs up after its session committed — over its own
+        connection, and over another one (so the owner still lists it):
+        the cleanup aborts nothing and raises nothing."""
+        async def body():
+            manager = make()
+            server = LockServer(manager)
+            owner, other = RawPeer(server), RawPeer(server)
+            self._commit_one(owner)
+            owner.send(id=4, op="begin", transaction="W")
+            session = owner.response(4)["result"]["session"]
+            other.send(id=5, op="commit", session=session)
+            assert other.response(5)["ok"]
+            assert list(server._connections[owner.connection]) == [session]
+            await owner.hang_up()
+            cleanup = owner.connection._cleanup
+            assert cleanup.done() and cleanup.exception() is None
+            assert manager.stats.client_aborts == 0
+            assert manager.stats.forced_aborts == 0
+            assert manager.stats.commits == 2
             await server.close()
 
         run(body())
@@ -528,10 +658,11 @@ class TestDeadlines:
             holder, reader = await holding_read_lock(server)
             async with client_of(server) as client:
                 txn = await client.begin("W", deadline_s=0.05)
+                session = manager.session(txn.id)
                 with pytest.raises(DeadlineExceeded):
                     await asyncio.wait_for(txn.write("x", 1), 5)
                 assert manager.stats.deadline_aborts == 1
-                assert not manager.session(txn.id).state.live
+                assert not session.state.live
             await reader.commit()
             await holder.close()
             await server.close()
@@ -546,9 +677,10 @@ class TestDeadlines:
             holder, reader = await holding_read_lock(server)
             async with client_of(server) as client:
                 txn = await client.begin("W", deadline_s=0.05)
+                session = manager.session(txn.id)
                 with pytest.raises(DeadlineExceeded):
                     await asyncio.wait_for(txn.write("x", 1), 5)
-                assert not manager.session(txn.id).state.live
+                assert not session.state.live
             await reader.commit()
             await holder.close()
             await server.close()

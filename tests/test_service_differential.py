@@ -25,6 +25,7 @@ from repro.model.spec import LockMode, OpKind
 from repro.service import LockManager, ServiceConfig
 from repro.service.manager import SERVED_PROTOCOLS, SessionState
 from repro.service.park import ParkKind
+from repro.trace.recorder import LockOutcome
 from repro.workloads.generator import WorkloadConfig, generate_taskset
 
 def run(coro):
@@ -108,13 +109,10 @@ class Driver:
                 # freed lock was granted — all inside the settle window.
                 # The same applies when a blocker died for another
                 # reason: the deny was correct at decision time.
+                # A finished job has left the core's registry.
                 resolved = (
                     manager.stats.deadlocks > deadlocks_before
-                    or any(
-                        not manager._by_job[b].state.live
-                        for b in expected.blockers
-                        if b in manager._by_job
-                    )
+                    or any(b not in manager._by_job for b in expected.blockers)
                 )
                 if not resolved:
                     self.mismatches.append(
@@ -241,12 +239,17 @@ def test_order_guard_only_tightens():
 
 
 def test_grant_rules_recorded_match_trace():
-    """Rules the protocol reported are what the job and trace recorded."""
+    """Rules the protocol reported are what the job recorded and the
+    decision listeners heard."""
     async def body():
         catalog = generate_taskset(WorkloadConfig(
             n_transactions=4, n_items=5, write_probability=0.4, seed=13,
         ))
         manager = LockManager(catalog, "pcp-da")
+        granted = []
+        manager.add_decision_listener(
+            lambda e: e.outcome is LockOutcome.GRANTED and granted.append(e)
+        )
         name = next(iter(spec.name for spec in catalog))
         session = await manager.begin(name)
         for op in catalog[name].operations:
@@ -255,7 +258,7 @@ def test_grant_rules_recorded_match_trace():
             elif op.kind is OpKind.WRITE:
                 await manager.write(session, op.item, 1)
         rules = [rule for (_, _, _, rule) in session.job.grant_rules]
-        granted = manager.trace.grants_for(session.name)
+        assert {e.job for e in granted} == {session.name}
         assert [e.rule for e in granted] == rules
         await manager.commit(session)
 

@@ -540,20 +540,6 @@ class TestIntrospection:
 
         run(body())
 
-    def test_snapshot_result_feeds_the_oracles(self):
-        async def body():
-            manager = LockManager(catalog_rw(), "pcp-da")
-            session = await manager.begin("T3")
-            await manager.read(session, "x")
-            await manager.write(session, "y", 1)
-            await manager.commit(session)
-            result = manager.snapshot_result()
-            assert result.protocol_name == "pcp-da"
-            result.check_serializable()
-            assert result.trace.commit_time("T3#0") is not None
-
-        run(body())
-
 
 class TestServiceConfigValidation:
     def test_rejects_bad_values(self):
@@ -588,6 +574,10 @@ class TestLiveSessionScale:
         decisions = []
         manager.decision_listeners.append(lambda e: decisions.append(
             (e.job, e.item, e.mode.value, e.outcome.value, e.rule, e.blockers)
+        ))
+        priorities = []
+        manager.priority_listeners.append(lambda job: priorities.append(
+            (job.name, job.running_priority)
         ))
         names = list(catalog.names)
         counts = {"begun": 0, "committed": 0, "aborted": 0}
@@ -626,9 +616,6 @@ class TestLiveSessionScale:
         assert not manager.waits.waiters()
         manager.waits.self_check()
         manager.kernel.self_check()
-        priorities = [
-            (job, level) for _, job, level in manager.trace.priority_changes
-        ]
         await manager.shutdown()
         digest = hashlib.sha256(
             repr((decisions, priorities)).encode()
