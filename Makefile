@@ -17,15 +17,18 @@
 # commits on the end-to-end suite workloads, benchmarks/bench_pair.py —
 # the one perf gate, exit 1 on a regression beyond a BENCHMARK.json
 # bound), `make bench` (pytest-benchmark microbench rows), `make stress`
-# (the 100k-arrival invariant run), and `make loc` (code-only line
-# counts per src/repro package — the one way a PR counts "smaller").
+# (the 100k-arrival invariant run), `make loc` (code-only line
+# counts per src/repro package — the one way a PR counts "smaller"), and
+# `make startup` (the modules, lines and import time each serving
+# entrypoint loads, and `repro serve`'s spawn-to-listening median —
+# tools/startup.py, the layer attribution behind a `setup_s` claim).
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify verify-service verify-sharding verify-procs \
 	test smoke kernel-smoke bench bench-suite-smoke \
-	bench-pair bench-all stress stress-smoke loc
+	bench-pair bench-all stress stress-smoke loc startup
 
 verify: \
 	test \
@@ -149,6 +152,14 @@ loc:
 		$(LOC_ROOT)/service/sharding/coordinator.py \
 		$(LOC_ROOT)/service/sharding/procs/supervisor.py \
 		$(LOC_ROOT)/service/loadgen.py $(LOC_ROOT)/verify/stress.py
+
+# Cold start of the processes that serve the lock core (tools/startup.py):
+# per entrypoint (`import repro.service.server`, the tcp-wide-c2 child's
+# imports, `repro shard-host`) the repro modules and source lines loaded
+# and `-X importtime` self time by package; then the median
+# spawn-to-listening time of 7 `repro serve --port 0` launches.
+startup:
+	$(PYTHON) tools/startup.py
 
 # Heavy-traffic parity harness (docs/TESTING.md), all phases socket-free:
 # sequential decision parity across every execution path, the virtual-time

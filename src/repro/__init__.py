@@ -28,64 +28,90 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every experiment.
 """
 
-from repro.core import CeilingTable, PCPDA
-from repro.core.compatibility import compatibility_table, lock_compatible
-from repro.db import Database, History, check_serializable, serialization_order
-from repro.engine import SimConfig, SimulationResult, Simulator
-from repro.exceptions import (
-    DeadlockError,
-    InvariantViolation,
-    ProtocolError,
-    ReproError,
-    SerializationViolation,
-    SimulationError,
-    SpecificationError,
-)
-from repro.model import (
-    DUMMY_PRIORITY,
-    LockMode,
-    OpKind,
-    Operation,
-    TaskSet,
-    TransactionSpec,
-    assign_rate_monotonic,
-    compute,
-    read,
-    write,
-)
-from repro.model.priorities import assign_by_order
-from repro.protocols import (
-    CCP,
-    OriginalPCP,
-    PIP2PL,
-    Plain2PL,
-    RWPCP,
-    TwoPLHP,
-    WeakPCPDA,
-    available_protocols,
-    make_protocol,
-)
-from repro.trace import (
-    SysceilTrace,
-    build_timeline,
-    compute_metrics,
-    render_gantt,
-)
-from repro.verify import (
-    LemmaCheckingPCPDA,
-    assert_deadlock_free,
-    assert_serializable,
-    assert_single_blocking,
-    verify_pcp_da_run,
-)
-from repro.workloads import (
-    WorkloadConfig,
-    example1_taskset,
-    example3_taskset,
-    example4_taskset,
-    example5_taskset,
-    generate_taskset,
-)
+import importlib
+import sys
+from typing import Callable, Dict, List, Tuple
+
+
+def _lazy_surface(
+    package: str, exports: Dict[str, Tuple[str, ...]]
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """PEP 562 ``(__getattr__, __dir__)`` for a package's re-exports.
+
+    ``exports`` maps a defining module to the names the package
+    re-exports from it.  A name is imported on its first access and then
+    stored in the package's globals, so later lookups never come back
+    here; any other name resolves as a submodule (``repro.verify.parity``)
+    or raises :class:`AttributeError`.  The package ``__init__``s build
+    their surfaces with this, so importing a layer loads that layer and
+    the layers below it, and nothing else.  ``analysis``, ``experiments``
+    and ``engine.kernel`` still import eagerly: no serving process
+    imports the first two, and the lock core needs all of the third.
+    """
+    namespace = sys.modules[package].__dict__
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        if name in home:
+            value = getattr(importlib.import_module(home[name]), name)
+        else:
+            try:
+                value = importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(namespace.keys() | home.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.core.ceilings": ("CeilingTable",),
+    "repro.core.compatibility": ("compatibility_table", "lock_compatible"),
+    "repro.core.pcp_da": ("PCPDA",),
+    "repro.db.database": ("Database",),
+    "repro.db.history": ("History",),
+    "repro.db.serializability": ("check_serializable", "serialization_order"),
+    "repro.engine.simulator": ("SimConfig", "SimulationResult", "Simulator"),
+    "repro.exceptions": (
+        "DeadlockError", "InvariantViolation", "ProtocolError", "ReproError",
+        "SerializationViolation", "SimulationError", "SpecificationError",
+    ),
+    "repro.model.spec": (
+        "DUMMY_PRIORITY", "LockMode", "OpKind", "Operation", "TaskSet",
+        "TransactionSpec", "compute", "read", "write",
+    ),
+    "repro.model.priorities": ("assign_by_order", "assign_rate_monotonic"),
+    "repro.protocols.base": ("available_protocols", "make_protocol"),
+    "repro.protocols.ccp": ("CCP",),
+    "repro.protocols.original_pcp": ("OriginalPCP",),
+    "repro.protocols.pip_2pl": ("PIP2PL",),
+    "repro.protocols.plain_2pl": ("Plain2PL",),
+    "repro.protocols.rw_pcp": ("RWPCP",),
+    "repro.protocols.two_pl_hp": ("TwoPLHP",),
+    "repro.protocols.weak_pcp_da": ("WeakPCPDA",),
+    "repro.trace.gantt": ("render_gantt",),
+    "repro.trace.metrics": ("compute_metrics",),
+    "repro.trace.sysceil": ("SysceilTrace",),
+    "repro.trace.timeline": ("build_timeline",),
+    "repro.verify.invariants": (
+        "assert_deadlock_free", "assert_serializable",
+        "assert_single_blocking", "verify_pcp_da_run",
+    ),
+    "repro.verify.lemmas": ("LemmaCheckingPCPDA",),
+    "repro.workloads.examples": (
+        "example1_taskset", "example3_taskset", "example4_taskset",
+        "example5_taskset",
+    ),
+    "repro.workloads.generator": ("WorkloadConfig", "generate_taskset"),
+})
 
 __version__ = "1.0.0"
 

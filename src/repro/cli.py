@@ -17,6 +17,10 @@ Subcommands:
   workload through every execution path (simulator kernel/object,
   service, sharded coordinator), decision-level parity sequentially and
   invariant-level parity under overload (docs/TESTING.md).
+
+Each subcommand imports what it runs inside its own function, so the
+service commands never load the simulator, ``analysis/`` or the
+renderers.
 """
 
 from __future__ import annotations
@@ -25,23 +29,22 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.report import schedulability_report
-from repro.core.compatibility import render_compatibility_table
-from repro.engine.simulator import SimConfig, Simulator
-from repro.protocols import available_protocols, make_protocol
-from repro.trace.gantt import render_gantt
-from repro.trace.metrics import compute_metrics
-from repro.trace.sysceil import SysceilTrace
-from repro.workloads.examples import (
-    example1_taskset,
-    example3_taskset,
-    example4_taskset,
-    example5_taskset,
-)
-from repro.workloads.generator import WorkloadConfig, generate_taskset
+from repro.service import SERVED_PROTOCOLS
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
+    from repro.engine.simulator import SimConfig, Simulator
+    from repro.protocols import make_protocol
+    from repro.trace.gantt import render_gantt
+    from repro.trace.metrics import compute_metrics
+    from repro.trace.sysceil import SysceilTrace
+    from repro.workloads.examples import (
+        example1_taskset,
+        example3_taskset,
+        example4_taskset,
+        example5_taskset,
+    )
+
     runs = [
         ("Example 1 (Figure 1)", example1_taskset(), None),
         ("Example 3 (Figures 2/3)", example3_taskset(),
@@ -82,11 +85,15 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.core.compatibility import render_compatibility_table
+
     print(render_compatibility_table())
     return 0
 
 
-def _workload_from_args(args: argparse.Namespace) -> WorkloadConfig:
+def _workload_from_args(args: argparse.Namespace):
+    from repro.workloads.generator import WorkloadConfig
+
     return WorkloadConfig(
         n_transactions=args.transactions,
         n_items=args.items,
@@ -97,6 +104,9 @@ def _workload_from_args(args: argparse.Namespace) -> WorkloadConfig:
 
 
 def _cmd_schedulability(args: argparse.Namespace) -> int:
+    from repro.analysis.report import schedulability_report
+    from repro.workloads.generator import generate_taskset
+
     taskset = generate_taskset(_workload_from_args(args))
     print(taskset.describe())
     print()
@@ -105,6 +115,11 @@ def _cmd_schedulability(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.engine.simulator import SimConfig, Simulator
+    from repro.protocols import make_protocol
+    from repro.trace.metrics import compute_metrics
+    from repro.workloads.generator import generate_taskset
+
     taskset = generate_taskset(_workload_from_args(args))
     print(taskset.describe())
     print()
@@ -132,6 +147,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
     """Simulate one paper example and write the trace as JSON/CSV files."""
     import pathlib
 
+    from repro.engine.simulator import SimConfig, Simulator
+    from repro.protocols import make_protocol
     from repro.trace.export import (
         metrics_to_csv,
         result_to_json,
@@ -172,6 +189,8 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_protocols(args: argparse.Namespace) -> int:
+    from repro.protocols import available_protocols
+
     for name in available_protocols():
         print(name)
     return 0
@@ -179,6 +198,10 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     """Simulate a user-supplied task-set file and print the outcome."""
+    from repro.engine.simulator import SimConfig, Simulator
+    from repro.protocols import make_protocol
+    from repro.trace.gantt import render_gantt
+    from repro.trace.metrics import compute_metrics
     from repro.trace.sysceil import SysceilTrace
     from repro.workloads.io import load_taskset
 
@@ -256,6 +279,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import LockServer, ServiceConfig
     from repro.service.sharding import deploy
+    from repro.workloads.generator import generate_taskset
 
     taskset = generate_taskset(_workload_from_args(args))
     config = ServiceConfig(
@@ -322,8 +346,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_shard_host(args: argparse.Namespace) -> int:
     """Run one shard host (normally spawned by the supervisor)."""
-    from repro.service.sharding.procs.host import run_shard_host
     import asyncio
+
+    from repro.service.sharding.procs.host import run_shard_host
 
     try:
         return asyncio.run(run_shard_host(args))
@@ -343,6 +368,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         run_loadgen,
     )
     from repro.service.sharding import deploy
+    from repro.workloads.generator import WorkloadConfig, generate_taskset
 
     config = LoadgenConfig(
         clients=args.clients,
@@ -570,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.set_defaults(func=_cmd_reproduce)
 
-    from repro.service.core import SERVED_PROTOCOLS
-
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--transactions", type=int, default=6,
                        help="catalog size (generated workload)")
@@ -699,9 +723,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one lock-manager shard behind the NDJSON wire "
              "(normally spawned by the --shard-procs supervisor)",
     )
-    from repro.service.sharding.procs.host import add_host_args
-
-    add_host_args(shard_host)
+    shard_host.add_argument("--catalog", required=True,
+                            help="taskset JSON file (the shared catalog)")
+    shard_host.add_argument("--protocol", default="pcp-da",
+                            choices=SERVED_PROTOCOLS)
+    shard_host.add_argument("--host", default="127.0.0.1")
+    shard_host.add_argument("--port", type=int, default=0,
+                            help="0 binds an ephemeral port (reported on "
+                                 "stdout)")
+    shard_host.add_argument("--shard-index", type=int, default=0,
+                            help="this shard's index in the deployment")
+    shard_host.add_argument("--t0", type=float, default=None,
+                            help="shared CLOCK_MONOTONIC epoch (supervisor's "
+                                 "time.monotonic() at deployment start)")
+    shard_host.add_argument("--no-stdin-watch", action="store_true",
+                            help="do not exit on stdin EOF (manual runs)")
     shard_host.set_defaults(func=_cmd_shard_host)
     return parser
 

@@ -10,10 +10,16 @@
 * :class:`~repro.core.pcp_da.PCPDA` — the protocol itself.
 """
 
-from repro.core.ceilings import CeilingTable
-from repro.core.compatibility import CompatibilityDecision, compatibility_table, lock_compatible
-from repro.core.locking_conditions import ConditionReport, evaluate_conditions
-from repro.core.pcp_da import PCPDA
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.core.ceilings": ("CeilingTable",),
+    "repro.core.compatibility": (
+        "CompatibilityDecision", "compatibility_table", "lock_compatible",
+    ),
+    "repro.core.locking_conditions": ("ConditionReport", "evaluate_conditions"),
+    "repro.core.pcp_da": ("PCPDA",),
+})
 
 __all__ = [
     "CeilingTable",

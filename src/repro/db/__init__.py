@@ -13,14 +13,16 @@ This package provides:
   cycle detection, used by Theorem 3's correctness check.
 """
 
-from repro.db.database import Database, DataItem, Version
-from repro.db.history import History, HistoryEvent
-from repro.db.serialization_graph import SerializationGraph
-from repro.db.serializability import (
-    check_serializable,
-    check_serializable_fast,
-    serialization_order,
-)
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.db.database": ("DataItem", "Database", "Version"),
+    "repro.db.history": ("History", "HistoryEvent"),
+    "repro.db.serialization_graph": ("SerializationGraph",),
+    "repro.db.serializability": (
+        "check_serializable", "check_serializable_fast", "serialization_order",
+    ),
+})
 
 __all__ = [
     "DataItem",

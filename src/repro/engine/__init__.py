@@ -20,16 +20,17 @@ Public names:
   :class:`~repro.engine.interfaces.AbortAndGrant`
 """
 
-from repro.engine.interfaces import (
-    AbortAndGrant,
-    ConcurrencyControlProtocol,
-    Deny,
-    Grant,
-    InstallPolicy,
-)
-from repro.engine.job import Job, JobState
-from repro.engine.lock_table import LockTable
-from repro.engine.simulator import SimConfig, SimulationResult, Simulator
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.engine.interfaces": (
+        "AbortAndGrant", "ConcurrencyControlProtocol", "Deny", "Grant",
+        "InstallPolicy",
+    ),
+    "repro.engine.job": ("Job", "JobState"),
+    "repro.engine.lock_table": ("LockTable",),
+    "repro.engine.simulator": ("SimConfig", "SimulationResult", "Simulator"),
+})
 
 __all__ = [
     "AbortAndGrant",

@@ -21,19 +21,18 @@ Public names:
 * :data:`~repro.model.spec.DUMMY_PRIORITY`
 """
 
-from repro.model.spec import (
-    DUMMY_PRIORITY,
-    LockMode,
-    OpKind,
-    Operation,
-    TaskSet,
-    TransactionSpec,
-    compute,
-    read,
-    write,
-)
-from repro.model.priorities import assign_deadline_monotonic, assign_rate_monotonic
-from repro.model.validation import validate_taskset
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.model.spec": (
+        "DUMMY_PRIORITY", "LockMode", "OpKind", "Operation", "TaskSet",
+        "TransactionSpec", "compute", "read", "write",
+    ),
+    "repro.model.priorities": (
+        "assign_deadline_monotonic", "assign_rate_monotonic",
+    ),
+    "repro.model.validation": ("validate_taskset",),
+})
 
 __all__ = [
     "DUMMY_PRIORITY",

@@ -25,18 +25,24 @@ weak-pcp-da PCP-DA with only condition (2) — Example 5's deadlock
 ========== =====================================================
 """
 
-from repro.protocols.base import available_protocols, make_protocol, register_protocol
-from repro.core.pcp_da import PCPDA
-from repro.protocols.rw_pcp import RWPCP
-from repro.protocols.ccp import CCP
-from repro.protocols.original_pcp import OriginalPCP
-from repro.protocols.pip_2pl import PIP2PL
-from repro.protocols.two_pl_hp import TwoPLHP
-from repro.protocols.plain_2pl import Plain2PL
-from repro.protocols.occ_bc import OCCBroadcastCommit
-from repro.protocols.rw_pcp_abort import RWPCPAbort
-from repro.protocols.ipcp import IPCP
-from repro.protocols.weak_pcp_da import WeakPCPDA
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.protocols.base": (
+        "available_protocols", "make_protocol", "register_protocol",
+    ),
+    "repro.core.pcp_da": ("PCPDA",),
+    "repro.protocols.rw_pcp": ("RWPCP",),
+    "repro.protocols.ccp": ("CCP",),
+    "repro.protocols.original_pcp": ("OriginalPCP",),
+    "repro.protocols.pip_2pl": ("PIP2PL",),
+    "repro.protocols.two_pl_hp": ("TwoPLHP",),
+    "repro.protocols.plain_2pl": ("Plain2PL",),
+    "repro.protocols.occ_bc": ("OCCBroadcastCommit",),
+    "repro.protocols.rw_pcp_abort": ("RWPCPAbort",),
+    "repro.protocols.ipcp": ("IPCP",),
+    "repro.protocols.weak_pcp_da": ("WeakPCPDA",),
+})
 
 __all__ = [
     "CCP",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple, Type
 
 from repro.core.ceilings import CeilingTable
@@ -15,31 +16,59 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _REGISTRY: Dict[str, Callable[[], ConcurrencyControlProtocol]] = {}
 
+#: Every built-in protocol name -> the module defining its class, which
+#: registers it on import (PCP-DA's is registered at the bottom of this
+#: module); :func:`make_protocol` imports that module on first use.
+_BUILTIN: Dict[str, str] = {
+    "pcp-da": "repro.core.pcp_da",
+    "rw-pcp": "repro.protocols.rw_pcp",
+    "ccp": "repro.protocols.ccp",
+    "pcp": "repro.protocols.original_pcp",
+    "pip-2pl": "repro.protocols.pip_2pl",
+    "2pl-hp": "repro.protocols.two_pl_hp",
+    "2pl": "repro.protocols.plain_2pl",
+    "ipcp": "repro.protocols.ipcp",
+    "occ-bc": "repro.protocols.occ_bc",
+    "rw-pcp-abort": "repro.protocols.rw_pcp_abort",
+    "pcp-da-checked": "repro.verify.lemmas",
+    "weak-pcp-da": "repro.protocols.weak_pcp_da",
+}
+
 
 def register_protocol(
     cls: Type[ConcurrencyControlProtocol],
 ) -> Type[ConcurrencyControlProtocol]:
-    """Class decorator: register ``cls`` under its ``name`` attribute."""
+    """Class decorator: register ``cls`` under its ``name`` attribute.
+
+    A built-in name is reserved for the module :data:`_BUILTIN` lists,
+    whether or not that module has been imported yet.
+    """
     if not cls.name:
         raise ProtocolError(f"{cls.__name__} has no registry name")
-    if cls.name in _REGISTRY:
+    if (
+        cls.name in _REGISTRY
+        or _BUILTIN.get(cls.name, cls.__module__) != cls.__module__
+    ):
         raise ProtocolError(f"protocol name {cls.name!r} already registered")
     _REGISTRY[cls.name] = cls
     return cls
 
 
 def make_protocol(name: str, **kwargs) -> ConcurrencyControlProtocol:
-    """Instantiate a registered protocol by name."""
+    """Instantiate a protocol by name, importing a built-in one's module
+    on first use."""
+    if name not in _REGISTRY and name in _BUILTIN:
+        importlib.import_module(_BUILTIN[name])
     try:
         factory = _REGISTRY[name]
     except KeyError:
-        raise UnknownProtocolError(name, tuple(sorted(_REGISTRY))) from None
+        raise UnknownProtocolError(name, available_protocols()) from None
     return factory(**kwargs)
 
 
 def available_protocols() -> Tuple[str, ...]:
-    """Registered protocol names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """Built-in and registered protocol names, sorted (imports nothing)."""
+    return tuple(sorted(_REGISTRY.keys() | _BUILTIN.keys()))
 
 
 class CeilingProtocolBase(ConcurrencyControlProtocol):

@@ -8,8 +8,7 @@ reusing the exact same building blocks:
 
 * admission decisions come from the array kernel compiled from the
   registered protocol objects (the same ``Kernel.decide`` the simulator
-  calls); the served protocols are
-  :data:`repro.service.manager.SERVED_PROTOCOLS`;
+  calls); the served protocols are :data:`SERVED_PROTOCOLS`;
 * bookkeeping lives in :class:`repro.engine.lock_table.LockTable` and
   :class:`repro.engine.inheritance.WaitForGraph` (priority inheritance and
   deadlock detection included);
@@ -45,20 +44,32 @@ Layers (see docs/SERVICE.md):
   gate globally (``repro serve --shards N``, docs/SHARDING.md).
 """
 
-from repro.service.client import ServiceClient, connect_tcp, in_process_client
-from repro.service.loadgen import LoadgenConfig, LoadReport, run_loadgen
-from repro.service.core import ServiceConfig, Session
-from repro.service.manager import LockManager
-from repro.service.server import LockServer
-from repro.service.sharding import (
-    GlobalSession,
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    ShardedLockManager,
-    make_partitioner,
-)
-from repro.service.stats import LatencyHistogram, ServiceStats, ShardingStats
+from typing import Tuple
+
+from repro import _lazy_surface
+
+#: The protocols the live service serves: the ceiling protocols that
+#: compile to a kernel table and stay deadlock-free without the
+#: simulator's single-CPU scheduler.  ``ccp`` is left out on purpose:
+#: without its early release (unsafe under concurrency) it makes RW-PCP's
+#: decisions under another name.  Defined here, not in the core, so the
+#: CLI's parser can offer the choice without importing the lock core.
+SERVED_PROTOCOLS: Tuple[str, ...] = ("pcp-da", "rw-pcp", "pcp")
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.service.client": ("ServiceClient", "connect_tcp", "in_process_client"),
+    "repro.service.loadgen": ("LoadgenConfig", "LoadReport", "run_loadgen"),
+    "repro.service.core": ("ServiceConfig", "Session"),
+    "repro.service.manager": ("LockManager",),
+    "repro.service.server": ("LockServer",),
+    "repro.service.sharding.core": ("GlobalSession",),
+    "repro.service.sharding.coordinator": ("ShardedLockManager",),
+    "repro.service.sharding.partitioner": (
+        "HashPartitioner", "Partitioner", "RangePartitioner",
+        "make_partitioner",
+    ),
+    "repro.service.stats": ("LatencyHistogram", "ServiceStats", "ShardingStats"),
+})
 
 __all__ = [
     "GlobalSession",

@@ -120,6 +120,7 @@ from repro.exceptions import (
 from repro.model.spec import LockMode, TaskSet, TransactionSpec
 from repro.model.validation import validate_taskset
 from repro.protocols import make_protocol
+from repro.service import SERVED_PROTOCOLS
 from repro.service.constraints import ConstraintGraph
 from repro.service.park import (
     COMMIT_ITEM,
@@ -130,13 +131,6 @@ from repro.service.park import (
 )
 from repro.service.stats import ServiceStats
 from repro.trace.recorder import LockEvent, LockOutcome
-
-#: The protocols the live service serves: the ceiling protocols that
-#: compile to a kernel table and stay deadlock-free without the
-#: simulator's single-CPU scheduler.  ``ccp`` is left out on purpose:
-#: without its early release (unsafe under concurrency) it makes RW-PCP's
-#: decisions under another name.
-SERVED_PROTOCOLS: Tuple[str, ...] = ("pcp-da", "rw-pcp", "pcp")
 
 
 def check_served(protocol: str) -> None:
@@ -191,7 +185,7 @@ def unknown_session(session_id: Any, next_id: int) -> str:
     ``next_id`` — ids are issued in order), or never issued."""
     if type(session_id) is int and 0 <= session_id < next_id:
         return f"session {session_id} already finished"
-    return f"unknown session {session_id}"
+    return f"unknown session {session_id!r}"
 
 
 def check_access(
@@ -526,9 +520,11 @@ class LockCore:
 
         Raises :class:`SessionStateError` for any other id: ids are
         issued in order, so one below the next id is a finished session.
+        An id is an ``int`` and nothing else: ``True == 1 == 1.0`` as a
+        dict key, so a JSON boolean or float would address a real session.
         """
         session = self._sessions.get(session_id)
-        if session is None:
+        if session is None or type(session_id) is not int:
             raise SessionStateError(unknown_session(
                 session_id, self._next_session_id
             ))
@@ -536,7 +532,7 @@ class LockCore:
 
     def is_live(self, session_id: int) -> bool:
         """Whether ``session_id`` names a live session (never raises)."""
-        return session_id in self._sessions
+        return type(session_id) is int and session_id in self._sessions
 
     def read(
         self, session: Session, item: str, *, resume: Optional[Park] = None

@@ -133,7 +133,7 @@ class LockServer:
         # under): a long-lived connection owns only what is live.
         session_id = request.get("session")
         if (
-            isinstance(session_id, int)  # JSON may carry anything here
+            type(session_id) is int  # JSON may carry anything here
             and session_id in owned
             and not self.manager.is_live(session_id)
         ):

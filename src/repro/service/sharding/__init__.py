@@ -36,25 +36,28 @@ diagram of a cross-shard commit, and the documented limitations
 victim abort rather than prevented by a global ceiling).
 """
 
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
-from repro.model.spec import TaskSet
-from repro.service.core import ServiceConfig
-from repro.service.manager import LockManager
-from repro.service.sharding.coordinator import ShardedLockManager
-from repro.service.sharding.core import GlobalSession, ShardedCore
-from repro.service.sharding.partitioner import (
-    HashPartitioner,
-    Partitioner,
-    RangePartitioner,
-    make_partitioner,
-)
+from repro import _lazy_surface
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.model.spec import TaskSet
+    from repro.service.core import ServiceConfig
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.service.sharding.coordinator": ("ShardedLockManager",),
+    "repro.service.sharding.core": ("GlobalSession", "ShardedCore"),
+    "repro.service.sharding.partitioner": (
+        "HashPartitioner", "Partitioner", "RangePartitioner",
+        "make_partitioner",
+    ),
+})
 
 
 async def deploy(
-    catalog: TaskSet,
+    catalog: "TaskSet",
     protocol: str,
-    config: Optional[ServiceConfig] = None,
+    config: "Optional[ServiceConfig]" = None,
     *,
     shards: int = 1,
     shard_procs: int = 0,
@@ -75,6 +78,9 @@ async def deploy(
             catalog, protocol, shards=shard_procs, config=config,
             partitioner=partitioner,
         )
+    from repro.service.manager import LockManager
+    from repro.service.sharding.coordinator import ShardedLockManager
+
     if shards > 1:
         return None, ShardedLockManager(
             catalog, protocol, config, shards=shards, partitioner=partitioner

@@ -398,7 +398,7 @@ class ShardedCore:
         """Look up a live global session by id (for the wire layer);
         :meth:`LockCore.session`'s contract."""
         session = self._sessions.get(session_id)
-        if session is None:
+        if session is None or type(session_id) is not int:
             raise SessionStateError(unknown_session(
                 session_id, self._next_session_id
             ))
@@ -406,7 +406,7 @@ class ShardedCore:
 
     def is_live(self, session_id: int) -> bool:
         """Whether ``session_id`` names a live global session."""
-        return session_id in self._sessions
+        return type(session_id) is int and session_id in self._sessions
 
     @_operation
     def read(self, session: GlobalSession, item: str) -> Steps:

@@ -6,11 +6,14 @@ reaped by :class:`ShardSupervisor`.  See docs/SHARDING.md for the
 topology and crash semantics.
 """
 
-from repro.service.sharding.procs.proxy import RemoteShardProxy
-from repro.service.sharding.procs.supervisor import (
-    ShardSupervisor,
-    start_proc_deployment,
-)
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.service.sharding.procs.proxy": ("RemoteShardProxy",),
+    "repro.service.sharding.procs.supervisor": (
+        "ShardSupervisor", "start_proc_deployment",
+    ),
+})
 
 __all__ = [
     "RemoteShardProxy",

@@ -32,7 +32,6 @@ from typing import Dict, FrozenSet, List, Optional
 from repro.engine.job import Job
 from repro.service import wire
 from repro.service.connection import Connection
-from repro.service.core import SERVED_PROTOCOLS
 from repro.service.manager import LockManager
 from repro.service.server import LockServer
 from repro.trace.recorder import LockEvent
@@ -115,34 +114,6 @@ class ShardHostServer(LockServer):
         self._subscribers.pop(connection, None)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    """CLI surface of ``repro shard-host`` (normally supervisor-spawned)."""
-    parser = argparse.ArgumentParser(
-        prog="repro shard-host",
-        description="Run one lock-manager shard behind the NDJSON wire.",
-    )
-    add_host_args(parser)
-    return parser
-
-
-def add_host_args(parser: argparse.ArgumentParser) -> None:
-    """Install the shard-host arguments (shared with the repro CLI)."""
-    parser.add_argument("--catalog", required=True,
-                        help="taskset JSON file (the shared catalog)")
-    parser.add_argument("--protocol", default="pcp-da",
-                        choices=SERVED_PROTOCOLS)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="0 binds an ephemeral port (reported on stdout)")
-    parser.add_argument("--shard-index", type=int, default=0,
-                        help="this shard's index in the deployment")
-    parser.add_argument("--t0", type=float, default=None,
-                        help="shared CLOCK_MONOTONIC epoch (supervisor's "
-                             "time.monotonic() at deployment start)")
-    parser.add_argument("--no-stdin-watch", action="store_true",
-                        help="do not exit on stdin EOF (manual runs)")
-
-
 async def _watch_stdin(stop: asyncio.Event) -> None:
     """Exit signal from the parent-death pipe: stdin EOF sets ``stop``.
 
@@ -205,11 +176,3 @@ async def run_shard_host(args: argparse.Namespace) -> int:
         await server.close()
     return 0
 
-
-def main(argv: Optional[list] = None) -> int:
-    """Entry point for ``repro shard-host``."""
-    args = build_arg_parser().parse_args(argv)
-    try:
-        return asyncio.run(run_shard_host(args))
-    except KeyboardInterrupt:
-        return 0

@@ -14,31 +14,26 @@ presents:
   misses, restarts.
 """
 
-from repro.trace.recorder import (
-    LockEvent,
-    LockOutcome,
-    SchedEvent,
-    SchedEventKind,
-    TraceRecorder,
-)
-from repro.trace.timeline import Segment, SegmentKind, Timeline, build_timeline
-from repro.trace.gantt import render_gantt, render_gantt_comparison
-from repro.trace.metrics import (
-    JobMetrics,
-    RunMetrics,
-    compute_metrics,
-    priority_inversion_time,
-)
-from repro.trace.sysceil import SysceilTrace
-from repro.trace.export import (
-    metrics_to_csv,
-    result_to_dict,
-    result_to_json,
-    segments_to_csv,
-    sysceil_to_csv,
-)
-from repro.trace.compare import RunComparison, compare_runs, render_comparison
-from repro.trace.svg import render_svg_gantt
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.trace.recorder": (
+        "LockEvent", "LockOutcome", "SchedEvent", "SchedEventKind",
+        "TraceRecorder",
+    ),
+    "repro.trace.timeline": ("Segment", "SegmentKind", "Timeline", "build_timeline"),
+    "repro.trace.gantt": ("render_gantt", "render_gantt_comparison"),
+    "repro.trace.metrics": (
+        "JobMetrics", "RunMetrics", "compute_metrics", "priority_inversion_time",
+    ),
+    "repro.trace.sysceil": ("SysceilTrace",),
+    "repro.trace.export": (
+        "metrics_to_csv", "result_to_dict", "result_to_json",
+        "segments_to_csv", "sysceil_to_csv",
+    ),
+    "repro.trace.compare": ("RunComparison", "compare_runs", "render_comparison"),
+    "repro.trace.svg": ("render_svg_gantt",),
+})
 
 __all__ = [
     "JobMetrics",

@@ -24,30 +24,25 @@ Two harness modules build on the oracles (docs/TESTING.md):
   serializability, conservation, and abort attribution.
 """
 
-from repro.verify.invariants import (
-    assert_all_committed,
-    assert_deadlock_free,
-    assert_no_restarts,
-    assert_serializable,
-    assert_single_blocking,
-    lower_priority_blockers,
-    verify_pcp_da_run,
-)
-from repro.verify.lemmas import LemmaCheckingPCPDA
-from repro.verify.parity import (
-    ParityError,
-    ParityReport,
-    check_decision_parity,
-    parity_battery,
-)
-from repro.verify.stress import (
-    CEILING_FAMILY,
-    StressReport,
-    StressSpec,
-    run_stress,
-    simulator_stress_check,
-)
-from repro.verify.value_replay import assert_value_replay_consistent
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.verify.invariants": (
+        "assert_all_committed", "assert_deadlock_free", "assert_no_restarts",
+        "assert_serializable", "assert_single_blocking",
+        "lower_priority_blockers", "verify_pcp_da_run",
+    ),
+    "repro.verify.lemmas": ("LemmaCheckingPCPDA",),
+    "repro.verify.parity": (
+        "ParityError", "ParityReport", "check_decision_parity",
+        "parity_battery",
+    ),
+    "repro.verify.stress": (
+        "CEILING_FAMILY", "StressReport", "StressSpec", "run_stress",
+        "simulator_stress_check",
+    ),
+    "repro.verify.value_replay": ("assert_value_replay_consistent",),
+})
 
 __all__ = [
     "CEILING_FAMILY",

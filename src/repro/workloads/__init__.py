@@ -10,25 +10,22 @@
   comparison benchmarks.
 """
 
-from repro.workloads.examples import (
-    example1_taskset,
-    example3_taskset,
-    example4_taskset,
-    example5_taskset,
-)
-from repro.workloads.generator import WorkloadConfig, generate_taskset
-from repro.workloads.io import (
-    dump_taskset,
-    load_taskset,
-    taskset_from_dict,
-    taskset_to_dict,
-)
-from repro.workloads.open_system import (
-    OpenSystemConfig,
-    generate_open_system,
-    offered_load,
-)
-from repro.workloads.scenarios import all_scenarios
+from repro import _lazy_surface
+
+__getattr__, __dir__ = _lazy_surface(__name__, {
+    "repro.workloads.examples": (
+        "example1_taskset", "example3_taskset", "example4_taskset",
+        "example5_taskset",
+    ),
+    "repro.workloads.generator": ("WorkloadConfig", "generate_taskset"),
+    "repro.workloads.io": (
+        "dump_taskset", "load_taskset", "taskset_from_dict", "taskset_to_dict",
+    ),
+    "repro.workloads.open_system": (
+        "OpenSystemConfig", "generate_open_system", "offered_load",
+    ),
+    "repro.workloads.scenarios": ("all_scenarios",),
+})
 
 __all__ = [
     "OpenSystemConfig",

@@ -1,7 +1,14 @@
 """Tests for the protocol registry and shared protocol contracts."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.engine.interfaces import ConcurrencyControlProtocol, InstallPolicy
 from repro.exceptions import ProtocolError, UnknownProtocolError
 from repro.protocols import available_protocols, make_protocol, register_protocol
@@ -48,6 +55,53 @@ class TestRegistry:
 
         with pytest.raises(ProtocolError):
             register_protocol(NoName)
+
+
+#: Run in a fresh interpreter that imports only ``repro.protocols``:
+#: which protocol modules are loaded before any is built, what every name
+#: builds, and which duplicate registrations are refused.
+_FRESH_REGISTRY = """
+import json, sys
+from repro.engine.interfaces import ConcurrencyControlProtocol
+from repro.exceptions import ProtocolError
+from repro.protocols import available_protocols, make_protocol, register_protocol
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("repro.protocols.")
+                  or m == "repro.verify.lemmas")
+
+def duplicate_refused(name):
+    dup = type("Dup", (ConcurrencyControlProtocol,), {"name": name})
+    try:
+        register_protocol(dup)
+    except ProtocolError:
+        return True
+    return False
+
+names = available_protocols()
+report = {"names": list(names), "loaded": loaded()}
+report["refused_before"] = [duplicate_refused(n) for n in ("pcp-da", "ipcp")]
+report["built"] = [make_protocol(n).name for n in names]
+report["refused_after"] = [duplicate_refused(n) for n in names]
+print(json.dumps(report))
+"""
+
+
+class TestRegistryImportOrder:
+    def test_fresh_interpreter_knows_every_built_in_name(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _FRESH_REGISTRY], capture_output=True,
+            text=True, check=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        report = json.loads(out.stdout)
+        # The names come from the built-in table: nothing is imported
+        # for them, pcp-da-checked (defined in repro.verify) included.
+        assert report["names"] == sorted(EXPECTED)
+        assert report["loaded"] == ["repro.protocols.base"]
+        assert report["refused_before"] == [True, True]
+        assert report["built"] == sorted(EXPECTED)
+        assert report["refused_after"] == [True] * len(EXPECTED)
 
 
 class TestProtocolContracts:

@@ -257,6 +257,42 @@ class TestDispatch:
 
         run(body())
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_only_a_json_integer_addresses_a_session(self, shards):
+        # True == 1 == 1.0 as dict keys: a boolean, float or string id
+        # must name no session rather than abort a live one.
+        if shards == 1:
+            manager = LockManager(catalog_rw(), "pcp-da")
+        else:
+            manager = ShardedLockManager(catalog_rw(), "pcp-da", shards=shards)
+        ids = [1.0, False, True, "2"]
+
+        async def body():
+            sessions = [
+                (await wire.dispatch_request(
+                    manager, {"id": i, "op": "begin", "transaction": name}
+                ))["result"]["session"]
+                for i, name in enumerate(("T1", "T2", "T3"))
+            ]
+            responses = [
+                await wire.dispatch_request(
+                    manager, {"id": 9, "op": "abort", "session": session_id}
+                )
+                for session_id in ids
+            ]
+            live = [manager.is_live(s) for s in sessions]
+            await manager.shutdown()
+            return sessions, responses, live
+
+        sessions, responses, live = run(body())
+        assert sessions == [0, 1, 2]
+        assert [r["error"]["kind"] for r in responses] == (
+            ["session-state"] * len(ids)
+        )
+        assert responses[3]["error"]["message"] == "unknown session '2'"
+        assert live == [True, True, True]
+        assert not any(manager.is_live(session_id) for session_id in ids[:3])
+
     def test_error_id_echoed_back(self):
         async def body():
             manager = LockManager(catalog_rw(), "pcp-da")
