@@ -12,17 +12,17 @@ every table and figure of the paper.
 Quickstart::
 
     from repro import (
-        PCPDA, Simulator, TaskSet, TransactionSpec, read, write,
-        assign_by_order, render_gantt,
+        PCPDA, SimConfig, Simulator, TransactionSpec,
+        assign_by_order, compute, read, render_gantt, write,
     )
 
     t_high = TransactionSpec("T1", (read("x"), read("y")), period=5, offset=1)
-    t_low = TransactionSpec("T2", (write("x"), write("y")), offset=0)
-    taskset = assign_by_order([t_high, t_low])
+    t_low = TransactionSpec("T2", (write("x"), compute(2.0), write("y", 2.0)))
+    taskset = assign_by_order([t_high, t_low])        # first = highest priority
 
-    result = Simulator(taskset, PCPDA()).run()
-    print(render_gantt(result))
-    result.check_serializable()
+    result = Simulator(taskset, PCPDA(), SimConfig(horizon=11, max_instances=2)).run()
+    print(render_gantt(result))    # the paper's Figure 2, in ASCII
+    result.check_serializable()    # Theorem 3, checked on the actual history
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every experiment.

@@ -170,22 +170,21 @@ def catalog_document(catalog: TaskSet) -> List[Dict[str, Any]]:
     ]
 
 
-def check_deadline(deadline_s: Optional[float]) -> None:
+def check_deadline(deadline_s: Any) -> None:
     """Raise :class:`SpecificationError` unless a per-request relative
-    deadline is absent or positive (the rule of
-    :attr:`ServiceConfig.default_deadline_s`)."""
-    if deadline_s is not None and not deadline_s > 0:
+    deadline is absent or a positive number (the rule of
+    :attr:`ServiceConfig.default_deadline_s`).  It arrives as a JSON
+    value: a boolean is not a number, though Python counts it as one."""
+    if deadline_s is None:
+        return
+    if (
+        not isinstance(deadline_s, (int, float))
+        or isinstance(deadline_s, bool)
+        or not deadline_s > 0
+    ):
         raise SpecificationError(
-            f"deadline_s must be positive, not {deadline_s!r}"
+            f"deadline_s must be a positive number, not {deadline_s!r}"
         )
-
-
-def unknown_session(session_id: Any, next_id: int) -> str:
-    """Why ``session_id`` names no live session: finished (an id below
-    ``next_id`` — ids are issued in order), or never issued."""
-    if type(session_id) is int and 0 <= session_id < next_id:
-        return f"session {session_id} already finished"
-    return f"unknown session {session_id!r}"
 
 
 def check_access(
@@ -243,7 +242,23 @@ class ServiceConfig:
             raise SpecificationError("default_deadline_s must be positive")
 
 
-class Session:
+class SessionRecord:
+    """What a :class:`SessionTable` knows of each session it holds, in
+    either core; a subclass adds ``name`` and ``in_flight``."""
+
+    __slots__ = ("id", "state", "deadline", "opened_at", "abort_reason")
+
+    def __init__(self, session_id: int, opened_at: float,
+                 deadline: Optional[float] = None) -> None:
+        self.id = session_id
+        self.state = SessionState.ACTIVE
+        #: Absolute deadline on the service clock, or None.
+        self.deadline = deadline
+        self.opened_at = opened_at
+        self.abort_reason = ""
+
+
+class Session(SessionRecord):
     """One live transaction: a :class:`Job` plus service bookkeeping.
 
     The embedded job is a *real* engine job — the protocols read its
@@ -252,23 +267,23 @@ class Session:
     blocking statistics the paper's figures are built from.
     """
 
-    __slots__ = ("id", "job", "state", "deadline", "opened_at",
-                 "abort_reason")
+    __slots__ = ("job",)
 
     def __init__(self, session_id: int, job: Job, opened_at: float,
-                 deadline: Optional[float]):
-        self.id = session_id
+                 deadline: Optional[float] = None):
+        SessionRecord.__init__(self, session_id, opened_at, deadline)
         self.job = job
-        self.state = SessionState.ACTIVE
-        #: Absolute deadline on the service clock, or None.
-        self.deadline = deadline
-        self.opened_at = opened_at
-        self.abort_reason = ""
 
     @property
     def name(self) -> str:
         """The underlying job's instance name (``"T2#7"``)."""
         return self.job.name
+
+    @property
+    def in_flight(self) -> bool:
+        """Whether an operation is in progress: one that returned a park
+        is the only kind that outlives its call."""
+        return self.state is SessionState.WAITING
 
     @property
     def priority(self) -> int:
@@ -333,7 +348,150 @@ def _queue_order(park: Park) -> Tuple[int, float, int]:
     )
 
 
-class LockCore:
+class SessionTable:
+    """The session lifecycle both lock cores share: the service clock,
+    session ids and instance numbers, admission control and deadlines,
+    lookup, and the checks an operation or a client abort makes first.
+
+    :class:`LockCore` and the shard coordinator's
+    :class:`~repro.service.sharding.core.ShardedCore` subclass it and
+    make every lock decision themselves; each says in ``_expire`` how an
+    expired session is torn down.  ``_sessions`` holds live sessions
+    only, by id, oldest first: a session leaves at its terminal.
+    """
+
+    def __init__(self, catalog: TaskSet,
+                 config: Optional[ServiceConfig]) -> None:
+        self.catalog = catalog
+        self.config = config or ServiceConfig()
+        self.stats = ServiceStats()
+        self._sessions: Dict[int, Any] = {}
+        self._next_session_id = 0
+        #: transaction -> next instance number.
+        self._instances: Dict[str, int] = {}
+        self._t0 = time.monotonic()
+        self._closed = False
+
+    def now(self) -> float:
+        """Seconds since the core started (the service clock)."""
+        return time.monotonic() - self._t0
+
+    def session(self, session_id: int) -> Any:
+        """Look up a live session by id (for the wire layer).
+
+        Raises :class:`SessionStateError` for any other id: ids are
+        issued in order, so one below the next id is a finished session.
+        An id is an ``int`` and nothing else: ``True == 1 == 1.0`` as a
+        dict key, so a JSON boolean or float would address a real session.
+        """
+        session = self._sessions.get(session_id)
+        if session is not None and type(session_id) is int:
+            return session
+        if type(session_id) is int and 0 <= session_id < self._next_session_id:
+            raise SessionStateError(f"session {session_id} already finished")
+        raise SessionStateError(f"unknown session {session_id!r}")
+
+    def is_live(self, session_id: int) -> bool:
+        """Whether ``session_id`` names a live session (never raises)."""
+        return type(session_id) is int and session_id in self._sessions
+
+    def live_sessions(self) -> Tuple[Any, ...]:
+        """Currently live (active or waiting) sessions, oldest first."""
+        return tuple(self._sessions.values())
+
+    def expire(self, session: Any, reason: str) -> None:
+        """Abort ``session`` from outside its operation: its deadline
+        passed (``reason="deadline"``) or its client went away.  A
+        session that already finished is left alone."""
+        if reason == "deadline" and session.state.live:
+            self.stats.deadline_aborts += 1
+        self._expire(session, reason)
+
+    def _expire(self, session: Any, reason: str) -> None:
+        raise NotImplementedError
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise ServiceError("lock manager is shut down")
+
+    def _check_begin(
+        self, transaction: str, deadline_s: Optional[float]
+    ) -> TransactionSpec:
+        """The first checks of ``begin``: the core is open, the
+        transaction is in the catalog, ``deadline_s`` is valid."""
+        self._ensure_open()
+        spec = self.catalog[transaction]
+        check_deadline(deadline_s)
+        return spec
+
+    def _check_capacity(self) -> None:
+        """Refuse a new session beyond the ``max_sessions`` cap."""
+        limit = self.config.max_sessions
+        if limit is not None and len(self._sessions) >= limit:
+            self.stats.sessions_rejected += 1
+            raise AdmissionError(
+                f"session limit reached ({limit} live sessions); retry later"
+            )
+
+    def _number(self, transaction: str, instance: Optional[int] = None) -> int:
+        """The instance number of a new session of ``transaction``: the
+        pinned ``instance``, or the next one drawn.  The counter stays
+        past every pin, so a drawn number is new too."""
+        drawn = self._instances.get(transaction, 0)
+        if instance is None:
+            instance = drawn
+        self._instances[transaction] = max(drawn, instance + 1)
+        return instance
+
+    def _open(self, session: Any, deadline_s: Optional[float]) -> Any:
+        """Register ``session``, built under id ``_next_session_id``,
+        with its absolute deadline: ``deadline_s``, or the configured
+        default, after it opened."""
+        relative = (
+            deadline_s if deadline_s is not None
+            else self.config.default_deadline_s
+        )
+        if relative is not None:
+            session.deadline = session.opened_at + relative
+        self._next_session_id += 1
+        self._sessions[session.id] = session
+        self.stats.sessions_started += 1
+        return session
+
+    def _pre_op(self, session: Any) -> None:
+        """The checks every new operation makes: the core is open, no
+        operation of the session is in flight, it is live, and its
+        deadline has not passed (an expired session is aborted)."""
+        self._ensure_open()
+        if session.in_flight:
+            raise SessionStateError(
+                f"{session.name}: a previous operation is still waiting "
+                "for a lock (one in-flight operation per session)"
+            )
+        if not session.state.live:
+            raise SessionStateError(
+                f"{session.name}: session already {session.state.value}"
+            )
+        if session.deadline is not None and self.now() > session.deadline:
+            self.expire(session, "deadline")
+            raise DeadlineExceeded(
+                f"{session.name}: deadline passed before the operation"
+            )
+
+    def _check_abort(self, session: Any) -> None:
+        """The checks a client abort makes: the session is live and no
+        operation of it is in flight."""
+        if not session.state.live:
+            raise SessionStateError(
+                f"{session.name}: cannot abort a {session.state.value} session"
+            )
+        if session.in_flight:
+            raise SessionStateError(
+                f"{session.name}: another operation is waiting for a lock"
+            )
+
+
+class LockCore(SessionTable):
     """Decide, grant, park and wake lock requests under one protocol.
 
     Args:
@@ -358,8 +516,7 @@ class LockCore:
             raise SpecificationError(
                 f"item name {COMMIT_ITEM!r} is reserved for the commit gate"
             )
-        self.catalog = catalog
-        self.config = config or ServiceConfig()
+        super().__init__(catalog, config)
         self.protocol = make_protocol(protocol)
         self.table = LockTable()
         self.waits = WaitForGraph()
@@ -389,7 +546,6 @@ class LockCore:
         self.churn_listeners: List[
             Callable[[str, Job, Optional[Job]], None]
         ] = []
-        self.stats = ServiceStats()
         self.protocol.bind(catalog, self.table)
         self.protocol.bind_runtime(self.waits)
         #: The array kernel compiled from the protocol: it answers every
@@ -398,15 +554,11 @@ class LockCore:
         self._decide = self.kernel.decide
         self._sysceil = self.kernel.system_ceiling
 
-        #: Live sessions by id, and by job.  A finished session leaves
-        #: both at the end of :meth:`_finish`: ``_sessions`` with
-        #: ``_live``, ``_by_job`` once the terminal churn listeners (which
-        #: may still look it up) have run.
-        self._sessions: Dict[int, Session] = {}
+        #: Live sessions by job (``_sessions`` holds them by id).  A
+        #: finished session leaves both in :meth:`_finish`, ``_by_job``
+        #: once the terminal churn listeners (which may still look it up)
+        #: have run; the inheritance pass tests membership against it.
         self._by_job: Dict[Job, Session] = {}
-        #: Live sessions by job, oldest first (the job keys are what the
-        #: wait graph's inheritance pass tests membership against).
-        self._live: Dict[Job, Session] = {}
         #: The registry: every waiting session's :class:`Park`, whatever
         #: it waits for (lock, order guard, commit fence, commit gate).
         self.parks: Dict[Session, Park] = {}
@@ -424,19 +576,8 @@ class LockCore:
         #: Commit-fenced sessions (see :meth:`prepare_commit`): while a
         #: job is in here, reads may not pass its write locks.
         self._committing: Dict[Job, Session] = {}
-        self._next_session_id = 0
-        #: transaction -> next instance number, and every one issued.
-        self._instances: Dict[str, int] = {}
+        #: transaction -> every instance number issued.
         self._issued: Dict[str, Set[int]] = {}
-        self._t0 = time.monotonic()
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    def now(self) -> float:
-        """Seconds since the manager started (the service clock)."""
-        return time.monotonic() - self._t0
 
     # ------------------------------------------------------------------
     # Operations
@@ -464,12 +605,10 @@ class LockCore:
             AdmissionError: the ``max_sessions`` backpressure cap is hit.
             SpecificationError: unknown transaction name, a pin that is
                 not a non-negative integer, an instance number already
-                issued, or a ``deadline_s`` that is not positive.
+                issued, or a ``deadline_s`` that is not a positive number.
             ServiceError: the manager is shut down.
         """
-        self._ensure_open()
-        spec = self.catalog[transaction]
-        check_deadline(deadline_s)
+        spec = self._check_begin(transaction, deadline_s)
         for name, pin in (("instance", instance), ("seq", seq)):
             if pin is not None and (type(pin) is not int or pin < 0):
                 raise SpecificationError(
@@ -478,35 +617,17 @@ class LockCore:
         issued = self._issued.setdefault(transaction, set())
         if instance in issued:
             raise SpecificationError(f"{transaction}#{instance} exists")
-        limit = self.config.max_sessions
-        if limit is not None and len(self._live) >= limit:
-            self.stats.sessions_rejected += 1
-            raise AdmissionError(
-                f"session limit reached ({limit} live sessions); retry later"
-            )
+        self._check_capacity()
         now = self.now()
-        if instance is None:
-            instance = self._instances.get(transaction, 0)
-        # The counter stays past every pin, so a drawn number is new too.
-        self._instances[transaction] = max(
-            self._instances.get(transaction, 0), instance + 1
-        )
+        instance = self._number(transaction, instance)
         issued.add(instance)
         job = Job(spec, instance, now)
         if seq is not None:
             job.seq = seq
-        session = Session(self._next_session_id, job, now, None)
-        self._next_session_id += 1
-        relative = (
-            deadline_s if deadline_s is not None
-            else self.config.default_deadline_s
+        session = self._open(
+            Session(self._next_session_id, job, now), deadline_s
         )
-        if relative is not None:
-            session.deadline = now + relative
-        self._sessions[session.id] = session
         self._by_job[job] = session
-        self._live[job] = session
-        self.stats.sessions_started += 1
         return session
 
     def add_decision_listener(
@@ -514,25 +635,6 @@ class LockCore:
     ) -> None:
         """Subscribe ``listener`` to every recorded lock decision."""
         self.decision_listeners.append(listener)
-
-    def session(self, session_id: int) -> Session:
-        """Look up a live session by id (for the wire layer).
-
-        Raises :class:`SessionStateError` for any other id: ids are
-        issued in order, so one below the next id is a finished session.
-        An id is an ``int`` and nothing else: ``True == 1 == 1.0`` as a
-        dict key, so a JSON boolean or float would address a real session.
-        """
-        session = self._sessions.get(session_id)
-        if session is None or type(session_id) is not int:
-            raise SessionStateError(unknown_session(
-                session_id, self._next_session_id
-            ))
-        return session
-
-    def is_live(self, session_id: int) -> bool:
-        """Whether ``session_id`` names a live session (never raises)."""
-        return type(session_id) is int and session_id in self._sessions
 
     def read(
         self, session: Session, item: str, *, resume: Optional[Park] = None
@@ -668,28 +770,15 @@ class LockCore:
 
     def abort(self, session: Session, reason: str = "client") -> None:
         """Abort the session: discard its workspace, release its locks."""
-        if not session.state.live:
-            raise SessionStateError(
-                f"{session.name}: cannot abort a {session.state.value} session"
-            )
-        if session.state is SessionState.WAITING:
-            raise SessionStateError(
-                f"{session.name}: another operation is waiting for a lock"
-            )
+        self._check_abort(session)
         self._abort_session(session, reason, forced=False)
         self._service_grant_queue()
 
-    def expire(self, session: Session, reason: str) -> None:
-        """Abort ``session`` from outside its operation: its deadline
-        passed (``reason="deadline"``) or its client went away.
-
-        A parked session leaves the queue first, announced as
+    def _expire(self, session: Session, reason: str) -> None:
+        """A parked session leaves the queue first, announced as
         ``"unwait"`` like any live exit from the wait-for graph, then is
-        torn down; a session that already finished is left alone.
-        """
+        torn down."""
         self._unpark(session)
-        if reason == "deadline" and session.state.live:
-            self.stats.deadline_aborts += 1
         self.force_abort(session, reason)
 
     def force_abort(
@@ -716,7 +805,7 @@ class LockCore:
         if self._closed:
             return
         self._closed = True
-        for session in list(self._live.values()):
+        for session in list(self._sessions.values()):
             self._abort_session(
                 session, "shutdown",
                 exc=TransactionAborted("service shutting down"),
@@ -726,10 +815,6 @@ class LockCore:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def live_sessions(self) -> Tuple[Session, ...]:
-        """Currently live (active or waiting) sessions, oldest first."""
-        return tuple(self._live.values())
-
     def system_ceiling(self) -> int:
         """The current global system ceiling (kernel-backed when active)."""
         return self._sysceil(None)
@@ -737,7 +822,7 @@ class LockCore:
     def stats_document(self) -> Dict[str, Any]:
         """The ``stats`` command payload: counters + live-state gauges."""
         doc = self.stats.to_dict()
-        doc["live_sessions"] = len(self._live)
+        doc["live_sessions"] = len(self._sessions)
         doc["waiting_sessions"] = len(self.parks)
         doc["protocol"] = self.protocol.name
         doc["uptime_s"] = self.now()
@@ -764,10 +849,6 @@ class LockCore:
     # ------------------------------------------------------------------
     # Operation plumbing
     # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ServiceError("lock manager is shut down")
-
     def _trace_lock(
         self,
         time: float,
@@ -826,21 +907,7 @@ class LockCore:
                     f"{session.name}: {session.abort_reason}"
                 )
             return
-        self._ensure_open()
-        if session.state is SessionState.WAITING:
-            raise SessionStateError(
-                f"{session.name}: a previous operation is still waiting "
-                "for a lock (one in-flight operation per session)"
-            )
-        if not session.state.live:
-            raise SessionStateError(
-                f"{session.name}: session already {session.state.value}"
-            )
-        if session.deadline is not None and self.now() > session.deadline:
-            self.expire(session, "deadline")
-            raise DeadlineExceeded(
-                f"{session.name}: deadline passed before the operation"
-            )
+        self._pre_op(session)
         if item is not None and mode is not None:
             check_access(session.name, session.job.spec, item, mode)
 
@@ -1227,14 +1294,13 @@ class LockCore:
         self.kernel.retire(job)
         session.state = state
         self._committing.pop(job, None)
-        self._live.pop(job, None)
         del self._sessions[session.id]
         self.constraints.drop(job)
-        self._recompute_priorities()
         self._notify_churn(
             "finish" if state is SessionState.COMMITTED else "abort", job
         )
         del self._by_job[job]
+        self._recompute_priorities()
 
     def _is_service_cycle(self, cycle: Tuple[Job, ...]) -> bool:
         """True when the cycle runs through a service-made park (guard,
@@ -1292,11 +1358,11 @@ class LockCore:
     # Shared helpers
     # ------------------------------------------------------------------
     def _recompute_priorities(self) -> None:
-        changed = self.waits.recompute_priorities(self._live)
+        changed = self.waits.recompute_priorities(self._by_job)
         if not changed:
             return
         if len(changed) > 1:
-            # Session ids order like ``_live``: oldest session first.
+            # Oldest session first: session ids are issued in order.
             by_job = self._by_job
             changed.sort(key=lambda job: by_job[job].id)
         for listener in self.priority_listeners:

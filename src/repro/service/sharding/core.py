@@ -67,7 +67,6 @@ through :meth:`ShardedCore.expire`.
 from __future__ import annotations
 
 import functools
-import time
 from typing import (
     Any,
     Callable,
@@ -85,8 +84,6 @@ from typing import (
 from repro.engine.inheritance import WaitForGraph
 from repro.engine.job import Job
 from repro.exceptions import (
-    AdmissionError,
-    DeadlineExceeded,
     ServiceError,
     SessionStateError,
     SpecificationError,
@@ -98,11 +95,11 @@ from repro.service.core import (
     LockCore,
     ServiceConfig,
     Session,
+    SessionRecord,
     SessionState,
+    SessionTable,
     check_access,
-    check_deadline,
     check_served,
-    unknown_session,
 )
 from repro.service.park import Park, ParkKind, end_park
 from repro.service.sharding.partitioner import Partitioner, make_partitioner
@@ -154,32 +151,27 @@ def _operation(steps: Callable[..., Steps]) -> Callable[..., Any]:
     return operation
 
 
-class GlobalSession:
+class GlobalSession(SessionRecord):
     """One live transaction as the coordinator sees it.
 
     The coordinator-side twin of :class:`~repro.service.core.Session`:
     it has no job of its own — instead it owns one *leg* session per
-    touched shard, all running under the same pinned instance name.
+    touched shard, all running under the same pinned instance name.  Its
+    deadline is the coordinator's: legs run deadline-free, so no shard
+    can half-abort a commit.
     """
 
-    __slots__ = ("id", "spec", "instance", "state", "deadline", "opened_at",
-                 "abort_reason", "legs", "span", "op", "installing")
+    __slots__ = ("spec", "instance", "legs", "span", "op", "installing")
 
     def __init__(self, session_id: int, spec: TransactionSpec, instance: int,
-                 opened_at: float) -> None:
-        self.id = session_id
+                 span: FrozenSet[int], opened_at: float) -> None:
+        SessionRecord.__init__(self, session_id, opened_at)
         self.spec = spec
         self.instance = instance
-        self.state = SessionState.ACTIVE
-        #: Absolute deadline on the service clock (coordinator-enforced;
-        #: legs run deadline-free so no shard can half-abort a commit).
-        self.deadline: Optional[float] = None
-        self.opened_at = opened_at
-        self.abort_reason = ""
         #: shard id -> leg session, opened lazily on first touch.
         self.legs: Dict[int, Session] = {}
         #: Shards the declared access set may touch (static, see begin).
-        self.span: FrozenSet[int] = frozenset()
+        self.span = span
         #: The operation in progress, suspended at the park it returned.
         self.op: Optional[Steps] = None
         #: Past the commit point: every leg fenced and the gate empty.
@@ -212,7 +204,7 @@ class GlobalSession:
         return "local" if len(self.span) <= 1 else "global"
 
 
-class ShardedCore:
+class ShardedCore(SessionTable):
     """Partitioned lock service behind the unsharded core's interface.
 
     Args:
@@ -245,8 +237,7 @@ class ShardedCore:
         shard_managers: Optional[Sequence[Any]] = None,
     ) -> None:
         check_served(protocol)
-        self.catalog = catalog
-        self.config = config or ServiceConfig()
+        super().__init__(catalog, config)
         items = sorted(catalog.items)
         if isinstance(partitioner, str):
             partitioner = make_partitioner(partitioner, shards, items)
@@ -289,15 +280,10 @@ class ShardedCore:
         # and latency figures must be comparable across shards.  A
         # supervisor overrides ``_t0`` afterwards with the epoch it
         # already handed the shard-host processes.
-        self._t0 = time.monotonic()
         for shard in self.shards:
             shard._t0 = self._t0
-        self.stats = ServiceStats()
         self.sharding_stats = ShardingStats()
 
-        #: Live global sessions by id, oldest first; a session leaves at
-        #: its global terminal.
-        self._sessions: Dict[int, GlobalSession] = {}
         #: leg job -> owning global session (constraint/wait translation).
         self._job_sessions: Dict[Job, GlobalSession] = {}
         #: The registry of coordinator-level parks (global commit gate /
@@ -314,9 +300,6 @@ class ShardedCore:
         self._deadlock_due = False
         #: (kind, instance name, time) terminal rows for the merged history.
         self._outcomes: List[Tuple[str, str, float]] = []
-        self._instances: Dict[str, int] = {}
-        self._next_session_id = 0
-        self._closed = False
         for index, shard in enumerate(self.shards):
             shard.churn_listeners.append(
                 lambda kind, job, other, _shard=index: self._on_shard_churn(
@@ -325,12 +308,8 @@ class ShardedCore:
             )
 
     # ------------------------------------------------------------------
-    # Clock and identity
+    # Identity
     # ------------------------------------------------------------------
-    def now(self) -> float:
-        """Seconds since the deployment started (shared service clock)."""
-        return time.monotonic() - self._t0
-
     @property
     def protocol(self):
         """The protocol instance of shard 0 (all shards run the same one)."""
@@ -365,48 +344,17 @@ class ShardedCore:
         it is static by the same argument that makes ceilings static.
         No leg is opened yet; the first touch of a shard opens one.
         """
-        self._ensure_open()
-        spec = self.catalog[transaction]
-        check_deadline(deadline_s)
-        limit = self.config.max_sessions
-        if limit is not None and len(self._sessions) >= limit:
-            self.stats.sessions_rejected += 1
-            raise AdmissionError(
-                f"session limit reached ({limit} live sessions); retry later"
-            )
-        now = self.now()
-        instance = self._instances.get(transaction, 0)
-        self._instances[transaction] = instance + 1
-        session = GlobalSession(self._next_session_id, spec, instance, now)
-        self._next_session_id += 1
-        relative = (
-            deadline_s if deadline_s is not None
-            else self.config.default_deadline_s
-        )
-        if relative is not None:
-            session.deadline = now + relative
-        session.span = self._spans[transaction]
-        self._sessions[session.id] = session
-        self.stats.sessions_started += 1
+        spec = self._check_begin(transaction, deadline_s)
+        self._check_capacity()
+        session = self._open(GlobalSession(
+            self._next_session_id, spec, self._number(transaction),
+            self._spans[transaction], self.now(),
+        ), deadline_s)
         if session.scope == "local":
             self.sharding_stats.local_sessions += 1
         else:
             self.sharding_stats.cross_shard_sessions += 1
         return session
-
-    def session(self, session_id: int) -> GlobalSession:
-        """Look up a live global session by id (for the wire layer);
-        :meth:`LockCore.session`'s contract."""
-        session = self._sessions.get(session_id)
-        if session is None or type(session_id) is not int:
-            raise SessionStateError(unknown_session(
-                session_id, self._next_session_id
-            ))
-        return session
-
-    def is_live(self, session_id: int) -> bool:
-        """Whether ``session_id`` names a live global session."""
-        return type(session_id) is int and session_id in self._sessions
 
     @_operation
     def read(self, session: GlobalSession, item: str) -> Steps:
@@ -504,14 +452,7 @@ class ShardedCore:
 
     def abort(self, session: GlobalSession, reason: str = "client") -> None:
         """Client-requested abort: tear down every leg, discard buffers."""
-        if not session.state.live:
-            raise SessionStateError(
-                f"{session.name}: cannot abort a {session.state.value} session"
-            )
-        if session.in_flight or session.state is SessionState.WAITING:
-            raise SessionStateError(
-                f"{session.name}: another operation is waiting for a lock"
-            )
+        self._check_abort(session)
         self._abort_global(session, reason, forced=False)
 
     def force_abort(self, session: GlobalSession, reason: str) -> None:
@@ -523,12 +464,9 @@ class ShardedCore:
         """
         self._abort_global(session, reason, forced=True)
 
-    def expire(self, session: GlobalSession, reason: str) -> None:
-        """Abort ``session`` from outside its operation: its deadline
-        passed (``reason="deadline"``) or its client went away.  The
-        operation in progress is dropped where it waits."""
-        if reason == "deadline" and session.state.live:
-            self.stats.deadline_aborts += 1
+    def _expire(self, session: GlobalSession, reason: str) -> None:
+        """Every leg is torn down, and the operation in progress is
+        dropped where it waits."""
         self._abort_global(session, reason, forced=True)
         op, session.op = session.op, None
         if op is not None:
@@ -576,10 +514,6 @@ class ShardedCore:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def live_sessions(self) -> Tuple[GlobalSession, ...]:
-        """Currently live global sessions, oldest first."""
-        return tuple(self._sessions.values())
-
     def stats_document(self) -> Dict[str, Any]:
         """The ``stats`` payload: merged shard stats + coordinator view."""
         return self._assemble_stats(
@@ -704,28 +638,6 @@ class ShardedCore:
     # ------------------------------------------------------------------
     # Operation plumbing
     # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ServiceError("lock manager is shut down")
-
-    def _pre_op(self, session: GlobalSession) -> None:
-        """Shared entry checks: liveness, one-in-flight, deadline."""
-        self._ensure_open()
-        if session.in_flight or session.state is SessionState.WAITING:
-            raise SessionStateError(
-                f"{session.name}: a previous operation is still waiting "
-                "for a lock (one in-flight operation per session)"
-            )
-        if not session.state.live:
-            raise SessionStateError(
-                f"{session.name}: session already {session.state.value}"
-            )
-        if session.deadline is not None and self.now() > session.deadline:
-            self.expire(session, "deadline")
-            raise DeadlineExceeded(
-                f"{session.name}: deadline passed before the operation"
-            )
-
     @staticmethod
     def _call(op: Callable[..., Any], *args: Any, **kwargs: Any) -> Steps:
         """One shard operation: its result, after waiting out every park

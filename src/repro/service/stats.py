@@ -223,6 +223,14 @@ class PriorityBandStats:
         self.wait_hist.merge(other.wait_hist)
 
 
+#: The :class:`ServiceStats` counters, in ``stats`` document order.
+COUNTERS = (
+    "sessions_started", "sessions_rejected", "commits", "client_aborts",
+    "forced_aborts", "deadline_aborts", "grants", "denials", "deadlocks",
+    "requests",
+)
+
+
 class ServiceStats:
     """All service-side counters and histograms, in one introspectable bag."""
 
@@ -290,11 +298,7 @@ class ServiceStats:
         once per touched shard — the coordinator overrides them with its
         own global counts in the stats document.
         """
-        for name in (
-            "sessions_started", "sessions_rejected", "commits",
-            "client_aborts", "forced_aborts", "deadline_aborts", "grants",
-            "denials", "deadlocks", "requests",
-        ):
+        for name in COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.commit_latency.merge(other.commit_latency)
         self.lock_wait.merge(other.lock_wait)
@@ -313,31 +317,17 @@ class ServiceStats:
 
     def to_dict(self) -> Dict[str, Any]:
         """The full stats snapshot as shipped by the ``stats`` command."""
-        return {
-            "sessions_started": self.sessions_started,
-            "sessions_rejected": self.sessions_rejected,
-            "commits": self.commits,
-            "client_aborts": self.client_aborts,
-            "forced_aborts": self.forced_aborts,
-            "deadline_aborts": self.deadline_aborts,
-            "grants": self.grants,
-            "denials": self.denials,
-            "deadlocks": self.deadlocks,
-            "requests": self.requests,
-            "commit_latency": self.commit_latency.to_dict(),
-            "lock_wait": self.lock_wait.to_dict(),
-            "bands": [band.to_dict() for band in self.bands],
-        }
+        doc: Dict[str, Any] = {name: getattr(self, name) for name in COUNTERS}
+        doc["commit_latency"] = self.commit_latency.to_dict()
+        doc["lock_wait"] = self.lock_wait.to_dict()
+        doc["bands"] = [band.to_dict() for band in self.bands]
+        return doc
 
     @classmethod
     def from_dict(cls, doc: Dict[str, Any]) -> "ServiceStats":
         """Rebuild a snapshot fetched over the wire (loadgen reporting)."""
         stats = cls()
-        for name in (
-            "sessions_started", "sessions_rejected", "commits",
-            "client_aborts", "forced_aborts", "deadline_aborts", "grants",
-            "denials", "deadlocks", "requests",
-        ):
+        for name in COUNTERS:
             setattr(stats, name, int(doc[name]))
         stats.commit_latency = LatencyHistogram.from_dict(doc["commit_latency"])
         stats.lock_wait = LatencyHistogram.from_dict(doc["lock_wait"])

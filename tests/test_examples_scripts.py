@@ -1,16 +1,45 @@
 """Every example script must run cleanly end to end (deliverable guard).
 
 The scripts are executed in-process (imported with ``runpy``) with small
-sweep arguments so the whole file stays fast.
+sweep arguments so the whole file stays fast.  The Quickstart code of
+the README and of the package docstring runs here too, so documented
+code that stops working fails a test.
 """
 
 import runpy
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
+import repro
+
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = ROOT / "examples"
+
+
+def _readme_quickstart() -> str:
+    """The Python block of the README's "Quickstart" section."""
+    section = (ROOT / "README.md").read_text().split("## Quickstart\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _docstring_quickstart() -> str:
+    """The indented ``Quickstart::`` block of the package docstring."""
+    block = []
+    for line in repro.__doc__.split("Quickstart::\n", 1)[1].splitlines():
+        if line and not line.startswith(" "):
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block))
+
+
+@pytest.mark.parametrize("source", [_readme_quickstart, _docstring_quickstart])
+def test_documented_quickstart_runs(source, capsys):
+    exec(compile(source(), source.__name__, "exec"), {"__name__": "__main__"})
+    out = capsys.readouterr().out
+    assert "T1" in out and "T2" in out
 
 
 def _run_script(name: str, argv):

@@ -24,7 +24,7 @@ from repro.exceptions import (
 )
 from repro.model.priorities import assign_by_order
 from repro.model.spec import TaskSet, TransactionSpec, read, write
-from repro.service import LockManager, ServiceConfig
+from repro.service import LockManager, ServiceConfig, ShardedLockManager
 from repro.service.manager import SERVED_PROTOCOLS, SessionState
 from repro.service.park import ParkKind
 from repro.verify.stress import StressSpec, make_catalog
@@ -300,16 +300,24 @@ class TestGrantQueue:
 
         run(body())
 
-    def test_one_inflight_operation_per_session(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_one_inflight_operation_per_session(self, shards):
         async def body():
-            manager = LockManager(catalog_rw(), "rw-pcp")
+            if shards == 1:
+                manager = LockManager(catalog_rw(), "rw-pcp")
+            else:
+                manager = ShardedLockManager(
+                    catalog_rw(), "rw-pcp", shards=shards
+                )
             writer = await manager.begin("T2")
             await manager.write(writer, "x", 1)
             reader = await manager.begin("T1")
             task = asyncio.ensure_future(manager.read(reader, "x"))
             await settle()
-            with pytest.raises(SessionStateError):
+            with pytest.raises(SessionStateError, match="in-flight"):
                 await manager.read(reader, "x")
+            with pytest.raises(SessionStateError, match="waiting"):
+                await manager.abort(reader)
             await manager.commit(writer)
             await task
             await manager.commit(reader)

@@ -74,7 +74,7 @@ class TestRetainedBytes:
         core = LockCore(catalog, "pcp-da")
         per_commit = retained_per_commit(core, catalog, 2000, 6000)
         assert per_commit <= RETAINED_BYTES_PER_COMMIT, per_commit
-        assert not core._sessions and not core._by_job and not core._live
+        assert not core._sessions and not core._by_job
         assert len(core.history_events()) > 6000
 
 

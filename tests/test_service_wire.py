@@ -166,6 +166,21 @@ class TestDispatch:
             )
             assert response["error"]["kind"] == "bad-request", deadline
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    @pytest.mark.parametrize("deadline", [True, False, "5", [1]],
+                             ids=["true", "false", "string", "array"])
+    def test_begin_with_a_non_number_deadline_is_bad_request(
+        self, shards, deadline
+    ):
+        if shards == 1:
+            manager = LockManager(catalog_rw(), "pcp-da")
+        else:
+            manager = ShardedLockManager(catalog_rw(), "pcp-da", shards=shards)
+        response = self.begin_response(manager, deadline_s=deadline)
+        assert response["error"]["kind"] == "bad-request"
+        assert repr(deadline) in response["error"]["message"]
+        assert manager.stats.sessions_started == 0
+
     def test_sharded_begin_with_a_negative_deadline_is_bad_request(self):
         manager = ShardedLockManager(catalog_rw(), "pcp-da", shards=2)
         response = self.begin_response(manager, deadline_s=-1)
