@@ -143,38 +143,11 @@ def check_served(protocol: str) -> None:
         )
 
 
-def catalog_document(catalog: TaskSet) -> List[Dict[str, Any]]:
-    """JSON-friendly description of a catalog's transaction types.
-
-    Shared by :meth:`LockCore.catalog_document` and the remote shard
-    proxy, which answers the same query from its local catalog copy
-    without a round-trip (the catalog is static and identical on every
-    host by construction).
-    """
-    return [
-        {
-            "name": spec.name,
-            "priority": spec.priority,
-            "operations": [
-                {
-                    "kind": op.kind.value,
-                    "item": op.item,
-                    "duration": op.duration,
-                }
-                for op in spec.operations
-            ],
-            "reads": sorted(spec.read_set),
-            "writes": sorted(spec.write_set),
-        }
-        for spec in catalog
-    ]
-
-
-def check_deadline(deadline_s: Any) -> None:
-    """Raise :class:`SpecificationError` unless a per-request relative
-    deadline is absent or a positive number (the rule of
-    :attr:`ServiceConfig.default_deadline_s`).  It arrives as a JSON
-    value: a boolean is not a number, though Python counts it as one."""
+def check_deadline(deadline_s: Any, name: str = "deadline_s") -> None:
+    """Raise :class:`SpecificationError` unless a relative deadline is
+    absent or a positive number: a per-request one, which arrives as a
+    JSON value, or :attr:`ServiceConfig.default_deadline_s`.  A boolean
+    is not a number, though Python counts it as one."""
     if deadline_s is None:
         return
     if (
@@ -183,7 +156,7 @@ def check_deadline(deadline_s: Any) -> None:
         or not deadline_s > 0
     ):
         raise SpecificationError(
-            f"deadline_s must be a positive number, not {deadline_s!r}"
+            f"{name} must be a positive number, not {deadline_s!r}"
         )
 
 
@@ -236,10 +209,12 @@ class ServiceConfig:
     default_deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_sessions is not None and self.max_sessions < 1:
-            raise SpecificationError("max_sessions must be >= 1")
-        if self.default_deadline_s is not None and self.default_deadline_s <= 0:
-            raise SpecificationError("default_deadline_s must be positive")
+        limit = self.max_sessions
+        if limit is not None and (type(limit) is not int or limit < 1):
+            raise SpecificationError(
+                f"max_sessions must be an integer >= 1, not {limit!r}"
+            )
+        check_deadline(self.default_deadline_s, "default_deadline_s")
 
 
 class SessionRecord:
@@ -349,20 +324,29 @@ def _queue_order(park: Park) -> Tuple[int, float, int]:
 
 
 class SessionTable:
-    """The session lifecycle both lock cores share: the service clock,
-    session ids and instance numbers, admission control and deadlines,
-    lookup, and the checks an operation or a client abort makes first.
+    """The session lifecycle both lock cores share, from ``begin`` to the
+    last abort: the service clock, session ids and instance numbers,
+    admission control and deadlines, lookup, the checks an operation
+    makes first, client and forced aborts, shutdown — and what the
+    service says about itself (protocol, catalog, topology).
 
     :class:`LockCore` and the shard coordinator's
     :class:`~repro.service.sharding.core.ShardedCore` subclass it and
-    make every lock decision themselves; each says in ``_expire`` how an
-    expired session is torn down.  ``_sessions`` holds live sessions
-    only, by id, oldest first: a session leaves at its terminal.
+    make every lock decision themselves.  Each says how one session is
+    torn down (``_abort_session``), what is left to do after teardowns
+    (``_after_abort``), and how an expired one goes (``_expire``).
+    ``_sessions`` holds live sessions only, by id, oldest first: a
+    session leaves at its terminal.
     """
 
-    def __init__(self, catalog: TaskSet,
+    #: Partitions in this deployment (``ping``, ``topology``).
+    shard_count = 1
+
+    def __init__(self, catalog: TaskSet, protocol: str,
                  config: Optional[ServiceConfig]) -> None:
+        check_served(protocol)
         self.catalog = catalog
+        self.protocol = make_protocol(protocol)
         self.config = config or ServiceConfig()
         self.stats = ServiceStats()
         self._sessions: Dict[int, Any] = {}
@@ -399,6 +383,43 @@ class SessionTable:
         """Currently live (active or waiting) sessions, oldest first."""
         return tuple(self._sessions.values())
 
+    def abort(self, session: Any, reason: str = "client") -> None:
+        """Client abort: the session is live and no operation of it is
+        in flight; then it is torn down."""
+        if not session.state.live:
+            raise SessionStateError(
+                f"{session.name}: cannot abort a {session.state.value} session"
+            )
+        if session.in_flight:
+            raise SessionStateError(
+                f"{session.name}: another operation is waiting for a lock"
+            )
+        self._abort_session(session, reason, forced=False)
+        self._after_abort()
+
+    def force_abort(self, session: Any, reason: str, *,
+                    exc: Optional[ServiceError] = None) -> None:
+        """Service-initiated abort, parked or not: a coordinator's
+        cascade onto a leg, a cross-connection disconnect, a policy
+        kill.  ``exc`` is what a parked operation raises.  Idempotent: a
+        session that already finished is left alone."""
+        if not session.state.live:
+            return
+        self._abort_session(session, reason, forced=True, exc=exc)
+        self._after_abort()
+
+    def shutdown(self) -> None:
+        """Abort every live session and refuse further requests."""
+        if self._closed:
+            return
+        self._closed = True
+        for session in list(self._sessions.values()):
+            self._abort_session(
+                session, "shutdown",
+                exc=TransactionAborted("service shutting down"),
+            )
+        self._after_abort()
+
     def expire(self, session: Any, reason: str) -> None:
         """Abort ``session`` from outside its operation: its deadline
         passed (``reason="deadline"``) or its client went away.  A
@@ -407,8 +428,45 @@ class SessionTable:
             self.stats.deadline_aborts += 1
         self._expire(session, reason)
 
+    def _abort_session(self, session: Any, reason: str, *, forced: bool = True,
+                       exc: Optional[ServiceError] = None) -> None:
+        """Tear one live session down; ``exc`` ends its park, if any."""
+        raise NotImplementedError
+
+    def _after_abort(self) -> None:
+        """Work a teardown leaves for after it (none by default)."""
+
     def _expire(self, session: Any, reason: str) -> None:
         raise NotImplementedError
+
+    def catalog_document(self) -> List[Dict[str, Any]]:
+        """The registered transaction types (the ``catalog`` command)."""
+        return [
+            {
+                "name": spec.name,
+                "priority": spec.priority,
+                "operations": [
+                    {
+                        "kind": op.kind.value,
+                        "item": op.item,
+                        "duration": op.duration,
+                    }
+                    for op in spec.operations
+                ],
+                "reads": sorted(spec.read_set),
+                "writes": sorted(spec.write_set),
+            }
+            for spec in self.catalog
+        ]
+
+    def topology_document(self) -> Dict[str, Any]:
+        """The ``topology`` payload: one shard owning the whole catalog."""
+        return {
+            "shards": 1,
+            "partitioner": "none",
+            "scheme": "unsharded (single lock manager)",
+            "assignment": {"0": sorted(self.catalog.items)},
+        }
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -478,18 +536,6 @@ class SessionTable:
                 f"{session.name}: deadline passed before the operation"
             )
 
-    def _check_abort(self, session: Any) -> None:
-        """The checks a client abort makes: the session is live and no
-        operation of it is in flight."""
-        if not session.state.live:
-            raise SessionStateError(
-                f"{session.name}: cannot abort a {session.state.value} session"
-            )
-        if session.in_flight:
-            raise SessionStateError(
-                f"{session.name}: another operation is waiting for a lock"
-            )
-
 
 class LockCore(SessionTable):
     """Decide, grant, park and wake lock requests under one protocol.
@@ -510,14 +556,12 @@ class LockCore(SessionTable):
         protocol: str = "pcp-da",
         config: Optional[ServiceConfig] = None,
     ) -> None:
-        check_served(protocol)
+        super().__init__(catalog, protocol, config)
         validate_taskset(catalog, require_priorities=True)
         if COMMIT_ITEM in catalog.items:
             raise SpecificationError(
                 f"item name {COMMIT_ITEM!r} is reserved for the commit gate"
             )
-        super().__init__(catalog, config)
-        self.protocol = make_protocol(protocol)
         self.table = LockTable()
         self.waits = WaitForGraph()
         self.db = VersionStore(catalog.items)
@@ -768,12 +812,6 @@ class LockCore(SessionTable):
         self._note_release_churn(session.job)
         self._service_grant_queue()
 
-    def abort(self, session: Session, reason: str = "client") -> None:
-        """Abort the session: discard its workspace, release its locks."""
-        self._check_abort(session)
-        self._abort_session(session, reason, forced=False)
-        self._service_grant_queue()
-
     def _expire(self, session: Session, reason: str) -> None:
         """A parked session leaves the queue first, announced as
         ``"unwait"`` like any live exit from the wait-for graph, then is
@@ -781,35 +819,8 @@ class LockCore(SessionTable):
         self._unpark(session)
         self.force_abort(session, reason)
 
-    def force_abort(
-        self,
-        session: Session,
-        reason: str,
-        *,
-        exc: Optional[ServiceError] = None,
-    ) -> None:
-        """Service-initiated abort, then re-service the grant queue.
-
-        The public entry the shard coordinator uses to cascade a global
-        abort onto a leg (and that embedders can use for policy-level
-        kills).  Idempotent: a session that already finished is left
-        alone.
-        """
-        if not session.state.live:
-            return
-        self._abort_session(session, reason, forced=True, exc=exc)
-        self._service_grant_queue()
-
-    def shutdown(self) -> None:
-        """Abort every live session and refuse further requests."""
-        if self._closed:
-            return
-        self._closed = True
-        for session in list(self._sessions.values()):
-            self._abort_session(
-                session, "shutdown",
-                exc=TransactionAborted("service shutting down"),
-            )
+    def _after_abort(self) -> None:
+        """Grant what the released locks free."""
         self._service_grant_queue()
 
     # ------------------------------------------------------------------
@@ -841,10 +852,6 @@ class LockCore(SessionTable):
             }
             for event in self.history
         ]
-
-    def catalog_document(self) -> List[Dict[str, Any]]:
-        """The registered transaction types (the ``catalog`` command)."""
-        return catalog_document(self.catalog)
 
     # ------------------------------------------------------------------
     # Operation plumbing

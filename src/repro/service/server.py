@@ -53,6 +53,12 @@ class LockServer:
     serves identically (``repro serve --shards N``).
     """
 
+    #: What ``hello`` grants.  Not ``shard-ops``: the coordinator's calls
+    #: into one shard (``prepare``, ``force_abort``, ``begin`` pins) would
+    #: let any client fence or kill another connection's session, so only
+    #: a shard host serves them.
+    features = wire.FEATURES - {"shard-ops"}
+
     def __init__(
         self,
         manager: LockManager,
@@ -122,7 +128,9 @@ class LockServer:
         passed to ``connection.send`` meanwhile joins the same output
         queue as the response, ahead of it.
         """
-        response = await wire.dispatch_request(self.manager, request)
+        response = await wire.dispatch_request(
+            self.manager, request, self.features
+        )
         owned = self._connections[connection]
         if request.get("op") == "begin":
             if response.get("ok"):

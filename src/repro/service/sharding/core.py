@@ -99,7 +99,6 @@ from repro.service.core import (
     SessionState,
     SessionTable,
     check_access,
-    check_served,
 )
 from repro.service.park import Park, ParkKind, end_park
 from repro.service.sharding.partitioner import Partitioner, make_partitioner
@@ -236,8 +235,7 @@ class ShardedCore(SessionTable):
         partitioner: Union[str, Partitioner] = "hash",
         shard_managers: Optional[Sequence[Any]] = None,
     ) -> None:
-        check_served(protocol)
-        super().__init__(catalog, config)
+        super().__init__(catalog, protocol, config)
         items = sorted(catalog.items)
         if isinstance(partitioner, str):
             partitioner = make_partitioner(partitioner, shards, items)
@@ -310,11 +308,6 @@ class ShardedCore(SessionTable):
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
-    @property
-    def protocol(self):
-        """The protocol instance of shard 0 (all shards run the same one)."""
-        return self.shards[0].protocol
-
     @property
     def shard_count(self) -> int:
         """Number of partitions in this deployment."""
@@ -437,9 +430,7 @@ class ShardedCore(SessionTable):
             # die mid-install.  Either way, fail loudly but do not leave
             # sibling legs holding locks.
             if session.state.live:
-                self._abort_global(
-                    session, f"commit failure: {exc}", forced=True
-                )
+                self._abort_session(session, f"commit failure: {exc}")
             raise
         now = self.now()
         self._finish_global(session, now)
@@ -450,40 +441,20 @@ class ShardedCore(SessionTable):
             "shards": list(legs),
         }
 
-    def abort(self, session: GlobalSession, reason: str = "client") -> None:
-        """Client-requested abort: tear down every leg, discard buffers."""
-        self._check_abort(session)
-        self._abort_global(session, reason, forced=False)
-
-    def force_abort(self, session: GlobalSession, reason: str) -> None:
-        """Service-initiated abort of a global session, parked or not.
-
-        Same contract as :meth:`LockCore.force_abort`: synchronous and
-        idempotent.  The server uses it for sessions whose connection
-        disappeared while another one had them parked.
-        """
-        self._abort_global(session, reason, forced=True)
-
     def _expire(self, session: GlobalSession, reason: str) -> None:
         """Every leg is torn down, and the operation in progress is
         dropped where it waits."""
-        self._abort_global(session, reason, forced=True)
+        self._abort_session(session, reason)
         op, session.op = session.op, None
         if op is not None:
             op.close()
 
     def shutdown(self) -> None:
-        """Abort every live session, shut the in-process shards down,
-        refuse new work (the adapter closes remote shards)."""
-        if self._closed:
-            return
-        self._closed = True
-        for session in list(self._sessions.values()):
-            self._abort_global(
-                session, "shutdown", forced=True,
-                exc=TransactionAborted("service shutting down"),
-            )
-        if not self._remote:
+        """:meth:`SessionTable.shutdown`, then the in-process shards shut
+        down too (the adapter closes remote ones)."""
+        closing = not self._closed
+        super().shutdown()
+        if closing and not self._remote:
             for shard in self.shards:
                 shard.shutdown()
 
@@ -506,9 +477,8 @@ class ShardedCore(SessionTable):
             if shard_id not in session.legs and shard_id not in session.span:
                 continue
             self.sharding_stats.cascade_aborts += 1
-            self._abort_global(
-                session, f"shard {shard_id} lost: {reason}",
-                forced=True, exc=failure,
+            self._abort_session(
+                session, f"shard {shard_id} lost: {reason}", exc=failure
             )
 
     # ------------------------------------------------------------------
@@ -525,20 +495,23 @@ class ShardedCore(SessionTable):
     ) -> Dict[str, Any]:
         """Merge per-shard ``stats`` documents with the coordinator's view.
 
-        Lock-level signals (grants, denials, waits, priority bands) are
-        the union of the shards; session-level scalars (sessions,
-        commits, aborts, end-to-end commit latency) come from the
-        coordinator, which is the only place a cross-shard transaction
-        counts once.  ``shards`` carries one summary entry per shard
-        (including its latency histograms) and ``coordinator`` the
-        sharding counters — both ignored by
-        :meth:`ServiceStats.from_dict`, so unsharded consumers read the
-        document unchanged.
+        Lock-level signals (grants, denials, waits, and the same in each
+        priority band) are the union of the shards; session-level ones
+        (sessions, commits, aborts, end-to-end commit latency, and each
+        band's commits and aborts) come from the coordinator, which is
+        the only place a cross-shard transaction counts once.  ``shards``
+        carries one summary entry per shard (including its latency
+        histograms) and ``coordinator`` the sharding counters — both
+        ignored by :meth:`ServiceStats.from_dict`, so unsharded
+        consumers read the document unchanged.
         """
         shard_stats = [ServiceStats.from_dict(d) for d in shard_docs]
         merged = ServiceStats()
         for stats in shard_stats:
             merged.merge(stats)
+        for priority in {b.priority for b in merged.bands + self.stats.bands}:
+            band, own = merged.band(priority), self.stats.band(priority)
+            band.commits, band.aborts = own.commits, own.aborts
         # Coordinator gate/guard parks are deliberately NOT merged into
         # lock_wait: they live in their own histograms on the
         # ``coordinator`` entry (ShardingStats.gate_wait / guard_wait),
@@ -630,10 +603,6 @@ class ShardedCore(SessionTable):
             }))
         rows.sort(key=lambda entry: (entry[0], entry[1]))
         return [row for _, _, row in rows]
-
-    def catalog_document(self) -> List[Dict[str, Any]]:
-        """The registered transaction types (identical on every shard)."""
-        return self.shards[0].catalog_document()
 
     # ------------------------------------------------------------------
     # Operation plumbing
@@ -734,7 +703,7 @@ class ShardedCore(SessionTable):
             if session is not None and session.state.live:
                 reason = session.legs[shard_id].abort_reason or "abort"
                 self.sharding_stats.cascade_aborts += 1
-                self._abort_global(session, f"shard:{reason}", forced=True)
+                self._abort_session(session, f"shard:{reason}")
         elif kind == "wait":
             self._schedule_deadlock_check()
 
@@ -867,9 +836,7 @@ class ShardedCore(SessionTable):
         finally:
             if session.state is SessionState.WAITING:
                 session.state = previous_state
-            elapsed = self.now() - started
-            self.stats.record_wait(session.priority, elapsed)
-            park_hist.record(elapsed)
+            park_hist.record(self.now() - started)
 
     # ------------------------------------------------------------------
     # Terminal transitions
@@ -886,7 +853,7 @@ class ShardedCore(SessionTable):
             self.sharding_stats.cross_shard_commits += 1
         self._on_session_terminal(session)
 
-    def _abort_global(
+    def _abort_session(
         self,
         session: GlobalSession,
         reason: str,
@@ -972,8 +939,8 @@ class ShardedCore(SessionTable):
         self.sharding_stats.cross_shard_deadlocks += 1
         names = " -> ".join(s.name for s in cycle)
         victim = min(cycle, key=lambda s: (s.priority, -s.id))
-        self._abort_global(
-            victim, "deadlock", forced=True,
+        self._abort_session(
+            victim, "deadlock",
             exc=TransactionAborted(
                 f"{victim.name} chosen as cross-shard deadlock victim "
                 f"({names})"

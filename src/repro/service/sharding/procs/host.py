@@ -41,12 +41,16 @@ from repro.workloads.io import load_taskset
 class ShardHostServer(LockServer):
     """A :class:`LockServer` over one shard that pushes event frames.
 
-    ``manager`` must be a plain :class:`LockManager` (the shard-op
-    family — ``prepare``/``unprepare``/``force_abort`` — targets a
-    single shard, and the wire layer rejects it otherwise).  Frames go
-    only to connections that opted in with ``subscribe``; a plain v2
-    client on the same host sees the classic request/response protocol.
+    ``manager`` must be a plain :class:`LockManager`: the shard-op
+    family — ``prepare``/``unprepare``/``force_abort`` and ``begin``
+    pins — targets a single shard, which only a shard host serves.
+    Frames go only to connections that opted in with ``subscribe``; a
+    plain v2 client on the same host sees the classic request/response
+    protocol.
     """
+
+    #: Everything, ``shard-ops`` included: the coordinator's own host.
+    features = wire.FEATURES
 
     def __init__(
         self,

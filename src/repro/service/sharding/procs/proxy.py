@@ -62,24 +62,9 @@ from repro.model.spec import TaskSet
 from repro.service import wire
 from repro.service.connection import Connection
 from repro.service.constraints import ConstraintGraph
-from repro.service.core import Session, SessionState, catalog_document
+from repro.service.core import Session, SessionState
 from repro.service.park import Park, end_park
 from repro.trace.recorder import LockEvent
-
-
-class _RemoteProtocol:
-    """Protocol identity of the remote shard (name only).
-
-    The coordinator reads ``shard.protocol.name`` for documents and
-    reports; decision *logic* runs host-side, so the name is all a proxy
-    needs to carry.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging sugar
-        return f"_RemoteProtocol({self.name!r})"
 
 
 class _WaitMirror:
@@ -137,7 +122,6 @@ class RemoteShardProxy:
         self.waits = _WaitMirror(self)
         self.churn_listeners: List[Callable[..., None]] = []
         self.decision_listeners: List[Callable[[LockEvent], None]] = []
-        self.protocol = _RemoteProtocol("unknown")
         self._t0 = 0.0  # overwritten by the coordinator/supervisor
 
     # ------------------------------------------------------------------
@@ -178,7 +162,6 @@ class RemoteShardProxy:
                 f"{self.label}: host lacks required features "
                 f"{sorted(missing)} (not a shard host?)"
             )
-        self.protocol = _RemoteProtocol(hello["protocol"])
         await self._call("subscribe", events=self._wanted_events())
 
     def _wanted_events(self) -> List[str]:
@@ -424,10 +407,6 @@ class RemoteShardProxy:
         name = leg.name
         self._forget(name)
         self._post("force_abort", session=leg.id, reason=reason)
-
-    def catalog_document(self) -> List[Dict[str, Any]]:
-        """Answered locally: the catalog is static and shared."""
-        return catalog_document(self._catalog)
 
     # ------------------------------------------------------------------
     # Async introspection (the coordinator's remote fetch path)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Histogram bucket boundaries: 1 µs to ~67 s, quarter-decade-ish spacing
 #: (factor 2 per bucket keeps the render compact while resolving the
@@ -177,15 +177,9 @@ class PriorityBandStats:
     grants: int = 0
     denials: int = 0
     aborts: int = 0
-    blocking_total_s: float = 0.0
-    blocking_max_s: float = 0.0
+    #: Every completed lock wait; the document's ``blocking_total_s`` /
+    #: ``blocking_max_s`` are its sum and maximum.
     wait_hist: LatencyHistogram = field(default_factory=LatencyHistogram)
-
-    def record_wait(self, seconds: float) -> None:
-        """Account one completed lock wait."""
-        self.blocking_total_s += seconds
-        self.blocking_max_s = max(self.blocking_max_s, seconds)
-        self.wait_hist.record(seconds)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly form, nested inside the ``stats`` document."""
@@ -195,8 +189,8 @@ class PriorityBandStats:
             "grants": self.grants,
             "denials": self.denials,
             "aborts": self.aborts,
-            "blocking_total_s": self.blocking_total_s,
-            "blocking_max_s": self.blocking_max_s,
+            "blocking_total_s": self.wait_hist.sum,
+            "blocking_max_s": self.wait_hist.max,
             "wait_hist": self.wait_hist.to_dict(),
         }
 
@@ -207,8 +201,6 @@ class PriorityBandStats:
         band.grants = int(doc["grants"])
         band.denials = int(doc["denials"])
         band.aborts = int(doc["aborts"])
-        band.blocking_total_s = float(doc["blocking_total_s"])
-        band.blocking_max_s = float(doc["blocking_max_s"])
         band.wait_hist = LatencyHistogram.from_dict(doc["wait_hist"])
         return band
 
@@ -218,8 +210,6 @@ class PriorityBandStats:
         self.grants += other.grants
         self.denials += other.denials
         self.aborts += other.aborts
-        self.blocking_total_s += other.blocking_total_s
-        self.blocking_max_s = max(self.blocking_max_s, other.blocking_max_s)
         self.wait_hist.merge(other.wait_hist)
 
 
@@ -272,7 +262,7 @@ class ServiceStats:
     def record_wait(self, priority: int, seconds: float) -> None:
         """One completed wait in the grant queue (granted or aborted)."""
         self.lock_wait.record(seconds)
-        self.band(priority).record_wait(seconds)
+        self.band(priority).wait_hist.record(seconds)
 
     def record_commit(self, priority: int, latency_s: float) -> None:
         """One committed session with its begin-to-commit latency."""
@@ -361,8 +351,8 @@ class ServiceStats:
                 lines.append(
                     f"  {band.priority:>5} {band.commits:>8} {band.grants:>7} "
                     f"{band.denials:>7} {band.wait_hist.total:>6} "
-                    f"{_fmt_s(band.blocking_total_s):>11} "
-                    f"{_fmt_s(band.blocking_max_s):>9} "
+                    f"{_fmt_s(band.wait_hist.sum):>11} "
+                    f"{_fmt_s(band.wait_hist.max):>9} "
                     f"{_fmt_s(band.wait_hist.percentile(95)):>9}"
                 )
         return "\n".join(lines)

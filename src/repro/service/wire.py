@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Iterable, Optional, Type
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Type
 
 from repro.exceptions import (
     AdmissionError,
@@ -72,7 +72,8 @@ PROTOCOL_VERSION = "repro-service/2"
 
 #: Optional capabilities a ``hello`` may negotiate.  ``events`` is the
 #: server-push frame stream; ``shard-ops`` is the coordinator-facing
-#: operation family a shard host exposes.
+#: operation family a shard host exposes (``prepare`` / ``unprepare`` /
+#: ``force_abort``, and ``begin`` pins), which a plain server refuses.
 FEATURES = frozenset({"events", "shard-ops"})
 
 #: Longest NDJSON line a connection accepts, both directions; a peer that
@@ -151,7 +152,8 @@ def exception_to_error(request_id: Any, exc: BaseException) -> Dict[str, Any]:
 
 
 async def dispatch_request(
-    manager: "LockManager", request: Dict[str, Any]
+    manager: "LockManager", request: Dict[str, Any],
+    features: FrozenSet[str] = FEATURES,
 ) -> Dict[str, Any]:
     """Execute one wire request against a manager; never raises.
 
@@ -160,14 +162,15 @@ async def dispatch_request(
     that there is only one code path.  ``manager`` is any object with
     the :class:`LockManager` service surface — in particular a
     :class:`~repro.service.sharding.coordinator.ShardedLockManager`
-    works unchanged (sharding adds the ``topology`` op and per-shard
-    stats fields, nothing else on the wire).
+    works unchanged (sharding adds per-shard stats fields, nothing else
+    on the wire).  ``features`` is what the serving end offers: ``hello``
+    grants no other, and without ``shard-ops`` that family is refused.
     """
     request_id = request.get("id")
     manager.stats.requests += 1
     try:
         op = request["op"]
-        result = await _execute(manager, op, request)
+        result = await _execute(manager, op, request, features)
     except BaseException as exc:  # noqa: BLE001 - mapped onto the wire
         if isinstance(exc, (KeyboardInterrupt, SystemExit)):
             raise
@@ -189,23 +192,24 @@ async def _maybe_await(value: Any) -> Any:
     return value
 
 
-def _shard_surface(manager: "LockManager", op: str) -> None:
-    if not hasattr(manager, "prepare_commit"):
+def _shard_surface(
+    manager: "LockManager", op: str, features: FrozenSet[str]
+) -> None:
+    if "shard-ops" not in features or not hasattr(manager, "prepare_commit"):
         raise ValueError(
             f"{op}: this server is not a shard host "
             "(the operation targets a single LockManager shard)"
         )
 
 
-async def _execute(
-    manager: "LockManager", op: str, request: Dict[str, Any]
-) -> Dict[str, Any]:
+async def _execute(manager: "LockManager", op: str, request: Dict[str, Any],
+                   features: FrozenSet[str]) -> Dict[str, Any]:
     if op == "ping":
         return {"pong": True, "version": PROTOCOL_VERSION,
                 "protocol": manager.protocol.name,
-                "shards": getattr(manager, "shard_count", 1)}
+                "shards": manager.shard_count}
     if op == "hello":
-        return _hello(manager, request)
+        return _hello(manager, request, features)
     if op == "catalog":
         return {
             "protocol": manager.protocol.name,
@@ -219,6 +223,7 @@ async def _execute(
         # ``seq`` (see docs/SHARDING.md).
         for pin in ("instance", "seq"):
             if request.get(pin) is not None:
+                _shard_surface(manager, f"begin with {pin}", features)
                 kwargs[pin] = request[pin]
         session = await manager.begin(request["transaction"], **kwargs)
         return {
@@ -242,17 +247,17 @@ async def _execute(
         await manager.abort(session, request.get("reason", "client"))
         return {"aborted": True}
     if op == "prepare":
-        _shard_surface(manager, op)
+        _shard_surface(manager, op, features)
         session = manager.session(request["session"])
         gate = manager.prepare_commit(session)
         return {"prepared": True, "gate": list(gate)}
     if op == "unprepare":
-        _shard_surface(manager, op)
+        _shard_surface(manager, op, features)
         session = manager.session(request["session"])
         manager.unprepare_commit(session)
         return {"prepared": False}
     if op == "force_abort":
-        _shard_surface(manager, op)
+        _shard_surface(manager, op, features)
         session = manager.session(request["session"])
         manager.force_abort(session, request.get("reason", "coordinator"))
         return {"aborted": True}
@@ -261,26 +266,20 @@ async def _execute(
     if op == "history":
         return {"events": await _maybe_await(manager.history_events())}
     if op == "topology":
-        if hasattr(manager, "topology_document"):
-            return manager.topology_document()
-        # Unsharded manager: one implicit shard owning the whole catalog.
-        return {
-            "shards": 1,
-            "partitioner": "none",
-            "scheme": "unsharded (single lock manager)",
-            "assignment": {"0": sorted(manager.catalog.items)},
-        }
+        return manager.topology_document()
     raise ValueError(f"unknown operation {op!r}")
 
 
-def _hello(manager: "LockManager", request: Dict[str, Any]) -> Dict[str, Any]:
+def _hello(
+    manager: "LockManager", request: Dict[str, Any], features: FrozenSet[str]
+) -> Dict[str, Any]:
     """Version/feature negotiation.
 
     Major versions (the part after the ``/``) must match exactly; the
     mismatch error names both sides so a ``repro-service/1`` client gets
     an actionable message instead of silently mis-parsing event frames.
     Features are granted as the intersection of what the client asked
-    for and what this server implements.
+    for and what this server offers.
     """
     client_version = str(request.get("version", "") or "")
     client_era = client_version.partition("/")[2]
@@ -296,7 +295,7 @@ def _hello(manager: "LockManager", request: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "version": PROTOCOL_VERSION,
         "protocol": manager.protocol.name,
-        "features": sorted(FEATURES.intersection(requested)),
+        "features": sorted(features.intersection(requested)),
     }
 
 

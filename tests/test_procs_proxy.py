@@ -104,7 +104,7 @@ class TestHandshake:
     def test_handshake_negotiates_and_subscribes(self):
         async def body():
             host = await Host(catalog_rw()).start()
-            assert host.proxy.protocol.name == "pcp-da"
+            assert (await host.proxy.ping())["protocol"] == "pcp-da"
             assert host.proxy.is_remote is True
             # subscribe registered this connection for push frames
             assert len(host.server._subscribers) == 1

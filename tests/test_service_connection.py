@@ -441,6 +441,33 @@ class TestOwnedSessions:
         run(body())
 
 
+class TestShardOpsRefused:
+    """A plain server serves clients, not a coordinator: the shard-op
+    family would let any connection kill or fence another's session."""
+
+    def test_another_connections_force_abort_is_refused(self):
+        async def body():
+            manager = LockManager(catalog_rw(), "pcp-da")
+            server = LockServer(manager)
+            owner = client_of(server)
+            txn = await owner.begin("W")
+            await txn.write("x", 1)
+            intruder = client_of(server)
+            for op in ("force_abort", "prepare", "unprepare"):
+                with pytest.raises(ServiceError, match="not a shard host"):
+                    await intruder.request(op, session=txn.id, reason="hijack")
+            assert manager.is_live(txn.id)
+            assert not manager._committing  # no fence was set
+            with pytest.raises(ServiceError, match="not a shard host"):
+                await intruder.request("begin", transaction="R", instance=9)
+            hello = await intruder.hello(features=("events", "shard-ops"))
+            assert hello["features"] == ["events"]
+            await txn.commit()
+            await server.close()
+
+        run(body())
+
+
 def unsharded():
     return LockManager(catalog_rw(), "pcp-da")
 

@@ -191,16 +191,37 @@ class TestAdmissionAndShutdown:
         run(body())
 
     def test_shutdown_aborts_live_sessions(self):
-        async def body():
-            manager = LockManager(catalog_rw(), "pcp-da")
-            session = await manager.begin("T2")
-            await manager.write(session, "x", 1)
+        # One contract for both cores: the unsharded manager (1 shard)
+        # and a 2-shard coordinator.
+        async def body(shards):
+            if shards == 1:
+                manager = LockManager(catalog_rw(), "rw-pcp")
+            else:
+                manager = ShardedLockManager(
+                    catalog_rw(), "rw-pcp", shards=shards
+                )
+            # The reader is the older session, so shutdown reaches it
+            # while it is still parked.
+            reader = await manager.begin("T1")
+            writer = await manager.begin("T2")
+            await manager.write(writer, "x", 1)
+            parked = asyncio.ensure_future(manager.read(reader, "x"))
+            await settle()
+            assert not parked.done()
             await manager.shutdown()
-            assert session.state is SessionState.ABORTED
+            assert writer.state is SessionState.ABORTED
+            assert reader.state is SessionState.ABORTED
+            with pytest.raises(TransactionAborted,
+                               match="service shutting down"):
+                await parked
+            assert manager.stats.forced_aborts == 2
+            await manager.shutdown()  # a second one finds nothing to do
+            assert manager.stats.forced_aborts == 2
             with pytest.raises(ServiceError):
                 await manager.begin("T1")
 
-        run(body())
+        for shards in (1, 2):
+            run(body(shards))
 
 
 class TestDeadlines:
@@ -555,6 +576,16 @@ class TestServiceConfigValidation:
             ServiceConfig(max_sessions=0)
         with pytest.raises(SpecificationError):
             ServiceConfig(default_deadline_s=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("default_deadline_s", True),
+        ("default_deadline_s", "5"),
+        ("max_sessions", 2.5),
+        ("max_sessions", True),
+    ])
+    def test_rejects_what_the_wire_rejects(self, field, value):
+        with pytest.raises(SpecificationError, match=f"{field} must be"):
+            ServiceConfig(**{field: value})
 
 
 # The benchmark suite's two catalog shapes (benchmarks/suite/README.md).

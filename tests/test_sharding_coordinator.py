@@ -59,6 +59,13 @@ def make_manager(**kwargs) -> ShardedLockManager:
     return ShardedLockManager(catalog, "pcp-da", config, **kwargs)
 
 
+def manager_for(shards: int):
+    """The unsharded manager (1) or the 2-shard one, same catalog."""
+    if shards == 1:
+        return LockManager(catalog_two_shards(), "pcp-da")
+    return make_manager(shards=shards)
+
+
 def run(coro):
     """Run one async test body on a fresh event loop."""
     return asyncio.run(coro)
@@ -424,9 +431,16 @@ class TestObservability:
                 "system_ceiling", "shard_count", "partitioner", "shards",
                 "coordinator",
             }
-            for key in ("grants", "denials", "deadlocks", "lock_wait",
-                        "bands"):
+            for key in ("grants", "denials", "deadlocks", "lock_wait"):
                 assert doc[key] == merged.to_dict()[key], key
+            # Each band's lock-level fields are the shards' union; its
+            # commits and aborts are the coordinator's, counted once per
+            # transaction however many shards it touched.
+            assert len(doc["bands"]) == len(merged.bands)
+            for entry, band in zip(doc["bands"], merged.bands):
+                own = mgr.stats.band(band.priority)
+                band.commits, band.aborts = own.commits, own.aborts
+                assert entry == band.to_dict()
             assert doc["system_ceiling"] == max(
                 shard.system_ceiling() for shard in mgr.shards
             )
@@ -445,6 +459,42 @@ class TestObservability:
                 )
                 assert entry["commit_latency"] == stats.commit_latency.to_dict()
                 assert entry["lock_wait"] == stats.lock_wait.to_dict()
+            await mgr.shutdown()
+
+        run(body())
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_bands_count_each_transaction_once(self, shards):
+        async def body():
+            mgr = manager_for(shards)
+            done = await mgr.begin("W")  # writes on both shards
+            await mgr.write(done, "b", 1)
+            await mgr.write(done, "f", 2)
+            await mgr.commit(done)
+            dropped = await mgr.begin("W")
+            await mgr.write(dropped, "b", 3)
+            await mgr.write(dropped, "f", 4)
+            await mgr.abort(dropped)
+            doc = mgr.stats_document()
+            assert (doc["commits"], doc["client_aborts"]) == (1, 1)
+            bands = doc["bands"]
+            assert sum(band["commits"] for band in bands) == doc["commits"]
+            assert sum(band["aborts"] for band in bands) == (
+                doc["client_aborts"] + doc["forced_aborts"]
+            )
+            await mgr.shutdown()
+
+        run(body())
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_ping_and_topology_name_the_shards(self, shards):
+        async def body():
+            mgr = manager_for(shards)
+            client = in_process_client(mgr)
+            assert (await client.ping())["shards"] == shards
+            topology = await client.topology()
+            assert topology == mgr.topology_document()
+            assert topology["shards"] == shards
             await mgr.shutdown()
 
         run(body())
@@ -526,7 +576,8 @@ class TestObservability:
 
 
 class TestManagerSupport:
-    """The unsharded manager's coordinator-facing extensions."""
+    """The coordinator-facing extensions: pins on the unsharded manager,
+    and the forced abort both cores share."""
 
     def test_begin_with_pinned_instance(self):
         async def body():
@@ -540,10 +591,12 @@ class TestManagerSupport:
         run(body())
 
     def test_force_abort_is_idempotent(self):
-        async def body():
-            manager = LockManager(catalog_two_shards(), "pcp-da")
+        # On the unsharded manager (1 shard) and a 2-shard coordinator.
+        async def body(shards):
+            manager = manager_for(shards)
             session = await manager.begin("W")
             await manager.write(session, "b", 1)
+            await manager.write(session, "f", 2)
             manager.force_abort(session, "test")
             assert session.state is SessionState.ABORTED
             forced = manager.stats.forced_aborts
@@ -551,4 +604,5 @@ class TestManagerSupport:
             assert manager.stats.forced_aborts == forced
             await manager.shutdown()
 
-        run(body())
+        for shards in (1, 2):
+            run(body(shards))
