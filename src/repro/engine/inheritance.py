@@ -50,9 +50,11 @@ class WaitForGraph:
         #: Waiters whose blockers do NOT inherit (2PL-HP, plain 2PL).  The
         #: edges still exist for deadlock detection.
         self._no_inherit: Set[Job] = set()
-        #: Blockers that gained or lost a waiter since the last
-        #: inheritance pass: the only jobs whose priority — and, through
-        #: them, their own blockers' — that pass can move.
+        #: Blockers that gained or lost an inheriting waiter since the
+        #: last inheritance pass: the only jobs whose priority — and,
+        #: through them, their own blockers' — that pass can move.  Only
+        #: inheriting edges grow it, so a graph whose edges never inherit
+        #: (the shard coordinator's) needs no pass to drain it.
         self._stale: Set[Job] = set()
         #: Waiters whose edges were written since the last clean cycle
         #: check.  Invariant: without their out-edges the graph is acyclic.
@@ -74,7 +76,8 @@ class WaitForGraph:
             return False
         if old:
             self._unlink(waiter, old)
-        self._stale.update(blockers)
+        if inherit:
+            self._stale.update(blockers)
         self._blocked_on[waiter] = blockers
         waiters_of = self._waiters_of
         for blocker in blockers:
@@ -105,7 +108,9 @@ class WaitForGraph:
         direct = self._waiters_of.pop(job, None)
         if direct is None:
             return
-        self._stale.add(job)
+        no_inherit = self._no_inherit
+        if not no_inherit.issuperset(direct):
+            self._stale.add(job)  # it loses what it inherited
         blocked_on = self._blocked_on
         for waiter in direct:
             remaining = tuple(b for b in blocked_on[waiter] if b is not job)
@@ -115,11 +120,12 @@ class WaitForGraph:
                 # The waiter's retry is triggered by the caller; keep an
                 # empty edge set out of the graph.
                 del blocked_on[waiter]
-                self._no_inherit.discard(waiter)
+                no_inherit.discard(waiter)
                 self._unchecked.discard(waiter)
 
     def _unlink(self, waiter: Job, blockers: Tuple[Job, ...]) -> None:
-        self._stale.update(blockers)
+        if waiter not in self._no_inherit:
+            self._stale.update(blockers)
         waiters_of = self._waiters_of
         for blocker in blockers:
             direct = waiters_of.get(blocker)

@@ -28,7 +28,7 @@ service equivalent of the simulator's firm-deadline cleanup).
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
 from repro.exceptions import ServiceError
 from repro.service import wire
@@ -53,11 +53,12 @@ class LockServer:
     serves identically (``repro serve --shards N``).
     """
 
-    #: What ``hello`` grants.  Not ``shard-ops``: the coordinator's calls
-    #: into one shard (``prepare``, ``force_abort``, ``begin`` pins) would
-    #: let any client fence or kill another connection's session, so only
-    #: a shard host serves them.
-    features = wire.FEATURES - {"shard-ops"}
+    #: What ``hello`` grants: nothing.  Not ``events``, because only a
+    #: shard host serves ``subscribe``; not ``shard-ops``, because the
+    #: coordinator's calls into one shard (``prepare``, ``force_abort``,
+    #: ``begin`` pins) would let any client fence or kill another
+    #: connection's session.
+    features: FrozenSet[str] = frozenset()
 
     def __init__(
         self,

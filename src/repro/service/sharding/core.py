@@ -46,19 +46,22 @@ result or a :class:`~repro.service.park.Park`, called again with
 * **Cross-shard deadlock detection.**  Shard-local cycles are the
   shard's own business, but a cycle may close *across* shards — through
   gate/guard parks or through lock waits on two different shards (the
-  per-shard ceilings cannot see each other; ``docs/SHARDING.md``).  A
-  cycle needs a new wait edge to close, so every shard ``"wait"`` and
-  every gate/guard park asks for a detection pass: it runs when the
-  operation returns (the event-loop adapter coalesces it to one pass
-  per tick instead), and aborts the lowest-priority member of any cycle
-  not attributable to a single shard.
+  per-shard ceilings cannot see each other; ``docs/SHARDING.md``).  The
+  coordinator keeps one session-level wait-for graph,
+  :attr:`ShardedCore.waits`: every gate/guard park, and every leg's lock
+  wait translated from its shard's graph on the shard's ``"wait"`` /
+  ``"unwait"`` churn.  A cycle needs a new wait edge to close, so every
+  new edge asks for a detection pass: it runs when the operation
+  returns (the event-loop adapter coalesces it to one pass per tick
+  instead), and aborts the lowest-priority member of any cycle not
+  attributable to a single shard.
 
-The gate and guard are parks in :attr:`ShardedCore.parks`, indexed on
-their blockers, so a blocker's terminal ends exactly the parks waiting
-on it; a leg's wait is the shard's own park, returned unchanged.  An
-operation is a generator suspended at the park it returned, so a
-resumed operation continues from the stage it waited in and never
-re-runs a guard it already passed.  Deadlines are enforced at operation
+The gate and guard are parks in :attr:`ShardedCore.parks` whose edges
+stand in the same graph, so a blocker's terminal ends exactly the parks
+waiting on it; a leg's wait is the shard's own park, returned
+unchanged.  An operation is a generator suspended at the park it
+returned, so a resumed operation continues from the stage it waited in
+and never re-runs a guard it already passed.  Deadlines are enforced at operation
 entry here and mid-wait by the adapter
 (:class:`~repro.service.sharding.coordinator.ShardedLockManager`)
 through :meth:`ShardedCore.expire`.
@@ -160,7 +163,8 @@ class GlobalSession(SessionRecord):
     can half-abort a commit.
     """
 
-    __slots__ = ("spec", "instance", "legs", "span", "op", "installing")
+    __slots__ = ("spec", "instance", "legs", "span", "op", "installing",
+                 "place")
 
     def __init__(self, session_id: int, spec: TransactionSpec, instance: int,
                  span: FrozenSet[int], opened_at: float) -> None:
@@ -175,6 +179,10 @@ class GlobalSession(SessionRecord):
         self.op: Optional[Steps] = None
         #: Past the commit point: every leg fenced and the gate empty.
         self.installing = False
+        #: Where its latest wait is: a shard index for a leg's lock wait,
+        #: ``None`` for a gate/guard park.  One operation in flight means
+        #: one place at a time.
+        self.place: Optional[int] = None
 
     @property
     def in_flight(self) -> bool:
@@ -287,8 +295,11 @@ class ShardedCore(SessionTable):
         #: The registry of coordinator-level parks (global commit gate /
         #: global order guard); a leg's lock wait is its shard's park.
         self.parks: Dict[GlobalSession, Park] = {}
-        #: blocker session -> waiters parked on it (terminal wake index).
-        self._wake_index: Dict[GlobalSession, Set[GlobalSession]] = {}
+        #: The session-level wait-for graph over live sessions: each
+        #: gate/guard park and each leg's lock wait, translated from its
+        #: shard's graph.  Its edges do not inherit (priorities are per
+        #: shard), so no inheritance pass runs on it.
+        self.waits = WaitForGraph()
         #: The incrementally maintained session-level constraint graph,
         #: mirrored from shard LC3/LC4 records via churn notifications.
         #: A session's node is dropped wholesale at its global terminal —
@@ -389,32 +400,23 @@ class ShardedCore(SessionTable):
         and install leg by leg.
         """
         legs = dict(sorted(session.legs.items()))
-        if len(legs) <= 1:
-            summary = {"installed": [], "blocking_s": 0.0}
-            for shard_id, leg in legs.items():
-                summary = yield from self._call(
-                    self.shards[shard_id].commit, leg
+        if len(legs) > 1:
+            while True:
+                yield from self._hold(
+                    session, ParkKind.COMMIT_GATE,
+                    lambda: self._gate_blockers(session),
                 )
-            now = self.now()
-            self._finish_global(session, now)
-            summary["latency_s"] = now - session.opened_at
-            summary["shards"] = list(legs)
-            return summary
-        while True:
-            yield from self._hold(
-                session, ParkKind.COMMIT_GATE,
-                lambda: self._gate_blockers(session),
-            )
-            if (yield from self._prepare_legs(session, legs)):
-                break
-        # The commit point.  In-process every leg commit below completes
-        # in this call: its local gate is empty (its constraints are a
-        # subset of the merged set just drained).  Over the wire each is
-        # a round-trip, and atomicity comes from the fences instead:
-        # every leg is fenced, so no reader can pass a write lock and
-        # record a new ``reader ≺ committer`` constraint between the
-        # installs (write conflicts were already held off by the locks).
-        session.installing = True
+                if (yield from self._prepare_legs(session, legs)):
+                    break
+            # The commit point.  In-process every leg commit below
+            # completes in this call: its local gate is empty (its
+            # constraints are a subset of the merged set just drained).
+            # Over the wire each is a round-trip, and atomicity comes
+            # from the fences instead: every leg is fenced, so no reader
+            # can pass a write lock and record a new ``reader ≺
+            # committer`` constraint between the installs (write
+            # conflicts were already held off by the locks).
+            session.installing = True
         installed: List[str] = []
         blocking = 0.0
         try:
@@ -425,18 +427,20 @@ class ShardedCore(SessionTable):
                 installed.extend(summary["installed"])
                 blocking += summary["blocking_s"]
         except BaseException as exc:
-            # In-process this is unreachable by construction (legs are
-            # ACTIVE and their gates empty); remotely a shard host can
-            # die mid-install.  Either way, fail loudly but do not leave
-            # sibling legs holding locks.
+            # In-process a leg's failure has already cascaded (a shard
+            # abort); remotely a shard host can die mid-install.  Either
+            # way, fail loudly but do not leave legs holding locks.
             if session.state.live:
                 self._abort_session(session, f"commit failure: {exc}")
             raise
-        now = self.now()
-        self._finish_global(session, now)
+        now = self._finish(session, SessionState.COMMITTED)
+        latency = now - session.opened_at
+        self.stats.record_commit(session.priority, latency)
+        if len(legs) > 1:
+            self.sharding_stats.cross_shard_commits += 1
         return {
             "installed": sorted(installed),
-            "latency_s": now - session.opened_at,
+            "latency_s": latency,
             "blocking_s": blocking,
             "shards": list(legs),
         }
@@ -451,7 +455,14 @@ class ShardedCore(SessionTable):
 
     def shutdown(self) -> None:
         """:meth:`SessionTable.shutdown`, then the in-process shards shut
-        down too (the adapter closes remote ones)."""
+        down too (the adapter closes remote ones).
+
+        An in-process shard tears the legs down itself, all of them
+        before its one grant-queue drain, and no session's teardown
+        wakes another's gate/guard park (see :meth:`_finish`): a parked
+        operation is never granted or woken and then aborted, and it
+        fails with the shutdown's own error.
+        """
         closing = not self._closed
         super().shutdown()
         if closing and not self._remote:
@@ -689,8 +700,10 @@ class ShardedCore(SessionTable):
           victim, an invariant violation): cascade to its global session
           *now*, synchronously, exactly as the unsharded manager flips
           such sessions' states inside the operation.
-        * ``"wait"`` — a wait edge was created or re-pointed: a cross-
-          shard cycle can only close here, so ask for a deadlock pass.
+        * ``"wait"`` / ``"unwait"`` — a leg's wait edges were written or
+          removed: the session's edges in :attr:`waits` follow, read
+          from the shard's graph.  A cross-shard cycle can only close at
+          a ``"wait"``, so that asks for a deadlock pass.
         """
         if kind == "constraint":
             reader = self._job_sessions.get(job)
@@ -705,7 +718,33 @@ class ShardedCore(SessionTable):
                 self.sharding_stats.cascade_aborts += 1
                 self._abort_session(session, f"shard:{reason}")
         elif kind == "wait":
+            session = self._job_sessions.get(job)
+            if session is not None and session.state.live:
+                self._wait(session, shard_id, [
+                    self._job_sessions.get(blocker)
+                    for blocker in self.shards[shard_id].waits.blockers_of(job)
+                ])
             self._schedule_deadlock_check()
+        elif kind == "unwait":
+            session = self._job_sessions.get(job)
+            if session is not None:
+                self.waits.unblock(session)
+
+    def _wait(
+        self,
+        session: GlobalSession,
+        place: Optional[int],
+        blockers: Sequence[Optional[GlobalSession]],
+    ) -> None:
+        """Point ``session``'s edges in :attr:`waits` at the live ones of
+        ``blockers`` (``None`` is a job no live session owns), waiting
+        at ``place``."""
+        live = [b for b in blockers if b is not None and b.state.live]
+        if live:
+            session.place = place
+            self.waits.block(session, live, inherit=False)
+        else:
+            self.waits.unblock(session)
 
     def _schedule_deadlock_check(self) -> None:
         """Ask for a deadlock pass when the current operation returns.
@@ -716,15 +755,6 @@ class ShardedCore(SessionTable):
         """
         if not self._closed and len(self.shards) > 1:
             self._deadlock_due = True
-
-    def _on_session_terminal(self, session: GlobalSession) -> None:
-        """Shared terminal bookkeeping: drop the constraint node, end
-        exactly the gate/guard parks whose predecessor sets shrink."""
-        self.constraints.drop(session)
-        for waiter in self._wake_index.pop(session, ()):
-            park = self.parks.get(waiter)
-            if park is not None and not park.ended:
-                end_park(park, None)
 
     # ------------------------------------------------------------------
     # The global gate and guard
@@ -789,11 +819,12 @@ class ShardedCore(SessionTable):
     ) -> Steps:
         """Park at the coordinator until ``blockers_fn`` drains.
 
-        The park is indexed on each blocker, so only a blocker's
+        The park's edges stand in :attr:`waits`, so only a blocker's
         terminal ends it — predecessors arriving *while* parked can only
         grow the set and never require a wake, and the re-evaluation
         after each end picks them up.  Each park asks for a deadlock
-        pass and checks liveness when it ends; an abort ends it too.
+        pass and checks liveness when it ends; an abort ends it too, and
+        the operation raises that abort's error.
         """
         blockers = blockers_fn()
         if not blockers:
@@ -812,20 +843,16 @@ class ShardedCore(SessionTable):
                 park = self.parks[session] = Park(
                     session, kind, blockers, started
                 )
-                for blocker in blockers:
-                    self._wake_index.setdefault(blocker, set()).add(session)
+                self._wait(session, None, blockers)
                 self._schedule_deadlock_check()
                 try:
                     if session.state.live:
                         yield park
                 finally:
                     del self.parks[session]
-                    for blocker in blockers:
-                        waiters = self._wake_index.get(blocker)
-                        if waiters is not None:
-                            waiters.discard(session)
-                            if not waiters:
-                                del self._wake_index[blocker]
+                    self.waits.unblock(session)
+                if isinstance(park.outcome, BaseException):
+                    raise park.outcome  # the abort that ended the park
                 if not session.state.live:
                     raise TransactionAborted(
                         f"{session.name}: "
@@ -841,17 +868,43 @@ class ShardedCore(SessionTable):
     # ------------------------------------------------------------------
     # Terminal transitions
     # ------------------------------------------------------------------
-    def _finish_global(self, session: GlobalSession, now: float) -> None:
-        """Commit bookkeeping: outcome row, stats, wake-ups."""
-        session.state = SessionState.COMMITTED
+    def _finish(
+        self,
+        session: GlobalSession,
+        state: SessionState,
+        failure: Optional[ServiceError] = None,
+    ) -> float:
+        """The terminal transition commit and abort share; returns the
+        time of its outcome row.
+
+        The session leaves every registry and both graphs, an aborted
+        one's live legs are torn down with ``failure``, and exactly the
+        gate/guard parks waiting on it end (each re-evaluates its
+        blockers).  At shutdown an in-process shard tears its legs down
+        itself (see :meth:`shutdown`), and no park is woken: every
+        session is aborted, and each abort ends its own park with the
+        shutdown's error.
+        """
+        session.state = state
         del self._sessions[session.id]
-        for leg in session.legs.values():
+        for shard_id, leg in session.legs.items():
+            if leg.state.live and (self._remote or not self._closed):
+                self.shards[shard_id].force_abort(
+                    leg, session.abort_reason, exc=failure
+                )
             self._job_sessions.pop(leg.job, None)
-        self._outcomes.append(("commit", session.name, now))
-        self.stats.record_commit(session.priority, now - session.opened_at)
-        if len(session.legs) > 1:
-            self.sharding_stats.cross_shard_commits += 1
-        self._on_session_terminal(session)
+        now = self.now()
+        self._outcomes.append((
+            "commit" if state is SessionState.COMMITTED else "abort",
+            session.name, now,
+        ))
+        self.constraints.drop(session)
+        for waiter in () if self._closed else self.waits.waiters_on(session):
+            park = self.parks.get(waiter)
+            if park is not None and not park.ended:
+                end_park(park, None)
+        self.waits.forget(session)
+        return now
 
     def _abort_session(
         self,
@@ -864,17 +917,10 @@ class ShardedCore(SessionTable):
         """Tear a global session down: every live leg, then bookkeeping."""
         if not session.state.live:
             return
-        session.state = SessionState.ABORTED
         session.abort_reason = reason
-        del self._sessions[session.id]
         failure = exc or TransactionAborted(f"{session.name}: {reason}")
-        for shard_id, leg in session.legs.items():
-            if leg.state.live:
-                self.shards[shard_id].force_abort(leg, reason, exc=failure)
-            self._job_sessions.pop(leg.job, None)
-        self._outcomes.append(("abort", session.name, self.now()))
+        self._finish(session, SessionState.ABORTED, failure)
         self.stats.record_abort(session.priority, forced=forced)
-        self._on_session_terminal(session)
         # The victim itself may be parked at a gate/guard: end that park
         # so the operation observes the abort.
         park = self.parks.get(session)
@@ -885,55 +931,22 @@ class ShardedCore(SessionTable):
     # Cross-shard deadlock detection
     # ------------------------------------------------------------------
     def _check_global_deadlock(self) -> None:
-        """Find and resolve wait cycles spanning shards or the coordinator.
+        """Find and resolve a wait cycle spanning shards or the coordinator.
 
-        Gathers every shard's wait-for edges plus the coordinator's
-        parked gate/guard waits, over live global sessions, into one
-        throwaway :class:`WaitForGraph` and runs the engine's cycle
-        search on it (a long-lived graph would keep every terminated
-        session in its inheritance worklist, which nothing here ever
-        drains).  Each waiter also records where it waits: a shard
-        index, or ``None`` for a coordinator park or several places.  A
-        session has one in-flight operation, so it waits in exactly one
-        place, and a cycle whose members all wait on shard *i* is made
-        of shard *i*'s edges alone: it is left to that shard's own
-        detector (identical rules to the unsharded manager).  Any other
-        cycle exists only because of partitioning, so it is resolved by
-        aborting the lowest-base-priority member — the same policy the
-        unsharded manager applies to service-level cycles.
+        The engine's edge-local search runs on :attr:`waits`.  A session
+        has one in-flight operation, so it waits in exactly one place
+        (:attr:`GlobalSession.place`), and a cycle whose members all
+        wait on shard *i* is made of shard *i*'s edges alone: it is left
+        to that shard's own detector (identical rules to the unsharded
+        manager).  Any other cycle exists only because of partitioning,
+        so it is resolved by aborting the lowest-base-priority member —
+        the same policy the unsharded manager applies to service-level
+        cycles.
         """
-        waits: List[Tuple[Any, Sequence[Any], Optional[int]]] = []
-        for index, shard in enumerate(self.shards):
-            for waiter_job in shard.waits.waiters():
-                waits.append((
-                    self._job_sessions.get(waiter_job),
-                    [self._job_sessions.get(job)
-                     for job in shard.waits.blockers_of(waiter_job)],
-                    index,
-                ))
-        for waiter, park in self.parks.items():
-            waits.append((waiter, park.blockers, None))
-        edges: Dict[GlobalSession, Dict[GlobalSession, None]] = {}
-        where: Dict[GlobalSession, Optional[int]] = {}
-        for waiter, blockers, place in waits:
-            if waiter is None or not waiter.state.live:
-                continue
-            targets = edges.setdefault(waiter, {})
-            for blocker in blockers:
-                if (
-                    blocker is not None and blocker is not waiter
-                    and blocker.state.live
-                ):
-                    targets[blocker] = None
-            where[waiter] = place if where.get(waiter, place) == place else None
-        graph = WaitForGraph()
-        for waiter, targets in edges.items():
-            if targets:
-                graph.block(waiter, targets)
-        cycle = graph.find_new_cycle()
+        cycle = self.waits.find_new_cycle()
         if cycle is None:
             return
-        places = {where[session] for session in cycle}
+        places = {session.place for session in cycle}
         if len(places) == 1 and None not in places:
             return  # purely shard-local: that shard's own business
         self.sharding_stats.cross_shard_deadlocks += 1

@@ -12,12 +12,13 @@ whether a shard is an in-process :class:`LockCore` or a
 Two mechanisms make that possible:
 
 * **Mirrors.**  The proxy keeps a local mirror :class:`Session` (with a
-  real engine :class:`Job` inside) for every leg it opened, plus mirrors
-  of the host's constraint edges (over the mirror jobs) and wait-for
-  edges (by instance name).
-  Synchronous coordinator reads — the gate's predecessor closure, the
-  deadlock detector's wait graph — are answered from the mirrors with no
-  round-trip.
+  real engine :class:`Job` inside) for every leg it opened, plus the
+  host's constraint edges and wait-for edges over those mirror jobs, in
+  the same graph types a ``LockCore`` keeps (``constraints``, ``waits``):
+  ``wait`` / ``unwait`` frames write the wait edges, and a leg's
+  terminal forgets it in both.  Synchronous coordinator reads — the
+  gate's predecessor closure, a waiting leg's blockers — are answered
+  from the mirrors with no round-trip.
 * **The push stream.**  After ``hello`` + ``subscribe`` the host streams
   every churn notification as a v2 event frame — and every lock
   decision too, once a decision listener is registered (the parity
@@ -56,6 +57,7 @@ import itertools
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.engine.inheritance import WaitForGraph
 from repro.engine.job import Job
 from repro.exceptions import ServiceError
 from repro.model.spec import TaskSet
@@ -65,32 +67,6 @@ from repro.service.constraints import ConstraintGraph
 from repro.service.core import Session, SessionState
 from repro.service.park import Park, end_park
 from repro.trace.recorder import LockEvent
-
-
-class _WaitMirror:
-    """Read-only ``WaitForGraph`` facade over the proxy's wait edges.
-
-    The coordinator's cross-shard deadlock detector consumes only
-    ``waiters()`` and ``blockers_of()``; both are answered from the
-    name-keyed edge mirror maintained by ``wait``/``unwait`` frames.
-    """
-
-    def __init__(self, proxy: "RemoteShardProxy"):
-        self._proxy = proxy
-
-    def waiters(self) -> List[Job]:
-        jobs = self._proxy._jobs
-        return [
-            jobs[name] for name in self._proxy._wait_edges if name in jobs
-        ]
-
-    def blockers_of(self, job: Job) -> List[Job]:
-        jobs = self._proxy._jobs
-        return [
-            jobs[name]
-            for name in self._proxy._wait_edges.get(job.name, ())
-            if name in jobs
-        ]
 
 
 class RemoteShardProxy:
@@ -112,14 +88,14 @@ class RemoteShardProxy:
         self._jobs: Dict[str, Job] = {}
         #: instance name -> mirror session of a live leg.
         self._legs: Dict[str, Session] = {}
-        #: Mirror of the host's ``reader ≺ writer`` edges, over the mirror
-        #: jobs — the same public attribute a ``LockCore`` carries.
+        #: Mirrors of the host's ``reader ≺ writer`` and wait-for edges,
+        #: over the mirror jobs — the public attributes a ``LockCore``
+        #: carries.  The wait edges do not inherit: priorities are the
+        #: host's business.
         self.constraints = ConstraintGraph()
-        #: waiter name -> blocker names (current wait-for edges).
-        self._wait_edges: Dict[str, Tuple[str, ...]] = {}
+        self.waits = WaitForGraph()
 
         # -- LockCore-surface attributes ------------------------------
-        self.waits = _WaitMirror(self)
         self.churn_listeners: List[Callable[..., None]] = []
         self.decision_listeners: List[Callable[[LockEvent], None]] = []
         self._t0 = 0.0  # overwritten by the coordinator/supervisor
@@ -253,12 +229,18 @@ class RemoteShardProxy:
                 return  # an end is already forgotten: so is the edge
             self.constraints.add(reader, writer)
             self._notify(kind, reader, writer)
-        elif kind == "wait":
-            self._wait_edges[name] = tuple(frame.get("blockers", ()))
-            self._notify(kind, self._jobs.get(name), None)
-        elif kind == "unwait":
-            self._wait_edges.pop(name, None)
-            self._notify(kind, self._jobs.get(name), None)
+        elif kind in ("wait", "unwait"):
+            job = self._jobs.get(name)
+            blockers = [
+                self._jobs[blocker] for blocker in frame.get("blockers", ())
+                if blocker in self._jobs
+            ]
+            if job is not None:
+                if blockers:
+                    self.waits.block(job, blockers, inherit=False)
+                else:
+                    self.waits.unblock(job)
+            self._notify(kind, job, None)
         elif kind == "abort":
             leg = self._legs.get(name)
             if leg is not None and leg.state.live:
@@ -293,12 +275,12 @@ class RemoteShardProxy:
             listener(kind, job, other)
 
     def _forget(self, name: str) -> None:
-        """Drop a terminal leg's mirrors (constraint node, wait edge)."""
+        """Drop a terminal leg's mirrors (its node in both graphs)."""
         job = self._jobs.pop(name, None)
         self._legs.pop(name, None)
-        self._wait_edges.pop(name, None)
         if job is not None:
             self.constraints.drop(job)
+            self.waits.forget(job)
 
     # ------------------------------------------------------------------
     # The LockCore surface the coordinator consumes

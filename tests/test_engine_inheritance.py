@@ -58,6 +58,21 @@ class TestInheritance:
         g.block(low, [high], inherit=False)
         assert g.find_cycle() is not None
 
+    def test_non_inheriting_edges_leave_nothing_behind(self):
+        # A graph no inheritance pass ever drains (the shard
+        # coordinator's) must not grow: only inheriting edges feed the
+        # pass's worklist, so block -> forget leaves the graph empty.
+        a, b = _job("A", 2), _job("B", 1)
+        g = WaitForGraph()
+        for _ in range(3):
+            g.block(a, [b], inherit=False)
+            g.forget(b)
+            g.block(b, [a], inherit=False)
+            g.forget(a)
+            g.forget(b)
+        assert not (g._blocked_on or g._waiters_of or g._no_inherit
+                    or g._stale or g._unchecked)
+
     def test_forget_removes_as_blocker_and_waiter(self):
         a, b, c = _job("A", 3), _job("B", 2), _job("C", 1)
         g = WaitForGraph()
@@ -224,6 +239,7 @@ def test_incremental_graph_matches_from_scratch_references(edits, floors):
     )
     live = dict.fromkeys(jobs)
     g = WaitForGraph()
+    inherited = False  # no inheriting edge yet: the worklist stays empty
     for kind, index, others, inherit, run_pass, run_check in edits:
         job = jobs[index]
         if job not in live:
@@ -234,6 +250,7 @@ def test_incremental_graph_matches_from_scratch_references(edits, floors):
             if not blockers:
                 continue
             before = (g.blockers_of(job), job in g._no_inherit)
+            inherited = inherited or inherit
             moved = g.block(job, blockers, inherit=inherit)
             assert moved == (before != (tuple(blockers), not inherit))
         elif kind == "unblock":
@@ -244,6 +261,7 @@ def test_incremental_graph_matches_from_scratch_references(edits, floors):
                 del live[job]
 
         g.self_check()
+        assert inherited or not g._stale
         for probe in jobs:
             assert set(g.waiters_on(probe)) == _scan_waiters_on(g, probe)
             assert (set(g.transitive_waiters_on(probe))

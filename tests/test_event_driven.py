@@ -178,7 +178,19 @@ class TestEventDrivenDeadlockDetection:
 class TestShardLocalCycleExemption:
     """The deadlock pass leaves a cycle to shard *i* exactly when every
     member waits on shard *i*: each edge below is injected into a shard's
-    wait-for graph between legs opened by real operations."""
+    wait-for graph between legs opened by real operations, and announced
+    the way a shard's own park announces it (``waits.block``, then the
+    ``"wait"`` churn)."""
+
+    @staticmethod
+    def inject(shard, waiter, blocker):
+        shard.waits.block(waiter, [blocker])
+        shard._notify_churn("wait", waiter)
+
+    @staticmethod
+    def withdraw(shard, waiter):
+        shard.waits.unblock(waiter)
+        shard._notify_churn("unwait", waiter)
 
     @staticmethod
     async def two_sessions_on_both_shards():
@@ -202,15 +214,16 @@ class TestShardLocalCycleExemption:
     def test_cycle_on_one_shard_is_left_to_that_shard(self):
         async def body():
             mgr, s_hi, s_lo = await self.two_sessions_on_both_shards()
-            waits = mgr.shards[0].waits
+            shard = mgr.shards[0]
             hi_leg, lo_leg = s_hi.legs[0].job, s_lo.legs[0].job
-            waits.block(hi_leg, [lo_leg])
-            waits.block(lo_leg, [hi_leg])
+            self.inject(shard, hi_leg, lo_leg)
+            self.inject(shard, lo_leg, hi_leg)
             mgr._check_global_deadlock()
             assert s_hi.state.live and s_lo.state.live
             assert mgr.sharding_stats.cross_shard_deadlocks == 0
-            waits.unblock(hi_leg)
-            waits.unblock(lo_leg)
+            self.withdraw(shard, hi_leg)
+            self.withdraw(shard, lo_leg)
+            assert not mgr.waits.waiters()
             await mgr.shutdown()
 
         run(body())
@@ -218,8 +231,8 @@ class TestShardLocalCycleExemption:
     def test_cycle_split_across_shards_aborts_one_victim(self):
         async def body():
             mgr, s_hi, s_lo = await self.two_sessions_on_both_shards()
-            mgr.shards[0].waits.block(s_hi.legs[0].job, [s_lo.legs[0].job])
-            mgr.shards[1].waits.block(s_lo.legs[1].job, [s_hi.legs[1].job])
+            self.inject(mgr.shards[0], s_hi.legs[0].job, s_lo.legs[0].job)
+            self.inject(mgr.shards[1], s_lo.legs[1].job, s_hi.legs[1].job)
             mgr._check_global_deadlock()
             victim = min((s_hi, s_lo), key=lambda s: (s.priority, -s.id))
             assert victim is s_lo

@@ -245,12 +245,12 @@ class TestMirrors:
             reading = asyncio.ensure_future(settled(proxy.read, r, "x"))
             await settle()
             # the fence parked the reader; the wait frame mirrored it
-            assert proxy._wait_edges == {r.name: (w.name,)}
+            assert proxy.waits.waiters_on(w.job) == (r.job,)
             assert [j.name for j in proxy.waits.waiters()] == [r.name]
             assert [j.name for j in proxy.waits.blockers_of(r.job)] == [w.name]
             proxy.unprepare_commit(w)
             await reading
-            assert proxy._wait_edges == {}
+            assert not proxy.waits.waiters()
             await settled(proxy.commit, r)
             await settled(proxy.commit, w)
             await host.stop()

@@ -193,17 +193,22 @@ class TestAdmissionAndShutdown:
     def test_shutdown_aborts_live_sessions(self):
         # One contract for both cores: the unsharded manager (1 shard)
         # and a 2-shard coordinator.
-        async def body(shards):
+        async def body(shards, reader_first):
             if shards == 1:
                 manager = LockManager(catalog_rw(), "rw-pcp")
             else:
                 manager = ShardedLockManager(
                     catalog_rw(), "rw-pcp", shards=shards
                 )
-            # The reader is the older session, so shutdown reaches it
-            # while it is still parked.
-            reader = await manager.begin("T1")
-            writer = await manager.begin("T2")
+            # Either session may be the older one: shutdown tears both
+            # down before the reader's park could be granted, so the
+            # parked read fails with the shutdown's own error.
+            if reader_first:
+                reader = await manager.begin("T1")
+                writer = await manager.begin("T2")
+            else:
+                writer = await manager.begin("T2")
+                reader = await manager.begin("T1")
             await manager.write(writer, "x", 1)
             parked = asyncio.ensure_future(manager.read(reader, "x"))
             await settle()
@@ -215,13 +220,16 @@ class TestAdmissionAndShutdown:
                                match="service shutting down"):
                 await parked
             assert manager.stats.forced_aborts == 2
+            if shards > 1:  # no leg's abort cascaded back
+                assert manager.sharding_stats.cascade_aborts == 0
             await manager.shutdown()  # a second one finds nothing to do
             assert manager.stats.forced_aborts == 2
             with pytest.raises(ServiceError):
                 await manager.begin("T1")
 
         for shards in (1, 2):
-            run(body(shards))
+            for reader_first in (True, False):
+                run(body(shards, reader_first))
 
 
 class TestDeadlines:

@@ -44,6 +44,15 @@ async def settle(steps: int = 5) -> None:
         await asyncio.sleep(0)
 
 
+def advance_loop_clock(seconds: float) -> None:
+    """Move the running loop's clock ``seconds`` ahead: its timers — a
+    parked session's firm deadline among them — fire as if that much
+    time had passed, however slowly the host ran until now."""
+    loop = asyncio.get_running_loop()
+    clock = loop.time
+    loop.time = lambda: clock() + seconds
+
+
 def hot_catalog(seed: int) -> TaskSet:
     """The benchmark suite's ``hot`` shape at another catalog seed."""
     return make_catalog(StressSpec(
@@ -239,11 +248,13 @@ class TestOnePathForEveryKind:
             late = "B" if kind is ParkKind.COMMIT_FENCE else "A"
             if ending != "deadline":
                 late = None
+            # A deadline no host reaches before the checks below; the
+            # loop's clock is moved past it after them.
             a = await manager.begin(
-                "A", deadline_s=0.05 if late == "A" else None
+                "A", deadline_s=60.0 if late == "A" else None
             )
             b = await manager.begin(
-                "B", deadline_s=0.05 if late == "B" else None
+                "B", deadline_s=60.0 if late == "B" else None
             )
             parked, operation, release = await _SETUPS[kind](manager, a, b)
             task = asyncio.ensure_future(operation)
@@ -263,6 +274,7 @@ class TestOnePathForEveryKind:
                 await task
                 assert parked.state.live or kind is ParkKind.COMMIT_GATE
             elif ending == "deadline":
+                advance_loop_clock(60.0)
                 with pytest.raises(DeadlineExceeded):
                     await task
             elif ending == "cancelled":

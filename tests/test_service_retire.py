@@ -25,6 +25,7 @@ from repro.service.park import Park
 from repro.service.sharding.coordinator import ShardedLockManager
 from repro.service.sharding.core import ShardedCore
 from repro.verify.stress import StressSpec, make_catalog
+from tests.test_sharding_core import graph_nodes
 
 #: Bytes a commit may leave behind: its history rows (about 4.5 per
 #: transaction on this catalog) and its instance number.  A core that
@@ -131,8 +132,13 @@ class TestRegistriesHoldLiveSessionsOnly:
             for shard in manager.shards:
                 assert set(shard._sessions.values()) <= legs
                 assert set(shard._by_job.values()) <= legs
+            # The coordinator's wait-for graph, its inheritance worklist
+            # included, which no pass ever drains there.
+            waits = manager.waits
+            assert graph_nodes(waits) <= live
             await manager.shutdown()
             assert not manager._sessions
+            assert not graph_nodes(waits)
             for shard in manager.shards:
                 assert not shard._sessions and not shard._by_job
 

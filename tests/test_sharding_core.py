@@ -4,27 +4,32 @@
 every operation returns its result or a :class:`Park`, and is called
 again with ``resume=park`` once the park has ended — the contract of
 ``LockCore`` (``tests/test_service_core.py``).  The first three cases
-run over in-process ``LockCore`` shards with no loop at all; the last
-puts one shard behind a ``RemoteShardProxy`` on an in-memory transport,
-where the loop only carries the bytes.
+and the random schedules run over in-process ``LockCore`` shards with
+no loop at all; the remote case puts one shard behind a
+``RemoteShardProxy`` on an in-memory transport, where the loop only
+carries the bytes.
 
 A range partitioner over a known item universe makes each item's owning
 shard part of the test's arithmetic.
 """
 
 import asyncio
+import functools
+import random
 
 import pytest
 
+from repro.engine.inheritance import WaitForGraph
 from repro.exceptions import TransactionAborted
 from repro.model.priorities import assign_by_order
-from repro.model.spec import TaskSet, TransactionSpec, read, write
+from repro.model.spec import OpKind, TaskSet, TransactionSpec, read, write
 from repro.service.core import LockCore, SessionState
 from repro.service.manager import LockManager
 from repro.service.park import Park, ParkKind
 from repro.service.sharding.core import ShardedCore
 from repro.service.sharding.procs.host import ShardHostServer
 from repro.service.sharding.procs.proxy import RemoteShardProxy
+from repro.verify.stress import StressSpec, make_catalog
 from tests.memory_transport import link
 
 
@@ -73,6 +78,24 @@ class TestCommitGate:
         assert core.sharding_stats.gate_waits == 1
         assert core.sharding_stats.cross_shard_commits == 1
 
+    def test_shutdown_fails_a_gate_park_with_the_shutdown_error(self):
+        # The reader is the older session: shutdown aborts it first, and
+        # that must not wake the writer's park before the writer's own
+        # abort ends it.
+        core = core_over(catalog_two_shards())
+        reader = core.begin("R")
+        writer = core.begin("W")
+        assert core.write(writer, "b", "new") is None
+        assert core.write(writer, "f", "new") is None
+        assert core.read(reader, "b") is None
+        park = core.commit(writer)
+        assert park.kind is ParkKind.COMMIT_GATE
+        core.shutdown()
+        with pytest.raises(TransactionAborted,
+                           match="^service shutting down$"):
+            core.commit(writer, resume=park)
+        assert core.sharding_stats.cascade_aborts == 0
+
 
 class TestOrderGuard:
     def test_guard_park_ends_with_the_blocker_terminal(self):
@@ -99,7 +122,7 @@ class TestOrderGuard:
         assert core.read(sa, "a", resume=park) == "b-val"
         assert core.sharding_stats.guard_waits == 1
         core.commit(sa)
-        assert not core.parks and not core._wake_index
+        assert not core.parks and not core.waits.waiters()
 
 
 class TestSplitCycle:
@@ -183,3 +206,165 @@ class TestRemoteLeg:
             await asyncio.wait_for(server.close(), 5)
 
         asyncio.run(body())
+
+
+# ----------------------------------------------------------------------
+# The coordinator's wait-for graph against the per-pass rebuild it
+# replaced
+# ----------------------------------------------------------------------
+
+def rebuilt_waits(core):
+    """The reference: every shard's wait edges and every gate/guard park,
+    over live sessions, gathered from scratch — with each waiter's place
+    (a shard index; ``None`` for a coordinator park or several places)."""
+    owner = core._job_sessions.get
+    waits = [
+        (owner(job), [owner(b) for b in shard.waits.blockers_of(job)], index)
+        for index, shard in enumerate(core.shards)
+        for job in shard.waits.waiters()
+    ]
+    waits += [(waiter, park.blockers, None)
+              for waiter, park in core.parks.items()]
+    edges, where = {}, {}
+    for waiter, blockers, place in waits:
+        if waiter is None or not waiter.state.live:
+            continue
+        targets = edges.setdefault(waiter, set())
+        targets.update(b for b in blockers
+                       if b is not None and b is not waiter
+                       and b.state.live)
+        where[waiter] = place if where.get(waiter, place) == place else None
+    return {w: t for w, t in edges.items() if t}, where
+
+
+def rebuilt_victim(core):
+    """The cross-shard victim the rebuild would pick, or ``None``."""
+    edges, where = rebuilt_waits(core)
+    graph = WaitForGraph()
+    for waiter, targets in edges.items():
+        graph.block(waiter, targets)
+    cycle = graph.find_new_cycle()
+    if cycle is None:
+        return None
+    places = {where[session] for session in cycle}
+    if len(places) == 1 and None not in places:
+        return None
+    return min(cycle, key=lambda s: (s.priority, -s.id))
+
+
+def graph_nodes(graph):
+    """Every job the graph names anywhere, its worklists included."""
+    return (set(graph._blocked_on) | set(graph._waiters_of) | graph._stale
+            | graph._no_inherit | graph._unchecked)
+
+
+class _Client:
+    """One closed-loop client: a session, its place in the program, and
+    the call (with the park) it waits to resume."""
+
+    def __init__(self):
+        self.session = None
+        self.pos = 0
+        self.call = None
+        self.park = None
+
+    def step(self, core, rng):
+        """Issue or resume one call; returns whether it did anything."""
+        if self.park is not None:
+            if not self.park.ended:
+                return False
+            run = functools.partial(self.call, resume=self.park)
+        elif self.session is None:
+            spec = rng.choice(list(core.catalog))
+            self.session, self.pos = core.begin(spec.name), 0
+            return True
+        else:
+            session = self.session
+            program = [op for op in session.spec.operations
+                       if op.kind is not OpKind.COMPUTE]
+            if self.pos < len(program):
+                op = program[self.pos]
+                if op.kind is OpKind.READ:
+                    self.call = functools.partial(core.read, session, op.item)
+                else:
+                    self.call = functools.partial(
+                        core.write, session, op.item, self.pos
+                    )
+            elif rng.random() < 0.1:
+                core.abort(session)
+                self.session = None
+                return True
+            else:
+                self.call = functools.partial(core.commit, session)
+            run = self.call
+        try:
+            result = run()
+        except TransactionAborted:
+            self.session = self.park = None
+            return True
+        self.park = result if isinstance(result, Park) else None
+        if self.park is None:
+            if self.call.func == core.commit:
+                self.session = None
+            else:
+                self.pos += 1
+        return True
+
+
+class TestOneWaitGraph:
+    """Random 2–3-shard schedules, no event loop: after every call the
+    coordinator's graph is the from-scratch union of the translated shard
+    edges and the gate/guard parks, and every pass picks the rebuild's
+    victim."""
+
+    @staticmethod
+    def check(core):
+        edges, where = rebuilt_waits(core)
+        graph = core.waits
+        assert {w: set(graph.blockers_of(w)) for w in graph.waiters()} == edges
+        for waiter in edges:
+            assert where[waiter] == waiter.place
+        graph.self_check()
+        assert graph_nodes(graph) <= set(core.live_sessions())
+        assert not graph._stale
+
+    @pytest.mark.parametrize("protocol", ["rw-pcp", "pcp-da"])
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_graph_and_victims_match_the_rebuild(self, shards, protocol):
+        victims = waits = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            core = ShardedCore(
+                make_catalog(StressSpec(
+                    seed=seed, txn_types=6, items=9, min_ops=2, max_ops=4,
+                    write_probability=0.5, zipf_s=0.5,
+                )),
+                protocol, shards=shards, partitioner="range",
+            )
+            picked = []
+            deadlock_pass = core._check_global_deadlock
+
+            def checked_pass(core=core, deadlock_pass=deadlock_pass,
+                             picked=picked):
+                expected = rebuilt_victim(core)
+                live = core.live_sessions()
+                deadlock_pass()
+                assert [s for s in live if s.abort_reason == "deadlock"] == (
+                    [expected] if expected is not None else []
+                )
+                picked.append(expected)
+
+            core._check_global_deadlock = checked_pass
+            clients = [_Client() for _ in range(4)]
+            for _ in range(250):
+                moved = [c for c in clients if c.park is None or c.park.ended]
+                assert moved, "every client waits on a park nobody ends"
+                rng.choice(moved).step(core, rng)
+                waits += bool(core.waits.waiters())
+                self.check(core)
+            victims += sum(v is not None for v in picked)
+            core.shutdown()
+            assert not graph_nodes(core.waits)
+        assert waits, "no schedule made a session wait"
+        if protocol == "rw-pcp":
+            assert victims, "no schedule closed a cross-shard cycle"
