@@ -24,6 +24,9 @@ IQR/median exceeds the bound, so the runs cannot tell — unless every
 change run beats every reference run).  The exit status is 1 when any
 metric of any workload is a ``REGRESSION``.
 
+``--pairs`` below ten is a usage error: fewer pairs read the host's
+speed regimes as a change.
+
 ``--workload`` takes one name, a comma list, or ``all`` (every workload
 in ``BENCHMARK.json``).  With several, pair ``i`` of every workload runs
 before pair ``i + 1`` of any, so a speed-regime flip lands on all of them
@@ -48,6 +51,11 @@ import tempfile
 from typing import Dict, List, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: Fewest pairs a comparison may run.  At five, a change that left the
+#: simulator alone read ``sim-grid``'s ``txn_per_s`` at 0.741 of its
+#: reference from the host's speed regimes alone (0.987 at ten).
+MIN_PAIRS = 10
 
 
 def run_once(tree: pathlib.Path, workload: str, seed: int) -> Dict[str, float]:
@@ -115,8 +123,14 @@ def main(argv=None) -> int:
                         help="commit, or path of an existing checkout")
     parser.add_argument("--workload", required=True,
                         help="a workload, a comma list of them, or 'all'")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     args = parser.parse_args(argv)
+    if args.pairs < MIN_PAIRS:
+        parser.error(
+            f"--pairs {args.pairs}: run at least {MIN_PAIRS} pairs (the "
+            "simplicity-review guide's \"at least ten pairs\"; fewer "
+            "read the host's speed regimes as a change)"
+        )
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {

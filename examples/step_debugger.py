@@ -32,8 +32,9 @@ def snapshot(sim: Simulator, now: float) -> str:
             blockers = ", ".join(
                 b.name for b in sim.waits.blockers_of(job)
             )
-            item, mode = job.pending_request
-            status = f"BLOCKED on {mode.value}-lock({item}) by {blockers}"
+            wait = job.block_intervals[-1]  # the open one
+            status = (f"BLOCKED on {wait.mode.value}-lock({wait.item}) "
+                      f"by {blockers}")
         else:
             status = job.state.value
             if job.running_priority != job.base_priority:

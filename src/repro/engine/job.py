@@ -73,7 +73,7 @@ class Job:
         "spec", "instance", "arrival", "name", "seq", "state", "pc",
         "op_remaining", "op_started", "completion_token",
         "scheduled_completion", "base_priority", "running_priority", "dkey",
-        "workspace", "data_read", "pending_request", "block_intervals",
+        "workspace", "data_read", "block_intervals",
         "finish_time", "restarts", "preemptions", "grant_rules",
     )
 
@@ -110,9 +110,6 @@ class Job:
 
         self.workspace = Workspace()
         self.data_read: Set[str] = set()
-
-        #: Pending lock request while BLOCKED: (item, mode).
-        self.pending_request: Optional[Tuple[str, LockMode]] = None
 
         # ---- statistics -------------------------------------------------
         self.block_intervals: List[BlockInterval] = []
@@ -202,7 +199,6 @@ class Job:
         self.scheduled_completion = None
         self.workspace.discard()
         self.data_read.clear()
-        self.pending_request = None
         self.running_priority = self.base_priority
         self.dkey = (-self.base_priority, self.arrival, self.seq)
         self.restarts += 1

@@ -586,7 +586,6 @@ class Simulator:
         job.workspace.discard()
         job.completion_token += 1
         job.scheduled_completion = None
-        job.pending_request = None
         job.state = JobState.DROPPED
         self._active.pop(job, None)
         self._blocked.pop(job, None)
@@ -732,7 +731,6 @@ class Simulator:
             self._blocker_names[deny.blockers] = blocker_names
         job.state = JobState.BLOCKED
         self._blocked[job] = None
-        job.pending_request = (item, mode)
         # A job woken by a lock release and denied again at the same
         # instant continues its existing blocking interval instead of
         # opening a new one (the wake was bookkeeping, not progress).
@@ -841,7 +839,6 @@ class Simulator:
         for job in woken:
             job.end_block(now)
             job.state = JobState.READY
-            job.pending_request = None
             self.waits.unblock(job)
             self._push_ready(job)
         self._recompute_priorities()

@@ -6,7 +6,7 @@ import importlib
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple, Type
 
 from repro.core.ceilings import CeilingTable
-from repro.engine.interfaces import ConcurrencyControlProtocol
+from repro.engine.interfaces import ConcurrencyControlProtocol, Deny, Grant
 from repro.exceptions import ProtocolError, UnknownProtocolError
 from repro.model.spec import DUMMY_PRIORITY, LockMode, TaskSet
 
@@ -71,8 +71,24 @@ def available_protocols() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY.keys() | _BUILTIN.keys()))
 
 
+#: The P>Sysceil family's denial text when the requested item is free.
+_CEILING_REASON = "ceiling blocking: P <= Sysceil"
+
+
 class CeilingProtocolBase(ConcurrencyControlProtocol):
-    """Shared machinery for protocols that use static ceiling tables."""
+    """Shared machinery for protocols that use static ceiling tables, and
+    the P>Sysceil family's one decision rule (RW-PCP, CCP, original
+    PCP): a member names its runtime item ceiling
+    (:meth:`_item_ceiling`), the kernel opcode for it
+    (:attr:`level_source`) and its conflict-denial text
+    (:attr:`conflict_reason`)."""
+
+    #: Name of the ``repro.engine.kernel.tables`` ``LEVEL_*`` opcode that
+    #: computes :meth:`_item_ceiling` in the array kernel.
+    level_source = ""
+    #: Denial text when the requested item itself is locked by another
+    #: transaction (conflict blocking rather than ceiling blocking).
+    conflict_reason = ""
 
     def __init__(self) -> None:
         super().__init__()
@@ -121,25 +137,33 @@ class CeilingProtocolBase(ConcurrencyControlProtocol):
         return self._sysceil_and_holders(exclude)[0]
 
     # ------------------------------------------------------------------
-    # Array-kernel compilation
+    # The P>Sysceil rule, object path and array kernel
     # ------------------------------------------------------------------
-    def _compile_sysceil_table(
-        self, level_source: int, conflict_reason: str
-    ):
-        """Shared ``compile_table()`` body for the P>Sysceil family
-        (RW-PCP, CCP, original PCP): only the level semantics and the
-        conflict-denial text differ between them."""
-        from repro.engine.kernel.tables import FAMILY_SYSCEIL, ProtocolTable
+    def decide(self, job: "Job", item: str, mode: LockMode):
+        """Grant iff the requester's running priority is above Sysceil;
+        a denial blames the holders at that level, and is classified for
+        the trace as conflict blocking when the requested item itself is
+        locked by another transaction, ceiling blocking otherwise."""
+        sysceil, holders = self._sysceil_and_holders(job)
+        if job.running_priority > sysceil:
+            return Grant("P>Sysceil")
+        if self.table.holders_of(item) - {job}:
+            return Deny(holders, self.conflict_reason)
+        return Deny(holders, _CEILING_REASON)
 
-        return ProtocolTable(
+    def compile_table(self):
+        """The same rule for the array kernel."""
+        from repro.engine.kernel import tables
+
+        return tables.ProtocolTable(
             protocol=self.name,
-            family=FAMILY_SYSCEIL,
-            level_source=level_source,
+            family=tables.FAMILY_SYSCEIL,
+            level_source=getattr(tables, self.level_source),
             select_readers=False,
             ceilings=self.ceilings,
             read_grant_rules=("P>Sysceil",),
-            conflict_reason=conflict_reason,
-            ceiling_reason="ceiling blocking: P <= Sysceil",
+            conflict_reason=self.conflict_reason,
+            ceiling_reason=_CEILING_REASON,
         )
 
 

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.interfaces import Deny, Grant, InstallPolicy
-from repro.model.spec import LockMode
+from repro.engine.interfaces import InstallPolicy
 from repro.protocols.base import CeilingProtocolBase, register_protocol
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.job import Job
     from repro.engine.lock_table import LockEntry
 
 
@@ -33,27 +31,8 @@ class OriginalPCP(CeilingProtocolBase):
     name = "pcp"
     install_policy = InstallPolicy.AT_WRITE
     can_deadlock = False
+    level_source = "LEVEL_ACEIL"
+    conflict_reason = "conflict blocking: item locked (exclusive access)"
 
     def _item_ceiling(self, item: str, entry: "LockEntry") -> int:
         return self.ceilings.aceil(item)
-
-    def decide(self, job: "Job", item: str, mode: LockMode):
-        sysceil, holders = self._sysceil_and_holders(job)
-        if job.running_priority > sysceil:
-            return Grant("P>Sysceil")
-        item_holders = self.table.holders_of(item) - {job}
-        reason = (
-            "conflict blocking: item locked (exclusive access)"
-            if item_holders
-            else "ceiling blocking: P <= Sysceil"
-        )
-        return Deny(holders, reason)
-
-    def compile_table(self):
-        """Original PCP for the array kernel: every lock is exclusive and
-        raises ``Aceil`` under the P>Sysceil rule."""
-        from repro.engine.kernel.tables import LEVEL_ACEIL
-
-        return self._compile_sysceil_table(
-            LEVEL_ACEIL, "conflict blocking: item locked (exclusive access)"
-        )

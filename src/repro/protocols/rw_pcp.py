@@ -28,12 +28,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.interfaces import Deny, Grant, InstallPolicy
-from repro.model.spec import LockMode
+from repro.engine.interfaces import InstallPolicy
 from repro.protocols.base import CeilingProtocolBase, register_protocol
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.job import Job
     from repro.engine.lock_table import LockEntry
 
 
@@ -44,6 +42,10 @@ class RWPCP(CeilingProtocolBase):
     name = "rw-pcp"
     install_policy = InstallPolicy.AT_WRITE
     can_deadlock = False
+    #: CCP inherits this rule and its table: CCP's early-unlock hook
+    #: stays object-side and changes only *when* locks are released.
+    level_source = "LEVEL_RW"
+    conflict_reason = "conflict blocking: item locked and P <= Sysceil"
 
     def _item_ceiling(self, item: str, entry: "LockEntry") -> int:
         """``rwceil(x)``: ``Aceil`` while write-locked — by anyone, the
@@ -51,31 +53,3 @@ class RWPCP(CeilingProtocolBase):
         if entry.writers:
             return self.ceilings.aceil(item)
         return self.ceilings.wceil(item)
-
-    # ------------------------------------------------------------------
-    # Decisions
-    # ------------------------------------------------------------------
-    def decide(self, job: "Job", item: str, mode: LockMode):
-        sysceil, holders = self._sysceil_and_holders(job)
-        if job.running_priority > sysceil:
-            return Grant("P>Sysceil")
-        # Classify the blocking for the trace: conflict blocking when the
-        # requested item itself is locked by another transaction, ceiling
-        # blocking otherwise.
-        item_holders = self.table.holders_of(item) - {job}
-        if item_holders:
-            reason = "conflict blocking: item locked and P <= Sysceil"
-        else:
-            reason = "ceiling blocking: P <= Sysceil"
-        return Deny(holders, reason)
-
-    def compile_table(self):
-        """RW-PCP for the array kernel: the runtime r/w ceiling (Aceil
-        while write-locked, Wceil otherwise) under the P>Sysceil rule.
-        CCP inherits this table — its early-unlock hook stays object-side
-        and only changes *when* locks are released, not the admission."""
-        from repro.engine.kernel.tables import LEVEL_RW
-
-        return self._compile_sysceil_table(
-            LEVEL_RW, "conflict blocking: item locked and P <= Sysceil"
-        )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.engine.interfaces import AbortAndGrant, Deny, Grant, InstallPolicy
+from repro.engine.interfaces import AbortAndGrant, Deny, InstallPolicy
 from repro.model.spec import LockMode
 from repro.protocols.base import register_protocol
 from repro.protocols.rw_pcp import RWPCP
@@ -40,20 +40,20 @@ class RWPCPAbort(RWPCP):
     can_deadlock = False
 
     def decide(self, job: "Job", item: str, mode: LockMode):
-        sysceil, holders = self._sysceil_and_holders(job)
-        if job.running_priority > sysceil:
-            return Grant("P>Sysceil")
-        if holders and all(
-            h.base_priority < job.base_priority for h in holders
+        """RW-PCP's decision, except that a denial whose every blocker
+        has a lower base priority aborts them and grants instead."""
+        decision = super().decide(job, item, mode)
+        if (
+            isinstance(decision, Deny)
+            and decision.blockers
+            and all(h.base_priority < job.base_priority
+                    for h in decision.blockers)
         ):
-            return AbortAndGrant(holders, "ceiling abort: restart lower-priority holders")
-        item_holders = self.table.holders_of(item) - {job}
-        reason = (
-            "conflict blocking: item locked and P <= Sysceil"
-            if item_holders
-            else "ceiling blocking: P <= Sysceil"
-        )
-        return Deny(holders, reason)
+            return AbortAndGrant(
+                decision.blockers,
+                "ceiling abort: restart lower-priority holders",
+            )
+        return decision
 
     def compile_table(self):
         """Object path: the abort branch above diverges from the RW-PCP

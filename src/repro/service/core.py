@@ -31,11 +31,13 @@ There is no event loop here (docs/SERVICE.md, "Concurrency model"):
 * a park ends through :func:`~repro.service.park.end_park`, which stores
   its outcome on the record and wakes whoever awaits it: the grant rule
   when the grant queue grants it, ``None`` when the grant queue finds a
-  commit gate cleared, the exception when the session is aborted.  The
-  caller then calls the same operation again with ``resume=park``: it
-  raises that exception, or carries on after the wait without
-  re-running the entry checks — so a grant that landed before the
-  session's deadline stands;
+  commit gate cleared, the exception when the session is aborted.  An
+  operation is a generator of steps suspended at the park it returned
+  (:func:`operation`, the one driver, which the shard coordinator's core
+  runs too); the caller calls it again with ``resume=park`` and it
+  carries on from the park: it raises that exception, or goes on past
+  the wait without re-running the entry checks — so a grant that landed
+  before the session's deadline stands;
 * every lock release re-services the grant queue in (running priority,
   earliest deadline, FIFO) order, re-evaluating exactly the parks the
   release can affect: one wake rule for every kind — a park is
@@ -95,10 +97,12 @@ an :class:`InvariantViolation`, exactly as in the simulator.
 from __future__ import annotations
 
 import enum
+import functools
 import time
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union,
+    Any, Callable, Dict, Generator, Iterable, List, Optional, Set, Tuple,
+    Union,
 )
 
 from repro.db.database import Version
@@ -217,11 +221,52 @@ class ServiceConfig:
         check_deadline(self.default_deadline_s, "default_deadline_s")
 
 
+#: An operation in progress: yields each park it waits on, returns its
+#: result.
+Steps = Generator[Park, None, Any]
+
+
+def operation(steps: Callable[..., Steps]) -> Callable[..., Any]:
+    """A core operation from the generator of its steps: the one driver
+    of both lock cores.
+
+    Called afresh, the operation passes the entry checks
+    (:meth:`SessionTable._pre_op`) and starts its steps, kept in
+    ``session.op``; called with ``resume=park``, it carries them on from
+    the park they waited at.  Either way it returns the result, or the
+    next park, and the core's end-of-operation work
+    (:meth:`SessionTable._after_op`) runs before it does.
+    """
+
+    @functools.wraps(steps)
+    def run(self, session, *args, resume=None):
+        if resume is None:
+            self._pre_op(session)
+            session.op = steps(self, session, *args)
+        elif session.op is None:
+            raise SessionStateError(
+                f"{session.name}: no operation waits on that park"
+            )
+        try:
+            return session.op.send(None)
+        except StopIteration as done:
+            session.op = None
+            return done.value
+        except BaseException:
+            session.op = None
+            raise
+        finally:
+            self._after_op()
+
+    return run
+
+
 class SessionRecord:
     """What a :class:`SessionTable` knows of each session it holds, in
-    either core; a subclass adds ``name`` and ``in_flight``."""
+    either core; a subclass adds ``name``."""
 
-    __slots__ = ("id", "state", "deadline", "opened_at", "abort_reason")
+    __slots__ = ("id", "state", "deadline", "opened_at", "abort_reason",
+                 "op")
 
     def __init__(self, session_id: int, opened_at: float,
                  deadline: Optional[float] = None) -> None:
@@ -231,6 +276,14 @@ class SessionRecord:
         self.deadline = deadline
         self.opened_at = opened_at
         self.abort_reason = ""
+        #: The operation in progress, suspended at the park it returned.
+        self.op: Optional[Steps] = None
+
+    @property
+    def in_flight(self) -> bool:
+        """Whether an operation is in progress (one per session): one
+        that returned a park is the only kind that outlives its call."""
+        return self.op is not None
 
 
 class Session(SessionRecord):
@@ -253,12 +306,6 @@ class Session(SessionRecord):
     def name(self) -> str:
         """The underlying job's instance name (``"T2#7"``)."""
         return self.job.name
-
-    @property
-    def in_flight(self) -> bool:
-        """Whether an operation is in progress: one that returned a park
-        is the only kind that outlives its call."""
-        return self.state is SessionState.WAITING
 
     @property
     def priority(self) -> int:
@@ -334,9 +381,10 @@ class SessionTable:
     :class:`~repro.service.sharding.core.ShardedCore` subclass it and
     make every lock decision themselves.  Each says how one session is
     torn down (``_abort_session``), what is left to do after teardowns
-    (``_after_abort``), and how an expired one goes (``_expire``).
-    ``_sessions`` holds live sessions only, by id, oldest first: a
-    session leaves at its terminal.
+    (``_after_abort``) and after an operation (``_after_op``); both run
+    their ``read`` / ``write`` / ``commit`` steps through
+    :func:`operation`.  ``_sessions`` holds live sessions only, by id,
+    oldest first: a session leaves at its terminal.
     """
 
     #: Partitions in this deployment (``ping``, ``topology``).
@@ -422,11 +470,16 @@ class SessionTable:
 
     def expire(self, session: Any, reason: str) -> None:
         """Abort ``session`` from outside its operation: its deadline
-        passed (``reason="deadline"``) or its client went away.  A
-        session that already finished is left alone."""
+        passed (``reason="deadline"``) or its client went away.  The
+        operation in progress is dropped where it waits, since no
+        resume follows; of a session that already finished, only
+        that."""
         if reason == "deadline" and session.state.live:
             self.stats.deadline_aborts += 1
-        self._expire(session, reason)
+        self.force_abort(session, reason)
+        op, session.op = session.op, None
+        if op is not None:
+            op.close()
 
     def _abort_session(self, session: Any, reason: str, *, forced: bool = True,
                        exc: Optional[ServiceError] = None) -> None:
@@ -436,8 +489,21 @@ class SessionTable:
     def _after_abort(self) -> None:
         """Work a teardown leaves for after it (none by default)."""
 
-    def _expire(self, session: Any, reason: str) -> None:
-        raise NotImplementedError
+    def _after_op(self) -> None:
+        """Work an operation leaves for when it returns (none by default)."""
+
+    def _wait_out(self, session: Any, park: Park, where: str = "") -> Steps:
+        """Wait at ``park`` until it ends, the after-park step of both
+        cores: raise the abort that ended it, or raise when the session
+        died before its operation resumed (``where`` says where it
+        waited).  A grant, or a cleared gate, stands."""
+        yield park
+        if isinstance(park.outcome, BaseException):
+            raise park.outcome
+        if not session.state.live:
+            raise TransactionAborted(
+                f"{session.name}: {session.abort_reason or 'aborted'}{where}"
+            )
 
     def catalog_document(self) -> List[Dict[str, Any]]:
         """The registered transaction types (the ``catalog`` command)."""
@@ -680,9 +746,8 @@ class LockCore(SessionTable):
         """Subscribe ``listener`` to every recorded lock decision."""
         self.decision_listeners.append(listener)
 
-    def read(
-        self, session: Session, item: str, *, resume: Optional[Park] = None
-    ) -> Any:
+    @operation
+    def read(self, session: Session, item: str) -> Steps:
         """Read ``item``, acquiring the read lock first if needed.
 
         Returns the observed value: the session's own buffered write when
@@ -691,7 +756,7 @@ class LockCore(SessionTable):
         Returns the :class:`Park` instead when the lock request has to
         wait; call again with ``resume=`` that park once it has ended.
         """
-        self._enter(session, item, LockMode.READ, resume)
+        check_access(session.name, session.job.spec, item, LockMode.READ)
         job = session.job
         if job.workspace.has_write(item):
             # Own deferred write: intra-transaction, no lock, no history.
@@ -702,7 +767,7 @@ class LockCore(SessionTable):
         ):
             park = self._acquire(session, item, LockMode.READ)
             if park is not None:
-                return park
+                yield from self._wait_out(session, park)
         record = job.workspace.read_record(item)
         if record is not None:
             return record.value  # re-read under the held lock
@@ -713,44 +778,38 @@ class LockCore(SessionTable):
         self.history.record_read(job.name, item, version.seq, now)
         return version.value
 
-    def write(
-        self,
-        session: Session,
-        item: str,
-        value: Any,
-        *,
-        resume: Optional[Park] = None,
-    ) -> Optional[Park]:
+    @operation
+    def write(self, session: Session, item: str, value: Any) -> Steps:
         """Buffer a deferred write of ``value`` to ``item``.
 
         The write-lock request goes through the protocol (LC1 for PCP-DA);
         the value stays in the session workspace until commit.  Returns
         ``None``, or the :class:`Park` to ``resume`` from.
         """
-        self._enter(session, item, LockMode.WRITE, resume)
+        check_access(session.name, session.job.spec, item, LockMode.WRITE)
         job = session.job
         if not self.table.holds(job, item, LockMode.WRITE):
             park = self._acquire(session, item, LockMode.WRITE)
             if park is not None:
-                return park
+                yield from self._wait_out(session, park)
         job.workspace.buffer_write(item, value)
-        return None
 
-    def commit(
-        self, session: Session, *, resume: Optional[Park] = None
-    ) -> Union[Dict[str, Any], Park]:
+    @operation
+    def commit(self, session: Session) -> Steps:
         """Commit: install buffered writes atomically, release all locks.
 
         Returns a summary dict (installed items, latency, blocking time),
-        or the commit-gate :class:`Park` to ``resume`` from.
+        or the commit-gate :class:`Park` to ``resume`` from.  The gate
+        is checked again after every wait: a reader may pass this
+        session's write locks between the gate clearing and the resume.
         """
-        self._enter(session, None, None, resume)
         job = session.job
         gate = self._commit_gate(job)
-        if gate is not None:
-            return self._park(
+        while gate is not None:
+            yield from self._wait_out(session, self._park(
                 session, COMMIT_ITEM, LockMode.WRITE, gate, self.now()
-            )
+            ))
+            gate = self._commit_gate(job)
         # Every served protocol holds its locks to commit, so installing
         # the workspace here is indistinguishable from installing in place.
         now = self.now()
@@ -811,13 +870,6 @@ class LockCore(SessionTable):
         # on that job, which re-selects exactly those waiters.
         self._note_release_churn(session.job)
         self._service_grant_queue()
-
-    def _expire(self, session: Session, reason: str) -> None:
-        """A parked session leaves the queue first, announced as
-        ``"unwait"`` like any live exit from the wait-for graph, then is
-        torn down."""
-        self._unpark(session)
-        self.force_abort(session, reason)
 
     def _after_abort(self) -> None:
         """Grant what the released locks free."""
@@ -889,34 +941,6 @@ class LockCore(SessionTable):
         parked requests whose latest denial blames it.
         """
         self._churn_waiters.update(self.waits.waiters_on(job))
-
-    def _enter(
-        self,
-        session: Session,
-        item: Optional[str],
-        mode: Optional[LockMode],
-        resume: Optional[Park],
-    ) -> None:
-        """Shared entry checks: session state, deadline, access sets.
-
-        An operation re-entering after ``resume`` ended skips them and
-        takes that park's outcome instead: its exception is raised, a
-        grant or a cleared commit gate stands — even when the deadline
-        passed since it landed.  Whoever ended the park has already
-        taken it out of the registry.
-        """
-        if resume is not None:
-            if isinstance(resume.outcome, BaseException):
-                raise resume.outcome
-            if not session.state.live:
-                # Aborted after its park ended, before re-entering.
-                raise TransactionAborted(
-                    f"{session.name}: {session.abort_reason}"
-                )
-            return
-        self._pre_op(session)
-        if item is not None and mode is not None:
-            check_access(session.name, session.job.spec, item, mode)
 
     # ------------------------------------------------------------------
     # Lock acquisition and the grant queue
@@ -1164,7 +1188,7 @@ class LockCore(SessionTable):
         (the new inheritance edges feed the next decision's
         transitive-waiter exemption); the batch stops at the first grant.
         A cleared gate counts as one: its park ends with ``None`` and the
-        commit re-enters to install.  Each candidate is decided *at most
+        commit resumes to install.  Each candidate is decided *at most
         once per drain*: a denial removes it from the working set (its
         refreshed blame re-selects it on the next relevant churn), and a
         grant resumes the pass over the still-undecided suffix plus
@@ -1200,7 +1224,7 @@ class LockCore(SessionTable):
             park = ordered[len(decisions) - 1]
             self._unpark(park.session)
             if park.kind is ParkKind.COMMIT_GATE:
-                end_park(park, None)  # the commit re-enters and installs
+                end_park(park, None)  # the commit resumes and installs
             else:
                 rule = decisions[-1].rule
                 self._apply_grant(park.session, park.item, park.mode, rule,

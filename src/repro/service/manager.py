@@ -3,7 +3,8 @@
 :class:`LockManager` is :class:`~repro.service.core.LockCore` — every
 decision, park, wake and abort — plus the one thing an event loop adds:
 waiting.  Each operation calls the core op; when a
-:class:`~repro.service.park.Park` comes back it awaits the park's end
+:class:`~repro.service.park.Park` comes back — the op is then suspended
+at it (:func:`~repro.service.core.operation`) — it awaits the park's end
 and calls the op again with ``resume=park``, until the op completes.
 :func:`wait_firm` puts a waker on the park, which the core's
 :func:`~repro.service.park.end_park` calls, and turns the session's firm

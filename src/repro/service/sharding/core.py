@@ -59,23 +59,23 @@ result or a :class:`~repro.service.park.Park`, called again with
 The gate and guard are parks in :attr:`ShardedCore.parks` whose edges
 stand in the same graph, so a blocker's terminal ends exactly the parks
 waiting on it; a leg's wait is the shard's own park, returned
-unchanged.  An operation is a generator suspended at the park it
-returned, so a resumed operation continues from the stage it waited in
-and never re-runs a guard it already passed.  Deadlines are enforced at operation
-entry here and mid-wait by the adapter
+unchanged.  An operation runs through the lock core's own driver
+(:func:`~repro.service.core.operation`): a generator suspended at the
+park it returned, so a resumed operation continues from the stage it
+waited in and never re-runs a guard it already passed; the deadlock
+pass is the driver's end-of-operation work here.  Deadlines are
+enforced at operation entry and mid-wait by the adapter
 (:class:`~repro.service.sharding.coordinator.ShardedLockManager`)
 through :meth:`ShardedCore.expire`.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import (
     Any,
     Callable,
     Dict,
     FrozenSet,
-    Generator,
     List,
     Optional,
     Sequence,
@@ -88,7 +88,6 @@ from repro.engine.inheritance import WaitForGraph
 from repro.engine.job import Job
 from repro.exceptions import (
     ServiceError,
-    SessionStateError,
     SpecificationError,
     TransactionAborted,
 )
@@ -101,7 +100,9 @@ from repro.service.core import (
     SessionRecord,
     SessionState,
     SessionTable,
+    Steps,
     check_access,
+    operation,
 )
 from repro.service.park import Park, ParkKind, end_park
 from repro.service.sharding.partitioner import Partitioner, make_partitioner
@@ -111,47 +112,6 @@ from repro.service.stats import ServiceStats, ShardingStats
 #: timestamps.  Serialization-graph edges depend only on per-item version
 #: sequence numbers, so this rank only keeps the merged log readable.
 _HISTORY_RANK = {"read": 0, "install": 1, "commit": 2, "abort": 2}
-
-#: An operation in progress: yields each park it waits on, returns its
-#: result.
-Steps = Generator[Park, None, Any]
-
-
-def _operation(steps: Callable[..., Steps]) -> Callable[..., Any]:
-    """A core operation from the generator of its steps.
-
-    Called afresh, the operation passes the entry checks (liveness, one
-    in flight, deadline) and starts its steps; called with
-    ``resume=park``, it carries them on from the park they waited at.
-    Either way it returns the result, or the next park — the
-    ``LockCore`` contract.  A deadlock pass asked for meanwhile runs
-    before it returns.
-    """
-
-    @functools.wraps(steps)
-    def operation(self, session, *args, resume=None):
-        if resume is None:
-            self._pre_op(session)
-            session.op = steps(self, session, *args)
-        elif session.op is None:
-            raise SessionStateError(
-                f"{session.name}: no operation waits on that park"
-            )
-        try:
-            return session.op.send(None)
-        except StopIteration as done:
-            session.op = None
-            return done.value
-        except BaseException:
-            session.op = None
-            raise
-        finally:
-            if self._deadlock_due:
-                self._deadlock_due = False
-                self._check_global_deadlock()
-
-    return operation
-
 
 class GlobalSession(SessionRecord):
     """One live transaction as the coordinator sees it.
@@ -163,8 +123,7 @@ class GlobalSession(SessionRecord):
     can half-abort a commit.
     """
 
-    __slots__ = ("spec", "instance", "legs", "span", "op", "installing",
-                 "place")
+    __slots__ = ("spec", "instance", "legs", "span", "installing", "place")
 
     def __init__(self, session_id: int, spec: TransactionSpec, instance: int,
                  span: FrozenSet[int], opened_at: float) -> None:
@@ -175,19 +134,12 @@ class GlobalSession(SessionRecord):
         self.legs: Dict[int, Session] = {}
         #: Shards the declared access set may touch (static, see begin).
         self.span = span
-        #: The operation in progress, suspended at the park it returned.
-        self.op: Optional[Steps] = None
         #: Past the commit point: every leg fenced and the gate empty.
         self.installing = False
         #: Where its latest wait is: a shard index for a leg's lock wait,
         #: ``None`` for a gate/guard park.  One operation in flight means
         #: one place at a time.
         self.place: Optional[int] = None
-
-    @property
-    def in_flight(self) -> bool:
-        """Whether an operation is in progress (one per session)."""
-        return self.op is not None
 
     @property
     def name(self) -> str:
@@ -360,7 +312,7 @@ class ShardedCore(SessionTable):
             self.sharding_stats.cross_shard_sessions += 1
         return session
 
-    @_operation
+    @operation
     def read(self, session: GlobalSession, item: str) -> Steps:
         """Read ``item`` through the owning shard's leg; returns the value
         or the :class:`Park` to ``resume`` from.
@@ -379,7 +331,7 @@ class ShardedCore(SessionTable):
         leg = yield from self._leg(session, shard_id)
         return (yield from self._call(self.shards[shard_id].read, leg, item))
 
-    @_operation
+    @operation
     def write(self, session: GlobalSession, item: str, value: Any) -> Steps:
         """Buffer a deferred write on the owning shard's leg; returns
         ``None``, or the :class:`Park` to ``resume`` from."""
@@ -388,7 +340,7 @@ class ShardedCore(SessionTable):
         leg = yield from self._leg(session, shard_id)
         yield from self._call(self.shards[shard_id].write, leg, item, value)
 
-    @_operation
+    @operation
     def commit(self, session: GlobalSession) -> Steps:
         """Commit across every touched shard; returns the merged summary,
         or the :class:`Park` to ``resume`` from.
@@ -444,14 +396,6 @@ class ShardedCore(SessionTable):
             "blocking_s": blocking,
             "shards": list(legs),
         }
-
-    def _expire(self, session: GlobalSession, reason: str) -> None:
-        """Every leg is torn down, and the operation in progress is
-        dropped where it waits."""
-        self._abort_session(session, reason)
-        op, session.op = session.op, None
-        if op is not None:
-            op.close()
 
     def shutdown(self) -> None:
         """:meth:`SessionTable.shutdown`, then the in-process shards shut
@@ -746,6 +690,12 @@ class ShardedCore(SessionTable):
         else:
             self.waits.unblock(session)
 
+    def _after_op(self) -> None:
+        """Run the deadlock pass the operation asked for, if any."""
+        if self._deadlock_due:
+            self._deadlock_due = False
+            self._check_global_deadlock()
+
     def _schedule_deadlock_check(self) -> None:
         """Ask for a deadlock pass when the current operation returns.
 
@@ -823,8 +773,8 @@ class ShardedCore(SessionTable):
         terminal ends it — predecessors arriving *while* parked can only
         grow the set and never require a wake, and the re-evaluation
         after each end picks them up.  Each park asks for a deadlock
-        pass and checks liveness when it ends; an abort ends it too, and
-        the operation raises that abort's error.
+        pass; an abort ends it too, and the operation raises that
+        abort's error (:meth:`SessionTable._wait_out`).
         """
         blockers = blockers_fn()
         if not blockers:
@@ -846,19 +796,12 @@ class ShardedCore(SessionTable):
                 self._wait(session, None, blockers)
                 self._schedule_deadlock_check()
                 try:
-                    if session.state.live:
-                        yield park
+                    yield from self._wait_out(
+                        session, park, f" (while parked at the {kind.value})"
+                    )
                 finally:
                     del self.parks[session]
                     self.waits.unblock(session)
-                if isinstance(park.outcome, BaseException):
-                    raise park.outcome  # the abort that ended the park
-                if not session.state.live:
-                    raise TransactionAborted(
-                        f"{session.name}: "
-                        f"{session.abort_reason or 'aborted'} "
-                        f"(while parked at the {kind.value})"
-                    )
                 blockers = blockers_fn()
         finally:
             if session.state is SessionState.WAITING:

@@ -2,9 +2,12 @@
 
 ``summarize`` is the whole decision: the choosing-metrics §8 gain rule
 and the no-regression verdict against a ``BENCHMARK.json`` bound.  No
-suite run is made here.
+suite run is made here: ``main`` is driven over a stand-in ``run_once``.
 """
 
+import pytest
+
+from benchmarks import bench_pair
 from benchmarks.bench_pair import summarize
 
 STEADY = [100.0, 101.0, 99.0, 100.0, 100.5, 99.5]
@@ -66,3 +69,32 @@ class TestGainRule:
         news = [x + 10.0 for x in refs[:9]] + [refs[9]]
         line, _ = verdict(refs, news)
         assert "wins 9/9 (ties 1)" in line and "-> GAIN" in line
+
+
+class TestPairCount:
+    @staticmethod
+    def _runs(monkeypatch):
+        runs = []
+
+        def run_once(tree, workload, seed):
+            runs.append((tree, workload, seed))
+            return {"txn_per_s": 100.0, "cpu_ms_per_txn": 1.0,
+                    "peak_rss_mb": 50.0, "setup_s": 0.5}
+
+        monkeypatch.setattr(bench_pair, "run_once", run_once)
+        return runs
+
+    def test_fewer_than_ten_pairs_is_a_usage_error(self, monkeypatch, capsys):
+        runs = self._runs(monkeypatch)
+        with pytest.raises(SystemExit) as exited:
+            bench_pair.main(["--ref", str(bench_pair.ROOT),
+                             "--workload", "sim-grid", "--pairs", "5"])
+        assert exited.value.code == 2
+        assert "at least 10 pairs" in capsys.readouterr().err
+        assert runs == []
+
+    def test_ten_pairs_run_both_sides_of_each(self, monkeypatch):
+        runs = self._runs(monkeypatch)
+        assert bench_pair.main(["--ref", str(bench_pair.ROOT),
+                                "--workload", "sim-grid"]) == 0
+        assert len(runs) == 20

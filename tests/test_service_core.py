@@ -7,15 +7,18 @@ that has to wait returns its :class:`Park`; once the park has ended
 again with ``resume=park``.  The schedules are the ones
 ``test_service_park.py`` drives through the asyncio adapter, and the
 churn a parked session announces is the sequence the adapter emits for
-the same calls.
+the same calls.  ``TestOneOperationLifecycle`` runs its schedules over
+both ``LockCore`` and a 2-shard ``ShardedCore``, which share one
+operation driver.
 """
 
 import pytest
 
 from repro.db.serializability import check_serializable
-from repro.exceptions import TransactionAborted
+from repro.exceptions import SessionStateError, TransactionAborted
 from repro.service.core import LockCore, SessionState
 from repro.service.park import COMMIT_ITEM, Park, ParkKind
+from repro.service.sharding.core import ShardedCore
 from tests.test_service_park import catalog_ab, hot_catalog
 
 
@@ -183,3 +186,72 @@ def test_a_commit_gate_wait_is_one_park():
     assert core.stats.lock_wait.total == 1
     check_serializable(core.history)
     core.waits.self_check()
+
+
+# One operation lifecycle for both cores: the same driver runs
+# ``LockCore``'s and ``ShardedCore``'s operations, so the same schedule
+# meets the same refusals on both.
+_CORES = {
+    "lock-core": lambda: LockCore(catalog_ab(), "pcp-da"),
+    "sharded-2": lambda: ShardedCore(catalog_ab(), "pcp-da", shards=2),
+}
+
+
+@pytest.fixture(params=sorted(_CORES))
+def any_core(request):
+    return _CORES[request.param]()
+
+
+def _parked_write(core):
+    """B holds a read lock on x; A's write of x parks behind it (LC1)."""
+    a = core.begin("A")
+    b = core.begin("B")
+    core.read(b, "x")
+    park = core.write(a, "x", 1)
+    assert isinstance(park, Park) and not park.ended
+    assert a.in_flight and a.op is not None
+    return a, b, park
+
+
+class TestOneOperationLifecycle:
+    def test_a_second_operation_while_one_is_suspended_is_refused(
+        self, any_core
+    ):
+        a, b, park = _parked_write(any_core)
+        for ended in (False, True):
+            # Refused while parked, and still refused after the park
+            # ended until the operation has resumed: it is in flight.
+            with pytest.raises(SessionStateError, match="in-flight"):
+                any_core.read(a, "y")
+            with pytest.raises(SessionStateError, match="waiting"):
+                any_core.abort(a)
+            if not ended:
+                any_core.commit(b)
+                assert park.ended
+        assert any_core.write(a, "x", 1, resume=park) is None
+        assert a.op is None and not a.in_flight
+        assert not isinstance(any_core.commit(a), Park)
+
+    def test_resume_without_a_suspended_operation_is_refused(self, any_core):
+        a, b, park = _parked_write(any_core)
+        with pytest.raises(SessionStateError,
+                           match="no operation waits on that park"):
+            any_core.read(b, "x", resume=park)
+        any_core.commit(b)
+        assert any_core.write(a, "x", 1, resume=park) is None
+        # Resumed once, the operation is over: a second resume is refused
+        # rather than re-running it.
+        with pytest.raises(SessionStateError,
+                           match="no operation waits on that park"):
+            any_core.write(a, "x", 1, resume=park)
+        assert a.state.live and a.op is None
+
+    def test_expire_drops_the_suspended_operation(self, any_core):
+        a, b, park = _parked_write(any_core)
+        any_core.expire(a, "deadline")
+        assert a.op is None and not a.in_flight
+        assert a.state is SessionState.ABORTED
+        assert any_core.stats.deadline_aborts == 1
+        for core in (any_core,) + getattr(any_core, "shards", ()):
+            assert not core.parks
+        assert not isinstance(any_core.commit(b), Park)

@@ -91,6 +91,24 @@ class TestRegistriesHoldLiveSessionsOnly:
         ))
 
     @staticmethod
+    def _record_opened(*cores):
+        """Every session the ``cores`` open from now on, live or finished."""
+        opened = []
+        for core in cores:
+            def record(session, deadline_s, _register=core._open):
+                opened.append(session)
+                return _register(session, deadline_s)
+
+            core._open = record
+        return opened
+
+    @staticmethod
+    def _assert_finished_keep_no_op(opened):
+        finished = [s for s in opened if not s.state.live]
+        assert finished, "nothing was recorded"
+        assert all(s.op is None for s in finished)
+
+    @staticmethod
     async def _load_then_open(manager, catalog):
         async def connect():
             return in_process_client(manager)
@@ -108,6 +126,7 @@ class TestRegistriesHoldLiveSessionsOnly:
         async def body():
             catalog = self._hot_catalog()
             manager = LockManager(catalog, "pcp-da")
+            every = self._record_opened(manager)
             opened = await self._load_then_open(manager, catalog)
             assert manager.stats.client_aborts > 0
             live = set(manager.live_sessions())
@@ -115,8 +134,10 @@ class TestRegistriesHoldLiveSessionsOnly:
             assert set(manager._sessions.values()) == live
             assert set(manager._by_job.values()) == live
             assert set(manager._by_job) == {s.job for s in live}
+            self._assert_finished_keep_no_op(every)
             await manager.shutdown()
             assert not manager._sessions and not manager._by_job
+            self._assert_finished_keep_no_op(every)
 
         asyncio.run(body())
 
@@ -124,6 +145,7 @@ class TestRegistriesHoldLiveSessionsOnly:
         async def body():
             catalog = self._hot_catalog()
             manager = ShardedLockManager(catalog, "pcp-da", shards=4)
+            every = self._record_opened(manager, *manager.shards)
             opened = await self._load_then_open(manager, catalog)
             live = set(manager.live_sessions())
             assert live == set(opened)
@@ -136,9 +158,11 @@ class TestRegistriesHoldLiveSessionsOnly:
             # included, which no pass ever drains there.
             waits = manager.waits
             assert graph_nodes(waits) <= live
+            self._assert_finished_keep_no_op(every)
             await manager.shutdown()
             assert not manager._sessions
             assert not graph_nodes(waits)
+            self._assert_finished_keep_no_op(every)
             for shard in manager.shards:
                 assert not shard._sessions and not shard._by_job
 
