@@ -7,6 +7,10 @@
 #                      through the load driver's open loop (sessions overlap
 #                      and wait), checked for serializability, conservation
 #                      and abort bounds at 1 and 4 shards, pcp-da and rw-pcp
+#
+# `test` runs every tier-1 test once, the batteries below included.
+# Run alone, or with SOAK=1 for their soaks, they stay targets of their
+# own:
 #   verify-service     in-process service battery, socket-free (docs/SERVICE.md)
 #   verify-sharding    sharded-deployment battery, socket-free (docs/SHARDING.md),
 #                      including the event-driven wake-ups and both
@@ -35,10 +39,7 @@ verify: \
 	smoke \
 	kernel-smoke \
 	bench-suite-smoke \
-	stress-smoke \
-	verify-service \
-	verify-sharding \
-	verify-procs
+	stress-smoke
 
 # The in-process service battery (no sockets): manager semantics, the
 # lock core driven with no event loop, the park → wait → unpark battery (every kind of wait ended every way, the

@@ -323,17 +323,6 @@ class TaskSet:
             lcm = lcm * p // math.gcd(lcm, p)
         return float(lcm)
 
-    def with_rate_monotonic_priorities(self) -> "TaskSet":
-        """Return a copy with rate-monotonic priorities assigned.
-
-        Shorter period means higher priority; ties are broken by name so
-        the assignment is deterministic (the paper assumes a total order).
-        Aperiodic transactions are not allowed here.
-        """
-        from repro.model.priorities import assign_rate_monotonic
-
-        return assign_rate_monotonic(self)
-
     def describe(self) -> str:
         """Multi-line description of all transactions, highest priority first."""
         return "\n".join(s.describe() for s in self._specs)

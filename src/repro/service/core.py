@@ -266,7 +266,7 @@ class SessionRecord:
     either core; a subclass adds ``name``."""
 
     __slots__ = ("id", "state", "deadline", "opened_at", "abort_reason",
-                 "op")
+                 "op", "installing")
 
     def __init__(self, session_id: int, opened_at: float,
                  deadline: Optional[float] = None) -> None:
@@ -278,12 +278,22 @@ class SessionRecord:
         self.abort_reason = ""
         #: The operation in progress, suspended at the park it returned.
         self.op: Optional[Steps] = None
+        #: Past a cross-shard commit point: its installs must not be split
+        #: by a cancellation.  Never set on a :class:`LockCore` session.
+        self.installing = False
 
     @property
     def in_flight(self) -> bool:
         """Whether an operation is in progress (one per session): one
         that returned a park is the only kind that outlives its call."""
         return self.op is not None
+
+    def drop_op(self) -> None:
+        """Close the operation in progress, if any, where it waits: no
+        resume follows."""
+        op, self.op = self.op, None
+        if op is not None:
+            op.close()
 
 
 class Session(SessionRecord):
@@ -477,9 +487,7 @@ class SessionTable:
         if reason == "deadline" and session.state.live:
             self.stats.deadline_aborts += 1
         self.force_abort(session, reason)
-        op, session.op = session.op, None
-        if op is not None:
-            op.close()
+        session.drop_op()
 
     def _abort_session(self, session: Any, reason: str, *, forced: bool = True,
                        exc: Optional[ServiceError] = None) -> None:
@@ -487,7 +495,10 @@ class SessionTable:
         raise NotImplementedError
 
     def _after_abort(self) -> None:
-        """Work a teardown leaves for after it (none by default)."""
+        """Work left for the end of every teardown call — ``abort``,
+        ``force_abort``, ``expire``, ``shutdown`` — once its sessions
+        are torn down, as :meth:`_after_op` is for an operation (none
+        by default)."""
 
     def _after_op(self) -> None:
         """Work an operation leaves for when it returns (none by default)."""

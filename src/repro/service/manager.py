@@ -2,15 +2,15 @@
 
 :class:`LockManager` is :class:`~repro.service.core.LockCore` — every
 decision, park, wake and abort — plus the one thing an event loop adds:
-waiting.  Each operation calls the core op; when a
+waiting.  Each operation runs the core op through :func:`drive`, the
+driver of both adapters (the shard coordinator's too): when a
 :class:`~repro.service.park.Park` comes back — the op is then suspended
 at it (:func:`~repro.service.core.operation`) — it awaits the park's end
 and calls the op again with ``resume=park``, until the op completes.
 :func:`wait_firm` puts a waker on the park, which the core's
 :func:`~repro.service.park.end_park` calls, and turns the session's firm
 deadline or the cancellation of the awaiting task into the core's
-``expire`` — the one way to wait on a park, which the shard
-coordinator's adapter uses too.
+``expire`` — the one way to wait on a park.
 
 The adapter subclasses the core rather than wrapping it: the shard
 coordinator, the shard host, the verify harness and the tests read the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import DeadlineExceeded
 from repro.service.core import (  # noqa: F401 - the shared names re-exported
@@ -39,6 +39,32 @@ from repro.service.core import (  # noqa: F401 - the shared names re-exported
     SessionState,
 )
 from repro.service.park import Park, ParkKind
+
+
+async def drive(
+    core: Any, op: Callable[..., Any], session: Any, *args: Any
+) -> Any:
+    """Call the core ``op`` on ``session``, then resume it from every
+    park it returns once the park has ended.
+
+    Past a cross-shard commit point (``session.installing``) a
+    cancellation must not split the install across shards: the install
+    legs are waited out with no deadline and the cancellation is raised
+    after the last one.
+    """
+    deferred: Optional[BaseException] = None
+    result = op(core, session, *args)
+    while isinstance(result, Park):
+        while session.installing and not result.ended:
+            try:
+                await wait_firm(core, session, result, firm=False)
+            except asyncio.CancelledError as exc:
+                deferred = exc
+        await wait_firm(core, session, result)
+        result = op(core, session, *args, resume=result)
+    if deferred is not None:
+        raise deferred
+    return result
 
 
 async def wait_firm(
@@ -103,15 +129,15 @@ class LockManager(LockCore):
 
     async def read(self, session: Session, item: str) -> Any:
         """Read ``item`` (:meth:`LockCore.read`), waiting out its parks."""
-        return await self._run(LockCore.read, session, item)
+        return await drive(self, LockCore.read, session, item)
 
     async def write(self, session: Session, item: str, value: Any) -> None:
         """Buffer a write (:meth:`LockCore.write`), waiting out its parks."""
-        await self._run(LockCore.write, session, item, value)
+        await drive(self, LockCore.write, session, item, value)
 
     async def commit(self, session: Session) -> Dict[str, Any]:
         """Commit (:meth:`LockCore.commit`), waiting out the commit gate."""
-        return await self._run(LockCore.commit, session)
+        return await drive(self, LockCore.commit, session)
 
     async def abort(self, session: Session, reason: str = "client") -> None:
         """Abort the session (:meth:`LockCore.abort`; never waits)."""
@@ -120,14 +146,3 @@ class LockManager(LockCore):
     async def shutdown(self) -> None:
         """Abort every live session and refuse further requests."""
         LockCore.shutdown(self)
-
-    async def _run(
-        self, op: Callable[..., Any], session: Session, *args: Any
-    ) -> Any:
-        """Call the core ``op``, then resume it from every park it
-        returns once the park has ended."""
-        result = op(self, session, *args)
-        while isinstance(result, Park):
-            await wait_firm(self, session, result)
-            result = op(self, session, *args, resume=result)
-        return result

@@ -6,15 +6,14 @@ gate and guard, the cross-shard deadlock pass, the installs — plus what
 only an event loop has, exactly as
 :class:`~repro.service.manager.LockManager` is ``LockCore`` plus waiting:
 
-* each operation calls the core op; when a
+* each operation runs the core op through the adapters' one driver,
+  :func:`~repro.service.manager.drive`: when a
   :class:`~repro.service.park.Park` comes back (a gate or guard park, a
-  leg's lock wait, a remote request) it awaits the park through
-  :func:`~repro.service.manager.wait_firm` under the session's firm
-  deadline and calls the op again with ``resume=park``;
-* past the commit point a cancellation must not split an install across
+  leg's lock wait, a remote request) it awaits the park under the
+  session's firm deadline and calls the op again with ``resume=park``;
+  past the commit point a cancellation must not split an install across
   shards: the remaining installs are waited out and the cancellation is
   raised after the last one;
-* the cross-shard deadlock pass is coalesced to one per loop tick;
 * with remote shards, ``stats_document`` / ``history_events`` fetch the
   shard documents over the wire (they then return a coroutine; the wire
   layer awaits either shape), and ``shutdown`` closes the connections.
@@ -28,10 +27,9 @@ gate/guard parks indexed on them.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.service.manager import wait_firm
-from repro.service.park import Park
+from repro.service.manager import drive
 from repro.service.sharding.core import (  # noqa: F401 - re-exported
     GlobalSession,
     ShardedCore,
@@ -46,9 +44,6 @@ class ShardedLockManager(ShardedCore):
     the TCP server, and the load generator drive it unchanged.
     """
 
-    #: A deadlock pass is already scheduled for this loop tick.
-    _deadlock_pass_scheduled = False
-
     async def begin(
         self, transaction: str, *, deadline_s: Optional[float] = None
     ) -> GlobalSession:
@@ -57,15 +52,15 @@ class ShardedLockManager(ShardedCore):
 
     async def read(self, session: GlobalSession, item: str) -> Any:
         """Read ``item`` (:meth:`ShardedCore.read`), waiting out its parks."""
-        return await self._run(ShardedCore.read, session, item)
+        return await drive(self, ShardedCore.read, session, item)
 
     async def write(self, session: GlobalSession, item: str, value: Any) -> None:
         """Buffer a write (:meth:`ShardedCore.write`), waiting out its parks."""
-        await self._run(ShardedCore.write, session, item, value)
+        await drive(self, ShardedCore.write, session, item, value)
 
     async def commit(self, session: GlobalSession) -> Dict[str, Any]:
         """Commit (:meth:`ShardedCore.commit`), waiting out its parks."""
-        return await self._run(ShardedCore.commit, session)
+        return await drive(self, ShardedCore.commit, session)
 
     async def abort(self, session: GlobalSession, reason: str = "client") -> None:
         """Abort the session (:meth:`ShardedCore.abort`; never waits)."""
@@ -78,53 +73,6 @@ class ShardedLockManager(ShardedCore):
         if closing:
             for shard in self.shards:
                 await shard.shutdown()
-
-    async def _run(
-        self, op: Callable[..., Any], session: GlobalSession, *args: Any
-    ) -> Any:
-        """Call the core ``op``, then resume it from every park it
-        returns once the park has ended.
-
-        Past the commit point a cancellation must not split the install
-        across shards: the install legs are waited out with no deadline
-        and the cancellation is raised after the last one.
-        """
-        deferred: Optional[BaseException] = None
-        result = op(self, session, *args)
-        while isinstance(result, Park):
-            while session.installing and not result.ended:
-                try:
-                    await wait_firm(self, session, result, firm=False)
-                except asyncio.CancelledError as exc:
-                    deferred = exc
-            await wait_firm(self, session, result)
-            result = op(self, session, *args, resume=result)
-        if deferred is not None:
-            raise deferred
-        return result
-
-    def _schedule_deadlock_check(self) -> None:
-        """Coalesce deadlock detection to one pass per event-loop tick:
-        every new wait edge asks for a pass, and the edges of one tick
-        share it."""
-        if (
-            self._deadlock_pass_scheduled
-            or self._closed
-            or len(self.shards) == 1
-        ):
-            return
-        try:
-            loop = asyncio.get_running_loop()
-        except RuntimeError:
-            ShardedCore._schedule_deadlock_check(self)
-            return
-        self._deadlock_pass_scheduled = True
-        loop.call_soon(self._run_deadlock_pass)
-
-    def _run_deadlock_pass(self) -> None:
-        self._deadlock_pass_scheduled = False
-        if not self._closed:
-            self._check_global_deadlock()
 
     def stats_document(self) -> Dict[str, Any]:
         """:meth:`ShardedCore.stats_document`; a coroutine with remote

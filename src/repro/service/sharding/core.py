@@ -50,11 +50,13 @@ result or a :class:`~repro.service.park.Park`, called again with
   coordinator keeps one session-level wait-for graph,
   :attr:`ShardedCore.waits`: every gate/guard park, and every leg's lock
   wait translated from its shard's graph on the shard's ``"wait"`` /
-  ``"unwait"`` churn.  A cycle needs a new wait edge to close, so every
-  new edge asks for a detection pass: it runs when the operation
-  returns (the event-loop adapter coalesces it to one pass per tick
-  instead), and aborts the lowest-priority member of any cycle not
-  attributable to a single shard.
+  ``"unwait"`` churn.  A cycle needs a new wait edge to close, and an
+  edge is written only inside a core call — an operation or a teardown
+  — or by a remote shard's ``wait`` frame, which the event loop
+  applies.  The detection pass runs at the end of each, so a cycle is
+  resolved before the call that closed it returns: it aborts the
+  lowest-priority member of any cycle not attributable to a single
+  shard.
 
 The gate and guard are parks in :attr:`ShardedCore.parks` whose edges
 stand in the same graph, so a blocker's terminal ends exactly the parks
@@ -63,8 +65,8 @@ unchanged.  An operation runs through the lock core's own driver
 (:func:`~repro.service.core.operation`): a generator suspended at the
 park it returned, so a resumed operation continues from the stage it
 waited in and never re-runs a guard it already passed; the deadlock
-pass is the driver's end-of-operation work here.  Deadlines are
-enforced at operation entry and mid-wait by the adapter
+pass is the end-of-call work of an operation and of a teardown alike.
+Deadlines are enforced at operation entry and mid-wait by the adapter
 (:class:`~repro.service.sharding.coordinator.ShardedLockManager`)
 through :meth:`ShardedCore.expire`.
 """
@@ -123,7 +125,7 @@ class GlobalSession(SessionRecord):
     can half-abort a commit.
     """
 
-    __slots__ = ("spec", "instance", "legs", "span", "installing", "place")
+    __slots__ = ("spec", "instance", "legs", "span", "place")
 
     def __init__(self, session_id: int, spec: TransactionSpec, instance: int,
                  span: FrozenSet[int], opened_at: float) -> None:
@@ -134,8 +136,6 @@ class GlobalSession(SessionRecord):
         self.legs: Dict[int, Session] = {}
         #: Shards the declared access set may touch (static, see begin).
         self.span = span
-        #: Past the commit point: every leg fenced and the gate empty.
-        self.installing = False
         #: Where its latest wait is: a shard index for a leg's lock wait,
         #: ``None`` for a gate/guard park.  One operation in flight means
         #: one place at a time.
@@ -257,8 +257,6 @@ class ShardedCore(SessionTable):
         #: A session's node is dropped wholesale at its global terminal —
         #: exactly when its legs' shard-side edges are dropped.
         self.constraints = ConstraintGraph()
-        #: A deadlock pass is due when the current operation returns.
-        self._deadlock_due = False
         #: (kind, instance name, time) terminal rows for the merged history.
         self._outcomes: List[Tuple[str, str, float]] = []
         for index, shard in enumerate(self.shards):
@@ -368,7 +366,7 @@ class ShardedCore(SessionTable):
             # can pass a write lock and record a new ``reader ≺
             # committer`` constraint between the installs (write
             # conflicts were already held off by the locks).
-            session.installing = True
+            session.installing = True  # every leg fenced, the gate empty
         installed: List[str] = []
         blocking = 0.0
         try:
@@ -568,7 +566,13 @@ class ShardedCore(SessionTable):
         it returns (a leg's lock wait, a remote request) and resuming."""
         result = op(*args, **kwargs)
         while isinstance(result, Park):
-            yield result
+            try:
+                yield result
+            except GeneratorExit:
+                # Dropped where it waits: so is the leg's operation.
+                if result.session is not None:
+                    result.session.drop_op()
+                raise
             result = op(*args, resume=result, **kwargs)
         return result
 
@@ -646,8 +650,9 @@ class ShardedCore(SessionTable):
           such sessions' states inside the operation.
         * ``"wait"`` / ``"unwait"`` — a leg's wait edges were written or
           removed: the session's edges in :attr:`waits` follow, read
-          from the shard's graph.  A cross-shard cycle can only close at
-          a ``"wait"``, so that asks for a deadlock pass.
+          from the shard's graph.  A remote shard's ``"wait"`` is its
+          frame, applied outside any core call, so the deadlock pass
+          runs here.
         """
         if kind == "constraint":
             reader = self._job_sessions.get(job)
@@ -668,7 +673,8 @@ class ShardedCore(SessionTable):
                     self._job_sessions.get(blocker)
                     for blocker in self.shards[shard_id].waits.blockers_of(job)
                 ])
-            self._schedule_deadlock_check()
+            if getattr(self.shards[shard_id], "is_remote", False):
+                self._check_global_deadlock()
         elif kind == "unwait":
             session = self._job_sessions.get(job)
             if session is not None:
@@ -691,20 +697,11 @@ class ShardedCore(SessionTable):
             self.waits.unblock(session)
 
     def _after_op(self) -> None:
-        """Run the deadlock pass the operation asked for, if any."""
-        if self._deadlock_due:
-            self._deadlock_due = False
-            self._check_global_deadlock()
+        """The deadlock pass, at the end of every operation and every
+        teardown: the calls that write wait edges."""
+        self._check_global_deadlock()
 
-    def _schedule_deadlock_check(self) -> None:
-        """Ask for a deadlock pass when the current operation returns.
-
-        A 1-shard deployment never needs one: no coordinator wait ever
-        parks there and cross-shard cycles cannot exist, so the shard's
-        own detector is complete.
-        """
-        if not self._closed and len(self.shards) > 1:
-            self._deadlock_due = True
+    _after_abort = _after_op
 
     # ------------------------------------------------------------------
     # The global gate and guard
@@ -772,9 +769,9 @@ class ShardedCore(SessionTable):
         The park's edges stand in :attr:`waits`, so only a blocker's
         terminal ends it — predecessors arriving *while* parked can only
         grow the set and never require a wake, and the re-evaluation
-        after each end picks them up.  Each park asks for a deadlock
-        pass; an abort ends it too, and the operation raises that
-        abort's error (:meth:`SessionTable._wait_out`).
+        after each end picks them up.  An abort ends it too, and the
+        operation raises that abort's error
+        (:meth:`SessionTable._wait_out`).
         """
         blockers = blockers_fn()
         if not blockers:
@@ -794,7 +791,6 @@ class ShardedCore(SessionTable):
                     session, kind, blockers, started
                 )
                 self._wait(session, None, blockers)
-                self._schedule_deadlock_check()
                 try:
                     yield from self._wait_out(
                         session, park, f" (while parked at the {kind.value})"
@@ -884,8 +880,15 @@ class ShardedCore(SessionTable):
         manager).  Any other cycle exists only because of partitioning,
         so it is resolved by aborting the lowest-base-priority member —
         the same policy the unsharded manager applies to service-level
-        cycles.
+        cycles.  The abort is a teardown like any other, so a cycle its
+        teardown closes is resolved before it returns.
+
+        A 1-shard deployment needs no pass: no coordinator wait ever
+        parks there and cross-shard cycles cannot exist, so the shard's
+        own detector is complete.
         """
+        if self._closed or len(self.shards) == 1:
+            return
         cycle = self.waits.find_new_cycle()
         if cycle is None:
             return
@@ -895,7 +898,7 @@ class ShardedCore(SessionTable):
         self.sharding_stats.cross_shard_deadlocks += 1
         names = " -> ".join(s.name for s in cycle)
         victim = min(cycle, key=lambda s: (s.priority, -s.id))
-        self._abort_session(
+        self.force_abort(
             victim, "deadlock",
             exc=TransactionAborted(
                 f"{victim.name} chosen as cross-shard deadlock victim "

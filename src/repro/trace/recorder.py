@@ -198,13 +198,6 @@ class TraceRecorder:
             if e.job == job and e.outcome is LockOutcome.DENIED
         ]
 
-    def commit_time(self, job: str) -> Optional[float]:
-        """When the job committed, or ``None`` if it never did."""
-        for e in self.sched_events:
-            if e.kind is SchedEventKind.COMMIT and e.job == job:
-                return e.time
-        return None
-
     def segments_for(self, job: str) -> List[ExecSegment]:
         """CPU slices of one job, in order."""
         return [s for s in self.segments if s.job == job]

@@ -29,11 +29,6 @@ class TestRateMonotonic:
         with pytest.raises(SpecificationError):
             assign_rate_monotonic(ts)
 
-    def test_taskset_method_delegates(self):
-        ts = TaskSet([_spec("A", 5.0), _spec("B", 10.0)])
-        assigned = ts.with_rate_monotonic_priorities()
-        assert assigned.priority_of("A") == 2
-
     def test_priorities_form_total_order(self):
         ts = TaskSet([_spec(f"T{i}", float(10 + i)) for i in range(6)])
         assigned = assign_rate_monotonic(ts)

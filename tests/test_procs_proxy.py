@@ -407,6 +407,39 @@ class TestProxyCoordinator:
 
         run(body())
 
+    def test_a_cycle_split_across_hosts_loses_one_victim(self):
+        # rw-pcp, per-host ceilings: T1 locks a on host 0 then wants e on
+        # host 1; T2 locks e then wants a.  Each host parks one request
+        # and sends its wait frame; the frames close the cycle on the
+        # coordinator, and no operation follows them.
+        t1 = TransactionSpec("T1", (write("a", 1.0), write("e", 1.0)))
+        t2 = TransactionSpec("T2", (write("e", 1.0), write("a", 1.0)))
+        catalog = assign_by_order([t1, t2])
+
+        async def body():
+            hosts = [await Host(catalog, "rw-pcp").start() for _ in "01"]
+            coordinator = ShardedLockManager(
+                catalog, "rw-pcp", shards=2, partitioner="range",
+                shard_managers=[host.proxy for host in hosts],
+            )
+            s1 = await coordinator.begin("T1")
+            s2 = await coordinator.begin("T2")
+            await coordinator.write(s1, "a", 1)
+            await coordinator.write(s2, "e", 2)
+            first, second = await asyncio.wait_for(asyncio.gather(
+                coordinator.write(s1, "e", 1),
+                coordinator.write(s2, "a", 2),
+                return_exceptions=True,
+            ), 5)
+            assert first is None
+            assert isinstance(second, ServiceError)
+            assert coordinator.sharding_stats.cross_shard_deadlocks == 1
+            assert s2.abort_reason == "deadlock" and s1.state.live
+            assert (await coordinator.commit(s1))["installed"] == ["a", "e"]
+            await self.teardown(hosts, coordinator)
+
+        run(body())
+
     def test_remote_stats_and_history_paths(self):
         async def body():
             hosts, coordinator = await self.deployment()

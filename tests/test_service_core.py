@@ -255,3 +255,13 @@ class TestOneOperationLifecycle:
         for core in (any_core,) + getattr(any_core, "shards", ()):
             assert not core.parks
         assert not isinstance(any_core.commit(b), Park)
+
+    def test_expire_drops_the_leg_operation_under_it(self):
+        # A's global write waits at its leg's lock wait: the leg's own
+        # suspended operation is dropped too, since no resume reaches it.
+        core = _CORES["sharded-2"]()
+        a, b, park = _parked_write(core)
+        leg = park.session
+        assert leg is a.legs[core._shard_of["x"]] and leg.op is not None
+        core.expire(a, "deadline")
+        assert a.op is None and leg.op is None

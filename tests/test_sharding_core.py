@@ -157,6 +157,50 @@ class TestSplitCycle:
         assert core.write(s1, "e", 1, resume=first) is None
         assert core.commit(s1)["installed"] == ["a", "e"]
 
+    @pytest.mark.parametrize("teardown", [
+        lambda core, session: core.abort(session),
+        lambda core, session: core.expire(session, "deadline"),
+        lambda core, session: core.force_abort(session, "policy"),
+    ], ids=["abort", "expire", "force_abort"])
+    def test_a_cycle_a_teardown_closes_is_resolved_before_it_returns(
+        self, teardown
+    ):
+        # rw-pcp, Sysceil blame.  On shard 0, S1's write of a waits on C
+        # (Aceil(a) = 3) although S2 holds b (Aceil(b) = 2); on shard 1,
+        # S2's write of f waits on S1 (Aceil(e) = 2).  C's teardown
+        # re-decides S1's write, which now blames S2: the cycle closes
+        # inside the teardown, and no operation follows it.
+        hi = TransactionSpec("HI", (write("a", 1.0),))
+        p = TransactionSpec("P", (write("e", 1.0), write("a", 1.0),
+                                  read("b", 1.0)))
+        q = TransactionSpec("Q", (write("b", 1.0), write("f", 1.0)))
+        core = core_over(assign_by_order([hi, p, q]), "rw-pcp")
+        s2 = core.begin("Q")
+        assert core.write(s2, "b", 2) is None
+        s1 = core.begin("P")
+        assert core.write(s1, "e", 1) is None
+        c = core.begin("HI")
+        assert core.write(c, "a", 3) is None
+        first = core.write(s1, "a", 1)
+        second = core.write(s2, "f", 2)
+        assert core.shards[0].waits.blockers_of(s1.legs[0].job) == (
+            c.legs[0].job,
+        )
+        assert core.shards[1].waits.blockers_of(s2.legs[1].job) == (
+            s1.legs[1].job,
+        )
+        assert core.sharding_stats.cross_shard_deadlocks == 0
+
+        teardown(core, c)
+        assert core.sharding_stats.cross_shard_deadlocks == 1
+        assert [s.abort_reason for s in (s1, s2)] == ["", "deadlock"]
+        assert first.ended and second.ended
+        with pytest.raises(TransactionAborted, match="cross-shard deadlock"):
+            core.write(s2, "f", 2, resume=second)
+        assert core.write(s1, "a", 1, resume=first) is None
+        assert core.commit(s1)["installed"] == ["a", "e"]
+        assert not core.waits.waiters()
+
 
 class TestRemoteLeg:
     def test_remote_leg_park_ends_from_the_response(self):
