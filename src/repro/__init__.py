@@ -35,18 +35,18 @@ from typing import Callable, Dict, List, Tuple
 
 def _lazy_surface(
     package: str, exports: Dict[str, Tuple[str, ...]]
-) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
-    """PEP 562 ``(__getattr__, __dir__)`` for a package's re-exports.
+) -> Tuple[Callable[[str], object], Callable[[], List[str]], List[str]]:
+    """PEP 562 ``(__getattr__, __dir__, __all__)`` for a package's
+    re-exports.
 
     ``exports`` maps a defining module to the names the package
-    re-exports from it.  A name is imported on its first access and then
-    stored in the package's globals, so later lookups never come back
-    here; any other name resolves as a submodule (``repro.verify.parity``)
-    or raises :class:`AttributeError`.  The package ``__init__``s build
-    their surfaces with this, so importing a layer loads that layer and
-    the layers below it, and nothing else.  ``analysis``, ``experiments``
-    and ``engine.kernel`` still import eagerly: no serving process
-    imports the first two, and the lock core needs all of the third.
+    re-exports from it, and ``__all__`` is exactly those names, so each
+    export is named once.  A name is imported on its first access and
+    then stored in the package's globals, so later lookups never come
+    back here; any other name resolves as a submodule
+    (``repro.verify.parity``) or raises :class:`AttributeError`.  Every
+    package ``__init__`` builds its surface with this, so importing a
+    layer loads that layer and the layers below it, and nothing else.
     """
     namespace = sys.modules[package].__dict__
     home = {name: module for module, names in exports.items() for name in names}
@@ -69,10 +69,10 @@ def _lazy_surface(
     def __dir__() -> List[str]:
         return sorted(namespace.keys() | home.keys())
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(home)
 
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.core.ceilings": ("CeilingTable",),
     "repro.core.compatibility": ("compatibility_table", "lock_compatible"),
     "repro.core.pcp_da": ("PCPDA",),
@@ -114,59 +114,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
 })
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "CCP",
-    "CeilingTable",
-    "LemmaCheckingPCPDA",
-    "assert_deadlock_free",
-    "assert_serializable",
-    "assert_single_blocking",
-    "verify_pcp_da_run",
-    "DUMMY_PRIORITY",
-    "Database",
-    "DeadlockError",
-    "History",
-    "InvariantViolation",
-    "LockMode",
-    "OpKind",
-    "Operation",
-    "OriginalPCP",
-    "PCPDA",
-    "PIP2PL",
-    "Plain2PL",
-    "ProtocolError",
-    "RWPCP",
-    "ReproError",
-    "SerializationViolation",
-    "SimConfig",
-    "SimulationError",
-    "SimulationResult",
-    "Simulator",
-    "SpecificationError",
-    "SysceilTrace",
-    "TaskSet",
-    "TransactionSpec",
-    "TwoPLHP",
-    "WeakPCPDA",
-    "WorkloadConfig",
-    "assign_by_order",
-    "assign_rate_monotonic",
-    "available_protocols",
-    "build_timeline",
-    "check_serializable",
-    "compatibility_table",
-    "compute",
-    "compute_metrics",
-    "example1_taskset",
-    "example3_taskset",
-    "example4_taskset",
-    "example5_taskset",
-    "generate_taskset",
-    "lock_compatible",
-    "make_protocol",
-    "read",
-    "render_gantt",
-    "serialization_order",
-    "write",
-]

@@ -11,47 +11,23 @@
 * :mod:`repro.analysis.report` — side-by-side comparison tables.
 """
 
-from repro.analysis.blocking import (
-    blocking_term,
-    blocking_terms,
-    bts,
-    bts_original_pcp,
-    bts_pcp_da,
-    bts_rw_pcp,
-)
-from repro.analysis.rm_bound import (
-    liu_layland_bound,
-    rm_schedulable,
-    rm_schedulable_detail,
-)
-from repro.analysis.response_time import response_times, rta_schedulable
-from repro.analysis.breakdown import breakdown_utilization
-from repro.analysis.report import schedulability_report
-from repro.analysis.critical_instant import (
-    critical_instant_phasings,
-    simulate_worst_responses,
-)
-from repro.analysis.refined_blocking import (
-    refined_blocking_term,
-    refined_blocking_terms,
-)
+from repro import _lazy_surface
 
-__all__ = [
-    "blocking_term",
-    "blocking_terms",
-    "breakdown_utilization",
-    "bts",
-    "bts_original_pcp",
-    "bts_pcp_da",
-    "bts_rw_pcp",
-    "critical_instant_phasings",
-    "liu_layland_bound",
-    "refined_blocking_term",
-    "refined_blocking_terms",
-    "response_times",
-    "rm_schedulable",
-    "rm_schedulable_detail",
-    "rta_schedulable",
-    "schedulability_report",
-    "simulate_worst_responses",
-]
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    "repro.analysis.blocking": (
+        "blocking_term", "blocking_terms", "bts", "bts_original_pcp",
+        "bts_pcp_da", "bts_rw_pcp",
+    ),
+    "repro.analysis.rm_bound": (
+        "liu_layland_bound", "rm_schedulable", "rm_schedulable_detail",
+    ),
+    "repro.analysis.response_time": ("response_times", "rta_schedulable"),
+    "repro.analysis.breakdown": ("breakdown_utilization",),
+    "repro.analysis.report": ("schedulability_report",),
+    "repro.analysis.critical_instant": (
+        "critical_instant_phasings", "simulate_worst_responses",
+    ),
+    "repro.analysis.refined_blocking": (
+        "refined_blocking_term", "refined_blocking_terms",
+    ),
+})

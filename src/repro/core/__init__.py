@@ -12,7 +12,7 @@
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.core.ceilings": ("CeilingTable",),
     "repro.core.compatibility": (
         "CompatibilityDecision", "compatibility_table", "lock_compatible",
@@ -20,13 +20,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     "repro.core.locking_conditions": ("ConditionReport", "evaluate_conditions"),
     "repro.core.pcp_da": ("PCPDA",),
 })
-
-__all__ = [
-    "CeilingTable",
-    "CompatibilityDecision",
-    "ConditionReport",
-    "PCPDA",
-    "compatibility_table",
-    "evaluate_conditions",
-    "lock_compatible",
-]

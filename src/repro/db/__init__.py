@@ -15,7 +15,7 @@ This package provides:
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.db.database": ("DataItem", "Database", "Version"),
     "repro.db.history": ("History", "HistoryEvent"),
     "repro.db.serialization_graph": ("SerializationGraph",),
@@ -23,15 +23,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
         "check_serializable", "check_serializable_fast", "serialization_order",
     ),
 })
-
-__all__ = [
-    "DataItem",
-    "Database",
-    "History",
-    "HistoryEvent",
-    "SerializationGraph",
-    "Version",
-    "check_serializable",
-    "check_serializable_fast",
-    "serialization_order",
-]

@@ -22,7 +22,7 @@ Public names:
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.engine.interfaces": (
         "AbortAndGrant", "ConcurrencyControlProtocol", "Deny", "Grant",
         "InstallPolicy",
@@ -31,17 +31,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     "repro.engine.lock_table": ("LockTable",),
     "repro.engine.simulator": ("SimConfig", "SimulationResult", "Simulator"),
 })
-
-__all__ = [
-    "AbortAndGrant",
-    "ConcurrencyControlProtocol",
-    "Deny",
-    "Grant",
-    "InstallPolicy",
-    "Job",
-    "JobState",
-    "LockTable",
-    "SimConfig",
-    "SimulationResult",
-    "Simulator",
-]

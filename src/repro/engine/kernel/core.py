@@ -57,6 +57,7 @@ from repro.model.spec import DUMMY_PRIORITY, LockMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.inheritance import WaitForGraph
+    from repro.engine.interfaces import ConcurrencyControlProtocol
     from repro.engine.job import Job
     from repro.engine.lock_table import LockTable
 
@@ -380,3 +381,21 @@ class Kernel:
         )
         if self._wait_graph is not None:
             self._wait_graph.self_check()
+
+
+def build_kernel(
+    protocol: "ConcurrencyControlProtocol",
+    lock_table: "LockTable",
+    wait_graph: "Optional[WaitForGraph]" = None,
+) -> Optional[Kernel]:
+    """Compile ``protocol`` into a :class:`Kernel` bound to the run's lock
+    table and wait graph, or ``None`` when the protocol keeps the object
+    path (its ``compile_table()`` returns ``None``).
+
+    Must be called after ``protocol.bind(...)`` — compilation flattens the
+    bound task set's items and ceilings into the interned arrays.
+    """
+    table_spec = protocol.compile_table()
+    if table_spec is None:
+        return None
+    return Kernel(table_spec, protocol.taskset, lock_table, wait_graph)

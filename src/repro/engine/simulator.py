@@ -32,7 +32,7 @@ from repro.engine.interfaces import (
     InstallPolicy,
 )
 from repro.engine.job import Job, JobState
-from repro.engine.kernel import build_kernel
+from repro.engine.kernel.core import build_kernel
 from repro.engine.lock_table import LockTable
 from repro.exceptions import (
     DeadlockError,

@@ -8,42 +8,19 @@ full ledger; the test suite asserts every check passes; EXPERIMENTS.md is
 the prose rendering of the same content.
 """
 
-from repro.experiments.spec import Check, ExperimentReport
-from repro.experiments.figures import (
-    run_example5,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
-    run_figure5,
-    run_table1,
-)
-from repro.experiments.section9 import run_section9_analysis, run_section9_sweep
-from repro.experiments.runner import (
-    EXPERIMENT_ORDER,
-    EXTENSION_ORDER,
-    all_experiments,
-    experiment_order,
-    render_summary,
-    run_all,
-)
+from repro import _lazy_surface
 
-__all__ = [
-    "Check",
-    "EXPERIMENT_ORDER",
-    "EXTENSION_ORDER",
-    "ExperimentReport",
-    "all_experiments",
-    "experiment_order",
-    "render_summary",
-    "run_all",
-    "run_example5",
-    "run_figure1",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "run_section9_analysis",
-    "run_section9_sweep",
-    "run_table1",
-]
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    "repro.experiments.spec": ("Check", "ExperimentReport"),
+    "repro.experiments.figures": (
+        "run_example5", "run_figure1", "run_figure2", "run_figure3",
+        "run_figure4", "run_figure5", "run_table1",
+    ),
+    "repro.experiments.section9": (
+        "run_section9_analysis", "run_section9_sweep",
+    ),
+    "repro.experiments.runner": (
+        "EXPERIMENT_ORDER", "EXTENSION_ORDER", "all_experiments",
+        "experiment_order", "render_summary", "run_all",
+    ),
+})

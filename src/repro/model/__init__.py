@@ -23,7 +23,7 @@ Public names:
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.model.spec": (
         "DUMMY_PRIORITY", "LockMode", "OpKind", "Operation", "TaskSet",
         "TransactionSpec", "compute", "read", "write",
@@ -33,18 +33,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     ),
     "repro.model.validation": ("validate_taskset",),
 })
-
-__all__ = [
-    "DUMMY_PRIORITY",
-    "LockMode",
-    "OpKind",
-    "Operation",
-    "TaskSet",
-    "TransactionSpec",
-    "assign_deadline_monotonic",
-    "assign_rate_monotonic",
-    "compute",
-    "read",
-    "validate_taskset",
-    "write",
-]

@@ -27,7 +27,7 @@ weak-pcp-da PCP-DA with only condition (2) — Example 5's deadlock
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.protocols.base": (
         "available_protocols", "make_protocol", "register_protocol",
     ),
@@ -43,20 +43,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     "repro.protocols.ipcp": ("IPCP",),
     "repro.protocols.weak_pcp_da": ("WeakPCPDA",),
 })
-
-__all__ = [
-    "CCP",
-    "IPCP",
-    "OCCBroadcastCommit",
-    "OriginalPCP",
-    "PCPDA",
-    "PIP2PL",
-    "Plain2PL",
-    "RWPCP",
-    "RWPCPAbort",
-    "TwoPLHP",
-    "WeakPCPDA",
-    "available_protocols",
-    "make_protocol",
-    "register_protocol",
-]

@@ -56,7 +56,7 @@ from repro import _lazy_surface
 #: CLI's parser can offer the choice without importing the lock core.
 SERVED_PROTOCOLS: Tuple[str, ...] = ("pcp-da", "rw-pcp", "pcp")
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.service.client": ("ServiceClient", "connect_tcp", "in_process_client"),
     "repro.service.loadgen": ("LoadgenConfig", "LoadReport", "run_loadgen"),
     "repro.service.core": ("ServiceConfig", "Session"),
@@ -70,25 +70,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     ),
     "repro.service.stats": ("LatencyHistogram", "ServiceStats", "ShardingStats"),
 })
-
-__all__ = [
-    "GlobalSession",
-    "HashPartitioner",
-    "LatencyHistogram",
-    "LoadReport",
-    "LoadgenConfig",
-    "LockManager",
-    "LockServer",
-    "Partitioner",
-    "RangePartitioner",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceStats",
-    "Session",
-    "ShardedLockManager",
-    "ShardingStats",
-    "connect_tcp",
-    "in_process_client",
-    "make_partitioner",
-    "run_loadgen",
-]

@@ -3,13 +3,14 @@
 PCP-DA's LC3/LC4 let a reader pass an item's write lock; the reader is
 then serialized *before* the still-running writer, and the service must
 remember that order until one of the two finishes (the commit gate and
-the order guard in :mod:`repro.service.manager` enforce it).  This module
-is the one home of that bookkeeping.  :class:`ConstraintGraph` is
+the order guard of :class:`~repro.service.core.LockCore` and
+:class:`~repro.service.sharding.core.ShardedCore` enforce it).  This
+module is the one home of that bookkeeping.  :class:`ConstraintGraph` is
 instantiated three times, over three kinds of node:
 
-* :class:`~repro.service.manager.LockManager` — over live jobs;
-* :class:`~repro.service.sharding.coordinator.ShardedLockManager` — over
-  global sessions, the union of every shard's edges;
+* :class:`~repro.service.core.LockCore` — over live jobs;
+* :class:`~repro.service.sharding.core.ShardedCore` — over global
+  sessions, the union of every shard's edges;
 * :class:`~repro.service.sharding.procs.proxy.RemoteShardProxy` — over the
   mirror jobs of a shard host's legs, fed by ``constraint`` event frames.
 

@@ -110,7 +110,7 @@ from repro.db.history import History
 from repro.engine.inheritance import WaitForGraph
 from repro.engine.interfaces import Deny, Grant
 from repro.engine.job import Job
-from repro.engine.kernel import build_kernel
+from repro.engine.kernel.core import build_kernel
 from repro.engine.lock_table import LockTable
 from repro.exceptions import (
     AdmissionError,
@@ -696,7 +696,7 @@ class LockCore(SessionTable):
         self.constraints = ConstraintGraph()
         #: Commit-fenced sessions (see :meth:`prepare_commit`): while a
         #: job is in here, reads may not pass its write locks.
-        self._committing: Dict[Job, Session] = {}
+        self._committing: Set[Job] = set()
         #: transaction -> every instance number issued.
         self._issued: Dict[str, Set[int]] = {}
 
@@ -842,7 +842,7 @@ class LockCore(SessionTable):
             "blocking_s": blocking,
         }
 
-    def prepare_commit(self, session: Session) -> Tuple[str, ...]:
+    def prepare_commit(self, session: Session) -> None:
         """Fence the session for a coordinator-driven cross-shard install.
 
         Used by the multi-process deployment, where installing one
@@ -854,19 +854,12 @@ class LockCore(SessionTable):
         drops — at the leg's commit (they then read the installed
         version) or at :meth:`unprepare_commit` (the coordinator backed
         off to wait at its gate).
-
-        Returns the names of the session's current live local
-        ``≺``-predecessors, so the coordinator can re-check its merged
-        gate once every leg is fenced.
         """
         if not session.state.live:
             raise TransactionAborted(
                 f"{session.name}: {session.abort_reason or 'not live'}"
             )
-        self._committing[session.job] = session
-        return tuple(sorted(
-            p.name for p in self.constraints.direct_preds(session.job)
-        ))
+        self._committing.add(session.job)
 
     def unprepare_commit(self, session: Session) -> None:
         """Drop a commit fence without committing (coordinator back-off).
@@ -875,8 +868,9 @@ class LockCore(SessionTable):
         re-decided — they pass the write locks again (LC3/LC4) exactly
         as if the fence had never existed.
         """
-        if self._committing.pop(session.job, None) is None:
+        if session.job not in self._committing:
             return
+        self._committing.remove(session.job)
         # Fence denials blame the fenced job; dropping the fence is churn
         # on that job, which re-selects exactly those waiters.
         self._note_release_churn(session.job)
@@ -1335,7 +1329,7 @@ class LockCore(SessionTable):
         self.waits.forget(job)
         self.kernel.retire(job)
         session.state = state
-        self._committing.pop(job, None)
+        self._committing.discard(job)
         del self._sessions[session.id]
         self.constraints.drop(job)
         self._notify_churn(

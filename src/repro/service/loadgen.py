@@ -48,6 +48,7 @@ from repro.exceptions import (
     TransactionAborted,
 )
 from repro.service.client import ServiceClient
+from repro.service.core import check_deadline
 from repro.service.stats import (
     LatencyHistogram,
     ServiceStats,
@@ -98,6 +99,10 @@ class LoadgenConfig:
             raise SpecificationError("transactions_per_client must be >= 1")
         if not 0.0 <= self.abort_probability <= 1.0:
             raise SpecificationError("abort_probability must be in [0, 1]")
+        check_deadline(self.deadline_s)
+        check_deadline(self.duration_s, "duration_s")
+        if not self.think_time_s >= 0.0:
+            raise SpecificationError("think_time_s must be >= 0")
 
 
 @dataclass

@@ -44,7 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.model.spec import TaskSet
     from repro.service.core import ServiceConfig
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
+    __name__: ("deploy",),  # defined below
     "repro.service.sharding.coordinator": ("ShardedLockManager",),
     "repro.service.sharding.core": ("GlobalSession", "ShardedCore"),
     "repro.service.sharding.partitioner": (
@@ -86,15 +87,3 @@ async def deploy(
             catalog, protocol, config, shards=shards, partitioner=partitioner
         )
     return None, LockManager(catalog, protocol, config)
-
-
-__all__ = [
-    "GlobalSession",
-    "HashPartitioner",
-    "Partitioner",
-    "RangePartitioner",
-    "ShardedCore",
-    "ShardedLockManager",
-    "deploy",
-    "make_partitioner",
-]

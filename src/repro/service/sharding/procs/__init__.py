@@ -8,15 +8,9 @@ topology and crash semantics.
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.service.sharding.procs.proxy": ("RemoteShardProxy",),
     "repro.service.sharding.procs.supervisor": (
         "ShardSupervisor", "start_proc_deployment",
     ),
 })
-
-__all__ = [
-    "RemoteShardProxy",
-    "ShardSupervisor",
-    "start_proc_deployment",
-]

@@ -55,7 +55,7 @@ import asyncio
 import functools
 import itertools
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.engine.inheritance import WaitForGraph
 from repro.engine.job import Job
@@ -357,7 +357,7 @@ class RemoteShardProxy:
 
     def prepare_commit(
         self, leg: Session, *, resume: Optional[Park] = None
-    ) -> Union[Tuple[str, ...], Park]:
+    ) -> Optional[Park]:
         """Fence the leg for install (the ack is the fence point).
 
         By the time the ack ends the park, every constraint frame
@@ -367,7 +367,8 @@ class RemoteShardProxy:
         """
         if resume is None:
             return self._send("prepare", leg, {"session": leg.id})
-        return tuple(self._outcome(resume).get("gate", ()))
+        self._outcome(resume)
+        return None
 
     def unprepare_commit(self, leg: Session) -> None:
         """Drop the fence (gate back-off); posted fire-and-forget."""

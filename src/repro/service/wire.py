@@ -249,8 +249,8 @@ async def _execute(manager: "LockManager", op: str, request: Dict[str, Any],
     if op == "prepare":
         _shard_surface(manager, op, features)
         session = manager.session(request["session"])
-        gate = manager.prepare_commit(session)
-        return {"prepared": True, "gate": list(gate)}
+        manager.prepare_commit(session)
+        return {"prepared": True}
     if op == "unprepare":
         _shard_surface(manager, op, features)
         session = manager.session(request["session"])

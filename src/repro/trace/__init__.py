@@ -16,7 +16,7 @@ presents:
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.trace.recorder": (
         "LockEvent", "LockOutcome", "SchedEvent", "SchedEventKind",
         "TraceRecorder",
@@ -34,31 +34,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     "repro.trace.compare": ("RunComparison", "compare_runs", "render_comparison"),
     "repro.trace.svg": ("render_svg_gantt",),
 })
-
-__all__ = [
-    "JobMetrics",
-    "LockEvent",
-    "LockOutcome",
-    "RunComparison",
-    "RunMetrics",
-    "compare_runs",
-    "render_comparison",
-    "SchedEvent",
-    "SchedEventKind",
-    "Segment",
-    "SegmentKind",
-    "SysceilTrace",
-    "Timeline",
-    "TraceRecorder",
-    "build_timeline",
-    "compute_metrics",
-    "metrics_to_csv",
-    "priority_inversion_time",
-    "render_gantt",
-    "render_gantt_comparison",
-    "render_svg_gantt",
-    "result_to_dict",
-    "result_to_json",
-    "segments_to_csv",
-    "sysceil_to_csv",
-]

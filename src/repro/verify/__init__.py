@@ -26,7 +26,7 @@ Two harness modules build on the oracles (docs/TESTING.md):
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.verify.invariants": (
         "assert_all_committed", "assert_deadlock_free", "assert_no_restarts",
         "assert_serializable", "assert_single_blocking",
@@ -43,24 +43,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     ),
     "repro.verify.value_replay": ("assert_value_replay_consistent",),
 })
-
-__all__ = [
-    "CEILING_FAMILY",
-    "LemmaCheckingPCPDA",
-    "ParityError",
-    "ParityReport",
-    "StressReport",
-    "StressSpec",
-    "assert_value_replay_consistent",
-    "check_decision_parity",
-    "parity_battery",
-    "run_stress",
-    "simulator_stress_check",
-    "assert_all_committed",
-    "assert_deadlock_free",
-    "assert_no_restarts",
-    "assert_serializable",
-    "assert_single_blocking",
-    "lower_priority_blockers",
-    "verify_pcp_da_run",
-]

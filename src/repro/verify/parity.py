@@ -344,7 +344,7 @@ def parity_battery(
     The acceptance battery: every seed builds one workload
     (:class:`StressSpec` with ``spec_overrides`` applied), and every
     protocol must pass :func:`check_decision_parity` on it.  ``protocols``
-    defaults to :data:`~repro.service.manager.SERVED_PROTOCOLS`, the
+    defaults to :data:`~repro.service.SERVED_PROTOCOLS`, the
     ones the service paths accept; the rest of the ceiling family is
     compared on the simulator alone (:func:`simulator_decisions`).
     Returns the reports; raises :class:`ParityError` on the first

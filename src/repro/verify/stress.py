@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # the service layer sits above this one; imported lazily
 
 #: Protocols whose admissions are driven by priority ceilings — the family
 #: the simulator's kernel/object parity quantifies over (the service
-#: paths take only :data:`repro.service.manager.SERVED_PROTOCOLS`).
+#: paths take only :data:`repro.service.SERVED_PROTOCOLS`).
 #: ``pcp-da-checked`` and ``rw-pcp-abort`` are the kernel force-opt-out
 #: members (their ``compile_table`` returns ``None``), so including them
 #: keeps the fallback path under the same battery.

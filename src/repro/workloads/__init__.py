@@ -12,7 +12,7 @@
 
 from repro import _lazy_surface
 
-__getattr__, __dir__ = _lazy_surface(__name__, {
+__getattr__, __dir__, __all__ = _lazy_surface(__name__, {
     "repro.workloads.examples": (
         "example1_taskset", "example3_taskset", "example4_taskset",
         "example5_taskset",
@@ -26,20 +26,3 @@ __getattr__, __dir__ = _lazy_surface(__name__, {
     ),
     "repro.workloads.scenarios": ("all_scenarios",),
 })
-
-__all__ = [
-    "OpenSystemConfig",
-    "WorkloadConfig",
-    "all_scenarios",
-    "dump_taskset",
-    "example1_taskset",
-    "example3_taskset",
-    "example4_taskset",
-    "example5_taskset",
-    "generate_open_system",
-    "generate_taskset",
-    "load_taskset",
-    "offered_load",
-    "taskset_from_dict",
-    "taskset_to_dict",
-]

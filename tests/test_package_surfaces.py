@@ -27,6 +27,7 @@ PACKAGES = (
     "repro", "repro.core", "repro.db", "repro.engine", "repro.model",
     "repro.protocols", "repro.trace", "repro.verify", "repro.workloads",
     "repro.service", "repro.service.sharding", "repro.service.sharding.procs",
+    "repro.analysis", "repro.experiments", "repro.engine.kernel",
 )
 
 
@@ -119,6 +120,15 @@ class TestImportFootprint:
         assert _loaded("import repro.exceptions") == [
             "repro", "repro.exceptions",
         ]
+
+    def test_blocking_analysis_loads_no_simulator_and_no_kernel(self):
+        # Section 9's BTS_i / B_i bound needs the ceilings and the model.
+        loaded = _loaded("import repro.analysis.blocking")
+        assert [
+            m for m in loaded
+            if m == "repro.engine.simulator"
+            or m.startswith("repro.engine.kernel")
+        ] == [], loaded
 
     def test_server_loads_the_lock_core_and_nothing_else(self):
         loaded = _loaded("import repro.service.server")

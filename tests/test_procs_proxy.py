@@ -239,8 +239,7 @@ class TestMirrors:
             proxy = host.proxy
             w = await settled(proxy.begin, "W")
             await settled(proxy.write, w, "x", 1)
-            gate = await settled(proxy.prepare_commit, w)
-            assert isinstance(gate, tuple)
+            assert await settled(proxy.prepare_commit, w) is None
             r = await settled(proxy.begin, "R")
             reading = asyncio.ensure_future(settled(proxy.read, r, "x"))
             await settle()

@@ -70,6 +70,14 @@ class TestConfigValidation:
         with pytest.raises(SpecificationError):
             LoadgenConfig(abort_probability=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_s", 0), ("deadline_s", -3), ("deadline_s", True),
+        ("duration_s", 0), ("duration_s", -1), ("think_time_s", -0.5),
+    ])
+    def test_rejects_what_the_service_rejects(self, field, value):
+        with pytest.raises(SpecificationError, match=field):
+            LoadgenConfig(**{field: value})
+
 
 class TestClosedLoop:
     def test_serializable_run_with_counters(self):
